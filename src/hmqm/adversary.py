@@ -23,6 +23,7 @@ attacks into the general measurement path.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,6 +40,7 @@ from .protocol import (
     holder_verify,
     lossy_fail_bounds,
     honest_fail_bound,
+    pair_parities,
 )
 
 SPLIT_FRACTION = 1.0 / 1000.0
@@ -172,77 +174,52 @@ def check_accounting(strategy: AttackStrategy, q: int, l: int, T: int) -> None:
         raise ValueError("strategy fractions exceed the register size")
 
 
-def forge_coins(coin: Coin, strategy: AttackStrategy, rng: np.random.Generator) -> tuple[Coin, Coin]:
+def forge_coins(coin: Coin, strategy: AttackStrategy) -> tuple[Coin, Coin]:
     """Split one genuine coin into two coins for a double-spend attempt.
 
     The input coin must be fresh (all positions genuine and unused).  The
     returned coins share the bank record and the coin id.
+
+    The register is laid out in contiguous segments: the side masked from
+    verifier 1, the side masked from verifier 2, the T*l known positions,
+    the hidden positions, then the white ones.  A verifier samples uniformly
+    from the positions it is offered and the secrets are i.i.d., so this
+    layout is equal in distribution to a random placement of the segments.
     """
-    if not coin.all_genuine() or np.any(coin.r != 0):
+    if not coin.all_genuine() or coin.consumed:
         raise ValueError("forging expects a fresh, fully genuine coin")
     check_accounting(strategy, coin.q, coin.l, coin.T)
-    q = coin.q
-    kinds1 = np.zeros(q, dtype=np.uint8)
-    kinds2 = np.zeros(q, dtype=np.uint8)
-    r1 = np.zeros(q, dtype=np.uint8)
-    r2 = np.zeros(q, dtype=np.uint8)
-    white = np.ones(q, dtype=bool)
-
     split = strategy.split_step()
-    if split is not None:
-        m = int(split.fraction * q)
-        aux = coin.T * coin.l
-        perm = rng.permutation(q)
-        side1, side2, known = perm[:m], perm[m : 2 * m], perm[2 * m : 2 * m + aux]
-        # Masked for verifier 1, so the physical state goes to verifier 2 intact.
-        kinds1[side1] = PositionKind.ABSENT
-        r1[side1] = 1
-        kinds2[side1] = PositionKind.REPLICA
-        kinds2[side2] = PositionKind.ABSENT
-        r2[side2] = 1
-        kinds1[side2] = PositionKind.REPLICA
-        kinds1[known] = PositionKind.REPLICA
-        kinds2[known] = PositionKind.REPLICA
-        white[perm[: 2 * m + aux]] = False
-
+    m = int(split.fraction * coin.q) if split else 0
+    known = coin.T * coin.l if split else 0
     hiding = strategy.hiding_step()
-    if hiding is not None:
-        white_idx = np.flatnonzero(white)
-        hidden_count = int(hiding.fraction * q)
-        if hidden_count > white_idx.size:
-            raise ValueError("loss-hiding fraction exceeds the white positions")
-        hide = white_idx[rng.permutation(white_idx.size)[:hidden_count]]
-        kinds1[hide] = PositionKind.ABSENT
-        kinds2[hide] = PositionKind.ABSENT
-        white[hide] = False
+    hidden = int(hiding.fraction * coin.q) if hiding else 0
 
-    white_idx = np.flatnonzero(white)
     step = strategy.channel_step()
-    err1 = err2 = None
+    white1 = PositionKind.GENUINE if step is None else PositionKind.FORGED
+    one_state = step is None or isinstance(step, HonestNoise)  # verifier 1 keeps it
+    white2 = PositionKind.ABSENT if one_state else PositionKind.FORGED
+    err1, err2 = strategy.white_pair_error(coin.n)
     chan1 = chan2 = None
-    if step is None:
-        kinds2[white_idx] = PositionKind.ABSENT  # single state, verifier 1 keeps it
-    elif isinstance(step, HonestNoise):
-        kinds1[white_idx] = PositionKind.FORGED
-        err1 = step.beta
-        kinds2[white_idx] = PositionKind.ABSENT
-    elif isinstance(step, SymmetricClone):
-        kinds1[white_idx] = PositionKind.FORGED
-        kinds2[white_idx] = PositionKind.FORGED
-        err1 = err2 = bounds.e_max(coin.n)
-    elif isinstance(step, MixedSubstitution):
-        kinds1[white_idx] = PositionKind.FORGED
-        kinds2[white_idx] = PositionKind.FORGED
-        err1 = err2 = 0.5
-    else:  # CustomChannel
-        kinds1[white_idx] = PositionKind.FORGED
-        kinds2[white_idx] = PositionKind.FORGED
-        raw = step.channel
-        chan1 = lambda state, r: raw(state, r)[0]
-        chan2 = lambda state, r: raw(state, r)[1]
+    if isinstance(step, CustomChannel):
+        chan1 = lambda state, r: step.channel(state, r)[0]
+        chan2 = lambda state, r: step.channel(state, r)[1]
 
-    coin1 = Coin(coin.coin_id, coin.n, q, coin.l, coin.T, kinds1, r1, err1, chan1)
-    coin2 = Coin(coin.coin_id, coin.n, q, coin.l, coin.T, kinds2, r2, err2, chan2)
+    # (length, kind for verifier 1, kind for verifier 2).  A masked side's
+    # physical state goes to the other verifier intact.
+    layout = [
+        (m, PositionKind.ABSENT, PositionKind.REPLICA),
+        (m, PositionKind.REPLICA, PositionKind.ABSENT),
+        (known, PositionKind.REPLICA, PositionKind.REPLICA),
+        (hidden, PositionKind.ABSENT, PositionKind.ABSENT),
+        (coin.q - 2 * m - known - hidden, white1, white2),
+    ]
+    stops = np.cumsum([length for length, _, _ in layout]).tolist()
+    segments1 = tuple((stop, k1) for stop, (length, k1, _) in zip(stops, layout) if length)
+    segments2 = tuple((stop, k2) for stop, (length, _, k2) in zip(stops, layout) if length)
+    same = dict(coin_id=coin.coin_id, n=coin.n, q=coin.q, l=coin.l, T=coin.T)
+    coin1 = Coin(**same, segments=segments1, masked=range(0, m), forged_error=err1, custom_channel=chan1)
+    coin2 = Coin(**same, segments=segments2, masked=range(m, 2 * m), forged_error=err2, custom_channel=chan2)
     return coin1, coin2
 
 
@@ -276,7 +253,8 @@ class ForgeOutcome:
         return float(np.mean(self.accept1 & self.accept2))
 
     def to_dict(self) -> dict:
-        with np.errstate(invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # nanmean of a never-scored side
             return {
                 "strategy": self.strategy, "n": self.n, "q": self.q, "l": self.l,
                 "trials": self.trials,
@@ -300,19 +278,16 @@ class ForgeOutcome:
         )
 
 
-def _transcript_errors(db_secrets, coin, transcript) -> tuple[float, float]:
+def _transcript_errors(db, coin, transcript) -> tuple[float, float]:
     """White-position and overall error frequencies of one transcript."""
     present = transcript.answer >= 0
     if not np.any(present):
         return (math.nan, math.nan)
     pos = transcript.positions[present]
-    parity = (
-        db_secrets[pos, transcript.pair_i[present] - 1]
-        ^ db_secrets[pos, transcript.pair_j[present] - 1]
-    )
+    parity = pair_parities(db.key, db.n, pos, transcript.pair_i[present], transcript.pair_j[present])
     wrong = parity != transcript.answer[present]
     overall = float(np.mean(wrong))
-    kinds = coin.kinds[pos]
+    kinds = coin.kind_of(pos)
     white = (kinds == PositionKind.FORGED) | (kinds == PositionKind.GENUINE)
     white_err = float(np.mean(wrong[white])) if np.any(white) else math.nan
     return (white_err, overall)
@@ -341,13 +316,13 @@ def run_forging_experiment(
     oerr2 = np.empty(trials)
     for t in range(trials):
         coin, db = bank_mint(n, q, l, rng)
-        coin1, coin2 = forge_coins(coin, strategy, rng)
+        coin1, coin2 = forge_coins(coin, strategy)
         out1 = holder_verify(coin1, db, params, clean, rng)
         out2 = holder_verify(coin2, db, params, clean, rng)
         accept1[t] = out1.verdict is Verdict.VALID
         accept2[t] = out2.verdict is Verdict.VALID
-        werr1[t], oerr1[t] = _transcript_errors(db.secrets, coin1, out1.transcript)
-        werr2[t], oerr2[t] = _transcript_errors(db.secrets, coin2, out2.transcript)
+        werr1[t], oerr1[t] = _transcript_errors(db, coin1, out1.transcript)
+        werr2[t], oerr2[t] = _transcript_errors(db, coin2, out2.transcript)
     if params.eta == 1.0 and params.epsilon == 0.0:
         bound = honest_fail_bound(l, params.delta)
     else:
@@ -373,7 +348,7 @@ def loss_hiding_weight_check(
     """
     sent_flags = np.asarray(sent_flags)
     q = sent_flags.size
-    weight = int(np.sum(sent_flags != 0))
+    weight = int(np.count_nonzero(sent_flags))
     if not 1 <= l <= q:
         raise ValueError(f"need 1 <= l <= {q}, got {l}")
     sent_in_sample = rng.hypergeometric(weight, q - weight, l, size=trials)

@@ -72,8 +72,11 @@ def operator_norm(h: np.ndarray, method: str = "auto") -> float:
 
     For the PSD operators this package cares about it coincides with the
     spectral norm.  Dense eigendecomposition up to dimension 1000; above
-    that, power iteration on the positively shifted matrix with residual
-    tolerance 1e-10, certified by the bound |rayleigh - eig| <= residual.
+    that, power iteration on the positively shifted matrix, stopped once the
+    residual |h v - rayleigh v| is below 1e-10 (relative).  That residual
+    puts the Rayleigh quotient within 1e-10 of some eigenvalue of h, not
+    necessarily the largest, so the power path gives no certified upper
+    bound.
 
     Parameters
     ----------
@@ -120,8 +123,10 @@ def fidelity_bound(n: int, memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET) -> 
     """Certified upper bound on the two-verifier average cloning fidelity.
 
     Computed as n * operator_norm(build_q_matrix(n)); the scaled identity at
-    that norm is feasible for the dual program, so the value is a true upper
-    bound, numerically equal to 1/2 + 1/n on the verified range.
+    that norm is feasible for the dual program, so the value is an upper
+    bound whenever the norm is (the dense path of operator_norm; see there
+    for the power path), numerically equal to 1/2 + 1/n on the verified
+    range.
     """
     return n * operator_norm(build_q_matrix(n, memory_budget_bytes))
 

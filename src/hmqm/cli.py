@@ -11,6 +11,7 @@ comment.  Command-line flags override config values.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -79,10 +80,13 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _emit_rows(rows: list[dict], header: list[str], fmt: str, out: str | None) -> None:
+def _report(data: dict | list[dict], header: list[str], fmt: str, out: str | None) -> None:
+    """Emit one report: JSON of data as given, or CSV of the header's columns
+    with one line per row (a dict is a single row)."""
     if fmt == "json":
-        _emit(json.dumps(rows, sort_keys=True, indent=2), out)
+        _emit(json.dumps(data, sort_keys=True, indent=2), out)
     else:
+        rows = [data] if isinstance(data, dict) else data
         lines = [",".join(header)]
         lines += [",".join(_csv_cell(row[col]) for col in header) for row in rows]
         _emit("\n".join(lines), out)
@@ -99,13 +103,8 @@ def cmd_bounds(args) -> int:
     for n in _parse_n_list(args.n):
         if n > BOUNDS_MAX_VERIFIED:
             print(f"note: n={n} is outside the numerically verified range [4, 14]", file=sys.stderr)
-        b = bounds.CloneBound.compute(n)
-        rows.append({
-            "n": b.n, "q_norm": b.q_norm, "fidelity_bound": b.fidelity_bound,
-            "pair_error_lower": b.pair_error_lower, "e_min": b.e_min, "e_max": b.e_max,
-        })
-    _emit_rows(rows, ["n", "q_norm", "fidelity_bound", "pair_error_lower", "e_min", "e_max"],
-               args.format, args.out)
+        rows.append(dataclasses.asdict(bounds.CloneBound.compute(n)))
+    _report(rows, bounds.CloneBound.CSV_HEADER.split(","), args.format, args.out)
     return 0
 
 
@@ -141,10 +140,7 @@ def cmd_simulate(args) -> int:
         n=int(cfg["n"]), q=int(cfg["q"]), l=int(cfg["l"]), beta=float(cfg["beta"]),
         trials=int(cfg["trials"]), rng=rng, eta=float(cfg["eta"]), epsilon=float(cfg["epsilon"]),
     ).to_dict()
-    if args.format == "json":
-        _emit(json.dumps(report, sort_keys=True, indent=2), args.out)
-    else:
-        _emit_rows([report], SIMULATE_HEADER, "csv", args.out)
+    _report(report, SIMULATE_HEADER, args.format, args.out)
     return 0
 
 
@@ -162,10 +158,7 @@ def cmd_forge(args) -> int:
         n=int(cfg["n"]), q=int(cfg["q"]), l=int(cfg["l"]), strategy=strategy,
         trials=int(cfg["trials"]), params=params, rng=rng,
     )
-    if args.format == "json":
-        _emit(json.dumps(outcome.to_dict(), sort_keys=True, indent=2), args.out)
-    else:
-        _emit(outcome.CSV_HEADER + "\n" + outcome.csv_row(), args.out)
+    _report(outcome.to_dict(), outcome.CSV_HEADER.split(","), args.format, args.out)
     return 0
 
 
@@ -175,10 +168,7 @@ PLAN_HEADER = ["n", "beta", "eta", "epsilon", "c", "delta", "l", "q_min", "T",
 
 def cmd_plan(args) -> int:
     plan = protocol.plan_parameters(args.n, args.beta, args.security, args.eta, args.epsilon)
-    if args.format == "json":
-        _emit(json.dumps(plan.to_dict(), sort_keys=True, indent=2), args.out)
-    else:
-        _emit_rows([plan.to_dict()], PLAN_HEADER, "csv", args.out)
+    _report(plan.to_dict(), PLAN_HEADER, args.format, args.out)
     return 0
 
 
@@ -194,7 +184,7 @@ def cmd_coherent(args) -> int:
             "p2plus": point.p2plus, "effective_eta": point.effective_eta,
             "effective_adversary_error": point.effective_error,
         })
-    _emit_rows(rows, COHERENT_HEADER, args.format, args.out)
+    _report(rows, COHERENT_HEADER, args.format, args.out)
     return 0
 
 

@@ -1,11 +1,13 @@
 """Coin lifecycle: minting, holder-side verification, bank-side checking.
 
-A coin is q positions, each hiding an n-bit secret known only to the bank.
+A coin is q positions, each hiding an n-bit secret known only to the bank,
+which stores a 16-byte key per coin and derives secrets from it on demand.
 The holder verifies by sampling l unused positions, measuring each in a
 random matching basis, and sending the claimed parities to the bank, which
 accepts when the correct fraction clears c - delta.  The bank allows at most
 T = q // (1000 l) checks per coin.  All sampling is exact: outcomes are drawn
-from closed-form distributions, never from simulated state vectors.
+from closed-form distributions, never from simulated state vectors.  No
+state of a coin or a round grows with q.
 
 Positions are indexed from 0.  Node indices inside measurement outcomes are
 1-based, matching the matching convention.
@@ -17,8 +19,9 @@ inside `measure_positions`.  A remote client makes the same draws and ships
 the seed, so the service reproduces outcomes bit for bit.
 """
 
+import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum, Enum
 from functools import lru_cache
 from typing import Callable
@@ -31,6 +34,7 @@ from .matchings import DisjointMatchingSet, build_disjoint_set
 from .qrg import BitString, hidden_matching_state, measure_matching
 
 COIN_BUDGET_DIVISOR = 1000  # T = q // (1000 l)
+KEY_BYTES = 16
 
 
 class ProtocolError(Exception):
@@ -76,7 +80,14 @@ class HonestChannel:
 
 @dataclass
 class Coin:
-    """Holder-side view of a coin: per-position kind and the r register.
+    """Holder-side view of a coin: the kind of each position and the
+    positions already consumed.
+
+    segments is a tuple of (stop, kind) pairs with increasing stops, the
+    last one q: positions [previous stop, stop) have that kind.  Positions
+    in `masked` are never offered to the sampler (a forger withheld them
+    from this verifier).  `consumed` holds the positions earlier rounds
+    sampled, so it grows by l per round, whatever q is.
 
     forged_error is the exact per-measurement error rate of forged
     positions (all built-in attack channels produce states whose
@@ -91,36 +102,41 @@ class Coin:
     q: int
     l: int
     T: int
-    kinds: np.ndarray
-    r: np.ndarray
+    segments: tuple[tuple[int, PositionKind], ...]
+    masked: range = range(0)
+    consumed: set[int] = field(default_factory=set)
     forged_error: float | None = None
     custom_channel: Callable | None = None
 
     @classmethod
     def fresh(cls, coin_id: str, n: int, q: int, l: int, T: int) -> "Coin":
-        return cls(
-            coin_id=coin_id, n=n, q=q, l=l, T=T,
-            kinds=np.zeros(q, dtype=np.uint8), r=np.zeros(q, dtype=np.uint8),
-        )
+        return cls(coin_id=coin_id, n=n, q=q, l=l, T=T, segments=((q, PositionKind.GENUINE),))
+
+    def kind_of(self, positions: np.ndarray) -> np.ndarray:
+        """PositionKind of each position, as a uint8 array."""
+        stops = [stop for stop, _ in self.segments]
+        kinds = np.array([kind for _, kind in self.segments], dtype=np.uint8)
+        return kinds[np.searchsorted(stops, positions, side="right")]
+
+    def unused(self) -> int:
+        """Positions a round may still sample."""
+        return self.q - len(self.masked) - len(self.consumed)
 
     def all_genuine(self) -> bool:
-        return bool(np.all(self.kinds == PositionKind.GENUINE))
+        return all(kind == PositionKind.GENUINE for _, kind in self.segments)
 
 
 @dataclass
 class BankDatabase:
-    """Bank-side record: the secrets and the check counter."""
+    """Bank-side record: the key the secrets derive from, and the check counter."""
 
     coin_id: str
     n: int
     q: int
     l: int
     T: int
-    secrets: np.ndarray  # shape (q, n), uint8
+    key: bytes
     s: int = 0
-
-    def secret(self, position: int) -> BitString:
-        return BitString(tuple(int(b) for b in self.secrets[position]))
 
 
 @dataclass(frozen=True)
@@ -277,49 +293,52 @@ def _pair_to_alpha(n: int) -> np.ndarray:
     return table
 
 
+def secret_bits(key: bytes, positions: np.ndarray, n: int) -> np.ndarray:
+    """The n secret bits of each position, shape (len(positions), n), uint8.
+
+    Position i's secret is the first n bits of SHAKE-256(key || i), i as 8
+    little-endian bytes: a keyed counter-based generator, so a round costs
+    what it samples and the bank stores only the key.
+    """
+    width = (n + 7) // 8
+    raw = b"".join(
+        hashlib.shake_256(key + p.to_bytes(8, "little")).digest(width)
+        for p in np.asarray(positions).tolist()
+    )
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, width), axis=1, count=n)
+
+
+def pair_parities(key: bytes, n: int, positions: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray) -> np.ndarray:
+    """x_i XOR x_j of each position's secret, for 1-based node pairs."""
+    bits = secret_bits(key, positions, n)
+    rows = np.arange(len(bits))
+    return bits[rows, pair_i - 1] ^ bits[rows, pair_j - 1]
+
+
 def bank_mint(n: int, q: int, l: int, rng: np.random.Generator) -> tuple[Coin, BankDatabase]:
-    """Mint a coin: q fresh n-bit secrets, cleared r register, check budget T.
+    """Mint a coin: a fresh secret key, an unused register, check budget T.
 
     Raises when q < 1000 * l, which would give T = 0 (a coin that can never
     be checked).
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be even and >= 2, got {n}")
-    if l < 1 or q < l:
-        raise ValueError(f"need q >= l >= 1, got q={q}, l={l}")
+    if l < 1 or q < l or q >= 2**63:  # positions are int64
+        raise ValueError(f"need 2^63 > q >= l >= 1, got q={q}, l={l}")
     T = q // (COIN_BUDGET_DIVISOR * l)
     if T == 0:
         raise ValueError(
             f"q={q} is below {COIN_BUDGET_DIVISOR * l} = 1000*l; the check budget T would be 0"
         )
-    secrets = rng.integers(0, 2, size=(q, n), dtype=np.uint8)
+    key = rng.bytes(KEY_BYTES)
     coin_id = rng.bytes(16).hex()
     coin = Coin.fresh(coin_id, n, q, l, T)
-    db = BankDatabase(coin_id=coin_id, n=n, q=q, l=l, T=T, secrets=secrets)
+    db = BankDatabase(coin_id=coin_id, n=n, q=q, l=l, T=T, key=key)
     return coin, db
 
 
-def sample_without_replacement(rng: np.random.Generator, population: int, k: int) -> np.ndarray:
-    """k distinct indices in [0, population), cheap when k << population."""
-    if k > population:
-        raise ValueError(f"cannot sample {k} from {population}")
-    if k * 20 >= population:
-        return rng.permutation(population)[:k]
-    chosen: set[int] = set()
-    out = np.empty(k, dtype=np.int64)
-    filled = 0
-    while filled < k:
-        for v in rng.integers(0, population, size=k - filled):
-            v = int(v)
-            if v not in chosen:
-                chosen.add(v)
-                out[filled] = v
-                filled += 1
-    return out
-
-
 def measure_positions(
-    secrets: np.ndarray,
+    key: bytes,
     coin: Coin,
     positions: np.ndarray,
     alphas: np.ndarray,
@@ -344,7 +363,7 @@ def measure_positions(
     pair_pick = rng.integers(0, n // 2, size=k)
     u_err = rng.random(k)
 
-    kinds = coin.kinds[positions]
+    kinds = coin.kind_of(positions)
     err_prob = np.empty(k)
     err_prob[kinds == PositionKind.GENUINE] = beta
     err_prob[kinds == PositionKind.REPLICA] = 0.0
@@ -354,16 +373,14 @@ def measure_positions(
         err_prob[kinds == PositionKind.FORGED] = coin.forged_error if coin.forged_error is not None else 0.0
 
     nodes = pairs_arr[alphas - 1, pair_pick]
-    parity = secrets[positions, nodes[:, 0] - 1] ^ secrets[positions, nodes[:, 1] - 1]
+    parity = pair_parities(key, n, positions, nodes[:, 0], nodes[:, 1])
     answer = (parity ^ (u_err < err_prob)).astype(np.int8)
     present = (u_loss < eta) & (kinds != PositionKind.ABSENT)
 
     if coin.custom_channel is not None:
         mset = matching_set(n)
-        for idx in np.flatnonzero(kinds == PositionKind.FORGED):
-            if not present[idx]:
-                continue
-            x = BitString(tuple(int(b) for b in secrets[positions[idx]]))
+        for idx in np.flatnonzero(present & (kinds == PositionKind.FORGED)):
+            x = BitString(tuple(secret_bits(key, positions[idx : idx + 1], n)[0].tolist()))
             rho = coin.custom_channel(hidden_matching_state(x), rng)
             out = measure_matching(rho, mset.matching(int(alphas[idx])), rng)
             nodes[idx, 0], nodes[idx, 1] = out.i, out.j
@@ -384,12 +401,12 @@ def holder_verify(
 ) -> VerifyOutcome:
     """One verification round: sample, measure, abort or submit to the bank.
 
-    The sampled r bits are set before anything is measured, so positions are
-    consumed even when the round aborts.  With fewer than l unused positions
-    the round cannot start at all (InsufficientPositionsError, not a
-    verdict).
+    The sample is marked consumed before anything is measured, so positions
+    are consumed even when the round aborts.  With fewer than l unused
+    positions the round cannot start at all (InsufficientPositionsError, not
+    a verdict).
     """
-    transcript = _build_transcript(coin, db.secrets, params, channel, rng)
+    transcript = _build_transcript(coin, db.key, params, channel, rng)
     if transcript.l_prime < params.min_outcomes * coin.l:
         return VerifyOutcome(Verdict.ABORTED, transcript, None)
     check = bank_check(db, transcript, params)
@@ -397,29 +414,36 @@ def holder_verify(
 
 
 def _plan_round(coin: Coin, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
-    """Draw the sample, the bases and the measurement seed, consuming r bits."""
-    unused = np.flatnonzero(coin.r == 0)
-    if unused.size < coin.l:
+    """Draw the sample, the bases and the measurement seed, consuming the
+    sample: uniform draws from [0, q) minus the masked range, rejecting
+    consumed positions."""
+    if coin.unused() < coin.l:
         raise InsufficientPositionsError(
-            f"coin has {unused.size} unused positions, verification needs {coin.l}"
+            f"coin has {coin.unused()} unused positions, verification needs {coin.l}"
         )
-    sample = unused[sample_without_replacement(rng, unused.size, coin.l)]
-    coin.r[sample] = 1
+    sample: list[int] = []
+    while len(sample) < coin.l:
+        for v in rng.integers(0, coin.q - len(coin.masked), size=coin.l - len(sample)).tolist():
+            if v >= coin.masked.start:
+                v += len(coin.masked)
+            if v not in coin.consumed:
+                coin.consumed.add(v)
+                sample.append(v)
     alphas = rng.integers(1, coin.n, size=coin.l)
     measure_seed = int(rng.integers(0, 2**63))
-    return sample, alphas, measure_seed
+    return np.array(sample, dtype=np.int64), alphas, measure_seed
 
 
 def _build_transcript(
     coin: Coin,
-    secrets: np.ndarray,
+    key: bytes,
     params: VerdictParameters,
     channel: HonestChannel,
     rng: np.random.Generator,
 ) -> VerificationTranscript:
     sample, alphas, measure_seed = _plan_round(coin, rng)
     pair_i, pair_j, answer = measure_positions(
-        secrets, coin, sample, alphas, channel.beta, params.eta,
+        key, coin, sample, alphas, channel.beta, params.eta,
         np.random.default_rng(measure_seed),
     )
     return VerificationTranscript(
@@ -456,10 +480,10 @@ def bank_check(db: BankDatabase, transcript: VerificationTranscript, params: Ver
     l_prime = int(np.sum(present))
     threshold = l_prime * (params.c - params.delta)
     if l_prime:
-        pi = transcript.pair_i[present] - 1
-        pj = transcript.pair_j[present] - 1
-        pos = transcript.positions[present]
-        parity = db.secrets[pos, pi] ^ db.secrets[pos, pj]
+        parity = pair_parities(
+            db.key, db.n, transcript.positions[present],
+            transcript.pair_i[present], transcript.pair_j[present],
+        )
         correct = int(np.sum(parity == transcript.answer[present]))
     else:
         correct = 0

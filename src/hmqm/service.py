@@ -1,18 +1,23 @@
 """Bank service: mint and check coins over a socket, secrets never leave.
 
 Wire format: every message is a 4-byte big-endian length followed by UTF-8
-JSON with sorted keys.  Requests carry a client-chosen request_id echoed in
-the response.  The holder keeps the coin (kinds and r register) client-side;
-because secrets stay in the service, the holder measures genuine positions
-by sending the sampled positions, bases, channel parameters and a
-measurement seed in one MeasureRequest, and the service runs the same exact
-sampling engine used in-process, which makes remote runs bit-identical to
-local ones under the same seeds.
+JSON object with sorted keys.  Requests carry a client-chosen request_id
+echoed in the response.  A frame that is not such an object gets a
+bad_request error and the connection is closed.  `mint_ok` carries the
+coin's id and parameters; the holder keeps the coin (its layout and the
+positions it has consumed) client-side.  Because secrets stay in the
+service, the holder measures genuine positions by sending the sampled
+positions, bases, channel parameters and a measurement seed in one
+MeasureRequest, and the service runs the same exact sampling engine used
+in-process, which makes remote runs bit-identical to local ones under the
+same seeds.
 
 State is durable: every mint and every check-counter increment is appended
 to a newline-delimited JSON journal and fsynced before the response is
-sent.  On startup the journal is replayed; a malformed line aborts startup
-with its byte offset.
+sent.  A mint record carries the coin's parameters and its secret key in
+hex, a check record the new counter value.  On startup the journal is
+replayed; a malformed line, including a mint record without a key, aborts
+startup with its byte offset.
 """
 
 import json
@@ -25,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import (
+    KEY_BYTES,
     BankDatabase,
     CheckResult,
     Coin,
@@ -63,7 +69,7 @@ def send_message(sock: socket.socket, obj: dict) -> None:
 
 
 def recv_message(sock: socket.socket) -> dict | None:
-    """Read one framed message; None on clean EOF at a frame boundary."""
+    """Read one framed JSON object; None on clean EOF at a frame boundary."""
     header = _recv_exact(sock, 4)
     if header is None:
         return None
@@ -73,7 +79,13 @@ def recv_message(sock: socket.socket) -> dict | None:
     payload = _recv_exact(sock, length)
     if payload is None:
         raise ServiceError("connection closed mid-frame")
-    return json.loads(payload.decode("utf-8"))
+    try:
+        message = json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ServiceError(f"malformed frame: {exc}") from exc
+    if not isinstance(message, dict):
+        raise ServiceError("frame is not a JSON object")
+    return message
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
@@ -136,13 +148,12 @@ class Journal:
 def _apply_record(coins: dict[str, BankDatabase], record: dict) -> None:
     event = record["event"]
     if event == "mint":
-        q, n = record["q"], record["n"]
-        secrets = np.unpackbits(
-            np.frombuffer(bytes.fromhex(record["secrets"]), dtype=np.uint8)
-        )[: q * n].reshape(q, n)
+        key = bytes.fromhex(record["key"])
+        if len(key) != KEY_BYTES:
+            raise ValueError(f"key of {len(key)} bytes")
         coins[record["coin_id"]] = BankDatabase(
-            coin_id=record["coin_id"], n=n, q=q, l=record["l"], T=record["T"],
-            secrets=secrets, s=record["s"],
+            coin_id=record["coin_id"], n=record["n"], q=record["q"], l=record["l"],
+            T=record["T"], key=key, s=record["s"],
         )
     elif event == "check":
         db = coins[record["coin_id"]]
@@ -199,7 +210,7 @@ class BankService:
             while not self._stop.is_set():
                 try:
                     request = recv_message(conn)
-                except (ServiceError, json.JSONDecodeError, ConnectionError):
+                except (ServiceError, ConnectionError):
                     try:
                         send_message(conn, {"type": "error", "code": "bad_request",
                                             "message": "malformed frame", "request_id": None})
@@ -230,28 +241,20 @@ class BankService:
             return _error(request_id, "bad_request", f"unknown request type {kind!r}")
         except UnknownCoinError as exc:
             return _error(request_id, "unknown_coin", str(exc))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             return _error(request_id, "bad_request", str(exc))
 
     def _handle_mint(self, request: dict) -> dict:
         n, q, l = int(request["n"]), int(request["q"]), int(request["l"])
         seed = request.get("seed")
         rng = np.random.default_rng(None if seed is None else int(seed))
-        coin, db = bank_mint(n, q, l, rng)
-        record = {
-            "event": "mint", "coin_id": db.coin_id, "n": n, "q": q, "l": l,
-            "T": db.T, "s": 0,
-            "secrets": np.packbits(db.secrets.reshape(-1)).tobytes().hex(),
-        }
+        _, db = bank_mint(n, q, l, rng)
+        coin = {"coin_id": db.coin_id, "n": n, "q": q, "l": l, "T": db.T}
         with self._coins_lock:
-            self.journal.append(record)
+            self.journal.append({"event": "mint", **coin, "s": 0, "key": db.key.hex()})
             self.coins[db.coin_id] = db
             self._coin_locks[db.coin_id] = threading.Lock()
-        return {
-            "type": "mint_ok", "request_id": request.get("request_id"),
-            "coin_id": db.coin_id, "n": n, "q": q, "l": l, "T": db.T,
-            "r": np.packbits(coin.r).tobytes().hex(),
-        }
+        return {"type": "mint_ok", "request_id": request.get("request_id"), **coin}
 
     def _coin(self, coin_id: str) -> tuple[BankDatabase, threading.Lock]:
         with self._coins_lock:
@@ -273,7 +276,7 @@ class BankService:
         eta = float(request["eta"])
         view = Coin.fresh(db.coin_id, db.n, db.q, db.l, db.T)
         pair_i, pair_j, answer = measure_positions(
-            db.secrets, view, positions, alphas, beta, eta,
+            db.key, view, positions, alphas, beta, eta,
             np.random.default_rng(int(request["seed"])),
         )
         outcomes = [
@@ -342,10 +345,7 @@ class BankClient:
 
     def mint(self, n: int, q: int, l: int, seed: int | None = None) -> Coin:
         resp = self._call({"type": "mint", "n": n, "q": q, "l": l, "seed": seed})
-        r = np.unpackbits(np.frombuffer(bytes.fromhex(resp["r"]), dtype=np.uint8))[: resp["q"]]
-        coin = Coin.fresh(resp["coin_id"], resp["n"], resp["q"], resp["l"], resp["T"])
-        coin.r = r.astype(np.uint8)
-        return coin
+        return Coin.fresh(resp["coin_id"], resp["n"], resp["q"], resp["l"], resp["T"])
 
     def measure(
         self, coin_id: str, positions: np.ndarray, alphas: np.ndarray,

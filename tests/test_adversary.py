@@ -91,32 +91,35 @@ def test_check_accounting_register_size():
 def test_forge_register_split_layout():
     rng = np.random.default_rng(30)
     coin, db = bank_mint(4, 10_000, 10, rng)
-    coin1, coin2 = forge_coins(coin, builtin_strategy("register_split"), rng)
+    coin1, coin2 = forge_coins(coin, builtin_strategy("register_split"))
     assert coin1.coin_id == coin2.coin_id == coin.coin_id
+    everywhere = np.arange(coin.q)
+    kinds1, kinds2 = coin1.kind_of(everywhere), coin2.kind_of(everywhere)
 
-    side1 = np.flatnonzero(coin1.r)
-    side2 = np.flatnonzero(coin2.r)
+    side1 = np.array(coin1.masked)
+    side2 = np.array(coin2.masked)
     assert side1.size == side2.size == 10  # q/1000 per side
     assert np.intersect1d(side1, side2).size == 0
-    assert np.all(coin1.kinds[side1] == PositionKind.ABSENT)
-    assert np.all(coin2.kinds[side1] == PositionKind.REPLICA)
-    assert np.all(coin2.kinds[side2] == PositionKind.ABSENT)
-    assert np.all(coin1.kinds[side2] == PositionKind.REPLICA)
+    assert np.all(kinds1[side1] == PositionKind.ABSENT)
+    assert np.all(kinds2[side1] == PositionKind.REPLICA)
+    assert np.all(kinds2[side2] == PositionKind.ABSENT)
+    assert np.all(kinds1[side2] == PositionKind.REPLICA)
 
     # T*l auxiliary positions are replicas on both coins.
-    both_replica = (coin1.kinds == PositionKind.REPLICA) & (coin2.kinds == PositionKind.REPLICA)
+    both_replica = (kinds1 == PositionKind.REPLICA) & (kinds2 == PositionKind.REPLICA)
     assert int(both_replica.sum()) == coin.T * coin.l == 10
     # Without a channel step verifier 1 keeps the white states...
-    assert int(np.sum(coin1.kinds == PositionKind.GENUINE)) == 10_000 - 30
+    assert int(np.sum(kinds1 == PositionKind.GENUINE)) == 10_000 - 30
     # ...and verifier 2 gets nothing there.
-    assert int(np.sum(coin2.kinds == PositionKind.ABSENT)) == 10_000 - 30 + 10
+    assert int(np.sum(kinds2 == PositionKind.ABSENT)) == 10_000 - 30 + 10
 
 
 def test_forge_verifier_never_samples_masked_positions():
     rng = np.random.default_rng(31)
     coin, db = bank_mint(4, 10_000, 10, rng)
-    coin1, _ = forge_coins(coin, builtin_strategy("symmetric_clone"), rng)
-    masked = np.flatnonzero(coin1.r)
+    coin1, _ = forge_coins(coin, builtin_strategy("symmetric_clone"))
+    masked = np.array(coin1.masked)
+    assert masked.size == 10
     params = VerdictParameters.from_noise(4, 0.0)
     out = holder_verify(coin1, db, params, HonestChannel(0.0), rng)
     assert np.intersect1d(out.transcript.positions, masked).size == 0
@@ -125,13 +128,13 @@ def test_forge_verifier_never_samples_masked_positions():
 def test_forge_requires_fresh_coin():
     rng = np.random.default_rng(32)
     coin, _ = bank_mint(4, 10_000, 10, rng)
-    coin.r[0] = 1
+    coin.consumed.add(0)
     with pytest.raises(ValueError, match="fresh"):
-        forge_coins(coin, builtin_strategy("symmetric_clone"), rng)
-    coin.r[0] = 0
-    coin.kinds[0] = PositionKind.REPLICA
+        forge_coins(coin, builtin_strategy("symmetric_clone"))
+    coin.consumed.clear()
+    coin.segments = ((1, PositionKind.REPLICA), (coin.q, PositionKind.GENUINE))
     with pytest.raises(ValueError, match="fresh"):
-        forge_coins(coin, builtin_strategy("symmetric_clone"), rng)
+        forge_coins(coin, builtin_strategy("symmetric_clone"))
 
 
 def test_honest_noise_is_not_a_double_spend():
@@ -247,3 +250,21 @@ def test_custom_channel_plugin():
     sigma = math.sqrt(0.25 / (10 * 50))
     assert abs(mean_err - 0.5) <= 4 * sigma
     assert outcome.both_accept_rate == 0.0
+
+
+def test_forge_layout_holds_no_q_length_state():
+    # The layout is a handful of segments whatever q is, and a round adds
+    # exactly l positions to a coin's consumed set.
+    rng = np.random.default_rng(42)
+    coin, db = bank_mint(4, 10**9, 2000, rng)
+    strategy = builtin_strategy("loss_hiding", fraction=0.25)
+    coin1, coin2 = forge_coins(coin, strategy)
+    assert len(coin1.segments) == len(coin2.segments) == 5
+    assert coin1.masked == range(0, 10**6) and coin2.masked == range(10**6, 2 * 10**6)
+    hidden = np.array([2 * 10**6 + coin.T * coin.l, 2 * 10**6 + coin.T * coin.l + 25 * 10**7 - 1])
+    assert np.all(coin1.kind_of(hidden) == PositionKind.ABSENT)
+    assert np.all(coin2.kind_of(hidden) == PositionKind.ABSENT)
+    assert coin1.kind_of(np.array([10**9 - 1]))[0] == PositionKind.FORGED
+    params = VerdictParameters.from_noise(4, 0.0)
+    holder_verify(coin1, db, params, HonestChannel(0.0), rng)
+    assert len(coin1.consumed) == 2000 and not coin2.consumed

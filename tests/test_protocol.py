@@ -22,11 +22,13 @@ from hmqm.protocol import (
     holder_verify,
     honest_fail_bound,
     lossy_fail_bounds,
+    _plan_round,
     matching_set,
     measure_positions,
+    pair_parities,
     plan_parameters,
     run_honest_experiment,
-    sample_without_replacement,
+    secret_bits,
 )
 from hmqm.qrg import maximally_mixed
 
@@ -42,11 +44,13 @@ def test_mint_basics():
     coin, db = bank_mint(8, 1_000_000, 100, rng)
     assert coin.T == db.T == 10
     assert coin.coin_id == db.coin_id
-    assert db.secrets.shape == (1_000_000, 8)
-    assert db.secrets.dtype == np.uint8
+    assert len(db.key) == 16
+    bits = secret_bits(db.key, np.array([0, 1_000_000 - 1]), 8)
+    assert bits.shape == (2, 8)
+    assert bits.dtype == np.uint8
     assert db.s == 0
     assert coin.all_genuine()
-    assert not coin.r.any()
+    assert not coin.consumed
     coin2, _ = bank_mint(8, 1_000_000, 100, rng)
     assert coin2.coin_id != coin.coin_id
 
@@ -85,22 +89,22 @@ def test_noiseless_verification_is_certain():
 def test_r_bits_flip_even_when_round_aborts():
     rng = np.random.default_rng(4)
     coin, db = bank_mint(8, 10_000, 10, rng)
-    coin.kinds[:] = PositionKind.ABSENT
+    coin.segments = ((coin.q, PositionKind.ABSENT),)
     params = make_params()
     outcome = holder_verify(coin, db, params, HonestChannel(0.0), rng)
     assert outcome.verdict is Verdict.ABORTED
     assert outcome.check is None
     assert db.s == 0
-    assert int(coin.r.sum()) == 10
+    assert len(coin.consumed) == 10
     outcome = holder_verify(coin, db, params, HonestChannel(0.0), rng)
     assert outcome.verdict is Verdict.ABORTED
-    assert int(coin.r.sum()) == 20
+    assert len(coin.consumed) == 20
 
 
 def test_insufficient_positions():
     rng = np.random.default_rng(5)
     coin, db = bank_mint(4, 10_000, 10, rng)
-    coin.r[: 10_000 - 5] = 1
+    coin.consumed.update(range(10_000 - 5))
     with pytest.raises(InsufficientPositionsError):
         holder_verify(coin, db, make_params(), HonestChannel(0.0), rng)
 
@@ -110,7 +114,8 @@ def make_transcript(db, correct_count, l=1000, lost=0):
     m = matching_set(db.n).matching(1)
     i, j = m.pairs[0]
     positions = np.arange(l, dtype=np.int64)
-    parity = (db.secrets[positions, i - 1] ^ db.secrets[positions, j - 1]).astype(np.int8)
+    bits = secret_bits(db.key, positions, db.n)
+    parity = (bits[:, i - 1] ^ bits[:, j - 1]).astype(np.int8)
     answer = parity.copy()
     answer[: l - lost - correct_count] ^= 1
     if lost:
@@ -384,9 +389,11 @@ def measured_error_rate(db, coin, k, beta, eta, seed):
     rng = np.random.default_rng(seed)
     positions = np.arange(k, dtype=np.int64)
     alphas = rng.integers(1, coin.n, size=k)
-    pi, pj, ans = measure_positions(db.secrets, coin, positions, alphas, beta, eta, rng)
+    pi, pj, ans = measure_positions(db.key, coin, positions, alphas, beta, eta, rng)
     present = ans >= 0
-    parity = db.secrets[positions[present], pi[present] - 1] ^ db.secrets[positions[present], pj[present] - 1]
+    bits = secret_bits(db.key, positions[present], db.n)
+    rows = np.arange(len(bits))
+    parity = bits[rows, pi[present] - 1] ^ bits[rows, pj[present] - 1]
     errors = int(np.sum(parity != ans[present]))
     return errors, int(present.sum()), k
 
@@ -394,7 +401,7 @@ def measured_error_rate(db, coin, k, beta, eta, seed):
 def test_measure_positions_replica_is_error_free():
     rng = np.random.default_rng(14)
     coin, db = bank_mint(4, 10_000, 10, rng)
-    coin.kinds[:] = PositionKind.REPLICA
+    coin.segments = ((coin.q, PositionKind.REPLICA),)
     errors, present, k = measured_error_rate(db, coin, 10_000, beta=0.3, eta=1.0, seed=15)
     assert present == k
     assert errors == 0
@@ -403,7 +410,7 @@ def test_measure_positions_replica_is_error_free():
 def test_measure_positions_forged_error_rate():
     rng = np.random.default_rng(16)
     coin, db = bank_mint(4, 10_000, 10, rng)
-    coin.kinds[:] = PositionKind.FORGED
+    coin.segments = ((coin.q, PositionKind.FORGED),)
     coin.forged_error = 0.5
     errors, present, _ = measured_error_rate(db, coin, 10_000, beta=0.0, eta=1.0, seed=17)
     sigma = math.sqrt(0.25 / present)
@@ -423,7 +430,7 @@ def test_measure_positions_genuine_beta_and_loss():
 def test_measure_positions_forged_without_channel_raises():
     rng = np.random.default_rng(20)
     coin, db = bank_mint(4, 10_000, 10, rng)
-    coin.kinds[:] = PositionKind.FORGED
+    coin.segments = ((coin.q, PositionKind.FORGED),)
     with pytest.raises(ValueError, match="no forge channel"):
         measured_error_rate(db, coin, 100, beta=0.0, eta=1.0, seed=21)
 
@@ -431,7 +438,7 @@ def test_measure_positions_forged_without_channel_raises():
 def test_measure_positions_custom_channel():
     rng = np.random.default_rng(22)
     coin, db = bank_mint(4, 10_000, 10, rng)
-    coin.kinds[:] = PositionKind.FORGED
+    coin.segments = ((coin.q, PositionKind.FORGED),)
     coin.custom_channel = lambda state, _rng: state.to_density()
     errors, present, _ = measured_error_rate(db, coin, 2000, beta=0.0, eta=1.0, seed=23)
     assert errors == 0
@@ -443,16 +450,23 @@ def test_measure_positions_custom_channel():
 
 
 def test_sample_without_replacement():
+    # _plan_round samples by rejection from [0, q) minus the masked range and
+    # the consumed positions; it can take the very last unused ones.
     rng = np.random.default_rng(25)
-    dense = sample_without_replacement(rng, 100, 10)  # permutation branch
-    sparse = sample_without_replacement(rng, 10_000, 10)  # rejection branch
-    for sample, pop in ((dense, 100), (sparse, 10_000)):
+    coin = Coin.fresh("c", 4, 100, 10, 1)
+    coin.masked = range(30, 40)
+    seen = []
+    for _ in range(9):
+        sample, _, _ = _plan_round(coin, rng)
         assert len(sample) == 10
         assert len(np.unique(sample)) == 10
-        assert sample.min() >= 0 and sample.max() < pop
-    assert len(sample_without_replacement(rng, 10, 10)) == 10
-    with pytest.raises(ValueError):
-        sample_without_replacement(rng, 5, 6)
+        assert sample.min() >= 0 and sample.max() < 100
+        seen.extend(sample.tolist())
+    assert sorted(seen) == [p for p in range(100) if p not in coin.masked]
+    assert coin.consumed == set(seen)
+    assert coin.unused() == 0
+    with pytest.raises(InsufficientPositionsError):
+        _plan_round(coin, rng)
 
 
 def test_check_result_serialization():
@@ -464,3 +478,39 @@ def test_check_result_serialization():
         "l_prime": 10, "threshold": 8.0,
     }
     assert '"valid": true' in res.to_json()
+
+
+def test_secret_bits_are_keyed_and_position_local():
+    key = bytes(range(16))
+    positions = np.array([0, 7, 2**62, 7])
+    bits = secret_bits(key, positions, 10)
+    assert bits.shape == (4, 10) and set(np.unique(bits)) <= {0, 1}
+    assert np.array_equal(bits[1], bits[3])
+    assert np.array_equal(secret_bits(key, positions[1:2], 10)[0], bits[1])  # no dependence on the batch
+    assert not np.array_equal(secret_bits(bytes(16), positions, 10), bits)
+    assert secret_bits(key, np.array([], dtype=np.int64), 10).shape == (0, 10)
+    # The bits are fair: 8000 of them come out within 4 sigma of half ones.
+    many = secret_bits(key, np.arange(1000), 8)
+    assert abs(many.mean() - 0.5) <= 4 * math.sqrt(0.25 / many.size)
+    parities = pair_parities(key, 10, positions, np.array([1, 2, 3, 9]), np.array([2, 3, 4, 10]))
+    assert parities.tolist() == [int(bits[0, 0] ^ bits[0, 1]), int(bits[1, 1] ^ bits[1, 2]),
+                                 int(bits[2, 2] ^ bits[2, 3]), int(bits[3, 8] ^ bits[3, 9])]
+
+
+def test_mint_rejects_positions_beyond_int64():
+    with pytest.raises(ValueError, match="2\\^63"):
+        bank_mint(4, 2**63, 10, np.random.default_rng(26))
+    assert bank_mint(4, 2**63 - 1, 10, np.random.default_rng(26))[1].T == (2**63 - 1) // 10_000
+
+
+def test_production_coin_costs_what_a_round_samples():
+    # The README's production point: n=8, q=10^9, l=18000 gives T=55.  A
+    # coin that size mints and verifies without any q-length state.
+    rng = np.random.default_rng(27)
+    coin, db = bank_mint(8, 10**9, 18_000, rng)
+    assert coin.T == db.T == 55
+    params = VerdictParameters.from_noise(8, 0.0)
+    outcome = holder_verify(coin, db, params, HonestChannel(0.0), rng)
+    assert outcome.verdict is Verdict.VALID
+    assert outcome.check.correct_count == outcome.check.l_prime == 18_000
+    assert len(coin.consumed) == 18_000

@@ -5,14 +5,18 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmqm.protocol import (
+    Coin,
     HonestChannel,
     PositionKind,
     Verdict,
     VerdictParameters,
     bank_mint,
     holder_verify,
+    secret_bits,
 )
 from hmqm.service import (
     DEFAULT_JOURNAL,
@@ -63,7 +67,7 @@ def test_wire_run_matches_in_process_run_bit_for_bit(service):
     remote = client_verify(service.address, wire_coin, params, HonestChannel(0.0), np.random.default_rng(123))
     assert remote.transcript.to_json() == local.transcript.to_json()
     assert remote.check == local.check
-    assert np.array_equal(wire_coin.r, local_coin.r)
+    assert wire_coin.consumed == local_coin.consumed
 
 
 def test_check_budget_exhaustion_over_the_wire(service):
@@ -98,7 +102,7 @@ def test_lossy_round_aborts_client_side(service):
 def test_client_verify_rejects_forged_coins(service):
     with BankClient(*service.address) as client:
         coin = client.mint(8, 20_000, 20, seed=12)
-    coin.kinds[0] = PositionKind.REPLICA
+    coin.segments = ((1, PositionKind.REPLICA), (coin.q, PositionKind.GENUINE))
     with pytest.raises(ValueError, match="honest coins only"):
         client_verify(service.address, coin, VerdictParameters.from_noise(8, 0.0),
                       HonestChannel(0.0), np.random.default_rng(4))
@@ -109,20 +113,20 @@ def test_mint_response_contains_no_secrets(service):
                                       "request_id": "zzz"})
     assert resp["type"] == "mint_ok"
     assert resp["request_id"] == "zzz"
-    assert set(resp) == {"type", "request_id", "coin_id", "n", "q", "l", "T", "r"}
-    r = np.unpackbits(np.frombuffer(bytes.fromhex(resp["r"]), dtype=np.uint8))[:10_000]
-    assert not r.any()
+    assert set(resp) == {"type", "request_id", "coin_id", "n", "q", "l", "T"}
     with open(service.journal.path, "rb") as fh:
-        assert b'"secrets"' in fh.read()  # the bank keeps them, the wire does not
+        assert b'"key"' in fh.read()  # the bank keeps it, the wire does not
 
 
 def test_malformed_frame_gets_bad_request_and_close(service):
-    with socket.create_connection(service.address) as sock:
-        sock.sendall(struct.pack(">I", 5) + b"notjs")
-        resp = recv_message(sock)
-        assert resp == {"type": "error", "code": "bad_request",
-                        "message": "malformed frame", "request_id": None}
-        assert recv_message(sock) is None  # server hangs up after a bad frame
+    # Not JSON, JSON that is not an object, invalid UTF-8, nesting too deep.
+    for payload in (b"notjs", b"[1,2]", b'"text"', b"null", b"\xff\xfe{}", b"[" * 100_000):
+        with socket.create_connection(service.address) as sock:
+            sock.sendall(struct.pack(">I", len(payload)) + payload)
+            resp = recv_message(sock)
+            assert resp == {"type": "error", "code": "bad_request",
+                            "message": "malformed frame", "request_id": None}, payload[:10]
+            assert recv_message(sock) is None  # server hangs up after a bad frame
 
 
 def test_missing_fields_are_bad_requests(service):
@@ -161,6 +165,15 @@ def test_measure_request_validation(service):
     assert resp["code"] == "bad_request"
     resp = raw_call(service.address, dict(base, positions=[0], alphas=[4], request_id="g"))
     assert resp["code"] == "bad_request"
+    resp = raw_call(service.address, dict(base, positions=[2**63], alphas=[1], request_id="h"))
+    assert (resp["code"], resp["request_id"]) == ("bad_request", "h")
+    # An outcome bit beyond int8 is refused before the bank charges a check.
+    triplet = {"i": 0, "alpha": 1, "outcome": {"i": 1, "j": 2, "b": 300}}
+    transcript = {"coin_id": coin.coin_id, "l": 10, "triplets": [triplet]}
+    resp = raw_call(service.address, {"type": "verify", "transcript": transcript,
+                                      "params": {"c": 0.9, "delta": 0.1}, "request_id": "i"})
+    assert (resp["type"], resp["code"], resp["request_id"]) == ("error", "bad_request", "i")
+    assert service.coins[coin.coin_id].s == 0
 
 
 def test_journal_replay_restores_counter_and_secrets(tmp_path):
@@ -173,7 +186,7 @@ def test_journal_replay_restores_counter_and_secrets(tmp_path):
         params = VerdictParameters.from_noise(4, 0.0)
         outcome = client_verify(svc.address, coin, params, HonestChannel(0.0), np.random.default_rng(5))
         assert outcome.verdict is Verdict.VALID
-        secrets_before = svc.coins[coin.coin_id].secrets.copy()
+        key_before = svc.coins[coin.coin_id].key
     finally:
         svc.stop()
 
@@ -182,7 +195,9 @@ def test_journal_replay_restores_counter_and_secrets(tmp_path):
         db = svc2.coins[coin.coin_id]
         assert db.s == 1
         assert db.T == 1
-        assert np.array_equal(db.secrets, secrets_before)
+        assert db.key == key_before
+        positions = np.arange(0, 10_000, 997)
+        assert np.array_equal(secret_bits(db.key, positions, 4), secret_bits(key_before, positions, 4))
         svc2.start()
         second = client_verify(svc2.address, coin, params, HonestChannel(0.0), np.random.default_rng(6))
         assert second.check.code == "coin_exhausted"
@@ -203,7 +218,7 @@ def test_journal_corruption_is_refused(tmp_path):
     bad_json = tmp_path / "b.ndjson"
     prefix = json.dumps({
         "event": "mint", "coin_id": "c", "n": 2, "q": 8, "l": 1, "T": 1, "s": 0,
-        "secrets": "ffff",
+        "key": "ff" * 16,
     }, sort_keys=True) + "\n"
     bad_json.write_bytes(prefix.encode() + b"not json\n")
     with pytest.raises(JournalCorruptError) as exc_info:
@@ -220,6 +235,16 @@ def test_journal_corruption_is_refused(tmp_path):
     with pytest.raises(JournalCorruptError):
         Journal.replay(str(orphan_check))  # check for a coin never minted
 
+    # A mint record with a secrets table and no key is refused, as is a
+    # key of the wrong length.
+    for payload in ({"secrets": "ffff"}, {"key": "ff" * 8}):
+        old_format = tmp_path / "e.ndjson"
+        old_format.write_bytes(json.dumps(dict(
+            {"event": "mint", "coin_id": "c", "n": 2, "q": 8, "l": 1, "T": 1, "s": 0}, **payload
+        )).encode() + b"\n")
+        with pytest.raises(JournalCorruptError, match="bad record"):
+            Journal.replay(str(old_format))
+
 
 def test_journal_mint_record_round_trip(tmp_path):
     path = str(tmp_path / "rt.ndjson")
@@ -227,15 +252,14 @@ def test_journal_mint_record_round_trip(tmp_path):
     journal = Journal(path)
     journal.append({
         "event": "mint", "coin_id": db.coin_id, "n": db.n, "q": db.q, "l": db.l,
-        "T": db.T, "s": 0,
-        "secrets": np.packbits(db.secrets.reshape(-1)).tobytes().hex(),
+        "T": db.T, "s": 0, "key": db.key.hex(),
     })
     journal.append({"event": "check", "coin_id": db.coin_id, "s": 1})
     journal.append({"event": "check", "coin_id": db.coin_id, "s": 1})  # replayed write
     journal.close()
     coins = Journal.replay(path)
     rebuilt = coins[db.coin_id]
-    assert np.array_equal(rebuilt.secrets, db.secrets)
+    assert rebuilt.key == db.key
     assert rebuilt.s == 1  # duplicate check records collapse monotonically
 
 
@@ -332,3 +356,55 @@ def test_journal_path_from_environment(tmp_path, monkeypatch):
         assert svc.journal.path == str(explicit)
     finally:
         svc.stop()
+
+
+def test_production_coin_over_the_wire(service):
+    # The README's production point: n=8, q=10^9, l=18000, T=55.  Mint and
+    # one honest round stay small on the wire and in the journal.
+    resp = raw_call(service.address, {"type": "mint", "n": 8, "q": 10**9, "l": 18_000, "seed": 55,
+                                      "request_id": "p"})
+    assert (resp["type"], resp["T"]) == ("mint_ok", 55)
+    assert 4 + len(json.dumps(resp, sort_keys=True).encode()) < 1024
+    with open(service.journal.path, "rb") as fh:
+        (record,) = fh.read().splitlines()
+    assert len(record) < 1024
+
+    coin = Coin.fresh(resp["coin_id"], resp["n"], resp["q"], resp["l"], resp["T"])
+    params = VerdictParameters.from_noise(8, 0.0)
+    outcome = client_verify(service.address, coin, params, HonestChannel(0.0), np.random.default_rng(56))
+    assert outcome.verdict is Verdict.VALID
+    assert outcome.check.correct_count == 18_000 and outcome.check.s == 1
+    assert len(coin.consumed) == 18_000
+
+
+WIRE_KEYS = ("type", "request_id", "n", "q", "l", "seed", "coin_id", "positions", "alphas",
+             "beta", "eta", "transcript", "params", "triplets", "i", "j", "b", "alpha",
+             "outcome", "c", "delta", "epsilon")
+
+
+def test_any_json_frame_gets_one_reply_and_the_service_lives_on(service, monkeypatch):
+    thread_errors = []
+    monkeypatch.setattr(threading, "excepthook", lambda args: thread_errors.append(args.exc_value))
+    with BankClient(*service.address) as client:
+        coin = client.mint(4, 10_000, 10, seed=71)
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+               | st.just(coin.coin_id) | st.sampled_from(["mint", "measure", "verify"]))
+    values = st.recursive(scalars, lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.dictionaries(st.sampled_from(WIRE_KEYS) | st.text(max_size=4), inner, max_size=6)
+    ), max_leaves=16)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values)
+    def one_frame(value):
+        with socket.create_connection(service.address, timeout=10) as sock:
+            send_message(sock, value)
+            sock.shutdown(socket.SHUT_WR)
+            reply = recv_message(sock)
+            assert reply is not None and reply["type"] in {"mint_ok", "measure_ok", "verify_ok", "error"}
+            assert recv_message(sock) is None
+
+    one_frame()
+    assert thread_errors == []
+    with BankClient(*service.address) as client:
+        assert client.mint(4, 10_000, 10, seed=72).T == 1
