@@ -15,6 +15,7 @@ from .qrg import (
     measure_matching,
 )
 from .bounds import (
+    BlockDiagonal,
     CloneBound,
     ClonePair,
     build_q_matrix,

@@ -2,11 +2,16 @@
 
 The forging analysis rests on an operator norm: the best average fidelity of
 any 1-to-2 cloner of the n-dimensional encoded states is at most n times the
-largest eigenvalue of an explicitly built matrix on the n^3-dimensional
-triple space, certified by a feasible point of the dual program (no SDP
-solver is involved).  From that bound come the minimum error an adversary
-must cause on one of two verifiers (e_min, after register accounting) and
-the maximum channel noise the protocol can tolerate (e_max, achieved by the
+largest eigenvalue of the objective Q on the n^3-dimensional triple space,
+because the scaled identity at that eigenvalue is a feasible point of the
+dual program (no SDP solver is involved).  Q commutes with S (x) S (x) S for
+every diagonal +-1 matrix S and with P (x) P (x) P for every permutation P,
+so it splits into a 4x4, a 3x3 and a 6x6 block (build_q_matrix), and
+operator_norm certifies an upper bound on each block's top eigenvalue with a
+Cholesky factorisation.  The bound costs the same at every n, and equals
+1/2 + 1/n to rounding.  From it come the minimum error an adversary must
+cause on one of two verifiers (e_min, after register accounting) and the
+maximum channel noise the protocol can tolerate (e_max, achieved by the
 symmetrized cloner implemented below).
 """
 
@@ -22,10 +27,15 @@ from .qrg import BitString, DensityMatrix, hidden_matching_state
 # verification knowledge, and each verifier's sampling excludes one per-mille.
 REGISTER_DISCOUNT = 997.0 / 999.0
 
-DENSE_EIG_MAX_DIM = 1000
-POWER_TOL = 1e-10
-POWER_MAX_ITER = 100_000
-DEFAULT_MEMORY_BUDGET = 2_000_000_000  # bytes
+UNIT_ROUNDOFF = 2.0**-53
+
+# Blocks of 2 n^2 Q that do not depend on n (see build_q_matrix).  Sum-zero
+# part of the one-odd-index sector, basis (abb, bab, bba):
+_ONE_ODD_REST = np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+# Three-odd-index sector: 2 + P12 + P13, with P12 and P13 the swaps of copies
+# 1-2 and 1-3.  In the basis abc, bac, cab, acb, bca, cba each ordering
+# differs from its neighbours (cyclically) by one of these swaps.
+_THREE_ODD = 2.0 * np.eye(6) + np.roll(np.eye(6), 1, axis=1) + np.roll(np.eye(6), -1, axis=1)
 
 
 def pair_average(n: int) -> np.ndarray:
@@ -33,7 +43,8 @@ def pair_average(n: int) -> np.ndarray:
 
     Equals (identity + SWAP + n |Phi+><Phi+| - 2 D) / n^2 on the two-copy
     space, where |Phi+> is the maximally entangled state and D projects onto
-    the doubled basis states |ii>.
+    the doubled basis states |ii>.  So n^2 times it is the all-ones matrix
+    on span{|ii>} and identity + SWAP on span{|ij> : i != j}.
     """
     _check_even(n)
     d = n * n
@@ -47,88 +58,117 @@ def pair_average(n: int) -> np.ndarray:
     return (np.eye(d) + swap + n * np.outer(ent, ent) - 2.0 * diag) / n**2
 
 
-def build_q_matrix(n: int, memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET) -> np.ndarray:
-    """Objective operator of the cloning program on the n^3 triple space.
+@dataclass(frozen=True, eq=False)
+class BlockDiagonal:
+    """A symmetric matrix, up to an orthogonal change of basis, as a direct
+    sum: each (block, multiplicity) pair stands for that many copies of the
+    block on the diagonal.  len() is the full dimension."""
 
-    Average over secrets of (phi_x (x) phi_x (x) 1 + phi_x (x) 1 (x) phi_x)/2,
-    assembled from the two-copy pair average rather than the 2^n sum.
+    blocks: tuple[tuple[np.ndarray, int], ...]
+
+    def __len__(self) -> int:
+        return sum(len(block) * mult for block, mult in self.blocks)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(block.nbytes for block, _ in self.blocks)
+
+
+def build_q_matrix(n: int) -> BlockDiagonal:
+    """Objective operator of the cloning program on the n^3 triple space,
+    average over secrets of (phi_x (x) phi_x (x) 1 + phi_x (x) 1 (x) phi_x)/2,
+    as three blocks whose spectra, with multiplicity, are Q's spectrum.
+
+    From pair_average, 2 n^2 <ijk|Q|i'j'k'> = f(ij, i'j') [k = k'] +
+    f(ik, i'k') [j = j'], with f = 1 between doubled pairs (ii, i'i'), f =
+    identity + SWAP between pairs of distinct indices, and 0 between the two
+    kinds.  Flipping the sign of any basis vector on all three copies leaves
+    Q unchanged, so Q keeps the set of indices that occur an odd number of
+    times in |ijk>; permuting indices on all three copies also leaves it
+    unchanged.  The sectors:
+
+    - one odd index a: |aaa>, |abb>, |bab>, |bba> for b != a (dimension
+      3n - 2, n copies).  Within it 2 n^2 Q has |aaa>-|aaa> 2, |aaa>-|bab>
+      and |aaa>-|bba> 1, abb-abb 2I, abb-bab and abb-bba I, bab-bab and
+      bba-bba I + J, where J is all ones over b.  Sums over b give the 4x4
+      block below on (|aaa>, abb, bab, bba sums normalized by sqrt(n - 1));
+      vectors over b summing to zero give the 3x3 block _ONE_ODD_REST, once
+      for each of the n - 2 such directions.
+    - three odd indices a < b < c: the 6 orderings of (a, b, c), where
+      2 n^2 Q = 2 + P12 + P13 (_THREE_ODD), C(n, 3) copies.
+
+    Multiplicities n, n(n - 2) and C(n, 3) weigh dimensions 4, 3 and 6 up to
+    n^3.  For n < 2^53 each entry is at most four correctly rounded
+    operations away from its exact value (operator_norm counts that).
     """
     _check_even(n)
-    if 5 * 8 * n**6 > memory_budget_bytes:
-        raise MemoryError(
-            f"n = {n} needs about {5 * 8 * n**6} bytes, budget is {memory_budget_bytes}"
-        )
-    avg = pair_average(n)
-    first = np.kron(avg, np.eye(n))
-    # Second term acts on copies 1 and 3: permute the middle and last factors.
-    second = (
-        first.reshape(n, n, n, n, n, n).transpose(0, 2, 1, 3, 5, 4).reshape(n**3, n**3)
-    )
-    return 0.5 * (first + second)
+    r = np.sqrt(n - 1.0)
+    one_odd = np.array([[2.0, 0.0, r, r], [0.0, 2.0, 1.0, 1.0], [r, 1.0, n, 0.0], [r, 1.0, 0.0, n]])
+    scale = float(2 * n * n)
+    return BlockDiagonal((
+        (one_odd / scale, n),
+        (_ONE_ODD_REST / scale, n * (n - 2)),
+        (_THREE_ODD / scale, n * (n - 1) * (n - 2) // 6),
+    ))
 
 
-def operator_norm(h: np.ndarray, method: str = "auto") -> float:
-    """Largest (algebraic) eigenvalue of a Hermitian matrix.
+def operator_norm(h: BlockDiagonal | np.ndarray) -> float:
+    """Certified upper bound on the largest eigenvalue of a real symmetric
+    matrix, given as a BlockDiagonal or as a plain matrix (one block).
 
-    For the PSD operators this package cares about it coincides with the
-    spectral norm.  Dense eigendecomposition up to dimension 1000; above
-    that, power iteration on the positively shifted matrix, stopped once the
-    residual |h v - rayleigh v| is below 1e-10 (relative).  That residual
-    puts the Rayleigh quotient within 1e-10 of some eigenvalue of h, not
-    necessarily the largest, so the power path gives no certified upper
-    bound.
+    For the PSD operators this package cares about it bounds the spectral
+    norm.  Each k x k block B (exactly symmetric) gets lam = eigvalsh(B)[-1],
+    a shift s = 2 (k+3)(k+2) u ||B||_F with u = 2^-53, and must then pass a
+    Cholesky factorisation of M = (lam + s) I - B, formed in floating point;
+    its bound is lam + s + eps with eps = 2 (k+3) u (tr M + ||B||_F).  The
+    largest block bound is returned; a zero matrix gives 0.
 
-    Parameters
-    ----------
-    h : Hermitian matrix.
-    method : "auto", "dense" or "power" (override for cross-checks).
+    Why lam + s + eps >= lambda_max of the exact block: a Cholesky run that
+    completes gives R with R^T R = M + E and |E| <= g |R^T| |R|, g =
+    (k+1)u / (1 - (k+1)u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 10.3), hence ||E||_2 <= g/(1 - g) tr M.  Forming M
+    rounds each diagonal entry by at most u M_ii, and B's entries are within
+    4u relative of the exact block (build_q_matrix; a plain matrix is exact
+    as given), at most 4u ||B||_F in norm.  As R^T R >= 0, (lam + s) I minus
+    the exact block is >= -eps0 I with eps0 <= (k+3) u (tr M + ||B||_F) to
+    first order.  eps is twice that: the second half covers the O(k u)
+    terms and the rounding of eps, of the returned sum and of n times it in
+    fidelity_bound, each at most a few u ||B||_F.  A failed factorisation
+    raises ArithmeticError instead of returning an uncertified value.
     """
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    blocks = h.blocks if isinstance(h, BlockDiagonal) else ((h, 1),)
+    return max(_certified_top(np.asarray(block)) for block, _ in blocks)
+
+
+def _certified_top(b: np.ndarray) -> float:
+    if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError("operator must be square")
-    if np.max(np.abs(h - h.conj().T)) > 1e-9:
-        raise ValueError("operator is not Hermitian")
-    if method == "auto":
-        method = "dense" if h.shape[0] <= DENSE_EIG_MAX_DIM else "power"
-    if method == "dense":
-        return float(np.linalg.eigvalsh(h)[-1])
-    if method != "power":
-        raise ValueError(f"unknown method {method!r}")
-    # Shift by the Frobenius norm so the largest algebraic eigenvalue of
-    # h + shift*I dominates in magnitude; undo the shift afterwards.
-    shift = float(np.linalg.norm(h))
-    if shift == 0.0:
+    if np.iscomplexobj(b) or not np.array_equal(b, b.T):
+        raise ValueError("operator is not real symmetric")
+    k = b.shape[0]
+    frob = float(np.linalg.norm(b))
+    if frob == 0.0:
         return 0.0
-    return _power_top_eigenvalue(h, shift)
+    lam = float(np.linalg.eigvalsh(b)[-1])
+    shift = 2.0 * (k + 3) * (k + 2) * UNIT_ROUNDOFF * frob
+    m = (lam + shift) * np.eye(k) - b
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(f"no Cholesky certificate at lambda = {lam!r}") from exc
+    eps = 2.0 * (k + 3) * UNIT_ROUNDOFF * (float(np.trace(m)) + frob)
+    return lam + shift + eps
 
 
-def _power_top_eigenvalue(h: np.ndarray, shift: float) -> float:
-    dim = h.shape[0]
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(dim)
-    if np.iscomplexobj(h):
-        v = v + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    for _ in range(POWER_MAX_ITER):
-        w = h @ v + shift * v
-        lam = float(np.real(np.vdot(v, w)))
-        residual = float(np.linalg.norm(w - lam * v))
-        if residual <= POWER_TOL * max(1.0, abs(lam)):
-            return lam - shift
-        v = w / np.linalg.norm(w)
-    raise RuntimeError(f"power iteration did not converge in {POWER_MAX_ITER} iterations")
-
-
-def fidelity_bound(n: int, memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET) -> float:
+def fidelity_bound(n: int) -> float:
     """Certified upper bound on the two-verifier average cloning fidelity.
 
-    Computed as n * operator_norm(build_q_matrix(n)); the scaled identity at
-    that norm is feasible for the dual program, so the value is an upper
-    bound whenever the norm is (the dense path of operator_norm; see there
-    for the power path), numerically equal to 1/2 + 1/n on the verified
-    range.
+    n * operator_norm(build_q_matrix(n)): the scaled identity at the
+    certified eigenvalue bound is feasible for the dual program, so this is
+    an upper bound by construction.  It equals 1/2 + 1/n up to about 1e-14;
+    the top eigenvalue (n + 2) / (2 n^2) lives in the 4x4 block.
     """
-    return n * operator_norm(build_q_matrix(n, memory_budget_bytes))
+    return n * operator_norm(build_q_matrix(n))
 
 
 def pair_error_lower_bound(n: int) -> float:
@@ -243,8 +283,8 @@ class CloneBound:
     CSV_HEADER = "n,q_norm,fidelity_bound,pair_error_lower,e_min,e_max"
 
     @classmethod
-    def compute(cls, n: int, memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET) -> "CloneBound":
-        q_norm = operator_norm(build_q_matrix(n, memory_budget_bytes))
+    def compute(cls, n: int) -> "CloneBound":
+        q_norm = operator_norm(build_q_matrix(n))
         return cls(
             n=n,
             q_norm=q_norm,

@@ -19,9 +19,6 @@ import numpy as np
 
 from . import adversary, bounds, coherent, protocol, service
 
-BOUNDS_MAX_VERIFIED = 14
-BOUNDS_MAX_N = 16
-
 SIMULATE_KEYS = {"n", "q", "l", "beta", "eta", "epsilon", "trials", "seed"}
 FORGE_KEYS = SIMULATE_KEYS | {"strategy", "fraction"}
 
@@ -67,8 +64,8 @@ def _parse_n_list(spec: str) -> list[int]:
         values = [int(v) for v in spec.split(",")]
     values = [n for n in values if n % 2 == 0] if ":" in spec else values
     for n in values:
-        if n % 2 != 0 or not 4 <= n <= BOUNDS_MAX_N:
-            raise ValueError(f"n must be even and in [4, {BOUNDS_MAX_N}], got {n}")
+        if n % 2 != 0 or n < 4:
+            raise ValueError(f"n must be even and >= 4, got {n}")
     return values
 
 
@@ -82,28 +79,27 @@ def _emit(text: str, out: str | None) -> None:
 
 def _report(data: dict | list[dict], header: list[str], fmt: str, out: str | None) -> None:
     """Emit one report: JSON of data as given, or CSV of the header's columns
-    with one line per row (a dict is a single row)."""
+    with one line per row (a dict is a single row; missing or None cells
+    are empty)."""
     if fmt == "json":
         _emit(json.dumps(data, sort_keys=True, indent=2), out)
     else:
         rows = [data] if isinstance(data, dict) else data
         lines = [",".join(header)]
-        lines += [",".join(_csv_cell(row[col]) for col in header) for row in rows]
+        lines += [",".join(_csv_cell(row.get(col)) for col in header) for row in rows]
         _emit("\n".join(lines), out)
 
 
 def _csv_cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
 def cmd_bounds(args) -> int:
-    rows = []
-    for n in _parse_n_list(args.n):
-        if n > BOUNDS_MAX_VERIFIED:
-            print(f"note: n={n} is outside the numerically verified range [4, 14]", file=sys.stderr)
-        rows.append(dataclasses.asdict(bounds.CloneBound.compute(n)))
+    rows = [dataclasses.asdict(bounds.CloneBound.compute(n)) for n in _parse_n_list(args.n)]
     _report(rows, bounds.CloneBound.CSV_HEADER.split(","), args.format, args.out)
     return 0
 
@@ -209,6 +205,9 @@ def cmd_serve(args) -> int:
     return 0
 
 
+VERIFY_HEADER = ["verdict", "valid", "s", "T", "correct_count", "l_prime", "threshold"]
+
+
 def cmd_verify(args) -> int:
     address = _parse_address(args.connect)
     rng = np.random.default_rng(args.seed)
@@ -220,7 +219,7 @@ def cmd_verify(args) -> int:
     report = {"verdict": outcome.verdict.value}
     if outcome.check is not None:
         report.update(outcome.check.to_dict())
-    _emit(json.dumps(report, sort_keys=True, indent=2), args.out)
+    _report(report, VERIFY_HEADER, args.format, args.out)
     return 0
 
 

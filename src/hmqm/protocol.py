@@ -35,6 +35,8 @@ from .qrg import BitString, hidden_matching_state, measure_matching
 
 COIN_BUDGET_DIVISOR = 1000  # T = q // (1000 l)
 KEY_BYTES = 16
+# Largest n a coin may have: a round on a coin builds O(n^2) matching tables.
+MAX_N = 256
 
 
 class ProtocolError(Exception):
@@ -319,10 +321,10 @@ def bank_mint(n: int, q: int, l: int, rng: np.random.Generator) -> tuple[Coin, B
     """Mint a coin: a fresh secret key, an unused register, check budget T.
 
     Raises when q < 1000 * l, which would give T = 0 (a coin that can never
-    be checked).
+    be checked), and when n is odd or outside [2, MAX_N].
     """
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"n must be even and >= 2, got {n}")
+    if n < 2 or n % 2 != 0 or n > MAX_N:
+        raise ValueError(f"n must be even and in [2, {MAX_N}], got {n}")
     if l < 1 or q < l or q >= 2**63:  # positions are int64
         raise ValueError(f"need 2^63 > q >= l >= 1, got q={q}, l={l}")
     T = q // (COIN_BUDGET_DIVISOR * l)

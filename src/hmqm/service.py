@@ -176,7 +176,6 @@ class BankService:
         self._coin_locks: dict[str, threading.Lock] = {cid: threading.Lock() for cid in self.coins}
         self._sock = socket.create_server((host, port))
         self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
 
     @property
     def address(self) -> tuple[str, int]:
@@ -188,9 +187,7 @@ class BankService:
                 conn, _ = self._sock.accept()
             except OSError:
                 break
-            t = threading.Thread(target=self._serve_connection, args=(conn,), daemon=True)
-            t.start()
-            self._threads.append(t)
+            threading.Thread(target=self._serve_connection, args=(conn,), daemon=True).start()
 
     def start(self) -> threading.Thread:
         t = threading.Thread(target=self.serve_forever, daemon=True)

@@ -65,6 +65,12 @@ def brute_q_matrix(n: int) -> np.ndarray:
     return acc / (2 ** (n + 1))
 
 
+def block_spectrum(form) -> np.ndarray:
+    """Sorted eigenvalues of a block form, each block's repeated by its
+    multiplicity: the spectrum of the full matrix it stands for."""
+    return np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b), m) for b, m in form.blocks]))
+
+
 def binomial_tail_below(k: int, trials: int, p: float) -> float:
     """P(Binomial(trials, p) < k), exact via log factorials."""
     if k <= 0:

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import brute_pair_average, brute_q_matrix, random_density
+from helpers import block_spectrum, brute_pair_average, brute_q_matrix, random_density
 from hmqm import bounds
 from hmqm.adversary import builtin_strategy, loss_hiding_weight_check, run_forging_experiment
 from hmqm.coherent import (
@@ -63,7 +63,10 @@ def test_criterion_02_closed_form_oracles():
         dev = float(np.max(np.abs(bounds.pair_average(n) - brute_pair_average(n))))
         worst = max(worst, dev)
         assert dev <= 1e-12, f"pair_average n={n}: {dev}"
-    q_dev = float(np.max(np.abs(bounds.build_q_matrix(4) - brute_q_matrix(4))))
+    q_dev = 0.0
+    for n in (4, 6, 8):
+        spectrum = block_spectrum(bounds.build_q_matrix(n))
+        q_dev = max(q_dev, float(np.max(np.abs(spectrum - np.linalg.eigvalsh(brute_q_matrix(n))))))
     assert q_dev <= 1e-12
     report(2, f"ensemble averages match 2^n sums, worst {max(worst, q_dev):.2e}")
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import brute_pair_average, brute_q_matrix, random_density
+from helpers import block_spectrum, brute_pair_average, brute_q_matrix, random_density
 from hmqm.bounds import (
     REGISTER_DISCOUNT,
+    BlockDiagonal,
     CloneBound,
     build_q_matrix,
     clone_shrink_factor,
@@ -33,38 +34,63 @@ def test_pair_average_matches_exhaustive_sum(n, tol):
 
 
 def test_q_matrix_matches_exhaustive_sum():
-    assert np.max(np.abs(build_q_matrix(4) - brute_q_matrix(4))) < 1e-12
+    for n in (4, 6, 8):
+        form = build_q_matrix(n)
+        assert len(form) == n**3
+        expected = np.linalg.eigvalsh(brute_q_matrix(n))
+        assert np.max(np.abs(block_spectrum(form) - expected)) < 1e-12
+        # The certified norm is an upper bound on the oracle's top eigenvalue.
+        assert operator_norm(form) >= expected[-1]
+        assert CloneBound.compute(n).q_norm >= expected[-1]
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_q_matrix_trace_and_positivity(n):
-    q = build_q_matrix(n)
-    assert abs(np.trace(q) - n) < 1e-9
-    assert np.min(np.linalg.eigvalsh(q)) > -1e-10
+    form = build_q_matrix(n)
+    assert abs(sum(m * np.trace(b) for b, m in form.blocks) - n) < 1e-9
+    assert np.min(block_spectrum(form)) > -1e-10
 
 
-def test_q_matrix_memory_guard():
-    with pytest.raises(MemoryError):
-        build_q_matrix(8, memory_budget_bytes=1000)
+@pytest.mark.parametrize("n", [16, 80, 1000])
+def test_clone_bound_law_at_large_n(n):
+    cb = CloneBound.compute(n)
+    assert abs(n * cb.q_norm - (0.5 + 1.0 / n)) <= 1e-12
+    assert cb.fidelity_bound >= 0.5 + 1.0 / n - 1e-15
+    # Three fixed-size blocks, whatever n is.
+    assert build_q_matrix(n).nbytes == 8 * (16 + 9 + 36)
 
 
 def test_operator_norm_known_matrices():
     assert operator_norm(np.eye(5)) == pytest.approx(1.0, abs=1e-12)
     assert operator_norm(np.diag([3.0, -7.0, 2.0])) == pytest.approx(3.0, abs=1e-12)
     assert operator_norm(np.diag([-5.0, 1.0])) == pytest.approx(1.0, abs=1e-12)
-    assert operator_norm(np.zeros((3, 3)), method="power") == 0.0
+    assert operator_norm(np.zeros((3, 3))) == 0.0
 
 
-def test_operator_norm_power_agrees_with_dense():
+def test_operator_norm_agrees_with_eigvalsh():
     rng = np.random.default_rng(17)
     a = rng.standard_normal((50, 50))
     h = a + a.T
     expected = float(np.linalg.eigvalsh(h)[-1])
-    assert abs(operator_norm(h, method="dense") - expected) < 1e-9
-    assert abs(operator_norm(h, method="power") - expected) < 1e-9
-    psd = a @ a.T
-    expected = float(np.linalg.eigvalsh(psd)[-1])
-    assert abs(operator_norm(psd, method="power") - expected) < 1e-9
+    got = operator_norm(h)
+    assert expected <= got < expected + 1e-9
+
+
+def test_operator_norm_is_an_upper_bound_on_every_block():
+    form = BlockDiagonal(((np.diag([1.0, 2.0]), 4), (np.diag([3.0, -7.0, 2.5]), 1)))
+    assert len(form) == 11
+    assert 3.0 <= operator_norm(form) < 3.0 + 1e-12
+    # Exact values are dominated strictly: the certificate adds a margin.
+    assert operator_norm(np.eye(5)) > 1.0
+
+
+def test_operator_norm_needs_its_cholesky_certificate(monkeypatch):
+    def no_factor(m):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+    with pytest.raises(ArithmeticError):
+        operator_norm(build_q_matrix(8))
 
 
 def test_operator_norm_rejects_bad_input():
@@ -73,7 +99,7 @@ def test_operator_norm_rejects_bad_input():
     with pytest.raises(ValueError):
         operator_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
-        operator_norm(np.eye(2), method="sparse")
+        operator_norm(np.array([[0.0, 1e-12], [0.0, 0.0]]))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])

@@ -44,16 +44,20 @@ def test_bounds_rejects_bad_n(capsys):
     code, _, err = run_cli(capsys, "bounds", "--n", "5")
     assert code == 2
     assert "error:" in err
-    code, _, _ = run_cli(capsys, "bounds", "--n", "18")
+    code, _, err = run_cli(capsys, "bounds", "--n", "2,4")
     assert code == 2
+    assert "error:" in err
 
 
-def test_bounds_unverified_note(capsys):
+def test_bounds_row_past_the_old_cap(capsys):
     code, out, err = run_cli(capsys, "bounds", "--n", "16", "--format", "json")
     assert code == 0
-    assert "outside the numerically verified range" in err
+    assert err == ""
     rows = json.loads(out)
-    assert rows[0]["n"] == 16
+    assert len(rows) == 1 and rows[0]["n"] == 16
+    assert abs(rows[0]["fidelity_bound"] - (0.5 + 1.0 / 16)) <= 1e-12
+    assert rows[0]["fidelity_bound"] >= 0.5 + 1.0 / 16
+    assert rows[0]["e_max"] == bounds.e_max(16)
 
 
 def test_parse_n_list():
@@ -253,6 +257,21 @@ def test_verify_against_live_service(tmp_path, capsys):
         assert report["s"] == 1
         jsonschema.validate({k: v for k, v in report.items() if k != "verdict"},
                             load_schema("verdict"))
+        code, out, _ = run_cli(capsys, "verify", "--connect", f"{host}:{port}", "--n", "8",
+                               "--q", "10000", "--l", "10", "--seed", "5", "--format", "csv")
+        assert code == 0
+        header, row = out.strip().split("\n")
+        assert header == "verdict,valid,s,T,correct_count,l_prime,threshold"
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["verdict"] == "valid" and cells["valid"] == "True"
+        assert cells["s"] == "1" and cells["T"] == "1" and cells["l_prime"] == "10"
+        assert float(cells["threshold"]) == report["threshold"]
+        # A lossy round aborts before the bank checks it: its cells stay empty.
+        code, out, _ = run_cli(capsys, "verify", "--connect", f"{host}:{port}", "--n", "8",
+                               "--q", "10000", "--l", "10", "--eta", "0.6", "--epsilon", "0.01",
+                               "--seed", "1", "--format", "csv")
+        assert code == 0
+        assert out.strip().split("\n")[1] == "aborted,,,,,,"
     finally:
         svc.stop()
 

@@ -1,7 +1,9 @@
+import gc
 import json
 import socket
 import struct
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmqm.protocol import (
+    MAX_N,
     Coin,
     HonestChannel,
     PositionKind,
@@ -136,6 +139,35 @@ def test_missing_fields_are_bad_requests(service):
     resp = raw_call(service.address, {"type": "teleport", "request_id": "b"})
     assert (resp["type"], resp["code"]) == ("error", "bad_request")
     assert "unknown request type" in resp["message"]
+
+
+def test_mint_refuses_huge_n_and_the_connection_lives_on(service):
+    with socket.create_connection(service.address) as sock:
+        for n in (10**6, MAX_N + 2):
+            send_message(sock, {"type": "mint", "n": n, "q": 10_000, "l": 10, "request_id": "big"})
+            resp = recv_message(sock)
+            assert (resp["type"], resp["code"], resp["request_id"]) == ("error", "bad_request", "big")
+            assert str(MAX_N) in resp["message"]
+        send_message(sock, {"type": "mint", "n": MAX_N, "q": 10_000, "l": 10, "request_id": "ok"})
+        resp = recv_message(sock)
+        assert (resp["type"], resp["n"], resp["T"]) == ("mint_ok", MAX_N, 1)
+    assert len(service.coins) == 1
+
+
+def test_finished_connection_threads_are_released(service):
+    def handlers():
+        return {t for t in threading.enumerate() if "_serve_connection" in t.name}
+
+    before = handlers()
+    with BankClient(*service.address) as client:
+        client.mint(4, 10_000, 10, seed=81)  # the handler is running once this returns
+        (handler,) = handlers() - before
+    ref = weakref.ref(handler)
+    handler.join(timeout=10)
+    assert not handler.is_alive()
+    del handler
+    gc.collect()
+    assert ref() is None
 
 
 def test_verify_with_missing_params_consumes_no_check(service):
