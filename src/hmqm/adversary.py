@@ -40,7 +40,6 @@ from .protocol import (
     holder_verify,
     lossy_fail_bounds,
     honest_fail_bound,
-    pair_parities,
 )
 
 SPLIT_FRACTION = 1.0 / 1000.0
@@ -278,16 +277,15 @@ class ForgeOutcome:
         )
 
 
-def _transcript_errors(db, coin, transcript) -> tuple[float, float]:
-    """White-position and overall error frequencies of one transcript."""
-    present = transcript.answer >= 0
+def _transcript_errors(coin, outcome) -> tuple[float, float]:
+    """White-position and overall error frequencies of one round, from the
+    error flags its simulated measurement drew."""
+    present = outcome.transcript.answer >= 0
     if not np.any(present):
         return (math.nan, math.nan)
-    pos = transcript.positions[present]
-    parity = pair_parities(db.key, db.n, pos, transcript.pair_i[present], transcript.pair_j[present])
-    wrong = parity != transcript.answer[present]
+    wrong = outcome.errors[present]
     overall = float(np.mean(wrong))
-    kinds = coin.kind_of(pos)
+    kinds = coin.kind_of(outcome.transcript.positions[present])
     white = (kinds == PositionKind.FORGED) | (kinds == PositionKind.GENUINE)
     white_err = float(np.mean(wrong[white])) if np.any(white) else math.nan
     return (white_err, overall)
@@ -321,8 +319,8 @@ def run_forging_experiment(
         out2 = holder_verify(coin2, db, params, clean, rng)
         accept1[t] = out1.verdict is Verdict.VALID
         accept2[t] = out2.verdict is Verdict.VALID
-        werr1[t], oerr1[t] = _transcript_errors(db, coin1, out1.transcript)
-        werr2[t], oerr2[t] = _transcript_errors(db, coin2, out2.transcript)
+        werr1[t], oerr1[t] = _transcript_errors(coin1, out1)
+        werr2[t], oerr2[t] = _transcript_errors(coin2, out2)
     if params.eta == 1.0 and params.epsilon == 0.0:
         bound = honest_fail_bound(l, params.delta)
     else:

@@ -1,7 +1,8 @@
 """Coin lifecycle: minting, holder-side verification, bank-side checking.
 
 A coin is q positions, each hiding an n-bit secret known only to the bank,
-which stores a 16-byte key per coin and derives secrets from it on demand.
+which stores a 16-byte key per coin and derives secrets from it on demand
+with keyed BLAKE2b, a pseudorandom function of the position.
 The holder verifies by sampling l unused positions, measuring each in a
 random matching basis, and sending the claimed parities to the bank, which
 accepts when the correct fraction clears c - delta.  The bank allows at most
@@ -277,6 +278,9 @@ class VerifyOutcome:
     verdict: Verdict
     transcript: VerificationTranscript
     check: CheckResult | None  # None when the holder aborted
+    # Per position: did the measurement err?  False where the outcome was
+    # lost.  Known to the in-process simulation only (None over the wire).
+    errors: np.ndarray | None
 
 
 @lru_cache(maxsize=None)
@@ -298,15 +302,21 @@ def _pair_to_alpha(n: int) -> np.ndarray:
 def secret_bits(key: bytes, positions: np.ndarray, n: int) -> np.ndarray:
     """The n secret bits of each position, shape (len(positions), n), uint8.
 
-    Position i's secret is the first n bits of SHAKE-256(key || i), i as 8
-    little-endian bytes: a keyed counter-based generator, so a round costs
-    what it samples and the bank stores only the key.
+    Position i's secret is the first n bits of BLAKE2b keyed with `key`,
+    with a digest of ceil(n/8) bytes, over i as 8 little-endian bytes: a
+    keyed pseudorandom function of the position, so a round costs what it
+    samples and the bank stores only the key.  The key is absorbed once per
+    call; each position then costs one copy of that state and one
+    compression.
     """
     width = (n + 7) // 8
-    raw = b"".join(
-        hashlib.shake_256(key + p.to_bytes(8, "little")).digest(width)
-        for p in np.asarray(positions).tolist()
-    )
+    keyed = hashlib.blake2b(key=key, digest_size=width).copy
+    digests = []
+    for p in np.asarray(positions).tolist():
+        h = keyed()
+        h.update(p.to_bytes(8, "little"))
+        digests.append(h.digest())
+    raw = b"".join(digests)
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, width), axis=1, count=n)
 
 
@@ -317,21 +327,31 @@ def pair_parities(key: bytes, n: int, positions: np.ndarray, pair_i: np.ndarray,
     return bits[rows, pair_i - 1] ^ bits[rows, pair_j - 1]
 
 
-def bank_mint(n: int, q: int, l: int, rng: np.random.Generator) -> tuple[Coin, BankDatabase]:
-    """Mint a coin: a fresh secret key, an unused register, check budget T.
+def coin_budget(n: int, q: int, l: int) -> int:
+    """The check budget T = q // (1000 l) of a coin of this shape.
 
-    Raises when q < 1000 * l, which would give T = 0 (a coin that can never
-    be checked), and when n is odd or outside [2, MAX_N].
+    The one place a coin's shape is judged, at mint and at journal replay:
+    raises ValueError unless n is even and in [2, MAX_N], 1 <= l <= q <
+    2^63 (positions are int64), and T >= 1 (a coin that can be checked).
     """
     if n < 2 or n % 2 != 0 or n > MAX_N:
         raise ValueError(f"n must be even and in [2, {MAX_N}], got {n}")
-    if l < 1 or q < l or q >= 2**63:  # positions are int64
+    if l < 1 or q < l or q >= 2**63:
         raise ValueError(f"need 2^63 > q >= l >= 1, got q={q}, l={l}")
     T = q // (COIN_BUDGET_DIVISOR * l)
     if T == 0:
         raise ValueError(
             f"q={q} is below {COIN_BUDGET_DIVISOR * l} = 1000*l; the check budget T would be 0"
         )
+    return T
+
+
+def bank_mint(n: int, q: int, l: int, rng: np.random.Generator) -> tuple[Coin, BankDatabase]:
+    """Mint a coin: a fresh secret key, an unused register, check budget T.
+
+    Raises ValueError for a shape `coin_budget` refuses.
+    """
+    T = coin_budget(n, q, l)
     key = rng.bytes(KEY_BYTES)
     coin_id = rng.bytes(16).hex()
     coin = Coin.fresh(coin_id, n, q, l, T)
@@ -347,10 +367,12 @@ def measure_positions(
     beta: float,
     eta: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Measure the given coin positions in the given matching bases.
 
-    Returns (pair_i, pair_j, answer) with answer == -1 for lost outcomes.
+    Returns (pair_i, pair_j, answer, errors) with answer == -1 for lost
+    outcomes; errors flags the outcomes whose bit differs from the secret's
+    parity on the returned pair, and is False where the outcome was lost.
     Exact sampling: every built-in position kind yields a state of the form
     w * phi_x + (1 - w) * I/n, whose outcome distribution is a uniform pair
     of the matching plus an independent error bit (genuine: beta, replica: 0,
@@ -375,23 +397,27 @@ def measure_positions(
         err_prob[kinds == PositionKind.FORGED] = coin.forged_error if coin.forged_error is not None else 0.0
 
     nodes = pairs_arr[alphas - 1, pair_pick]
-    parity = pair_parities(key, n, positions, nodes[:, 0], nodes[:, 1])
-    answer = (parity ^ (u_err < err_prob)).astype(np.int8)
+    bits = secret_bits(key, positions, n)
+    rows = np.arange(k)
+    parity = bits[rows, nodes[:, 0] - 1] ^ bits[rows, nodes[:, 1] - 1]
+    errors = u_err < err_prob
+    answer = (parity ^ errors).astype(np.int8)
     present = (u_loss < eta) & (kinds != PositionKind.ABSENT)
 
     if coin.custom_channel is not None:
         mset = matching_set(n)
         for idx in np.flatnonzero(present & (kinds == PositionKind.FORGED)):
-            x = BitString(tuple(secret_bits(key, positions[idx : idx + 1], n)[0].tolist()))
+            x = BitString(tuple(bits[idx].tolist()))
             rho = coin.custom_channel(hidden_matching_state(x), rng)
             out = measure_matching(rho, mset.matching(int(alphas[idx])), rng)
             nodes[idx, 0], nodes[idx, 1] = out.i, out.j
             answer[idx] = out.b
+            errors[idx] = out.b != bits[idx, out.i - 1] ^ bits[idx, out.j - 1]
 
     pair_i = np.where(present, nodes[:, 0], 0)
     pair_j = np.where(present, nodes[:, 1], 0)
     answer = np.where(present, answer, np.int8(-1)).astype(np.int8)
-    return pair_i, pair_j, answer
+    return pair_i, pair_j, answer, errors & present
 
 
 def holder_verify(
@@ -408,11 +434,19 @@ def holder_verify(
     positions the round cannot start at all (InsufficientPositionsError, not
     a verdict).
     """
-    transcript = _build_transcript(coin, db.key, params, channel, rng)
+    sample, alphas, measure_seed = _plan_round(coin, rng)
+    pair_i, pair_j, answer, errors = measure_positions(
+        db.key, coin, sample, alphas, channel.beta, params.eta,
+        np.random.default_rng(measure_seed),
+    )
+    transcript = VerificationTranscript(
+        coin_id=coin.coin_id, l=coin.l, positions=sample, alpha=alphas,
+        pair_i=pair_i, pair_j=pair_j, answer=answer,
+    )
     if transcript.l_prime < params.min_outcomes * coin.l:
-        return VerifyOutcome(Verdict.ABORTED, transcript, None)
+        return VerifyOutcome(Verdict.ABORTED, transcript, None, errors)
     check = bank_check(db, transcript, params)
-    return VerifyOutcome(Verdict.VALID if check.valid else Verdict.INVALID, transcript, check)
+    return VerifyOutcome(Verdict.VALID if check.valid else Verdict.INVALID, transcript, check, errors)
 
 
 def _plan_round(coin: Coin, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
@@ -434,24 +468,6 @@ def _plan_round(coin: Coin, rng: np.random.Generator) -> tuple[np.ndarray, np.nd
     alphas = rng.integers(1, coin.n, size=coin.l)
     measure_seed = int(rng.integers(0, 2**63))
     return np.array(sample, dtype=np.int64), alphas, measure_seed
-
-
-def _build_transcript(
-    coin: Coin,
-    key: bytes,
-    params: VerdictParameters,
-    channel: HonestChannel,
-    rng: np.random.Generator,
-) -> VerificationTranscript:
-    sample, alphas, measure_seed = _plan_round(coin, rng)
-    pair_i, pair_j, answer = measure_positions(
-        key, coin, sample, alphas, channel.beta, params.eta,
-        np.random.default_rng(measure_seed),
-    )
-    return VerificationTranscript(
-        coin_id=coin.coin_id, l=coin.l, positions=sample, alpha=alphas,
-        pair_i=pair_i, pair_j=pair_j, answer=answer,
-    )
 
 
 def bank_check(db: BankDatabase, transcript: VerificationTranscript, params: VerdictParameters) -> CheckResult:

@@ -14,10 +14,14 @@ same seeds.
 
 State is durable: every mint and every check-counter increment is appended
 to a newline-delimited JSON journal and fsynced before the response is
-sent.  A mint record carries the coin's parameters and its secret key in
-hex, a check record the new counter value.  On startup the journal is
-replayed; a malformed line, including a mint record without a key, aborts
-startup with its byte offset.
+sent.  A mint record carries the coin's parameters, its secret key in hex
+and `"format": 2` (JOURNAL_FORMAT: secrets are keyed BLAKE2b of the
+position), a check record the new counter value.  On startup the journal is
+replayed; a malformed line aborts startup with its byte offset.  That
+includes a mint record without a key, a coin shape `bank_mint` would refuse,
+a check counter outside [1, T], and a mint record of any other format:
+journals written with SHAKE-256 secrets (format 1, which had no format
+field) are refused, not migrated.
 """
 
 import json
@@ -42,6 +46,7 @@ from .protocol import (
     VerifyOutcome,
     bank_check,
     bank_mint,
+    coin_budget,
     measure_positions,
     _plan_round,
 )
@@ -49,6 +54,8 @@ from .protocol import (
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 DATA_ENV_VAR = "HMQM_DATA"
 DEFAULT_JOURNAL = "hmqm-journal.ndjson"
+# The key-to-secret map of mint records; format 1 was SHAKE-256(key || i).
+JOURNAL_FORMAT = 2
 
 
 class ServiceError(Exception):
@@ -148,16 +155,28 @@ class Journal:
 def _apply_record(coins: dict[str, BankDatabase], record: dict) -> None:
     event = record["event"]
     if event == "mint":
+        if record.get("format") != JOURNAL_FORMAT:
+            raise ValueError(
+                f"mint record of format {record.get('format')!r}, this bank reads format "
+                f"{JOURNAL_FORMAT} (keyed BLAKE2b secrets); format 1 (SHAKE-256 secrets) is not supported"
+            )
         key = bytes.fromhex(record["key"])
         if len(key) != KEY_BYTES:
             raise ValueError(f"key of {len(key)} bytes")
+        n, q, l, T, s = (record[name] for name in ("n", "q", "l", "T", "s"))
+        if not all(type(v) is int for v in (n, q, l, T, s)):
+            raise ValueError("n, q, l, T and s must be integers")
+        if T != coin_budget(n, q, l) or not 0 <= s <= T:
+            raise ValueError(f"T={T} and s={s} do not fit a coin with q={q}, l={l}")
         coins[record["coin_id"]] = BankDatabase(
-            coin_id=record["coin_id"], n=record["n"], q=record["q"], l=record["l"],
-            T=record["T"], key=key, s=record["s"],
+            coin_id=record["coin_id"], n=n, q=q, l=l, T=T, key=key, s=s,
         )
     elif event == "check":
         db = coins[record["coin_id"]]
-        db.s = max(db.s, int(record["s"]))
+        s = record["s"]
+        if type(s) is not int or not 0 < s <= db.T:
+            raise ValueError(f"check counter {s!r} outside [1, T={db.T}]")
+        db.s = max(db.s, s)
     else:
         raise ValueError(f"unknown event {event!r}")
 
@@ -248,7 +267,8 @@ class BankService:
         _, db = bank_mint(n, q, l, rng)
         coin = {"coin_id": db.coin_id, "n": n, "q": q, "l": l, "T": db.T}
         with self._coins_lock:
-            self.journal.append({"event": "mint", **coin, "s": 0, "key": db.key.hex()})
+            self.journal.append({"event": "mint", **coin, "s": 0, "key": db.key.hex(),
+                                 "format": JOURNAL_FORMAT})
             self.coins[db.coin_id] = db
             self._coin_locks[db.coin_id] = threading.Lock()
         return {"type": "mint_ok", "request_id": request.get("request_id"), **coin}
@@ -272,7 +292,7 @@ class BankService:
         beta = float(request["beta"])
         eta = float(request["eta"])
         view = Coin.fresh(db.coin_id, db.n, db.q, db.l, db.T)
-        pair_i, pair_j, answer = measure_positions(
+        pair_i, pair_j, answer, _ = measure_positions(
             db.key, view, positions, alphas, beta, eta,
             np.random.default_rng(int(request["seed"])),
         )
@@ -401,7 +421,7 @@ def client_verify(
             pair_i=pair_i, pair_j=pair_j, answer=answer,
         )
         if transcript.l_prime < params.min_outcomes * coin.l:
-            return VerifyOutcome(Verdict.ABORTED, transcript, None)
+            return VerifyOutcome(Verdict.ABORTED, transcript, None, None)
         check = client.verify(transcript, params)
     verdict = Verdict.VALID if check.valid else Verdict.INVALID
-    return VerifyOutcome(verdict, transcript, check)
+    return VerifyOutcome(verdict, transcript, check, None)

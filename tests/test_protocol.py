@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 
 import numpy as np
@@ -389,11 +390,14 @@ def measured_error_rate(db, coin, k, beta, eta, seed):
     rng = np.random.default_rng(seed)
     positions = np.arange(k, dtype=np.int64)
     alphas = rng.integers(1, coin.n, size=k)
-    pi, pj, ans = measure_positions(db.key, coin, positions, alphas, beta, eta, rng)
+    pi, pj, ans, flags = measure_positions(db.key, coin, positions, alphas, beta, eta, rng)
     present = ans >= 0
     bits = secret_bits(db.key, positions[present], db.n)
     rows = np.arange(len(bits))
     parity = bits[rows, pi[present] - 1] ^ bits[rows, pj[present] - 1]
+    # The error flags measure_positions draws are exactly the bank's view.
+    assert np.array_equal(flags[present], parity != ans[present])
+    assert not np.any(flags[~present])
     errors = int(np.sum(parity != ans[present]))
     return errors, int(present.sum()), k
 
@@ -449,6 +453,37 @@ def test_measure_positions_custom_channel():
     assert abs(errors / present - 0.5) <= 4 * sigma
 
 
+def test_error_flags_agree_with_the_bank():
+    # Genuine, replica, forged and absent segments under loss, with the
+    # built-in forged error and with two custom channels: a flag is set
+    # exactly where the bank finds a wrong parity, never on a lost outcome.
+    rng = np.random.default_rng(28)
+    coin, db = bank_mint(4, 10_000, 10, rng)
+    coin.segments = ((2500, PositionKind.GENUINE), (5000, PositionKind.REPLICA),
+                     (7500, PositionKind.FORGED), (10_000, PositionKind.ABSENT))
+    coin.forged_error = 0.3
+    cases = [  # (custom channel, step between sampled positions, forged positions can err)
+        (None, 1, True),
+        (lambda state, _rng: maximally_mixed(state.dim), 10, True),
+        (lambda state, _rng: state.to_density(), 10, False),
+    ]
+    for seed, (channel, step, forged_errs) in enumerate(cases):
+        coin.custom_channel = channel
+        positions = np.arange(0, 10_000, step, dtype=np.int64)
+        alphas = rng.integers(1, coin.n, size=len(positions))
+        pi, pj, ans, flags = measure_positions(
+            db.key, coin, positions, alphas, 0.2, 0.7, np.random.default_rng(seed))
+        present = ans >= 0
+        assert 0 < present.sum() < len(positions)
+        assert not np.any(flags[~present])
+        parity = pair_parities(db.key, db.n, positions[present], pi[present], pj[present])
+        assert np.array_equal(flags[present], parity != ans[present])
+        kinds = coin.kind_of(positions)
+        assert np.any(flags[kinds == PositionKind.GENUINE])
+        assert not np.any(flags[kinds == PositionKind.REPLICA])
+        assert np.any(flags[kinds == PositionKind.FORGED]) == forged_errs
+
+
 def test_sample_without_replacement():
     # _plan_round samples by rejection from [0, q) minus the masked range and
     # the consumed positions; it can take the very last unused ones.
@@ -495,6 +530,22 @@ def test_secret_bits_are_keyed_and_position_local():
     parities = pair_parities(key, 10, positions, np.array([1, 2, 3, 9]), np.array([2, 3, 4, 10]))
     assert parities.tolist() == [int(bits[0, 0] ^ bits[0, 1]), int(bits[1, 1] ^ bits[1, 2]),
                                  int(bits[2, 2] ^ bits[2, 3]), int(bits[3, 8] ^ bits[3, 9])]
+
+
+def test_secret_bits_known_answer():
+    # Position i's secret is the first n bits of keyed BLAKE2b over i as 8
+    # little-endian bytes.  Any change to this map breaks every journal.
+    key = bytes(range(100, 116))
+    positions = np.array([0, 1, 2**62], dtype=np.int64)
+    for n in (4, 8, 10, 256):
+        width = (n + 7) // 8
+        expected = [
+            [(byte >> (7 - b)) & 1
+             for byte in hashlib.blake2b(p.to_bytes(8, "little"), key=key, digest_size=width).digest()
+             for b in range(8)][:n]
+            for p in (0, 1, 2**62)
+        ]
+        assert secret_bits(key, positions, n).tolist() == expected
 
 
 def test_mint_rejects_positions_beyond_int64():

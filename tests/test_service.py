@@ -23,6 +23,7 @@ from hmqm.protocol import (
 )
 from hmqm.service import (
     DEFAULT_JOURNAL,
+    JOURNAL_FORMAT,
     MAX_MESSAGE_BYTES,
     BankClient,
     BankService,
@@ -118,7 +119,9 @@ def test_mint_response_contains_no_secrets(service):
     assert resp["request_id"] == "zzz"
     assert set(resp) == {"type", "request_id", "coin_id", "n", "q", "l", "T"}
     with open(service.journal.path, "rb") as fh:
-        assert b'"key"' in fh.read()  # the bank keeps it, the wire does not
+        record = json.loads(fh.readline())
+    assert len(record["key"]) == 32  # the bank keeps it, the wire does not
+    assert record["format"] == JOURNAL_FORMAT == 2
 
 
 def test_malformed_frame_gets_bad_request_and_close(service):
@@ -249,8 +252,8 @@ def test_journal_corruption_is_refused(tmp_path):
 
     bad_json = tmp_path / "b.ndjson"
     prefix = json.dumps({
-        "event": "mint", "coin_id": "c", "n": 2, "q": 8, "l": 1, "T": 1, "s": 0,
-        "key": "ff" * 16,
+        "event": "mint", "coin_id": "c", "n": 2, "q": 1000, "l": 1, "T": 1, "s": 0,
+        "key": "ff" * 16, "format": JOURNAL_FORMAT,
     }, sort_keys=True) + "\n"
     bad_json.write_bytes(prefix.encode() + b"not json\n")
     with pytest.raises(JournalCorruptError) as exc_info:
@@ -272,7 +275,8 @@ def test_journal_corruption_is_refused(tmp_path):
     for payload in ({"secrets": "ffff"}, {"key": "ff" * 8}):
         old_format = tmp_path / "e.ndjson"
         old_format.write_bytes(json.dumps(dict(
-            {"event": "mint", "coin_id": "c", "n": 2, "q": 8, "l": 1, "T": 1, "s": 0}, **payload
+            {"event": "mint", "coin_id": "c", "n": 2, "q": 1000, "l": 1, "T": 1, "s": 0,
+             "format": JOURNAL_FORMAT}, **payload
         )).encode() + b"\n")
         with pytest.raises(JournalCorruptError, match="bad record"):
             Journal.replay(str(old_format))
@@ -284,7 +288,7 @@ def test_journal_mint_record_round_trip(tmp_path):
     journal = Journal(path)
     journal.append({
         "event": "mint", "coin_id": db.coin_id, "n": db.n, "q": db.q, "l": db.l,
-        "T": db.T, "s": 0, "key": db.key.hex(),
+        "T": db.T, "s": 0, "key": db.key.hex(), "format": JOURNAL_FORMAT,
     })
     journal.append({"event": "check", "coin_id": db.coin_id, "s": 1})
     journal.append({"event": "check", "coin_id": db.coin_id, "s": 1})  # replayed write
@@ -293,6 +297,53 @@ def test_journal_mint_record_round_trip(tmp_path):
     rebuilt = coins[db.coin_id]
     assert rebuilt.key == db.key
     assert rebuilt.s == 1  # duplicate check records collapse monotonically
+
+
+def mint_record(**fields):
+    record = {"event": "mint", "coin_id": "c", "n": 4, "q": 10_000, "l": 10, "T": 1, "s": 0,
+              "key": "ab" * 16, "format": JOURNAL_FORMAT}
+    record.update(fields)
+    return json.dumps({k: v for k, v in record.items() if v is not None}, sort_keys=True) + "\n"
+
+
+def test_journal_refuses_other_formats(tmp_path):
+    # Format 1 records (SHAKE-256 secrets) had no format field; both they
+    # and an explicit format 1 are refused and named.
+    path = tmp_path / "f.ndjson"
+    for fmt in (None, 1, 3, "2"):
+        path.write_text(mint_record(format=fmt))
+        with pytest.raises(JournalCorruptError, match="format 1 \\(SHAKE-256 secrets\\)") as exc_info:
+            Journal.replay(str(path))
+        assert exc_info.value.offset == 0
+
+
+def test_journal_replay_enforces_the_coin_shape(tmp_path):
+    # A hand-edited record may not bring back a coin that bank_mint refuses.
+    path = tmp_path / "g.ndjson"
+    valid = mint_record(coin_id="ok", n=MAX_N, q=2**63 - 1, l=10, T=(2**63 - 1) // 10_000, s=3)
+    bad_records = [
+        mint_record(n=100_000),  # past MAX_N
+        mint_record(n=5),
+        mint_record(n=0),
+        mint_record(q=9_999),  # T would be 0
+        mint_record(q=2**63, T=2**63 // 10_000),
+        mint_record(l=0),
+        mint_record(T=2),  # T is not q // (1000 l)
+        mint_record(s=2),  # more checks than T
+        mint_record(s=-1),
+        mint_record(n=4.0),
+    ] + [json.dumps({"event": "check", "coin_id": "ok", "s": s}) + "\n"
+         for s in (0, (2**63 - 1) // 10_000 + 1, 1.5)]  # a counter the bank never writes
+    for record in bad_records:
+        path.write_text(valid + record)
+        with pytest.raises(JournalCorruptError, match="bad record") as exc_info:
+            Journal.replay(str(path))
+        assert exc_info.value.offset == len(valid.encode())
+
+    path.write_text(valid + mint_record() + '{"event": "check", "coin_id": "c", "s": 1}\n')
+    coins = Journal.replay(str(path))
+    assert (coins["ok"].n, coins["ok"].T, coins["ok"].s) == (MAX_N, (2**63 - 1) // 10_000, 3)
+    assert (coins["c"].n, coins["c"].q, coins["c"].T, coins["c"].s) == (4, 10_000, 1, 1)
 
 
 def test_concurrent_mints_get_distinct_coins(service):
