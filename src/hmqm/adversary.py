@@ -38,8 +38,6 @@ from .protocol import (
     VerdictParameters,
     bank_mint,
     holder_verify,
-    lossy_fail_bounds,
-    honest_fail_bound,
 )
 
 SPLIT_FRACTION = 1.0 / 1000.0
@@ -269,13 +267,6 @@ class ForgeOutcome:
 
     CSV_HEADER = "strategy,n,q,l,trials,accept1_rate,accept2_rate,both_accept_rate,analytic_bound"
 
-    def csv_row(self) -> str:
-        return (
-            f"{self.strategy},{self.n},{self.q},{self.l},{self.trials},"
-            f"{self.accept1_rate!r},{self.accept2_rate!r},{self.both_accept_rate!r},"
-            f"{self.analytic_bound!r}"
-        )
-
 
 def _transcript_errors(coin, outcome) -> tuple[float, float]:
     """White-position and overall error frequencies of one round, from the
@@ -321,16 +312,12 @@ def run_forging_experiment(
         accept2[t] = out2.verdict is Verdict.VALID
         werr1[t], oerr1[t] = _transcript_errors(coin1, out1)
         werr2[t], oerr2[t] = _transcript_errors(coin2, out2)
-    if params.eta == 1.0 and params.epsilon == 0.0:
-        bound = honest_fail_bound(l, params.delta)
-    else:
-        bound = lossy_fail_bounds(l, params.delta, params.epsilon, params.eta).forgery
     return ForgeOutcome(
         strategy=strategy.name or "custom", n=n, q=q, l=l, trials=trials,
         accept1=accept1, accept2=accept2,
         observed_error1=werr1, observed_error2=werr2,
         overall_error1=oerr1, overall_error2=oerr2,
-        analytic_bound=bound,
+        analytic_bound=params.forgery_bound(l),
     )
 
 

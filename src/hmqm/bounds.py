@@ -294,12 +294,6 @@ class CloneBound:
             e_max=e_max(n),
         )
 
-    def csv_row(self) -> str:
-        return (
-            f"{self.n},{self.q_norm!r},{self.fidelity_bound!r},"
-            f"{self.pair_error_lower!r},{self.e_min!r},{self.e_max!r}"
-        )
-
 
 def _check_even(n: int) -> None:
     if n < 4 or n % 2 != 0:

@@ -6,9 +6,19 @@ with keyed BLAKE2b, a pseudorandom function of the position.
 The holder verifies by sampling l unused positions, measuring each in a
 random matching basis, and sending the claimed parities to the bank, which
 accepts when the correct fraction clears c - delta.  The bank allows at most
-T = q // (1000 l) checks per coin.  All sampling is exact: outcomes are drawn
-from closed-form distributions, never from simulated state vectors.  No
-state of a coin or a round grows with q.
+T = q // (1000 l) checks per coin, and grades a transcript against the l of
+its own record.  All sampling is exact: outcomes are drawn from closed-form
+distributions, never from simulated state vectors.  No state of a coin or a
+round grows with q.
+
+Each rule is written once.  `VerdictParameters` is the acceptance policy:
+`from_noise` sets c and delta from the channel noise and the adversary error
+floor (and refuses a beta at or above the floor), `min_outcomes` is the
+abort rule and `forgery_bound` picks the ideal or the lossy forgery bound.
+A round is `_plan_round` (sample, bases, measurement seed), a measurement
+(in process or over the wire) and `_finish_round` (transcript, abort,
+verdict).  `encode_outcomes` / `decode_outcomes` are the only codec of an
+outcome's wire form, {"i", "j", "b"} or null when lost.
 
 Positions are indexed from 0.  Node indices inside measurement outcomes are
 1-based, matching the matching convention.
@@ -144,7 +154,12 @@ class BankDatabase:
 
 @dataclass(frozen=True)
 class VerdictParameters:
-    """Acceptance threshold data: accept when correct > l' * (c - delta)."""
+    """The acceptance policy of a round.
+
+    A round aborts when fewer than (eta - epsilon) * l outcomes arrive
+    (`min_outcomes`), and otherwise passes when correct > l' * (c - delta).
+    Every range check fails on NaN.
+    """
 
     c: float
     delta: float
@@ -154,36 +169,72 @@ class VerdictParameters:
     def __post_init__(self):
         if not 0.5 < self.c <= 1.0:
             raise ValueError(f"c must be in (1/2, 1], got {self.c}")
-        if self.delta <= 0.0 or self.c - self.delta <= 0.5:
+        if not (self.delta > 0.0 and self.c - self.delta > 0.5):
             raise ValueError(f"need delta > 0 and c - delta > 1/2, got c={self.c}, delta={self.delta}")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if self.epsilon < 0.0:
+        if not self.epsilon >= 0.0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 
     @classmethod
     def from_noise(cls, n: int, beta: float, eta: float = 1.0, epsilon: float = 0.0) -> "VerdictParameters":
         """Standard policy: c = 1 - beta, delta = (error floor - beta) / 2."""
-        floor = adversary_error_floor(n, eta, epsilon)
-        if floor <= beta:
-            raise InfeasiblePlanError(
-                f"channel noise beta={beta} is not below the adversary error floor "
-                f"{floor:.6f} (gap {floor - beta:.6f}); no threshold separates honest from forged"
-            )
-        return cls(c=1.0 - beta, delta=(floor - beta) / 2.0, eta=eta, epsilon=epsilon)
+        return _noise_policy(n, beta, eta, epsilon)[0]
 
     @property
     def min_outcomes(self) -> float:
         """Abort threshold on the outcome count: (eta - epsilon) * l, scaled by l later."""
         return self.eta - self.epsilon
 
+    def forgery_bound(self, l: int) -> float:
+        """Chance a double-spend passes both verifiers at sample size l: the
+        ideal bound exp(-2 l delta^2) when no outcome may be lost, else the
+        lossy three-term bound."""
+        if self.eta == 1.0 and self.epsilon == 0.0:
+            return honest_fail_bound(l, self.delta)
+        return lossy_fail_bounds(l, self.delta, self.epsilon, self.eta).forgery
+
+
+def _noise_policy(n: int, beta: float, eta: float, epsilon: float) -> tuple[VerdictParameters, float]:
+    """The standard policy at channel noise beta, and the adversary error
+    floor it separates beta from.  Raises InfeasiblePlanError, naming the
+    gap, unless beta is below the floor."""
+    floor = adversary_error_floor(n, eta, epsilon)
+    if floor <= beta:
+        raise InfeasiblePlanError(
+            f"channel noise beta={beta} is not below the adversary error floor {floor:.6f} "
+            f"(gap {floor - beta:.6f} at n={n}, eta={eta}, epsilon={epsilon}); "
+            "no threshold separates honest from forged"
+        )
+    return VerdictParameters(c=1.0 - beta, delta=(floor - beta) / 2.0, eta=eta, epsilon=epsilon), floor
+
 
 def adversary_error_floor(n: int, eta: float = 1.0, epsilon: float = 0.0) -> float:
-    """Forger's minimum per-verifier error rate at the given loss budget."""
-    base = bounds.e_min(n)
-    if eta == 1.0 and epsilon == 0.0:
-        return base
-    return bounds.lossy_e_min(base, epsilon, eta)
+    """Forger's minimum per-verifier error rate at the given loss budget;
+    with no loss (eta = 1, epsilon = 0) this is e_min(n) exactly."""
+    return bounds.lossy_e_min(bounds.e_min(n), epsilon, eta)
+
+
+def encode_outcomes(pair_i: np.ndarray, pair_j: np.ndarray, answer: np.ndarray) -> list[dict | None]:
+    """Outcomes in their wire form: {"i", "j", "b"} per position, None where
+    the outcome was lost (answer < 0)."""
+    rows = zip(pair_i.tolist(), pair_j.tolist(), answer.tolist())
+    return [None if b < 0 else {"i": i, "j": j, "b": b} for i, j, b in rows]
+
+
+def decode_outcomes(outcomes: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pair_i, pair_j, answer) from the wire form: answer -1 and pair 0
+    where the outcome was lost.  Fields are stored one element at a time,
+    so one that is not an integer scalar raises (TypeError, ValueError or
+    OverflowError) instead of spilling into other positions."""
+    k = len(outcomes)
+    pair_i = np.zeros(k, dtype=np.int64)
+    pair_j = np.zeros(k, dtype=np.int64)
+    answer = np.full(k, -1, dtype=np.int8)
+    for idx, out in enumerate(outcomes):
+        if out is not None:
+            pair_i[idx], pair_j[idx], answer[idx] = out["i"], out["j"], out["b"]
+    return pair_i, pair_j, answer
 
 
 @dataclass
@@ -206,42 +257,27 @@ class VerificationTranscript:
     def l_prime(self) -> int:
         return int(np.sum(self.answer >= 0))
 
+    def to_dict(self) -> dict:
+        outcomes = encode_outcomes(self.pair_i, self.pair_j, self.answer)
+        rows = zip(self.positions.tolist(), self.alpha.tolist(), outcomes)
+        triplets = [{"i": i, "alpha": a, "outcome": out} for i, a, out in rows]
+        return {"coin_id": self.coin_id, "l": self.l, "triplets": triplets}
+
     def to_json(self) -> str:
-        triplets = []
-        for idx in range(len(self.positions)):
-            if self.answer[idx] < 0:
-                outcome = None
-            else:
-                outcome = {
-                    "i": int(self.pair_i[idx]),
-                    "j": int(self.pair_j[idx]),
-                    "b": int(self.answer[idx]),
-                }
-            triplets.append({"i": int(self.positions[idx]), "alpha": int(self.alpha[idx]), "outcome": outcome})
-        return json.dumps({"coin_id": self.coin_id, "l": self.l, "triplets": triplets}, sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationTranscript":
-        obj = json.loads(text)
-        return cls.from_dict(obj)
+        return cls.from_dict(json.loads(text))
 
     @classmethod
     def from_dict(cls, obj: dict) -> "VerificationTranscript":
         triplets = obj["triplets"]
-        k = len(triplets)
-        positions = np.zeros(k, dtype=np.int64)
-        alpha = np.zeros(k, dtype=np.int64)
-        pair_i = np.zeros(k, dtype=np.int64)
-        pair_j = np.zeros(k, dtype=np.int64)
-        answer = np.full(k, -1, dtype=np.int8)
+        positions = np.zeros(len(triplets), dtype=np.int64)
+        alpha = np.zeros(len(triplets), dtype=np.int64)
         for idx, t in enumerate(triplets):
-            positions[idx] = t["i"]
-            alpha[idx] = t["alpha"]
-            out = t["outcome"]
-            if out is not None:
-                pair_i[idx] = out["i"]
-                pair_j[idx] = out["j"]
-                answer[idx] = out["b"]
+            positions[idx], alpha[idx] = t["i"], t["alpha"]
+        pair_i, pair_j, answer = decode_outcomes([t["outcome"] for t in triplets])
         return cls(
             coin_id=obj["coin_id"], l=int(obj["l"]), positions=positions,
             alpha=alpha, pair_i=pair_i, pair_j=pair_j, answer=answer,
@@ -435,18 +471,11 @@ def holder_verify(
     a verdict).
     """
     sample, alphas, measure_seed = _plan_round(coin, rng)
-    pair_i, pair_j, answer, errors = measure_positions(
+    *outcomes, errors = measure_positions(
         db.key, coin, sample, alphas, channel.beta, params.eta,
         np.random.default_rng(measure_seed),
     )
-    transcript = VerificationTranscript(
-        coin_id=coin.coin_id, l=coin.l, positions=sample, alpha=alphas,
-        pair_i=pair_i, pair_j=pair_j, answer=answer,
-    )
-    if transcript.l_prime < params.min_outcomes * coin.l:
-        return VerifyOutcome(Verdict.ABORTED, transcript, None, errors)
-    check = bank_check(db, transcript, params)
-    return VerifyOutcome(Verdict.VALID if check.valid else Verdict.INVALID, transcript, check, errors)
+    return _finish_round(coin, sample, alphas, outcomes, params, lambda t: bank_check(db, t, params), errors)
 
 
 def _plan_round(coin: Coin, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
@@ -470,15 +499,30 @@ def _plan_round(coin: Coin, rng: np.random.Generator) -> tuple[np.ndarray, np.nd
     return np.array(sample, dtype=np.int64), alphas, measure_seed
 
 
+def _finish_round(coin: Coin, sample: np.ndarray, alphas: np.ndarray, outcomes: tuple,
+                  params: VerdictParameters, check: Callable[[VerificationTranscript], CheckResult],
+                  errors: np.ndarray | None = None) -> VerifyOutcome:
+    """End a round, wherever its outcomes (pair_i, pair_j, answer) were
+    measured: build the transcript, abort when fewer than min_outcomes * l
+    outcomes arrived, else submit it through `check` and map the bank's
+    answer to a verdict."""
+    transcript = VerificationTranscript(coin.coin_id, coin.l, sample, alphas, *outcomes)
+    if transcript.l_prime < params.min_outcomes * coin.l:
+        return VerifyOutcome(Verdict.ABORTED, transcript, None, errors)
+    result = check(transcript)
+    return VerifyOutcome(Verdict.VALID if result.valid else Verdict.INVALID, transcript, result, errors)
+
+
 def bank_check(db: BankDatabase, transcript: VerificationTranscript, params: VerdictParameters) -> CheckResult:
     """Bank-side verdict on a transcript.
 
     Valid iff the count of correct parities strictly exceeds l' * (c - delta),
     with lost outcomes excluded from both sides.  The check counter s
     advances once per call and saturates at T; checks after exhaustion are
-    Invalid with code "coin_exhausted".  Structural violations (duplicate
-    positions, out-of-range indices, a pair not in the claimed matching)
-    consume a check and yield Invalid.
+    Invalid with code "coin_exhausted".  Structural violations (a sample or
+    a claimed l other than the record's l, duplicate positions, out-of-range
+    indices, a pair not in the claimed matching) consume a check and yield
+    Invalid.
     """
     if transcript.coin_id != db.coin_id:
         raise UnknownCoinError(f"no coin {transcript.coin_id!r}")
@@ -513,7 +557,7 @@ def bank_check(db: BankDatabase, transcript: VerificationTranscript, params: Ver
 
 def _structural_violation(db: BankDatabase, transcript: VerificationTranscript) -> str | None:
     pos = transcript.positions
-    if len(pos) != transcript.l:
+    if len(pos) != db.l or transcript.l != db.l:
         return "wrong_sample_size"
     if len(np.unique(pos)) != len(pos):
         return "duplicate_position"
@@ -602,13 +646,15 @@ class Plan:
 def plan_parameters(
     n: int, beta: float, target_security: float, eta: float = 1.0, epsilon: float = 0.0
 ) -> Plan:
-    """Smallest sample size l whose failure bounds meet target_security.
+    """Smallest sample size l whose forgery bound meets target_security.
 
-    Ideal variant (eta = 1, epsilon = 0): bound exp(-2 l delta^2).  Lossy
-    variant: the three-term forgery bound, which dominates correctness.
-    Raises InfeasiblePlanError when beta is not below the adversary error
-    floor (reporting the gap) or when eta < 1 with epsilon = 0 (the loss
-    terms equal 1 for every l).
+    The policy is the standard one of `VerdictParameters.from_noise` (taken
+    with its error floor, which the plan reports) and the bound its
+    `forgery_bound`: exp(-2 l delta^2) in the ideal variant (eta = 1,
+    epsilon = 0), else the three-term lossy bound, which dominates
+    correctness.  Raises InfeasiblePlanError when beta is not below the
+    adversary error floor (reporting the gap) or when eta < 1 with
+    epsilon = 0 (the loss terms equal 1 for every l).
     """
     if not 0.0 < target_security < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target_security}")
@@ -616,36 +662,23 @@ def plan_parameters(
         raise InfeasiblePlanError(
             "epsilon must be positive when eta < 1: the loss-hiding terms equal 1 for every l"
         )
-    floor = adversary_error_floor(n, eta, epsilon)
-    if floor <= beta:
-        raise InfeasiblePlanError(
-            f"beta={beta} is not below the adversary error floor {floor:.6f} "
-            f"(gap {floor - beta:.6f} at n={n}, eta={eta}, epsilon={epsilon})"
-        )
-    delta = (floor - beta) / 2.0
-    c = 1.0 - beta
-
-    if eta == 1.0 and epsilon == 0.0:
-        achieved_at = lambda l: honest_fail_bound(l, delta)
-    else:
-        achieved_at = lambda l: lossy_fail_bounds(l, delta, epsilon, eta).forgery
-
+    params, floor = _noise_policy(n, beta, eta, epsilon)
     lo, hi = 1, 1
-    while achieved_at(hi) > target_security:
+    while params.forgery_bound(hi) > target_security:
         hi *= 2
         if hi > 2**40:
             raise InfeasiblePlanError("no sample size below 2^40 meets the target")
     while lo < hi:
         mid = (lo + hi) // 2
-        if achieved_at(mid) <= target_security:
+        if params.forgery_bound(mid) <= target_security:
             hi = mid
         else:
             lo = mid + 1
     l = lo
     return Plan(
-        n=n, beta=beta, eta=eta, epsilon=epsilon, c=c, delta=delta, l=l,
+        n=n, beta=beta, eta=eta, epsilon=epsilon, c=params.c, delta=params.delta, l=l,
         q_min=COIN_BUDGET_DIVISOR * l, T=1, error_floor=floor,
-        target=target_security, achieved=achieved_at(l),
+        target=target_security, achieved=params.forgery_bound(l),
     )
 
 

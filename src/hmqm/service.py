@@ -5,12 +5,16 @@ JSON object with sorted keys.  Requests carry a client-chosen request_id
 echoed in the response.  A frame that is not such an object gets a
 bad_request error and the connection is closed.  `mint_ok` carries the
 coin's id and parameters; the holder keeps the coin (its layout and the
-positions it has consumed) client-side.  Because secrets stay in the
-service, the holder measures genuine positions by sending the sampled
-positions, bases, channel parameters and a measurement seed in one
+positions it has consumed) client-side.  A coin's id and key depend on the
+mint seed only, so a mint that would recreate a coin the bank holds is a
+bad_request.  Because secrets stay in the service, the holder measures
+genuine positions by sending the sampled positions, bases, channel
+parameters (beta in [0, 1/2], eta in (0, 1]) and a measurement seed in one
 MeasureRequest, and the service runs the same exact sampling engine used
 in-process, which makes remote runs bit-identical to local ones under the
-same seeds.
+same seeds.  `client_verify` is the in-process round with the measurement
+and the check sent over the wire: the planning, the outcome codec, the abort
+rule and the verdict are protocol's own.
 
 State is durable: every mint and every check-counter increment is appended
 to a newline-delimited JSON journal and fsynced before the response is
@@ -19,9 +23,9 @@ and `"format": 2` (JOURNAL_FORMAT: secrets are keyed BLAKE2b of the
 position), a check record the new counter value.  On startup the journal is
 replayed; a malformed line aborts startup with its byte offset.  That
 includes a mint record without a key, a coin shape `bank_mint` would refuse,
-a check counter outside [1, T], and a mint record of any other format:
-journals written with SHAKE-256 secrets (format 1, which had no format
-field) are refused, not migrated.
+a second mint record of one coin, a check counter outside [1, T], and a
+mint record of any other format: journals written with SHAKE-256 secrets
+(format 1, which had no format field) are refused, not migrated.
 """
 
 import json
@@ -40,14 +44,16 @@ from .protocol import (
     Coin,
     HonestChannel,
     UnknownCoinError,
-    Verdict,
     VerdictParameters,
     VerificationTranscript,
     VerifyOutcome,
     bank_check,
     bank_mint,
     coin_budget,
+    decode_outcomes,
+    encode_outcomes,
     measure_positions,
+    _finish_round,
     _plan_round,
 )
 
@@ -88,7 +94,7 @@ def recv_message(sock: socket.socket) -> dict | None:
         raise ServiceError("connection closed mid-frame")
     try:
         message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too many digits
         raise ServiceError(f"malformed frame: {exc}") from exc
     if not isinstance(message, dict):
         raise ServiceError("frame is not a JSON object")
@@ -142,7 +148,7 @@ class Journal:
             line = data[offset:end]
             try:
                 record = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too many digits
                 raise JournalCorruptError(path, offset, str(exc)) from exc
             try:
                 _apply_record(coins, record)
@@ -155,6 +161,8 @@ class Journal:
 def _apply_record(coins: dict[str, BankDatabase], record: dict) -> None:
     event = record["event"]
     if event == "mint":
+        if record["coin_id"] in coins:
+            raise ValueError(f"second mint record for coin {record['coin_id']!r}")
         if record.get("format") != JOURNAL_FORMAT:
             raise ValueError(
                 f"mint record of format {record.get('format')!r}, this bank reads format "
@@ -267,6 +275,10 @@ class BankService:
         _, db = bank_mint(n, q, l, rng)
         coin = {"coin_id": db.coin_id, "n": n, "q": q, "l": l, "T": db.T}
         with self._coins_lock:
+            if db.coin_id in self.coins:
+                # Id and key depend on the seed only: minting it again
+                # would bring the coin back with a fresh spend counter.
+                raise ValueError(f"coin {db.coin_id} already exists; a seed mints one coin")
             self.journal.append({"event": "mint", **coin, "s": 0, "key": db.key.hex(),
                                  "format": JOURNAL_FORMAT})
             self.coins[db.coin_id] = db
@@ -289,18 +301,17 @@ class BankService:
             raise ValueError("position out of range")
         if np.any(alphas < 1) or np.any(alphas > db.n - 1):
             raise ValueError("alpha out of range")
-        beta = float(request["beta"])
+        beta = HonestChannel(float(request["beta"])).beta
         eta = float(request["eta"])
+        if not 0.0 < eta <= 1.0:
+            raise ValueError(f"eta must be in (0, 1], got {eta}")
         view = Coin.fresh(db.coin_id, db.n, db.q, db.l, db.T)
         pair_i, pair_j, answer, _ = measure_positions(
             db.key, view, positions, alphas, beta, eta,
             np.random.default_rng(int(request["seed"])),
         )
-        outcomes = [
-            None if answer[k] < 0 else {"i": int(pair_i[k]), "j": int(pair_j[k]), "b": int(answer[k])}
-            for k in range(len(positions))
-        ]
-        return {"type": "measure_ok", "request_id": request.get("request_id"), "outcomes": outcomes}
+        return {"type": "measure_ok", "request_id": request.get("request_id"),
+                "outcomes": encode_outcomes(pair_i, pair_j, answer)}
 
     def _handle_verify(self, request: dict) -> dict:
         transcript = VerificationTranscript.from_dict(request["transcript"])
@@ -367,19 +378,20 @@ class BankClient:
     def measure(
         self, coin_id: str, positions: np.ndarray, alphas: np.ndarray,
         beta: float, eta: float, seed: int,
-    ) -> list[dict | None]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The outcomes (pair_i, pair_j, answer) of measuring the positions."""
         resp = self._call({
             "type": "measure", "coin_id": coin_id,
             "positions": [int(v) for v in positions],
             "alphas": [int(v) for v in alphas],
             "beta": beta, "eta": eta, "seed": seed,
         })
-        return resp["outcomes"]
+        return decode_outcomes(resp["outcomes"])
 
     def verify(self, transcript: VerificationTranscript, params: VerdictParameters) -> CheckResult:
         resp = self._call({
             "type": "verify",
-            "transcript": json.loads(transcript.to_json()),
+            "transcript": transcript.to_dict(),
             "params": {"c": params.c, "delta": params.delta,
                        "eta": params.eta, "epsilon": params.epsilon},
         })
@@ -400,8 +412,9 @@ def client_verify(
     """Remote twin of holder_verify, bit-identical under the same seeds.
 
     Draws the sample, bases and measurement seed exactly as the in-process
-    path does, asks the service for the outcomes, applies the same abort
-    rule, and submits the transcript.  Only honest coins are supported:
+    path does, asks the service for the outcomes, and ends the round with
+    the same `_finish_round`, submitting the transcript over the wire
+    unless the round aborts.  Only honest coins are supported:
     forged positions would need the bank-side view to measure.
     """
     if not coin.all_genuine():
@@ -409,19 +422,4 @@ def client_verify(
     sample, alphas, measure_seed = _plan_round(coin, rng)
     with BankClient(*address) as client:
         outcomes = client.measure(coin.coin_id, sample, alphas, channel.beta, params.eta, measure_seed)
-        k = len(sample)
-        pair_i = np.zeros(k, dtype=np.int64)
-        pair_j = np.zeros(k, dtype=np.int64)
-        answer = np.full(k, -1, dtype=np.int8)
-        for idx, out in enumerate(outcomes):
-            if out is not None:
-                pair_i[idx], pair_j[idx], answer[idx] = out["i"], out["j"], out["b"]
-        transcript = VerificationTranscript(
-            coin_id=coin.coin_id, l=coin.l, positions=sample, alpha=alphas,
-            pair_i=pair_i, pair_j=pair_j, answer=answer,
-        )
-        if transcript.l_prime < params.min_outcomes * coin.l:
-            return VerifyOutcome(Verdict.ABORTED, transcript, None, None)
-        check = client.verify(transcript, params)
-    verdict = Verdict.VALID if check.valid else Verdict.INVALID
-    return VerifyOutcome(verdict, transcript, check, None)
+        return _finish_round(coin, sample, alphas, outcomes, params, lambda t: client.verify(t, params))

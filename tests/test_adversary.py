@@ -20,6 +20,7 @@ from hmqm.adversary import (
     loss_hiding_weight_check,
     run_forging_experiment,
 )
+from hmqm.cli import main
 from hmqm.protocol import (
     HonestChannel,
     PositionKind,
@@ -217,7 +218,7 @@ def test_loss_hiding_weight_check_guards():
         loss_hiding_weight_check(np.ones(10), 11, 0.6, 0.05, 10, rng)
 
 
-def test_forge_outcome_serialization():
+def test_forge_outcome_serialization(capsys):
     rng = np.random.default_rng(40)
     params = VerdictParameters.from_noise(4, 0.0)
     outcome = run_forging_experiment(
@@ -226,10 +227,18 @@ def test_forge_outcome_serialization():
     assert ForgeOutcome.CSV_HEADER == (
         "strategy,n,q,l,trials,accept1_rate,accept2_rate,both_accept_rate,analytic_bound"
     )
-    fields = outcome.csv_row().split(",")
+    # The CLI's CSV row of the same seeded run.
+    assert main(["forge", "--strategy", "mixed_substitution", "--n", "4", "--q", "10000", "--l", "10",
+                 "--trials", "3", "--beta", "0.0", "--seed", "40", "--format", "csv"]) == 0
+    header, row = capsys.readouterr().out.strip().split("\n")
+    assert header == ForgeOutcome.CSV_HEADER
+    fields = row.split(",")
     assert fields[0] == "mixed_substitution"
     assert fields[1:5] == ["4", "10000", "10", "3"]
     assert float(fields[7]) == outcome.both_accept_rate
+    assert [float(f) for f in fields[5:]] == [
+        outcome.accept1_rate, outcome.accept2_rate, outcome.both_accept_rate, outcome.analytic_bound
+    ]
     d = outcome.to_dict()
     assert d["trials"] == 3
     assert 0.0 <= d["mean_white_error1"] <= 1.0

@@ -18,6 +18,7 @@ from hmqm.bounds import (
     pair_error_lower_bound,
     symmetric_clone,
 )
+from hmqm.cli import main
 from hmqm.matchings import build_disjoint_set
 from hmqm.qrg import (
     BitString,
@@ -248,7 +249,7 @@ def test_depolarization_for_error():
         depolarization_for_error(x, 0.6)
 
 
-def test_clone_bound_table_row():
+def test_clone_bound_table_row(capsys):
     cb = CloneBound.compute(4)
     assert cb.n == 4
     assert cb.q_norm == pytest.approx(0.1875, abs=1e-9)
@@ -257,7 +258,9 @@ def test_clone_bound_table_row():
     assert abs(cb.e_min - 997.0 / 5994.0) < 1e-15
     assert cb.e_max == pytest.approx(0.2, abs=1e-15)
     assert CloneBound.CSV_HEADER == "n,q_norm,fidelity_bound,pair_error_lower,e_min,e_max"
-    row = cb.csv_row()
+    assert main(["bounds", "--n", "4"]) == 0
+    header, row = capsys.readouterr().out.strip().split("\n")
+    assert header == CloneBound.CSV_HEADER
     fields = row.split(",")
     assert fields[0] == "4"
     assert float(fields[1]) == cb.q_norm

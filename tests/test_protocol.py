@@ -232,6 +232,24 @@ def test_structural_violations():
     assert db.s == 7
 
 
+def test_bank_judges_the_sample_size_from_its_record():
+    # One position with the right parity, claiming l = 1 on an l = 100 coin.
+    _, db = bank_mint(4, 1_000_000, 100, np.random.default_rng(13))
+    i, j = matching_set(4).matching(1).pairs[0]
+    bits = secret_bits(db.key, np.array([0]), 4)
+    transcript = VerificationTranscript(
+        coin_id=db.coin_id, l=1, positions=np.array([0]), alpha=np.array([1]),
+        pair_i=np.array([i]), pair_j=np.array([j]),
+        answer=(bits[:, i - 1] ^ bits[:, j - 1]).astype(np.int8),
+    )
+    res = bank_check(db, transcript, make_params())
+    assert (res.valid, res.code, res.s) == (False, "wrong_sample_size", 1)
+    # The right claim with a short sample fails the same way.
+    transcript.l = 100
+    res = bank_check(db, transcript, make_params())
+    assert (res.valid, res.code, res.s) == (False, "wrong_sample_size", 2)
+
+
 def test_transcript_json_round_trip():
     rng = np.random.default_rng(11)
     params = VerdictParameters.from_noise(8, 0.1, eta=0.9, epsilon=0.05)
@@ -302,6 +320,10 @@ def test_verdict_parameters_validation():
         VerdictParameters(c=0.9, delta=0.1, eta=0.0)
     with pytest.raises(ValueError):
         VerdictParameters(c=0.9, delta=0.1, epsilon=-0.1)
+    # NaN fails every range check: a NaN delta would charge checks that can never pass.
+    for bad in (dict(delta=math.nan), dict(epsilon=math.nan), dict(c=math.nan), dict(eta=math.nan)):
+        with pytest.raises(ValueError):
+            make_params(**bad)
 
 
 def test_verdict_parameters_from_noise():

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import socket
 import struct
 import threading
@@ -19,6 +20,7 @@ from hmqm.protocol import (
     VerdictParameters,
     bank_mint,
     holder_verify,
+    matching_set,
     secret_bits,
 )
 from hmqm.service import (
@@ -125,8 +127,9 @@ def test_mint_response_contains_no_secrets(service):
 
 
 def test_malformed_frame_gets_bad_request_and_close(service):
-    # Not JSON, JSON that is not an object, invalid UTF-8, nesting too deep.
-    for payload in (b"notjs", b"[1,2]", b'"text"', b"null", b"\xff\xfe{}", b"[" * 100_000):
+    # Not JSON, JSON that is not an object, invalid UTF-8, nesting too deep,
+    # an integer past the interpreter's digit limit.
+    for payload in (b"notjs", b"[1,2]", b'"text"', b"null", b"\xff\xfe{}", b"[" * 100_000, b"1" * 5000):
         with socket.create_connection(service.address) as sock:
             sock.sendall(struct.pack(">I", len(payload)) + payload)
             resp = recv_message(sock)
@@ -202,6 +205,18 @@ def test_measure_request_validation(service):
     assert resp["code"] == "bad_request"
     resp = raw_call(service.address, dict(base, positions=[2**63], alphas=[1], request_id="h"))
     assert (resp["code"], resp["request_id"]) == ("bad_request", "h")
+    # beta must be in [0, 1/2] and eta in (0, 1]; NaN is neither.
+    for field, value in (("beta", 0.9), ("beta", -1.0), ("beta", math.nan),
+                         ("eta", 0.0), ("eta", 7.0), ("eta", math.nan)):
+        resp = raw_call(service.address, dict(base, positions=[0], alphas=[1], request_id="k",
+                                              **{field: value}))
+        assert (resp["type"], resp["code"]) == ("error", "bad_request"), (field, value)
+    # Parameters no round can pass with are refused before a check is charged.
+    for params in ({"c": 0.9, "delta": math.nan}, {"c": 0.9, "delta": 0.1, "epsilon": math.nan}):
+        transcript = {"coin_id": coin.coin_id, "l": 10, "triplets": []}
+        resp = raw_call(service.address, {"type": "verify", "transcript": transcript,
+                                          "params": params, "request_id": "m"})
+        assert (resp["type"], resp["code"]) == ("error", "bad_request"), params
     # An outcome bit beyond int8 is refused before the bank charges a check.
     triplet = {"i": 0, "alpha": 1, "outcome": {"i": 1, "j": 2, "b": 300}}
     transcript = {"coin_id": coin.coin_id, "l": 10, "triplets": [triplet]}
@@ -209,6 +224,44 @@ def test_measure_request_validation(service):
                                       "params": {"c": 0.9, "delta": 0.1}, "request_id": "i"})
     assert (resp["type"], resp["code"], resp["request_id"]) == ("error", "bad_request", "i")
     assert service.coins[coin.coin_id].s == 0
+
+
+def test_minting_a_seed_again_is_refused(service):
+    # A coin's id and key depend on the mint seed only; a second mint would
+    # hand the same coin a fresh spend counter.
+    with BankClient(*service.address) as client:
+        coin = client.mint(8, 40_000, 20, seed=7)
+    assert coin.T == 2
+    params = VerdictParameters.from_noise(8, 0.0)
+    rng = np.random.default_rng(2)
+    for s in (1, 2):
+        outcome = client_verify(service.address, coin, params, HonestChannel(0.0), rng)
+        assert (outcome.verdict, outcome.check.s) == (Verdict.VALID, s)
+    resp = raw_call(service.address, {"type": "mint", "n": 8, "q": 40_000, "l": 20, "seed": 7,
+                                      "request_id": "again"})
+    assert (resp["type"], resp["code"], resp["request_id"]) == ("error", "bad_request", "again")
+    assert coin.coin_id in resp["message"]
+    assert service.coins[coin.coin_id].s == 2
+    third = client_verify(service.address, coin, params, HonestChannel(0.0), rng)
+    assert (third.verdict, third.check.code) == (Verdict.INVALID, "coin_exhausted")
+    with open(service.journal.path) as fh:
+        assert [json.loads(line)["event"] for line in fh] == ["mint", "check", "check"]
+
+
+def test_bank_judges_the_sample_size_over_the_wire(service):
+    # One position with the right parity, claiming l = 1 on an l = 100 coin.
+    with BankClient(*service.address) as client:
+        coin = client.mint(4, 1_000_000, 100, seed=61)
+    i, j = matching_set(4).matching(1).pairs[0]
+    bits = secret_bits(service.coins[coin.coin_id].key, np.array([0]), 4)
+    triplet = {"i": 0, "alpha": 1, "outcome": {"i": i, "j": j, "b": int(bits[0, i - 1] ^ bits[0, j - 1])}}
+    resp = raw_call(service.address, {
+        "type": "verify", "transcript": {"coin_id": coin.coin_id, "l": 1, "triplets": [triplet]},
+        "params": {"c": 0.9, "delta": 0.1}, "request_id": "short",
+    })
+    assert (resp["type"], resp["valid"], resp.get("code"), resp["s"]) == (
+        "verify_ok", False, "wrong_sample_size", 1)
+    assert service.coins[coin.coin_id].s == 1
 
 
 def test_journal_replay_restores_counter_and_secrets(tmp_path):
@@ -259,6 +312,14 @@ def test_journal_corruption_is_refused(tmp_path):
     with pytest.raises(JournalCorruptError) as exc_info:
         Journal.replay(str(bad_json))
     assert exc_info.value.offset == len(prefix.encode())
+
+    # Lines that make json.loads raise something other than JSONDecodeError:
+    # nesting past the recursion limit, an integer past the digit limit.
+    for line in (b"[" * 100_000, b"1" * 5000):
+        bad_json.write_bytes(prefix.encode() + line + b"\n")
+        with pytest.raises(JournalCorruptError) as exc_info:
+            Journal.replay(str(bad_json))
+        assert exc_info.value.offset == len(prefix.encode())
 
     bad_record = tmp_path / "c.ndjson"
     bad_record.write_bytes(json.dumps({"event": "warp"}).encode() + b"\n")
@@ -317,6 +378,47 @@ def test_journal_refuses_other_formats(tmp_path):
         assert exc_info.value.offset == 0
 
 
+JOURNAL_KEYS = ("event", "coin_id", "n", "q", "l", "T", "s", "key", "format")
+
+
+def test_any_journal_replays_or_is_corrupt(tmp_path):
+    # Whatever the journal holds, replay returns a coin table or raises
+    # JournalCorruptError, and nothing else.
+    path = tmp_path / "fuzz.ndjson"
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+               | st.sampled_from(["mint", "check", "c", "ab" * 16, "zz"]))
+    values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                          | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=8)
+    near_mint = st.fixed_dictionaries({
+        "event": st.just("mint"), "coin_id": st.sampled_from(["c", "d"]),
+        "n": st.sampled_from([2, 4, 5, MAX_N + 2]) | values,
+        "q": st.sampled_from([10_000, 9_999, 2**63]) | values,
+        "l": st.sampled_from([10, 0]) | values, "T": st.sampled_from([1, 2]) | values,
+        "s": st.integers(-1, 2) | values, "key": st.sampled_from(["ab" * 16, "ab" * 8, "zz"]) | values,
+        "format": st.sampled_from([JOURNAL_FORMAT, 1]) | values,
+    })
+    near_check = st.fixed_dictionaries({
+        "event": st.just("check"), "coin_id": st.sampled_from(["c", "d"]) | values,
+        "s": st.integers(-1, 3) | values,
+    })
+    records = near_mint | near_check | st.dictionaries(st.sampled_from(JOURNAL_KEYS), values) | values
+    hostile = st.sampled_from([b"[" * 100_000, b"1" * 5000])  # past the parser's depth, int digits
+    lines = st.lists(records.map(lambda r: json.dumps(r).encode()) | st.binary(max_size=12) | hostile,
+                     max_size=6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines, st.booleans())
+    def replay(chunks, terminated):
+        path.write_bytes(b"\n".join(chunks) + (b"\n" if terminated and chunks else b""))
+        try:
+            coins = Journal.replay(str(path))
+        except JournalCorruptError:
+            return
+        assert all(0 <= db.s <= db.T for db in coins.values())
+
+    replay()
+
+
 def test_journal_replay_enforces_the_coin_shape(tmp_path):
     # A hand-edited record may not bring back a coin that bank_mint refuses.
     path = tmp_path / "g.ndjson"
@@ -332,6 +434,7 @@ def test_journal_replay_enforces_the_coin_shape(tmp_path):
         mint_record(s=2),  # more checks than T
         mint_record(s=-1),
         mint_record(n=4.0),
+        mint_record(coin_id="ok"),  # a second mint of one coin would reset its counter
     ] + [json.dumps({"event": "check", "coin_id": "ok", "s": s}) + "\n"
          for s in (0, (2**63 - 1) // 10_000 + 1, 1.5)]  # a counter the bank never writes
     for record in bad_records:
@@ -491,3 +594,48 @@ def test_any_json_frame_gets_one_reply_and_the_service_lives_on(service, monkeyp
     assert thread_errors == []
     with BankClient(*service.address) as client:
         assert client.mint(4, 10_000, 10, seed=72).T == 1
+
+
+def test_any_transcript_gets_one_reply_and_charges_at_most_one_check(service, monkeypatch):
+    thread_errors = []
+    monkeypatch.setattr(threading, "excepthook", lambda args: thread_errors.append(args.exc_value))
+    with BankClient(*service.address) as client:
+        coin = client.mint(4, 2**40, 2, seed=91)  # T is large enough never to run out here
+    db = service.coins[coin.coin_id]
+    small = st.integers(-1, 5)
+    field = (small | st.integers() | st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+             | st.lists(small, max_size=2) | st.dictionaries(st.sampled_from("ijb"), small, max_size=2))
+    outcome = st.none() | st.fixed_dictionaries({"i": small | field, "j": small | field, "b": small | field})
+
+    def graded(position, alpha, pick):
+        """A triplet whose outcome has the right parity."""
+        i, j = matching_set(4).matching(alpha).pairs[pick]
+        bits = secret_bits(db.key, np.array([position]), 4)[0]
+        return {"i": position, "alpha": alpha, "outcome": {"i": i, "j": j, "b": int(bits[i - 1] ^ bits[j - 1])}}
+
+    right = st.builds(graded, st.integers(0, 20), st.integers(1, 3), st.integers(0, 1))
+    triplet = right | st.fixed_dictionaries({"i": small | field, "alpha": small | field, "outcome": outcome | field})
+    transcript = st.fixed_dictionaries({
+        "coin_id": st.just(coin.coin_id), "l": small | field, "triplets": st.lists(triplet | field, max_size=4),
+    })
+
+    @settings(max_examples=300, deadline=None)
+    @given(transcript)
+    def one_verify(value):
+        s_before = db.s
+        with socket.create_connection(service.address, timeout=10) as sock:
+            send_message(sock, {"type": "verify", "transcript": value, "params": {"c": 0.9, "delta": 0.1},
+                                "request_id": "f"})
+            sock.shutdown(socket.SHUT_WR)
+            reply = recv_message(sock)
+            assert recv_message(sock) is None
+        assert reply["type"] in {"verify_ok", "error"}
+        if reply["type"] == "verify_ok":
+            assert db.s - s_before == 1 and reply["s"] == db.s
+            if reply["valid"]:  # graded on the coin's own sample size
+                assert value["l"] == len(value["triplets"]) == coin.l
+        else:
+            assert reply["code"] == "bad_request" and db.s == s_before
+
+    one_verify()
+    assert thread_errors == []
