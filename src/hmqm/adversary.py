@@ -322,14 +322,14 @@ def run_forging_experiment(
 
 
 def loss_hiding_weight_check(
-    sent_flags: np.ndarray, l: int, eta: float, epsilon: float, trials: int, rng: np.random.Generator
+    sent_flags: np.ndarray, l: int, params: VerdictParameters, trials: int, rng: np.random.Generator
 ) -> float:
     """Abort frequency when only the flagged positions were actually sent.
 
     Exact two-stage sampling: the number of sent positions in a uniform
     l-sample is hypergeometric, and each sent position independently yields
-    an outcome with probability eta.  Returns the empirical frequency of
-    l' < (eta - epsilon) * l over `trials` rounds.
+    an outcome with probability params.eta.  Returns the empirical frequency
+    of the policy's abort, l' < min_outcomes * l, over `trials` rounds.
     """
     sent_flags = np.asarray(sent_flags)
     q = sent_flags.size
@@ -337,5 +337,5 @@ def loss_hiding_weight_check(
     if not 1 <= l <= q:
         raise ValueError(f"need 1 <= l <= {q}, got {l}")
     sent_in_sample = rng.hypergeometric(weight, q - weight, l, size=trials)
-    outcomes = rng.binomial(sent_in_sample, eta)
-    return float(np.mean(outcomes < (eta - epsilon) * l))
+    outcomes = rng.binomial(sent_in_sample, params.eta)
+    return float(np.mean(outcomes < params.min_outcomes * l))

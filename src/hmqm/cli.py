@@ -2,9 +2,10 @@
 
 Subcommands: bounds, simulate, forge, plan, coherent, serve, verify.  Every
 randomized command takes --seed and is byte-deterministic under it; every
-reporting command takes --format {csv,json} and --out.  Exit codes: 0 on
-success, 2 for invalid parameters, 3 for an infeasible plan, 4 for I/O or
-network failures.
+reporting command takes --format {csv,json} and --out; verify mints an
+unseeded coin unless --seed is given.  Exit codes: 0 on success, 2 for
+invalid parameters or a request the bank refused, 3 for an infeasible plan,
+4 for I/O or network failures.
 
 Config files (simulate, forge) are flat key=value lines; '#' starts a
 comment.  Command-line flags override config values.
@@ -291,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=1.0)
     p.add_argument("--epsilon", type=float, default=0.0)
     common(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, seed=None)
 
     return parser
 
@@ -304,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     except protocol.InfeasiblePlanError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, protocol.ProtocolError) as exc:
+    except (ValueError, protocol.ProtocolError, service.ErrorReply) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ConnectionError, service.ServiceError) as exc:

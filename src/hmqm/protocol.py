@@ -2,14 +2,16 @@
 
 A coin is q positions, each hiding an n-bit secret known only to the bank,
 which stores a 16-byte key per coin and derives secrets from it on demand
-with keyed BLAKE2b, a pseudorandom function of the position.
-The holder verifies by sampling l unused positions, measuring each in a
-random matching basis, and sending the claimed parities to the bank, which
-accepts when the correct fraction clears c - delta.  The bank allows at most
-T = q // (1000 l) checks per coin, and grades a transcript against the l of
-its own record.  All sampling is exact: outcomes are drawn from closed-form
-distributions, never from simulated state vectors.  No state of a coin or a
-round grows with q.
+with keyed BLAKE2b, a pseudorandom function of the position.  A round
+derives the secrets of its present positions once: `secret_bits` remembers
+its last two derivations, so the bank's check reads the ones the
+measurement made.  The holder verifies by sampling l unused positions,
+measuring each in a random matching basis, and sending the claimed parities
+to the bank, which accepts when the correct fraction clears c - delta.  The
+bank allows at most T = q // (1000 l) checks per coin, and grades a
+transcript against the l of its own record.  All sampling is exact: outcomes
+are drawn from closed-form distributions, never from simulated state
+vectors.  No state of a coin or a round grows with q.
 
 Each rule is written once.  `VerdictParameters` is the acceptance policy:
 `from_noise` sets c and delta from the channel noise and the adversary error
@@ -222,19 +224,35 @@ def encode_outcomes(pair_i: np.ndarray, pair_j: np.ndarray, answer: np.ndarray) 
     return [None if b < 0 else {"i": i, "j": j, "b": b} for i, j, b in rows]
 
 
+def wire_int(value, name: str) -> int:
+    """A field read from the wire or a transcript, which must be an integer:
+    1.5, "3" and true raise TypeError instead of being converted."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def wire_ints(values: list, name: str, dtype=np.int64) -> np.ndarray:
+    """A list of integer fields as an array.  Raises TypeError unless values
+    is a list of integers (1.5, "3" and true are refused, not converted) and
+    OverflowError for an item past the dtype."""
+    if type(values) is not list:
+        raise TypeError(f"{name} must be a list of integers")
+    if not set(map(type, values)) <= {int}:
+        raise TypeError(f"{name} must be integers, got {next(v for v in values if type(v) is not int)!r}")
+    return np.array(values, dtype=dtype)
+
+
+_LOST = {"i": 0, "j": 0, "b": -1}
+
+
 def decode_outcomes(outcomes: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(pair_i, pair_j, answer) from the wire form: answer -1 and pair 0
-    where the outcome was lost.  Fields are stored one element at a time,
-    so one that is not an integer scalar raises (TypeError, ValueError or
-    OverflowError) instead of spilling into other positions."""
-    k = len(outcomes)
-    pair_i = np.zeros(k, dtype=np.int64)
-    pair_j = np.zeros(k, dtype=np.int64)
-    answer = np.full(k, -1, dtype=np.int8)
-    for idx, out in enumerate(outcomes):
-        if out is not None:
-            pair_i[idx], pair_j[idx], answer[idx] = out["i"], out["j"], out["b"]
-    return pair_i, pair_j, answer
+    where the outcome was lost.  A field that is not an integer raises
+    TypeError, one out of range OverflowError."""
+    rows = [_LOST if out is None else out for out in outcomes]
+    return (wire_ints([out["i"] for out in rows], "i"), wire_ints([out["j"] for out in rows], "j"),
+            wire_ints([out["b"] for out in rows], "b", np.int8))
 
 
 @dataclass
@@ -273,13 +291,11 @@ class VerificationTranscript:
     @classmethod
     def from_dict(cls, obj: dict) -> "VerificationTranscript":
         triplets = obj["triplets"]
-        positions = np.zeros(len(triplets), dtype=np.int64)
-        alpha = np.zeros(len(triplets), dtype=np.int64)
-        for idx, t in enumerate(triplets):
-            positions[idx], alpha[idx] = t["i"], t["alpha"]
+        positions = wire_ints([t["i"] for t in triplets], "i")
+        alpha = wire_ints([t["alpha"] for t in triplets], "alpha")
         pair_i, pair_j, answer = decode_outcomes([t["outcome"] for t in triplets])
         return cls(
-            coin_id=obj["coin_id"], l=int(obj["l"]), positions=positions,
+            coin_id=obj["coin_id"], l=wire_int(obj["l"], "l"), positions=positions,
             alpha=alpha, pair_i=pair_i, pair_j=pair_j, answer=answer,
         )
 
@@ -336,7 +352,8 @@ def _pair_to_alpha(n: int) -> np.ndarray:
 
 
 def secret_bits(key: bytes, positions: np.ndarray, n: int) -> np.ndarray:
-    """The n secret bits of each position, shape (len(positions), n), uint8.
+    """The n secret bits of each position, shape (len(positions), n), uint8,
+    read-only.
 
     Position i's secret is the first n bits of BLAKE2b keyed with `key`,
     with a digest of ceil(n/8) bytes, over i as 8 little-endian bytes: a
@@ -344,16 +361,29 @@ def secret_bits(key: bytes, positions: np.ndarray, n: int) -> np.ndarray:
     samples and the bank stores only the key.  The key is absorbed once per
     call; each position then costs one copy of that state and one
     compression.
+
+    The last two derivations are remembered, keyed on the key, the
+    positions and n.  A round derives its present positions once, in
+    `measure_positions`, and the bank's own call in `bank_check` finds them
+    there; two entries cover two clients interleaving measure and verify on
+    one server.  The result is shared, hence read-only.
     """
+    return _derive_secrets(key, np.asarray(positions, dtype="<i8").tobytes(), n)
+
+
+@lru_cache(maxsize=2)
+def _derive_secrets(key: bytes, positions: bytes, n: int) -> np.ndarray:
     width = (n + 7) // 8
     keyed = hashlib.blake2b(key=key, digest_size=width).copy
     digests = []
-    for p in np.asarray(positions).tolist():
+    for p in np.frombuffer(positions, dtype="<i8").tolist():
         h = keyed()
         h.update(p.to_bytes(8, "little"))
         digests.append(h.digest())
     raw = b"".join(digests)
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, width), axis=1, count=n)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, width), axis=1, count=n)
+    bits.flags.writeable = False
+    return bits
 
 
 def pair_parities(key: bytes, n: int, positions: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray) -> np.ndarray:
@@ -433,27 +463,29 @@ def measure_positions(
         err_prob[kinds == PositionKind.FORGED] = coin.forged_error if coin.forged_error is not None else 0.0
 
     nodes = pairs_arr[alphas - 1, pair_pick]
-    bits = secret_bits(key, positions, n)
-    rows = np.arange(k)
-    parity = bits[rows, nodes[:, 0] - 1] ^ bits[rows, nodes[:, 1] - 1]
-    errors = u_err < err_prob
-    answer = (parity ^ errors).astype(np.int8)
     present = (u_loss < eta) & (kinds != PositionKind.ABSENT)
+    errors = (u_err < err_prob) & present
+    # Only present positions are derived: the same call bank_check makes.
+    at = np.flatnonzero(present)
+    bits = secret_bits(key, positions[at], n)
+    rows = np.arange(len(at))
+    answer = np.full(k, -1, dtype=np.int8)
+    answer[at] = bits[rows, nodes[at, 0] - 1] ^ bits[rows, nodes[at, 1] - 1] ^ errors[at]
 
     if coin.custom_channel is not None:
         mset = matching_set(n)
-        for idx in np.flatnonzero(present & (kinds == PositionKind.FORGED)):
-            x = BitString(tuple(bits[idx].tolist()))
+        for row in np.flatnonzero(kinds[at] == PositionKind.FORGED):
+            idx = at[row]
+            x = BitString(tuple(bits[row].tolist()))
             rho = coin.custom_channel(hidden_matching_state(x), rng)
             out = measure_matching(rho, mset.matching(int(alphas[idx])), rng)
             nodes[idx, 0], nodes[idx, 1] = out.i, out.j
             answer[idx] = out.b
-            errors[idx] = out.b != bits[idx, out.i - 1] ^ bits[idx, out.j - 1]
+            errors[idx] = out.b != bits[row, out.i - 1] ^ bits[row, out.j - 1]
 
     pair_i = np.where(present, nodes[:, 0], 0)
     pair_j = np.where(present, nodes[:, 1], 0)
-    answer = np.where(present, answer, np.int8(-1)).astype(np.int8)
-    return pair_i, pair_j, answer, errors & present
+    return pair_i, pair_j, answer, errors
 
 
 def holder_verify(
@@ -481,19 +513,23 @@ def holder_verify(
 def _plan_round(coin: Coin, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
     """Draw the sample, the bases and the measurement seed, consuming the
     sample: uniform draws from [0, q) minus the masked range, rejecting
-    consumed positions."""
+    consumed positions.  Each batch draws the positions still missing and
+    keeps, in draw order, the first occurrence of each one not consumed
+    before; the rng calls and the sample are those of taking the draws one
+    by one."""
     if coin.unused() < coin.l:
         raise InsufficientPositionsError(
             f"coin has {coin.unused()} unused positions, verification needs {coin.l}"
         )
     sample: list[int] = []
     while len(sample) < coin.l:
-        for v in rng.integers(0, coin.q - len(coin.masked), size=coin.l - len(sample)).tolist():
-            if v >= coin.masked.start:
-                v += len(coin.masked)
-            if v not in coin.consumed:
-                coin.consumed.add(v)
-                sample.append(v)
+        draw = rng.integers(0, coin.q - len(coin.masked), size=coin.l - len(sample))
+        draw[draw >= coin.masked.start] += len(coin.masked)
+        fresh = dict.fromkeys(draw.tolist())  # first occurrences, in draw order
+        taken = coin.consumed.intersection(fresh)
+        fresh = [v for v in fresh if v not in taken] if taken else list(fresh)
+        coin.consumed.update(fresh)
+        sample += fresh
     alphas = rng.integers(1, coin.n, size=coin.l)
     measure_seed = int(rng.integers(0, 2**63))
     return np.array(sample, dtype=np.int64), alphas, measure_seed
@@ -559,7 +595,7 @@ def _structural_violation(db: BankDatabase, transcript: VerificationTranscript) 
     pos = transcript.positions
     if len(pos) != db.l or transcript.l != db.l:
         return "wrong_sample_size"
-    if len(np.unique(pos)) != len(pos):
+    if np.any(np.diff(np.sort(pos)) == 0):
         return "duplicate_position"
     if np.any(pos < 0) or np.any(pos >= db.q):
         return "position_out_of_range"

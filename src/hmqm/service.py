@@ -53,6 +53,8 @@ from .protocol import (
     decode_outcomes,
     encode_outcomes,
     measure_positions,
+    wire_int,
+    wire_ints,
     _finish_round,
     _plan_round,
 )
@@ -66,6 +68,10 @@ JOURNAL_FORMAT = 2
 
 class ServiceError(Exception):
     pass
+
+
+class ErrorReply(ServiceError):
+    """The bank refused a request with an error reply; the connection is fine."""
 
 
 class JournalCorruptError(ServiceError):
@@ -269,9 +275,9 @@ class BankService:
             return _error(request_id, "bad_request", str(exc))
 
     def _handle_mint(self, request: dict) -> dict:
-        n, q, l = int(request["n"]), int(request["q"]), int(request["l"])
+        n, q, l = (wire_int(request[name], name) for name in ("n", "q", "l"))
         seed = request.get("seed")
-        rng = np.random.default_rng(None if seed is None else int(seed))
+        rng = np.random.default_rng(None if seed is None else wire_int(seed, "seed"))
         _, db = bank_mint(n, q, l, rng)
         coin = {"coin_id": db.coin_id, "n": n, "q": q, "l": l, "T": db.T}
         with self._coins_lock:
@@ -293,9 +299,8 @@ class BankService:
 
     def _handle_measure(self, request: dict) -> dict:
         db, _ = self._coin(request["coin_id"])
-        positions = np.asarray(request["positions"], dtype=np.int64)
-        alphas = np.asarray(request["alphas"], dtype=np.int64)
-        if positions.ndim != 1 or positions.shape != alphas.shape:
+        positions, alphas = (wire_ints(request[name], name) for name in ("positions", "alphas"))
+        if positions.shape != alphas.shape:
             raise ValueError("positions and alphas must be equal-length lists")
         if np.any(positions < 0) or np.any(positions >= db.q):
             raise ValueError("position out of range")
@@ -308,7 +313,7 @@ class BankService:
         view = Coin.fresh(db.coin_id, db.n, db.q, db.l, db.T)
         pair_i, pair_j, answer, _ = measure_positions(
             db.key, view, positions, alphas, beta, eta,
-            np.random.default_rng(int(request["seed"])),
+            np.random.default_rng(wire_int(request["seed"], "seed")),
         )
         return {"type": "measure_ok", "request_id": request.get("request_id"),
                 "outcomes": encode_outcomes(pair_i, pair_j, answer)}
@@ -368,7 +373,7 @@ class BankClient:
         if response.get("request_id") != request["request_id"]:
             raise ServiceError("response does not match the request")
         if response.get("type") == "error":
-            raise ServiceError(f"{response.get('code')}: {response.get('message')}")
+            raise ErrorReply(f"{response.get('code')}: {response.get('message')}")
         return response
 
     def mint(self, n: int, q: int, l: int, seed: int | None = None) -> Coin:

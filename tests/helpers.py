@@ -2,7 +2,8 @@
 
 Everything here recomputes quantities by a route independent of the package:
 explicit projectors instead of closed forms, exhaustive sums instead of
-algebraic shortcuts.  Tests compare package output against these.
+algebraic shortcuts, single draws instead of batches.  Tests compare package
+output against these.  `Blake2bCounter` counts the package's hashing work.
 """
 
 import math
@@ -10,6 +11,7 @@ from itertools import product
 
 import numpy as np
 
+from hmqm import protocol
 from hmqm.qrg import BitString, DensityMatrix
 
 
@@ -84,3 +86,41 @@ def binomial_tail_below(k: int, trials: int, p: float) -> float:
         )
         total += math.exp(log_pmf)
     return min(total, 1.0)
+
+
+def plan_round_reference(coin, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
+    """`protocol._plan_round` as a loop over single draws: each draw is
+    shifted past the masked range and taken unless already consumed."""
+    sample: list[int] = []
+    while len(sample) < coin.l:
+        for v in rng.integers(0, coin.q - len(coin.masked), size=coin.l - len(sample)).tolist():
+            if v >= coin.masked.start:
+                v += len(coin.masked)
+            if v not in coin.consumed:
+                coin.consumed.add(v)
+                sample.append(v)
+    alphas = rng.integers(1, coin.n, size=coin.l)
+    measure_seed = int(rng.integers(0, 2**63))
+    return np.array(sample, dtype=np.int64), alphas, measure_seed
+
+
+class Blake2bCounter:
+    """Counts the positions `secret_bits` hashes: each one is a copy of the
+    keyed state."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        real = protocol.hashlib.blake2b
+
+        def blake2b(*args, **kwargs):
+            keyed = real(*args, **kwargs)
+            counter = self
+
+            class Counted:
+                def copy(self):
+                    counter.count += 1
+                    return keyed.copy()
+
+            return Counted()
+
+        monkeypatch.setattr(protocol.hashlib, "blake2b", blake2b)

@@ -174,7 +174,7 @@ def test_criterion_08_lossy_variant():
     flags = np.zeros(q, dtype=np.uint8)
     flags[: int(gamma * q)] = 1
     rng = np.random.default_rng(0x1056)
-    hide_abort = loss_hiding_weight_check(flags, l, eta, epsilon, trials, rng)
+    hide_abort = loss_hiding_weight_check(flags, l, VerdictParameters.from_noise(8, 0.1, eta, epsilon), trials, rng)
     no_abort_bound = math.exp(-2.0 * (epsilon**2 / eta**2) * l) + math.exp(-2.0 * l * epsilon**2)
     sigma = math.sqrt(no_abort_bound * (1 - no_abort_bound) / trials)
     no_abort_freq = 1.0 - hide_abort

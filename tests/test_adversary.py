@@ -178,10 +178,16 @@ def test_every_builtin_stays_below_the_bound(n, name):
     assert outcome.both_accept_rate <= bound + stat
 
 
+def abort_policy(eta, epsilon):
+    """A policy whose abort rule is l' < (eta - epsilon) * l; c and delta
+    play no part in the weight check."""
+    return VerdictParameters(c=0.9, delta=0.1, eta=eta, epsilon=epsilon)
+
+
 def test_loss_hiding_weight_check_full_register():
     rng = np.random.default_rng(36)
     q, l, eta, epsilon = 100_000, 1000, 0.6, 0.02
-    freq = loss_hiding_weight_check(np.ones(q, dtype=np.uint8), l, eta, epsilon, 20_000, rng)
+    freq = loss_hiding_weight_check(np.ones(q, dtype=np.uint8), l, abort_policy(eta, epsilon), 20_000, rng)
     exact = binomial_tail_below(580, l, eta)  # (eta - epsilon) * l = 580
     sigma = math.sqrt(exact * (1 - exact) / 20_000)
     assert abs(freq - exact) <= 3 * sigma
@@ -193,7 +199,7 @@ def test_loss_hiding_weight_check_at_gamma():
     gamma = 1.0 - 3.0 * epsilon / eta  # heaviest register losses can explain
     flags = np.zeros(q, dtype=np.uint8)
     flags[: int(gamma * q)] = 1
-    abort_freq = loss_hiding_weight_check(flags, l, eta, epsilon, 20_000, rng)
+    abort_freq = loss_hiding_weight_check(flags, l, abort_policy(eta, epsilon), 20_000, rng)
     no_abort_bound = math.exp(-2.0 * (epsilon**2 / eta**2) * l) + math.exp(-2.0 * l * epsilon**2)
     sigma = math.sqrt(max(no_abort_bound * (1 - no_abort_bound), 1e-12) / 20_000)
     assert 1.0 - abort_freq <= no_abort_bound + 3 * sigma
@@ -206,16 +212,16 @@ def test_loss_hiding_abort_grows_with_hidden_weight():
     for w in (0.96, 0.92, 0.88):
         flags = np.zeros(q, dtype=np.uint8)
         flags[: int(w * q)] = 1
-        freqs.append(loss_hiding_weight_check(flags, l, eta, epsilon, 20_000, rng))
+        freqs.append(loss_hiding_weight_check(flags, l, abort_policy(eta, epsilon), 20_000, rng))
     assert freqs[0] < freqs[1] < freqs[2]
 
 
 def test_loss_hiding_weight_check_guards():
     rng = np.random.default_rng(39)
     with pytest.raises(ValueError):
-        loss_hiding_weight_check(np.ones(10), 0, 0.6, 0.05, 10, rng)
+        loss_hiding_weight_check(np.ones(10), 0, abort_policy(0.6, 0.05), 10, rng)
     with pytest.raises(ValueError):
-        loss_hiding_weight_check(np.ones(10), 11, 0.6, 0.05, 10, rng)
+        loss_hiding_weight_check(np.ones(10), 11, abort_policy(0.6, 0.05), 10, rng)
 
 
 def test_forge_outcome_serialization(capsys):

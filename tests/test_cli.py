@@ -277,6 +277,25 @@ def test_verify_against_live_service(tmp_path, capsys):
         svc.stop()
 
 
+def test_verify_mints_unseeded_unless_asked(tmp_path, capsys):
+    svc = BankService(journal_path=str(tmp_path / "j.ndjson"))
+    svc.start()
+    try:
+        connect = ["verify", "--connect", "{}:{}".format(*svc.address), "--q", "10000", "--l", "10"]
+        for _ in range(2):
+            code, out, err = run_cli(capsys, *connect)
+            assert (code, err) == (0, "")
+            assert json.loads(out)["verdict"] == "valid"
+        assert len(svc.coins) == 2
+        assert run_cli(capsys, *connect, "--seed", "3")[0] == 0
+        # The bank refuses a seed it has minted: a refused request, not an I/O failure.
+        code, _, err = run_cli(capsys, *connect, "--seed", "3")
+        assert code == 2
+        assert err.startswith("error: bad_request: coin ") and "already exists" in err
+    finally:
+        svc.stop()
+
+
 def test_verify_connection_refused(capsys):
     code, _, err = run_cli(capsys, "verify", "--connect", "127.0.0.1:1")
     assert code == 4

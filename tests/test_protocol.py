@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import Blake2bCounter, plan_round_reference
 from hmqm import bounds
 from hmqm.protocol import (
     CheckResult,
@@ -230,6 +231,18 @@ def test_structural_violations():
 
     check(wrong_matching, "pair_not_in_matching")
     assert db.s == 7
+
+
+def test_duplicate_positions_are_found_anywhere_in_the_sample():
+    rng = np.random.default_rng(30)
+    _, db = bank_mint(4, 20_000, 10, rng)  # T = 2
+    t = make_transcript(db, 10, l=10)
+    order = rng.permutation(10)
+    for name in ("positions", "alpha", "pair_i", "pair_j", "answer"):
+        setattr(t, name, getattr(t, name)[order])
+    assert bank_check(db, t, make_params()).valid
+    t.positions[9] = t.positions[0]
+    assert bank_check(db, t, make_params()).code == "duplicate_position"
 
 
 def test_bank_judges_the_sample_size_from_its_record():
@@ -524,6 +537,61 @@ def test_sample_without_replacement():
     assert coin.unused() == 0
     with pytest.raises(InsufficientPositionsError):
         _plan_round(coin, rng)
+
+
+def test_plan_round_matches_the_reference_loop():
+    # Batched draws take the same rng calls and the same sample as taking
+    # the draws one by one: with a masked range, positions consumed before,
+    # and a q small enough that one draw repeats positions.
+    for seed, (q, l, masked, consumed) in enumerate([
+        (60, 20, range(10, 25), set(range(0, 60, 7))),
+        (1000, 300, range(0), {5, 6, 7, 999}),
+        (10_000, 2000, range(2000, 6000), set(range(6000, 7000))),
+    ]):
+        coin = Coin.fresh("c", 4, q, l, 1)
+        coin.masked, coin.consumed = masked, set(consumed)
+        twin = copy.deepcopy(coin)
+        rng, twin_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        while coin.unused() >= l:
+            sample, alphas, measure_seed = _plan_round(coin, rng)
+            ref_sample, ref_alphas, ref_seed = plan_round_reference(twin, twin_rng)
+            assert sample.dtype == np.int64
+            assert sample.tolist() == ref_sample.tolist()
+            assert alphas.tolist() == ref_alphas.tolist() and measure_seed == ref_seed
+            assert coin.consumed == twin.consumed
+        assert rng.integers(0, 2**63) == twin_rng.integers(0, 2**63)
+
+
+def test_a_round_hashes_each_present_position_once(monkeypatch):
+    counter = Blake2bCounter(monkeypatch)
+    rng = np.random.default_rng(29)
+    coin, db = bank_mint(8, 2_000_000, 1000, rng)  # T = 2
+    outcome = holder_verify(coin, db, VerdictParameters.from_noise(8, 0.0), HonestChannel(0.0), rng)
+    assert outcome.verdict is Verdict.VALID
+    assert counter.count == 1000
+    counter.count = 0
+    params = VerdictParameters.from_noise(8, 0.0, 0.9, 0.05)
+    outcome = holder_verify(coin, db, params, HonestChannel(0.0), rng)
+    assert outcome.verdict is Verdict.VALID and outcome.check.l_prime < 1000
+    assert counter.count == outcome.check.l_prime
+    # Two rounds interleaved, as two clients of one server: measure both,
+    # then check both.
+    counter.count = 0
+    transcripts = []
+    for coin, db in (bank_mint(8, 1_000_000, 1000, rng) for _ in range(2)):
+        sample, alphas, seed = _plan_round(coin, rng)
+        *outcomes, _ = measure_positions(db.key, coin, sample, alphas, 0.0, 1.0, np.random.default_rng(seed))
+        transcripts.append((db, VerificationTranscript(coin.coin_id, coin.l, sample, alphas, *outcomes)))
+    for db, transcript in transcripts:
+        assert bank_check(db, transcript, VerdictParameters.from_noise(8, 0.0)).valid
+    assert counter.count == 2000
+
+
+def test_secret_bits_are_read_only():
+    bits = secret_bits(bytes(16), np.arange(4), 8)
+    with pytest.raises(ValueError):
+        bits[0, 0] ^= 1
+    assert secret_bits(bytes(16), np.arange(4), 8).tolist() == bits.tolist()
 
 
 def test_check_result_serialization():

@@ -8,6 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
+from helpers import Blake2bCounter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -223,7 +224,43 @@ def test_measure_request_validation(service):
     resp = raw_call(service.address, {"type": "verify", "transcript": transcript,
                                       "params": {"c": 0.9, "delta": 0.1}, "request_id": "i"})
     assert (resp["type"], resp["code"], resp["request_id"]) == ("error", "bad_request", "i")
+    # Integer fields are type-checked, not converted: 1.5, "3" and true are
+    # refused wherever an integer belongs, and no check is charged.
+    good_triplet = {"i": 0, "alpha": 1, "outcome": {"i": 1, "j": 2, "b": 0}}
+    for bad in (1.5, "3", True):
+        mints = [{"n": bad, "q": 10_000, "l": 10}, {"n": 4, "q": bad, "l": 10},
+                 {"n": 4, "q": 10_000, "l": bad}, {"n": 4, "q": 10_000, "l": 10, "seed": bad}]
+        for mint in mints:
+            resp = raw_call(service.address, dict(mint, type="mint", request_id="t"))
+            assert (resp["type"], resp["code"]) == ("error", "bad_request"), mint
+        for field, value in (("positions", [bad]), ("alphas", [bad]), ("seed", bad)):
+            request = dict(base, positions=[0], alphas=[1], request_id="u")
+            request[field] = value
+            resp = raw_call(service.address, request)
+            assert (resp["type"], resp["code"]) == ("error", "bad_request"), (field, bad)
+        transcripts = [
+            {"l": bad, "triplets": [good_triplet]},
+            {"l": 10, "triplets": [dict(good_triplet, i=bad)]},
+            {"l": 10, "triplets": [dict(good_triplet, alpha=bad)]},
+        ] + [{"l": 10, "triplets": [dict(good_triplet, outcome=dict(good_triplet["outcome"], **{f: bad}))]}
+             for f in ("i", "j", "b")]
+        for transcript in transcripts:
+            resp = raw_call(service.address, {"type": "verify", "request_id": "v",
+                                              "transcript": dict(transcript, coin_id=coin.coin_id),
+                                              "params": {"c": 0.9, "delta": 0.1}})
+            assert (resp["type"], resp["code"]) == ("error", "bad_request"), transcript
+    assert len(service.coins) == 1
     assert service.coins[coin.coin_id].s == 0
+
+
+def test_a_wire_round_hashes_each_position_once_on_the_server(service, monkeypatch):
+    with BankClient(*service.address) as client:
+        coin = client.mint(8, 200_000, 200, seed=41)
+    counter = Blake2bCounter(monkeypatch)
+    params = VerdictParameters.from_noise(8, 0.0)
+    outcome = client_verify(service.address, coin, params, HonestChannel(0.0), np.random.default_rng(42))
+    assert outcome.verdict is Verdict.VALID
+    assert counter.count == 200
 
 
 def test_minting_a_seed_again_is_refused(service):
