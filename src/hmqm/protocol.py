@@ -2,10 +2,11 @@
 
 A coin is q positions, each hiding an n-bit secret known only to the bank,
 which stores a 16-byte key per coin and derives secrets from it on demand
-with keyed BLAKE2b, a pseudorandom function of the position.  A round
-derives the secrets of its present positions once: `secret_bits` remembers
-its last two derivations, so the bank's check reads the ones the
-measurement made.  The holder verifies by sampling l unused positions,
+with AES-128 in counter form, a pseudorandom function of the position.  A
+round derives the secrets of its present positions once, in one
+AES-128-ECB call through the libcrypto that `hashlib` already loads, and
+`secret_bits` remembers its last two derivations, so the bank's check reads
+the ones the measurement made.  The holder verifies by sampling l unused positions,
 measuring each in a random matching basis, and sending the claimed parities
 to the bank, which accepts when the correct fraction clears c - delta.  The
 bank allows at most T = q // (1000 l) checks per coin, and grades a
@@ -32,7 +33,7 @@ inside `measure_positions`.  A remote client makes the same draws and ships
 the seed, so the service reproduces outcomes bit for bit.
 """
 
-import hashlib
+import ctypes
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum, Enum
@@ -232,6 +233,14 @@ def wire_int(value, name: str) -> int:
     return value
 
 
+def wire_float(value, name: str) -> float:
+    """A real-valued field read from the wire, which must be a JSON number:
+    "0.1" and true raise TypeError instead of being converted."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def wire_ints(values: list, name: str, dtype=np.int64) -> np.ndarray:
     """A list of integer fields as an array.  Raises TypeError unless values
     is a list of integers (1.5, "3" and true are refused, not converted) and
@@ -351,16 +360,87 @@ def _pair_to_alpha(n: int) -> np.ndarray:
     return table
 
 
+_EVP_SYMBOLS = (
+    "EVP_CIPHER_CTX_new", "EVP_aes_128_ecb", "EVP_EncryptInit_ex",
+    "EVP_CIPHER_CTX_set_padding", "EVP_EncryptUpdate", "EVP_CIPHER_CTX_free",
+)
+# EVP_EncryptUpdate takes an int length: longer inputs go in chunks this
+# size, the largest whole number of 16-byte blocks below 2^31.
+_EVP_MAX_CHUNK = (2**31 - 1) // 16 * 16
+
+
+def _bind_libcrypto():
+    """The EVP calls of AES-128-ECB, bound with ctypes from the libcrypto
+    that CPython's `_hashlib` links (OpenSSL 1.1.1 or later, PEP 644).
+    There is no fallback: without them the secrets cannot be derived."""
+    try:
+        import _hashlib
+
+        lib = ctypes.CDLL(_hashlib.__file__)
+        evp = {name: getattr(lib, name) for name in _EVP_SYMBOLS}
+    except (ImportError, OSError, AttributeError) as exc:
+        raise ImportError(
+            f"hmqm derives coin secrets with AES-128 and needs {', '.join(_EVP_SYMBOLS)} "
+            f"from the libcrypto that _hashlib links: {exc}"
+        ) from exc
+    p, i = ctypes.c_void_p, ctypes.c_int
+    for name, restype, argtypes in (
+        ("EVP_CIPHER_CTX_new", p, []),
+        ("EVP_aes_128_ecb", p, []),
+        ("EVP_EncryptInit_ex", i, [p, p, p, ctypes.c_char_p, ctypes.c_char_p]),
+        ("EVP_CIPHER_CTX_set_padding", i, [p, i]),
+        ("EVP_EncryptUpdate", i, [p, p, ctypes.POINTER(i), p, i]),
+        ("EVP_CIPHER_CTX_free", None, [p]),
+    ):
+        evp[name].restype, evp[name].argtypes = restype, argtypes
+    return evp
+
+
+_EVP = _bind_libcrypto()
+
+
+def _aes128_ecb(key: bytes, plaintext) -> np.ndarray:
+    """AES-128 under `key` of each 16-byte block of `plaintext`, a writable
+    contiguous buffer (an array or a bytearray), as a uint8 array.  A fresh
+    cipher context per call, so threads may call it at once."""
+    if len(key) != KEY_BYTES:
+        raise ValueError(f"AES-128 needs a {KEY_BYTES}-byte key, got {len(key)} bytes")
+    size = memoryview(plaintext).nbytes
+    if size % 16:
+        raise ValueError(f"plaintext of {size} bytes is not whole 16-byte blocks")
+    out = np.empty(size, dtype=np.uint8)
+    src, dst = ((ctypes.c_char * size).from_buffer(buf) for buf in (plaintext, out))
+    ctx = _EVP["EVP_CIPHER_CTX_new"]()
+    if not ctx:
+        raise MemoryError("EVP_CIPHER_CTX_new failed")
+    try:
+        if _EVP["EVP_EncryptInit_ex"](ctx, _EVP["EVP_aes_128_ecb"](), None, key, None) != 1:
+            raise RuntimeError("EVP_EncryptInit_ex failed")
+        if _EVP["EVP_CIPHER_CTX_set_padding"](ctx, 0) != 1:
+            raise RuntimeError("EVP_CIPHER_CTX_set_padding failed")
+        written = ctypes.c_int()
+        for start in range(0, size, _EVP_MAX_CHUNK):
+            chunk = min(_EVP_MAX_CHUNK, size - start)
+            ok = _EVP["EVP_EncryptUpdate"](ctx, ctypes.byref(dst, start), ctypes.byref(written),
+                                           ctypes.byref(src, start), chunk)
+            if ok != 1 or written.value != chunk:
+                raise RuntimeError(f"EVP_EncryptUpdate wrote {written.value} of {chunk} bytes")
+    finally:
+        _EVP["EVP_CIPHER_CTX_free"](ctx)
+    return out
+
+
 def secret_bits(key: bytes, positions: np.ndarray, n: int) -> np.ndarray:
     """The n secret bits of each position, shape (len(positions), n), uint8,
     read-only.
 
-    Position i's secret is the first n bits of BLAKE2b keyed with `key`,
-    with a digest of ceil(n/8) bytes, over i as 8 little-endian bytes: a
-    keyed pseudorandom function of the position, so a round costs what it
-    samples and the bank stores only the key.  The key is absorbed once per
-    call; each position then costs one copy of that state and one
-    compression.
+    Position i's secret is the first n bits of AES-128 under `key` of the
+    blocks i || w, for w = 0 .. ceil(n/128) - 1, each of i and w as 8
+    little-endian bytes: AES in counter form, a keyed pseudorandom function
+    of the position, so a round costs what it samples and the bank stores
+    only the key.  Every block of a call is encrypted in one AES-128-ECB
+    call, so one call costs about as much at l = 20 as a Python loop over a
+    handful of positions, and little more at l = 2000.
 
     The last two derivations are remembered, keyed on the key, the
     positions and n.  A round derives its present positions once, in
@@ -373,15 +453,12 @@ def secret_bits(key: bytes, positions: np.ndarray, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=2)
 def _derive_secrets(key: bytes, positions: bytes, n: int) -> np.ndarray:
-    width = (n + 7) // 8
-    keyed = hashlib.blake2b(key=key, digest_size=width).copy
-    digests = []
-    for p in np.frombuffer(positions, dtype="<i8").tolist():
-        h = keyed()
-        h.update(p.to_bytes(8, "little"))
-        digests.append(h.digest())
-    raw = b"".join(digests)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, width), axis=1, count=n)
+    words = -(-n // 128)
+    blocks = np.empty((len(positions) // 8, words, 2), dtype="<u8")
+    blocks[:, :, 0] = np.frombuffer(positions, dtype="<u8")[:, None]
+    blocks[:, :, 1] = np.arange(words)
+    stream = _aes128_ecb(key, blocks).reshape(-1, 16 * words)
+    bits = np.unpackbits(stream, axis=1, count=n)
     bits.flags.writeable = False
     return bits
 

@@ -19,16 +19,21 @@ rule and the verdict are protocol's own.
 State is durable: every mint and every check-counter increment is appended
 to a newline-delimited JSON journal and fsynced before the response is
 sent.  A mint record carries the coin's parameters, its secret key in hex
-and `"format": 2` (JOURNAL_FORMAT: secrets are keyed BLAKE2b of the
-position), a check record the new counter value.  On startup the journal is
-replayed; a malformed line aborts startup with its byte offset.  That
-includes a mint record without a key, a coin shape `bank_mint` would refuse,
-a second mint record of one coin, a check counter outside [1, T], and a
-mint record of any other format: journals written with SHAKE-256 secrets
-(format 1, which had no format field) are refused, not migrated.
+and `"format": 3` (JOURNAL_FORMAT: secrets are AES-128 of the position and
+a block counter under the key), a check record the new counter value.  On
+startup the journal is replayed.  A final line without its newline can only
+be an append cut short by a crash, before its fsync and before any reply,
+so replay truncates the file to its last newline and logs that it did.  Any
+other malformed line aborts startup with its byte offset.  That includes a
+mint record without a key, a coin shape `bank_mint` would refuse, a second
+mint record of one coin, a check counter outside [1, T], and a mint record
+of any other format: journals written with SHAKE-256 secrets (format 1,
+which had no format field) or keyed BLAKE2b secrets (format 2) are refused,
+not migrated.
 """
 
 import json
+import logging
 import os
 import socket
 import struct
@@ -53,6 +58,7 @@ from .protocol import (
     decode_outcomes,
     encode_outcomes,
     measure_positions,
+    wire_float,
     wire_int,
     wire_ints,
     _finish_round,
@@ -62,8 +68,11 @@ from .protocol import (
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 DATA_ENV_VAR = "HMQM_DATA"
 DEFAULT_JOURNAL = "hmqm-journal.ndjson"
-# The key-to-secret map of mint records; format 1 was SHAKE-256(key || i).
-JOURNAL_FORMAT = 2
+# The key-to-secret map of mint records: AES-128_key(i || w), w counting
+# 128-bit blocks.  Format 1 was SHAKE-256(key || i), format 2 keyed BLAKE2b.
+JOURNAL_FORMAT = 3
+
+log = logging.getLogger(__name__)
 
 
 class ServiceError(Exception):
@@ -140,7 +149,11 @@ class Journal:
 
     @staticmethod
     def replay(path: str) -> dict[str, BankDatabase]:
-        """Rebuild the coin table from the journal; strict about every line."""
+        """Rebuild the coin table from the journal; strict about every line.
+
+        An unterminated final line is cut off the file: it is an append a
+        crash interrupted before its fsync, so no reply ever reported it,
+        and left in place the next append would glue onto it."""
         coins: dict[str, BankDatabase] = {}
         if not os.path.exists(path):
             return coins
@@ -150,7 +163,13 @@ class Journal:
         while offset < len(data):
             end = data.find(b"\n", offset)
             if end == -1:
-                raise JournalCorruptError(path, offset, "unterminated final line")
+                with open(path, "r+b") as fh:
+                    fh.truncate(offset)
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                log.warning("journal %s: cut an unterminated final line of %d bytes at byte %d",
+                            path, len(data) - offset, offset)
+                break
             line = data[offset:end]
             try:
                 record = json.loads(line.decode("utf-8"))
@@ -172,7 +191,8 @@ def _apply_record(coins: dict[str, BankDatabase], record: dict) -> None:
         if record.get("format") != JOURNAL_FORMAT:
             raise ValueError(
                 f"mint record of format {record.get('format')!r}, this bank reads format "
-                f"{JOURNAL_FORMAT} (keyed BLAKE2b secrets); format 1 (SHAKE-256 secrets) is not supported"
+                f"{JOURNAL_FORMAT} (AES-128 secrets); format 1 (SHAKE-256 secrets) and "
+                "format 2 (keyed BLAKE2b secrets) are not supported"
             )
         key = bytes.fromhex(record["key"])
         if len(key) != KEY_BYTES:
@@ -306,8 +326,8 @@ class BankService:
             raise ValueError("position out of range")
         if np.any(alphas < 1) or np.any(alphas > db.n - 1):
             raise ValueError("alpha out of range")
-        beta = HonestChannel(float(request["beta"])).beta
-        eta = float(request["eta"])
+        beta = HonestChannel(wire_float(request["beta"], "beta")).beta
+        eta = wire_float(request["eta"], "eta")
         if not 0.0 < eta <= 1.0:
             raise ValueError(f"eta must be in (0, 1], got {eta}")
         view = Coin.fresh(db.coin_id, db.n, db.q, db.l, db.T)
@@ -322,8 +342,8 @@ class BankService:
         transcript = VerificationTranscript.from_dict(request["transcript"])
         p = request["params"]
         params = VerdictParameters(
-            c=float(p["c"]), delta=float(p["delta"]),
-            eta=float(p.get("eta", 1.0)), epsilon=float(p.get("epsilon", 0.0)),
+            c=wire_float(p["c"], "c"), delta=wire_float(p["delta"], "delta"),
+            eta=wire_float(p.get("eta", 1.0), "eta"), epsilon=wire_float(p.get("epsilon", 0.0), "epsilon"),
         )
         db, lock = self._coin(transcript.coin_id)
         with lock:

@@ -3,7 +3,7 @@
 Everything here recomputes quantities by a route independent of the package:
 explicit projectors instead of closed forms, exhaustive sums instead of
 algebraic shortcuts, single draws instead of batches.  Tests compare package
-output against these.  `Blake2bCounter` counts the package's hashing work.
+output against these.  `AesBlockCounter` counts the package's derivation work.
 """
 
 import math
@@ -104,23 +104,16 @@ def plan_round_reference(coin, rng: np.random.Generator) -> tuple[np.ndarray, np
     return np.array(sample, dtype=np.int64), alphas, measure_seed
 
 
-class Blake2bCounter:
-    """Counts the positions `secret_bits` hashes: each one is a copy of the
-    keyed state."""
+class AesBlockCounter:
+    """Counts the AES blocks `secret_bits` encrypts: ceil(n/128) per derived
+    position."""
 
     def __init__(self, monkeypatch):
         self.count = 0
-        real = protocol.hashlib.blake2b
+        real = protocol._aes128_ecb
 
-        def blake2b(*args, **kwargs):
-            keyed = real(*args, **kwargs)
-            counter = self
+        def aes128_ecb(key, plaintext):
+            self.count += memoryview(plaintext).nbytes // 16
+            return real(key, plaintext)
 
-            class Counted:
-                def copy(self):
-                    counter.count += 1
-                    return keyed.copy()
-
-            return Counted()
-
-        monkeypatch.setattr(protocol.hashlib, "blake2b", blake2b)
+        monkeypatch.setattr(protocol, "_aes128_ecb", aes128_ecb)

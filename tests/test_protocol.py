@@ -1,12 +1,11 @@
 import copy
-import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from helpers import Blake2bCounter, plan_round_reference
-from hmqm import bounds
+from helpers import AesBlockCounter, plan_round_reference
+from hmqm import bounds, protocol
 from hmqm.protocol import (
     CheckResult,
     Coin,
@@ -24,6 +23,7 @@ from hmqm.protocol import (
     holder_verify,
     honest_fail_bound,
     lossy_fail_bounds,
+    _aes128_ecb,
     _plan_round,
     matching_set,
     measure_positions,
@@ -563,7 +563,7 @@ def test_plan_round_matches_the_reference_loop():
 
 
 def test_a_round_hashes_each_present_position_once(monkeypatch):
-    counter = Blake2bCounter(monkeypatch)
+    counter = AesBlockCounter(monkeypatch)
     rng = np.random.default_rng(29)
     coin, db = bank_mint(8, 2_000_000, 1000, rng)  # T = 2
     outcome = holder_verify(coin, db, VerdictParameters.from_noise(8, 0.0), HonestChannel(0.0), rng)
@@ -623,19 +623,37 @@ def test_secret_bits_are_keyed_and_position_local():
 
 
 def test_secret_bits_known_answer():
-    # Position i's secret is the first n bits of keyed BLAKE2b over i as 8
-    # little-endian bytes.  Any change to this map breaks every journal.
+    # The block function is AES-128: FIPS-197 appendix C.1.
+    block = _aes128_ecb(bytes(range(16)), bytearray.fromhex("00112233445566778899aabbccddeeff"))
+    assert block.tobytes().hex() == "69c4e0d86a7b0430d8cdb78070b4c55a"
+    # Position i's secret is the first n bits of AES-128 of i || 0, i || 1,
+    # ... (8 little-endian bytes each).  The streams below were computed
+    # once with an independent AES implementation; n = 130 and 256 reach the
+    # second block.  Any change to this map breaks every journal.
     key = bytes(range(100, 116))
-    positions = np.array([0, 1, 2**62], dtype=np.int64)
-    for n in (4, 8, 10, 256):
-        width = (n + 7) // 8
-        expected = [
-            [(byte >> (7 - b)) & 1
-             for byte in hashlib.blake2b(p.to_bytes(8, "little"), key=key, digest_size=width).digest()
-             for b in range(8)][:n]
-            for p in (0, 1, 2**62)
-        ]
+    streams = {
+        0: "96fdcddce74113713e1460d56096bbd6a3231de542a4fb5ec3d97e2bf439afd7",
+        1: "a790c8fcf950630a6389e3abf560c118461b42948c161be56183422f00e2f12d",
+        2**62: "f5f7508ac03f98bff827e68e187583a8682225838172080517cd1358d358890a",
+    }
+    positions = np.array(list(streams), dtype=np.int64)
+    for n in (4, 8, 10, 130, 256):
+        expected = [np.unpackbits(np.frombuffer(bytes.fromhex(h), dtype=np.uint8), count=n).tolist()
+                    for h in streams.values()]
         assert secret_bits(key, positions, n).tolist() == expected
+
+
+def test_aes_chunks_long_inputs_and_checks_its_arguments(monkeypatch):
+    key = bytes(range(16))
+    plaintext = np.arange(80, dtype=np.uint8)
+    whole = _aes128_ecb(key, plaintext)
+    monkeypatch.setattr(protocol, "_EVP_MAX_CHUNK", 32)  # three updates: 32, 32 and 16 bytes
+    assert _aes128_ecb(key, plaintext).tolist() == whole.tolist()
+    assert _aes128_ecb(key, bytearray(0)).size == 0
+    with pytest.raises(ValueError, match="16-byte key"):
+        _aes128_ecb(bytes(8), plaintext)
+    with pytest.raises(ValueError, match="whole 16-byte blocks"):
+        _aes128_ecb(key, plaintext[:24])
 
 
 def test_mint_rejects_positions_beyond_int64():

@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from helpers import Blake2bCounter
+from helpers import AesBlockCounter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,7 +124,7 @@ def test_mint_response_contains_no_secrets(service):
     with open(service.journal.path, "rb") as fh:
         record = json.loads(fh.readline())
     assert len(record["key"]) == 32  # the bank keeps it, the wire does not
-    assert record["format"] == JOURNAL_FORMAT == 2
+    assert record["format"] == JOURNAL_FORMAT == 3
 
 
 def test_malformed_frame_gets_bad_request_and_close(service):
@@ -212,6 +212,19 @@ def test_measure_request_validation(service):
         resp = raw_call(service.address, dict(base, positions=[0], alphas=[1], request_id="k",
                                               **{field: value}))
         assert (resp["type"], resp["code"]) == ("error", "bad_request"), (field, value)
+    # Real-valued fields must be JSON numbers: "0.1", true and "1" are
+    # refused, not converted, and no check is charged.
+    for bad in ("0.1", True, "1"):
+        for field in ("beta", "eta"):
+            resp = raw_call(service.address, dict(base, positions=[0], alphas=[1], request_id="w",
+                                                  **{field: bad}))
+            assert (resp["type"], resp["code"]) == ("error", "bad_request"), (field, bad)
+        for field in ("c", "delta", "eta", "epsilon"):
+            params = dict({"c": 0.9, "delta": 0.1}, **{field: bad})
+            transcript = {"coin_id": coin.coin_id, "l": 10, "triplets": []}
+            resp = raw_call(service.address, {"type": "verify", "transcript": transcript,
+                                              "params": params, "request_id": "x"})
+            assert (resp["type"], resp["code"]) == ("error", "bad_request"), (field, bad)
     # Parameters no round can pass with are refused before a check is charged.
     for params in ({"c": 0.9, "delta": math.nan}, {"c": 0.9, "delta": 0.1, "epsilon": math.nan}):
         transcript = {"coin_id": coin.coin_id, "l": 10, "triplets": []}
@@ -256,7 +269,7 @@ def test_measure_request_validation(service):
 def test_a_wire_round_hashes_each_position_once_on_the_server(service, monkeypatch):
     with BankClient(*service.address) as client:
         coin = client.mint(8, 200_000, 200, seed=41)
-    counter = Blake2bCounter(monkeypatch)
+    counter = AesBlockCounter(monkeypatch)
     params = VerdictParameters.from_noise(8, 0.0)
     outcome = client_verify(service.address, coin, params, HonestChannel(0.0), np.random.default_rng(42))
     assert outcome.verdict is Verdict.VALID
@@ -333,12 +346,16 @@ def test_journal_replay_restores_counter_and_secrets(tmp_path):
 def test_journal_corruption_is_refused(tmp_path):
     good = json.dumps({"event": "check", "coin_id": "c", "s": 1}, sort_keys=True)
 
+    # An unterminated final line is an append a crash cut short: it is cut
+    # off, not refused.  Damage before the last newline is refused.
     unterminated = tmp_path / "a.ndjson"
     unterminated.write_bytes(b'{"event": "mint"')
+    assert Journal.replay(str(unterminated)) == {}
+    assert unterminated.read_bytes() == b""
+    unterminated.write_bytes(b'{"event": "mint"\n' + (good + "\n").encode())
     with pytest.raises(JournalCorruptError) as exc_info:
         Journal.replay(str(unterminated))
     assert exc_info.value.offset == 0
-    assert "unterminated final line" in str(exc_info.value)
 
     bad_json = tmp_path / "b.ndjson"
     prefix = json.dumps({
@@ -405,14 +422,36 @@ def mint_record(**fields):
 
 
 def test_journal_refuses_other_formats(tmp_path):
-    # Format 1 records (SHAKE-256 secrets) had no format field; both they
-    # and an explicit format 1 are refused and named.
+    # Format 1 records (SHAKE-256 secrets) had no format field; they, an
+    # explicit format 1 and format 2 (keyed BLAKE2b secrets) are refused and
+    # named.
     path = tmp_path / "f.ndjson"
-    for fmt in (None, 1, 3, "2"):
+    for fmt in (None, 1, 2, "3"):
         path.write_text(mint_record(format=fmt))
-        with pytest.raises(JournalCorruptError, match="format 1 \\(SHAKE-256 secrets\\)") as exc_info:
+        with pytest.raises(JournalCorruptError) as exc_info:
             Journal.replay(str(path))
         assert exc_info.value.offset == 0
+        assert "format 1 (SHAKE-256 secrets)" in str(exc_info.value)
+        assert "format 2 (keyed BLAKE2b secrets)" in str(exc_info.value)
+
+
+def test_a_torn_final_journal_line_is_cut_and_the_bank_restarts(tmp_path, caplog):
+    path = tmp_path / "torn.ndjson"
+    check = json.dumps({"event": "check", "coin_id": "c", "s": 1}, sort_keys=True)
+    path.write_text(mint_record() + check[:17])  # a crash in the middle of an append
+    with caplog.at_level("WARNING", logger="hmqm.service"):
+        coins = Journal.replay(str(path))
+    assert (coins["c"].n, coins["c"].T, coins["c"].s) == (4, 1, 0)
+    assert path.read_text() == mint_record()
+    assert "unterminated final line of 17 bytes" in caplog.text
+    journal = Journal(str(path))
+    journal.append({"event": "check", "coin_id": "c", "s": 1})
+    journal.close()
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="hmqm.service"):
+        assert Journal.replay(str(path))["c"].s == 1
+    assert path.read_text() == mint_record() + check + "\n"
+    assert caplog.text == ""
 
 
 JOURNAL_KEYS = ("event", "coin_id", "n", "q", "l", "T", "s", "key", "format")
