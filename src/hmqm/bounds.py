@@ -9,10 +9,13 @@ every diagonal +-1 matrix S and with P (x) P (x) P for every permutation P,
 so it splits into a 4x4, a 3x3 and a 6x6 block (build_q_matrix), and
 operator_norm certifies an upper bound on each block's top eigenvalue with a
 Cholesky factorisation.  The bound costs the same at every n, and equals
-1/2 + 1/n to rounding.  From it come the minimum error an adversary must
-cause on one of two verifiers (e_min, after register accounting) and the
-maximum channel noise the protocol can tolerate (e_max, achieved by the
-symmetrized cloner implemented below).
+1/2 + 1/n to rounding.  From it comes the minimum error an adversary must
+cause on one of two verifiers, 1/4 - 1/(4(n - 1)) per copy before register
+accounting (e_min scales it by 997/999), and so the channel noise the
+protocol can tolerate: a threshold between honest and forged needs the
+noise below that floor.  e_max is not that limit.  It is the per-copy error
+of the symmetrized cloner implemented below, 1/4 - 1/(4(n + 1)), which lies
+1/(2(n^2 - 1)) above the floor's undiscounted value.
 """
 
 from dataclasses import dataclass
@@ -192,12 +195,13 @@ def e_min(n: int) -> float:
 
 
 def e_max(n: int) -> float:
-    """Largest honest-channel error rate the protocol can tolerate.
+    """Per-copy error rate of the symmetrized cloner (`symmetric_clone`).
 
-    At this rate the symmetrized cloner's output is indistinguishable from
-    the honest channel, so acceptance would break unforgeability.  Equals
-    1/2 - (n + 2) / (4(n + 1)), increasing toward 1/4.  Defined for every
-    even n >= 2.
+    Equals 1/2 - (n + 2) / (4(n + 1)) = 1/4 - 1/(4(n + 1)), increasing
+    toward 1/4.  It is not the largest honest-channel noise the protocol
+    tolerates: it lies 1/(2(n^2 - 1)) above the exact threshold
+    1/4 - 1/(4(n - 1)), the undiscounted per-copy floor behind `e_min`.
+    Defined for every even n >= 2.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be even and >= 2, got {n}")

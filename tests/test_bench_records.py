@@ -4,12 +4,15 @@ Each record holds a provenance object and the final JSON line of every
 perfbench run behind a performance claim, tagged with its side ("before"
 for the parent commit, "after" for the change).  A record that lost its
 provenance, holds only one side, or keeps a run that failed its own checks
-backs no claim.
+backs no claim.  A record whose provenance names a `claim` (a `metric`
+and a `workload`) must show that metric's median lower after than before
+on that workload.
 """
 
 import glob
 import json
 import os
+import statistics
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -29,3 +32,13 @@ def test_bench_records_are_complete():
             assert run["side"] in ("before", "after"), (path, run)
             assert run["correct"] is True and run["failed"] == 0, (path, run)
             assert run["metrics"], (path, run)
+        claim = provenance.get("claim")
+        if claim is not None:
+            medians = {}
+            for side in ("before", "after"):
+                values = [run["metrics"][claim["metric"]]["value"] for run in runs
+                          if run["side"] == side and run["workload"] == claim["workload"]
+                          and claim["metric"] in run["metrics"]]
+                assert values, (path, claim, side)
+                medians[side] = statistics.median(values)
+            assert medians["after"] < medians["before"], (path, claim, medians)

@@ -656,6 +656,15 @@ def test_aes_chunks_long_inputs_and_checks_its_arguments(monkeypatch):
         _aes128_ecb(key, plaintext[:24])
 
 
+def test_missing_evp_symbols_fail_the_import(monkeypatch):
+    # No fallback PRF: a libcrypto without the EVP calls is an ImportError
+    # that names them.
+    monkeypatch.setitem(protocol._EVP_SIGNATURES, "EVP_no_such_cipher", (None, []))
+    with pytest.raises(ImportError, match="EVP_no_such_cipher") as exc_info:
+        protocol._bind_libcrypto()
+    assert "EVP_EncryptUpdate" in str(exc_info.value)
+
+
 def test_mint_rejects_positions_beyond_int64():
     with pytest.raises(ValueError, match="2\\^63"):
         bank_mint(4, 2**63, 10, np.random.default_rng(26))
