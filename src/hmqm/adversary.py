@@ -294,8 +294,11 @@ def run_forging_experiment(
     """Mint, forge, and verify both halves `trials` times against fresh banks.
 
     Both verifications charge the same bank record, so q must allow T >= 2
-    for the second one to be judged on its merits.
+    for the second one to be judged on its merits.  Raises ValueError unless
+    trials >= 1: the report's rates average over the trials.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     clean = HonestChannel(0.0)
     accept1 = np.zeros(trials, dtype=bool)
     accept2 = np.zeros(trials, dtype=bool)

@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Subcommands: bounds, simulate, forge, plan, coherent, serve, verify.  Every
-randomized command takes --seed and is byte-deterministic under it; every
-reporting command takes --format {csv,json} and --out; verify mints an
-unseeded coin unless --seed is given.  Exit codes: 0 on success, 2 for
+Subcommands: bounds, simulate, forge, plan, coherent, serve, verify.  Only
+the randomized ones take --seed: simulate and forge default to seed 0 and
+are byte-deterministic under it, and verify mints an unseeded coin unless
+--seed is given.  Every reporting command takes --format {csv,json} and
+--out.  Exit codes: 0 on success, 2 for
 invalid parameters or a request the bank refused, 3 for an infeasible plan,
 4 for I/O or network failures.
 
@@ -60,22 +61,13 @@ def _parse_n_list(spec: str) -> list[int]:
     """'4:14' inclusive range of even n, or '4,6,8'."""
     if ":" in spec:
         lo, _, hi = spec.partition(":")
-        values = list(range(int(lo), int(hi) + 1))
+        values = [n for n in range(int(lo), int(hi) + 1) if n % 2 == 0]
     else:
         values = [int(v) for v in spec.split(",")]
-    values = [n for n in values if n % 2 == 0] if ":" in spec else values
     for n in values:
         if n % 2 != 0 or n < 4:
             raise ValueError(f"n must be even and >= 4, got {n}")
     return values
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
 
 
 def _report(data: dict | list[dict], header: list[str], fmt: str, out: str | None) -> None:
@@ -83,12 +75,17 @@ def _report(data: dict | list[dict], header: list[str], fmt: str, out: str | Non
     with one line per row (a dict is a single row; missing or None cells
     are empty)."""
     if fmt == "json":
-        _emit(json.dumps(data, sort_keys=True, indent=2), out)
+        text = json.dumps(data, sort_keys=True, indent=2)
     else:
         rows = [data] if isinstance(data, dict) else data
         lines = [",".join(header)]
         lines += [",".join(_csv_cell(row.get(col)) for col in header) for row in rows]
-        _emit("\n".join(lines), out)
+        text = "\n".join(lines)
+    if out is None:
+        sys.stdout.write(text + "\n")
+    else:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
 
 
 def _csv_cell(value) -> str:
@@ -229,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, fmt_default="json"):
-        p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
         p.add_argument("--format", choices=("csv", "json"), default=fmt_default)
         p.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
@@ -244,8 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{key}", type=int, default=None)
     for key in ("beta", "eta", "epsilon"):
         p.add_argument(f"--{key}", type=float, default=None)
+    p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
     common(p)
-    p.set_defaults(func=cmd_simulate, seed=None)
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("forge", help="double-spend experiment for a named strategy")
     p.add_argument("--config", default=None)
@@ -256,8 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{key}", type=int, default=None)
     for key in ("beta", "eta", "epsilon", "fraction"):
         p.add_argument(f"--{key}", type=float, default=None)
+    p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
     common(p)
-    p.set_defaults(func=cmd_forge, seed=None)
+    p.set_defaults(func=cmd_forge)
 
     p = sub.add_parser("plan", help="smallest sample size meeting a security target")
     p.add_argument("--n", type=int, required=True)
@@ -291,8 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--eta", type=float, default=1.0)
     p.add_argument("--epsilon", type=float, default=0.0)
+    p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
     common(p)
-    p.set_defaults(func=cmd_verify, seed=None)
+    p.set_defaults(func=cmd_verify)
 
     return parser
 

@@ -2,17 +2,17 @@
 
 A coin is q positions, each hiding an n-bit secret known only to the bank,
 which stores a 16-byte key per coin and derives secrets from it on demand
-with AES-128 in counter form, a pseudorandom function of the position.  A
-round derives the secrets of its present positions once, in one
-AES-128-ECB call through the libcrypto that `hashlib` already loads, and
-`secret_bits` remembers its last two derivations, so the bank's check reads
-the ones the measurement made.  The holder verifies by sampling l unused
-positions, measuring each in a random matching basis, and sending the
-claimed parities to the bank, which accepts when the correct fraction
-clears c - delta.  The bank allows at most T = q // (1000 l) checks per
-coin, and grades a transcript against the l of its own record.  All
-sampling is exact: outcomes are drawn from closed-form distributions, never
-from simulated state vectors.  No state of a coin or a round grows with q.
+with AES-128 in counter form, a pseudorandom function of the position.
+Deriving any set of positions is one AES-128-ECB call through the libcrypto
+that `hashlib` already loads, so the holder's simulated measurement and the
+bank's check each derive the secrets they need.  The holder verifies by
+sampling l unused positions, measuring each in a random matching basis, and
+sending the claimed parities to the bank, which accepts when the correct
+fraction clears c - delta.  The bank allows at most T = q // (1000 l)
+checks per coin, and grades a transcript against the l of its own record.
+All sampling is exact: outcomes are drawn from closed-form distributions,
+never from simulated state vectors.  No state of a coin or a round grows
+with q.
 
 Each rule is written once.  `VerdictParameters` is the acceptance policy:
 `from_noise` sets c and delta from the channel noise and the adversary error
@@ -258,10 +258,14 @@ _LOST = {"i": 0, "j": 0, "b": -1}
 def decode_outcomes(outcomes: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(pair_i, pair_j, answer) from the wire form: answer -1 and pair 0
     where the outcome was lost.  A field that is not an integer raises
-    TypeError, one out of range OverflowError."""
+    TypeError, one out of range OverflowError.  Only null marks a lost
+    outcome: an outcome whose b is not 0 or 1 raises ValueError."""
     rows = [_LOST if out is None else out for out in outcomes]
-    return (wire_ints([out["i"] for out in rows], "i"), wire_ints([out["j"] for out in rows], "j"),
-            wire_ints([out["b"] for out in rows], "b", np.int8))
+    decoded = tuple(wire_ints([out[f] for out in rows], f, dtype)
+                    for f, dtype in (("i", np.int64), ("j", np.int64), ("b", np.int8)))
+    if any(out is not None and out["b"] not in (0, 1) for out in outcomes):
+        raise ValueError("an outcome's b must be 0 or 1; only a null outcome is lost")
+    return decoded
 
 
 @dataclass
@@ -430,8 +434,7 @@ def _aes128_ecb(key: bytes, plaintext) -> np.ndarray:
 
 
 def secret_bits(key: bytes, positions: np.ndarray, n: int) -> np.ndarray:
-    """The n secret bits of each position, shape (len(positions), n), uint8,
-    read-only.
+    """The n secret bits of each position, shape (len(positions), n), uint8.
 
     Position i's secret is the first n bits of AES-128 under `key` of the
     blocks i || w, for w = 0 .. ceil(n/128) - 1, each of i and w as 8
@@ -439,27 +442,16 @@ def secret_bits(key: bytes, positions: np.ndarray, n: int) -> np.ndarray:
     of the position, so a round costs what it samples and the bank stores
     only the key.  Every block of a call is encrypted in one AES-128-ECB
     call, so the cost is nearly flat in the number of positions: about
-    20 us for 20 positions and 50 us for 2000 on an x86-64 Xeon with AES-NI.
-
-    The last two derivations are remembered, keyed on the key, the
-    positions and n.  A round derives its present positions once, in
-    `measure_positions`, and the bank's own call in `bank_check` finds them
-    there; two entries cover two clients interleaving measure and verify on
-    one server.  The result is shared, hence read-only.
+    20 us for 20 positions and 30 us for 2000 on an x86-64 Xeon with AES-NI.
     """
-    return _derive_secrets(key, np.asarray(positions, dtype="<i8").tobytes(), n)
-
-
-@lru_cache(maxsize=2)
-def _derive_secrets(key: bytes, positions: bytes, n: int) -> np.ndarray:
-    words = -(-n // 128)
-    blocks = np.empty((len(positions) // 8, words, 2), dtype="<u8")
-    blocks[:, :, 0] = np.frombuffer(positions, dtype="<u8")[:, None]
+    positions = np.asarray(positions, dtype="<i8")
+    words, used = -(-n // 128), -(-n // 8)
+    blocks = np.empty((len(positions), words, 2), dtype="<i8")
+    blocks[:, :, 0] = positions[:, None]
     blocks[:, :, 1] = np.arange(words)
     stream = _aes128_ecb(key, blocks).reshape(-1, 16 * words)
-    bits = np.unpackbits(stream, axis=1, count=n)
-    bits.flags.writeable = False
-    return bits
+    # Unpack only the bytes that hold the n bits, as one contiguous run.
+    return np.unpackbits(stream[:, :used].ravel()).reshape(-1, 8 * used)[:, :n]
 
 
 def pair_parities(key: bytes, n: int, positions: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray) -> np.ndarray:
@@ -530,18 +522,15 @@ def measure_positions(
     u_err = rng.random(k)
 
     kinds = coin.kind_of(positions)
-    err_prob = np.empty(k)
-    err_prob[kinds == PositionKind.GENUINE] = beta
-    err_prob[kinds == PositionKind.REPLICA] = 0.0
-    if np.any(kinds == PositionKind.FORGED):
-        if coin.forged_error is None and coin.custom_channel is None:
-            raise ValueError("coin has forged positions but no forge channel")
-        err_prob[kinds == PositionKind.FORGED] = coin.forged_error if coin.forged_error is not None else 0.0
+    if coin.forged_error is None and coin.custom_channel is None and np.any(kinds == PositionKind.FORGED):
+        raise ValueError("coin has forged positions but no forge channel")
+    # Error rate by PositionKind; an absent position is never measured.
+    err_prob = np.array([beta, 0.0, coin.forged_error or 0.0, 0.0])[kinds]
 
     nodes = pairs_arr[alphas - 1, pair_pick]
     present = (u_loss < eta) & (kinds != PositionKind.ABSENT)
     errors = (u_err < err_prob) & present
-    # Only present positions are derived: the same call bank_check makes.
+    # A lost outcome needs no secret: only present positions are derived.
     at = np.flatnonzero(present)
     bits = secret_bits(key, positions[at], n)
     rows = np.arange(len(at))
@@ -677,9 +666,9 @@ def _structural_violation(db: BankDatabase, transcript: VerificationTranscript) 
         return "position_out_of_range"
     if np.any(transcript.alpha < 1) or np.any(transcript.alpha > db.n - 1):
         return "alpha_out_of_range"
-    present = transcript.answer >= 0
-    if np.any(transcript.answer[present] > 1):
+    if np.any(transcript.answer < -1) or np.any(transcript.answer > 1):
         return "answer_not_a_bit"
+    present = transcript.answer >= 0
     pi, pj = transcript.pair_i[present], transcript.pair_j[present]
     if np.any(pi < 1) or np.any(pi > db.n) or np.any(pj < 1) or np.any(pj > db.n) or np.any(pi == pj):
         return "node_out_of_range"
@@ -828,7 +817,12 @@ def run_honest_experiment(
     n: int, q: int, l: int, beta: float, trials: int, rng: np.random.Generator,
     eta: float = 1.0, epsilon: float = 0.0,
 ) -> HonestExperiment:
-    """Mint and verify `trials` fresh coins through the honest channel."""
+    """Mint and verify `trials` fresh coins through the honest channel.
+
+    Raises ValueError unless trials >= 1: the report's rates divide by it.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     params = VerdictParameters.from_noise(n, beta, eta, epsilon)
     channel = HonestChannel(beta)
     tallies = {Verdict.VALID: 0, Verdict.INVALID: 0, Verdict.ABORTED: 0}

@@ -227,7 +227,11 @@ class BankService:
         self.journal = Journal(journal_path)
         self._coins_lock = threading.Lock()
         self._coin_locks: dict[str, threading.Lock] = {cid: threading.Lock() for cid in self.coins}
-        self._sock = socket.create_server((host, port))
+        try:
+            self._sock = socket.create_server((host, port))
+        except OSError:
+            self.journal.close()
+            raise
         self._stop = threading.Event()
 
     @property
@@ -270,11 +274,7 @@ class BankService:
                 if request is None:
                     return
                 try:
-                    response = self._dispatch(request)
-                except OSError:
-                    return
-                try:
-                    send_message(conn, response)
+                    send_message(conn, self._dispatch(request))
                 except OSError:
                     return
 

@@ -105,8 +105,8 @@ def plan_round_reference(coin, rng: np.random.Generator) -> tuple[np.ndarray, np
 
 
 class AesBlockCounter:
-    """Counts the AES blocks `secret_bits` encrypts: ceil(n/128) per derived
-    position."""
+    """Counts the AES blocks `secret_bits` encrypts: ceil(n/128) per
+    position, on every call."""
 
     def __init__(self, monkeypatch):
         self.count = 0

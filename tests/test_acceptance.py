@@ -266,6 +266,7 @@ def test_criterion_10_wire_equivalence_and_durability(tmp_path):
     finally:
         proc.send_signal(signal.SIGKILL)
         proc.wait()
+        proc.stderr.close()
 
     proc, address = start_server()
     try:
@@ -278,6 +279,7 @@ def test_criterion_10_wire_equivalence_and_durability(tmp_path):
     finally:
         proc.send_signal(signal.SIGKILL)
         proc.wait()
+        proc.stderr.close()
 
     assert valid_count == coin.T == 2
     report(10, "100 wire runs bit-identical to in-process; kill-restart kept s, Valid verdicts == T == 2")

@@ -205,6 +205,22 @@ def test_forge_rejects_unknown_strategy():
     assert exc_info.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "forge"])
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_experiments_refuse_fewer_than_one_trial(capsys, command, trials):
+    code, out, err = run_cli(capsys, command, "--l", "10", "--trials", trials)
+    assert (code, out) == (2, "")
+    assert err == f"error: trials must be at least 1, got {trials}\n"
+
+
+@pytest.mark.parametrize("argv", [["bounds", "--n", "4"], ["coherent"],
+                                  ["plan", "--n", "8", "--beta", "0.1", "--security", "1e-6"]])
+def test_only_randomized_commands_take_a_seed(argv):
+    with pytest.raises(SystemExit) as exc_info:
+        main([*argv, "--seed", "1"])
+    assert exc_info.value.code == 2
+
+
 def test_coherent_single_point(capsys):
     code, out, _ = run_cli(capsys, "coherent", "--alpha-sq", "0.25")
     assert code == 0

@@ -12,6 +12,7 @@ from helpers import AesBlockCounter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hmqm.service
 from hmqm.protocol import (
     MAX_N,
     Coin,
@@ -177,6 +178,21 @@ def test_finished_connection_threads_are_released(service):
     assert ref() is None
 
 
+def test_a_taken_port_closes_the_journal(tmp_path, monkeypatch):
+    opened = []
+
+    class SpyJournal(Journal):
+        def __init__(self, path):
+            super().__init__(path)
+            opened.append(self)
+
+    monkeypatch.setattr(hmqm.service, "Journal", SpyJournal)
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        with pytest.raises(OSError):
+            BankService(port=taken.getsockname()[1], journal_path=str(tmp_path / "j.ndjson"))
+    assert len(opened) == 1 and opened[0]._fh.closed
+
+
 def test_verify_with_missing_params_consumes_no_check(service):
     with BankClient(*service.address) as client:
         coin = client.mint(8, 20_000, 20, seed=21)
@@ -266,6 +282,32 @@ def test_measure_request_validation(service):
     assert service.coins[coin.coin_id].s == 0
 
 
+def test_an_outcome_bit_outside_0_1_is_refused_not_graded_as_lost(service):
+    # Only null marks a lost outcome: an outcome object with b = -2, -1 or 2
+    # is a bad_request and charges no check.
+    with BankClient(*service.address) as client:
+        coin = client.mint(8, 40_000, 20, seed=51)
+    db = service.coins[coin.coin_id]
+    i, j = matching_set(8).matching(1).pairs[0]
+    bits = secret_bits(db.key, np.arange(20), 8)
+    triplets = [{"i": p, "alpha": 1, "outcome": {"i": i, "j": j, "b": int(bits[p, i - 1] ^ bits[p, j - 1])}}
+                for p in range(20)]
+
+    def verify(first_outcome):
+        transcript = {"coin_id": coin.coin_id, "l": 20,
+                      "triplets": [dict(triplets[0], outcome=first_outcome)] + triplets[1:]}
+        return raw_call(service.address, {"type": "verify", "transcript": transcript,
+                                          "params": {"c": 0.9, "delta": 0.1}, "request_id": "b"})
+
+    for b in (-2, -1, 2):
+        resp = verify({"i": 0, "j": 0, "b": b})
+        assert (resp["type"], resp["code"]) == ("error", "bad_request"), b
+        assert "must be 0 or 1" in resp["message"]
+    assert db.s == 0
+    resp = verify(None)
+    assert (resp["type"], resp["valid"], resp["l_prime"], db.s) == ("verify_ok", True, 19, 1)
+
+
 def test_a_wire_round_hashes_each_position_once_on_the_server(service, monkeypatch):
     with BankClient(*service.address) as client:
         coin = client.mint(8, 200_000, 200, seed=41)
@@ -273,7 +315,7 @@ def test_a_wire_round_hashes_each_position_once_on_the_server(service, monkeypat
     params = VerdictParameters.from_noise(8, 0.0)
     outcome = client_verify(service.address, coin, params, HonestChannel(0.0), np.random.default_rng(42))
     assert outcome.verdict is Verdict.VALID
-    assert counter.count == 200
+    assert counter.count == 2 * 200  # the measure request, then the verify request
 
 
 def test_minting_a_seed_again_is_refused(service):
