@@ -23,7 +23,6 @@ attacks into the general measurement path.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -250,36 +249,41 @@ class ForgeOutcome:
         return float(np.mean(self.accept1 & self.accept2))
 
     def to_dict(self) -> dict:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # nanmean of a never-scored side
-            return {
-                "strategy": self.strategy, "n": self.n, "q": self.q, "l": self.l,
-                "trials": self.trials,
-                "accept1_rate": self.accept1_rate,
-                "accept2_rate": self.accept2_rate,
-                "both_accept_rate": self.both_accept_rate,
-                "analytic_bound": self.analytic_bound,
-                "mean_white_error1": float(np.nanmean(self.observed_error1)),
-                "mean_white_error2": float(np.nanmean(self.observed_error2)),
-                "mean_overall_error1": float(np.nanmean(self.overall_error1)),
-                "mean_overall_error2": float(np.nanmean(self.overall_error2)),
-            }
+        return {
+            "strategy": self.strategy, "n": self.n, "q": self.q, "l": self.l,
+            "trials": self.trials,
+            "accept1_rate": self.accept1_rate,
+            "accept2_rate": self.accept2_rate,
+            "both_accept_rate": self.both_accept_rate,
+            "analytic_bound": self.analytic_bound,
+            "mean_white_error1": _scored_mean(self.observed_error1),
+            "mean_white_error2": _scored_mean(self.observed_error2),
+            "mean_overall_error1": _scored_mean(self.overall_error1),
+            "mean_overall_error2": _scored_mean(self.overall_error2),
+        }
 
     CSV_HEADER = "strategy,n,q,l,trials,accept1_rate,accept2_rate,both_accept_rate,analytic_bound"
 
 
+def _scored_mean(errors: np.ndarray) -> float | None:
+    """Mean of a per-trial error frequency over the trials that scored it
+    (not NaN); None, JSON null, when no trial did."""
+    scored = np.count_nonzero(~np.isnan(errors))
+    return float(np.nansum(errors) / scored) if scored else None
+
+
 def _transcript_errors(coin, outcome) -> tuple[float, float]:
     """White-position and overall error frequencies of one round, from the
-    error flags its simulated measurement drew."""
+    error flags its simulated measurement drew (False where lost)."""
     present = outcome.transcript.answer >= 0
-    if not np.any(present):
+    l_prime = np.count_nonzero(present)
+    if not l_prime:
         return (math.nan, math.nan)
-    wrong = outcome.errors[present]
-    overall = float(np.mean(wrong))
-    kinds = coin.kind_of(outcome.transcript.positions[present])
-    white = (kinds == PositionKind.FORGED) | (kinds == PositionKind.GENUINE)
-    white_err = float(np.mean(wrong[white])) if np.any(white) else math.nan
-    return (white_err, overall)
+    kinds = coin.kind_of(outcome.transcript.positions)
+    white = ((kinds == PositionKind.FORGED) | (kinds == PositionKind.GENUINE)) & present
+    white_count = np.count_nonzero(white)
+    white_err = np.count_nonzero(outcome.errors & white) / white_count if white_count else math.nan
+    return (white_err, np.count_nonzero(outcome.errors) / l_prime)
 
 
 def run_forging_experiment(

@@ -5,10 +5,14 @@ which stores a 16-byte key per coin and derives secrets from it on demand
 with AES-128 in counter form, a pseudorandom function of the position.
 Deriving any set of positions is one AES-128-ECB call through the libcrypto
 that `hashlib` already loads, so the holder's simulated measurement and the
-bank's check each derive the secrets they need.  The holder verifies by
-sampling l unused positions, measuring each in a random matching basis, and
-sending the claimed parities to the bank, which accepts when the correct
-fraction clears c - delta.  The bank allows at most T = q // (1000 l)
+bank's check each derive the secrets they need.  `secret_bits` is the
+reference definition of the secrets.  The measurement and the check read
+each parity x_i XOR x_j straight from the packed AES output, in
+`np.unpackbits` bit order (`pair_parities`); only the positions of a custom
+forge channel are unpacked.  The holder verifies by sampling l unused
+positions, measuring each in a random matching basis, and sending the
+claimed parities to the bank, which accepts when the correct fraction
+clears c - delta.  The bank allows at most T = q // (1000 l)
 checks per coin, and grades a transcript against the l of its own record.
 All sampling is exact: outcomes are drawn from closed-form distributions,
 never from simulated state vectors.  No state of a coin or a round grows
@@ -286,7 +290,7 @@ class VerificationTranscript:
 
     @property
     def l_prime(self) -> int:
-        return int(np.sum(self.answer >= 0))
+        return int(np.count_nonzero(self.answer >= 0))
 
     def to_dict(self) -> dict:
         outcomes = encode_outcomes(self.pair_i, self.pair_j, self.answer)
@@ -433,32 +437,52 @@ def _aes128_ecb(key: bytes, plaintext) -> np.ndarray:
     return out
 
 
-def secret_bits(key: bytes, positions: np.ndarray, n: int) -> np.ndarray:
-    """The n secret bits of each position, shape (len(positions), n), uint8.
-
-    Position i's secret is the first n bits of AES-128 under `key` of the
-    blocks i || w, for w = 0 .. ceil(n/128) - 1, each of i and w as 8
-    little-endian bytes: AES in counter form, a keyed pseudorandom function
-    of the position, so a round costs what it samples and the bank stores
-    only the key.  Every block of a call is encrypted in one AES-128-ECB
-    call, so the cost is nearly flat in the number of positions: about
-    20 us for 20 positions and 30 us for 2000 on an x86-64 Xeon with AES-NI.
-    """
+def _secret_stream(key: bytes, positions: np.ndarray, n: int) -> np.ndarray:
+    """The AES-128 output behind each position's secret, one row of
+    16 * ceil(n/128) bytes per position, in a single AES-128-ECB call."""
     positions = np.asarray(positions, dtype="<i8")
-    words, used = -(-n // 128), -(-n // 8)
+    words = -(-n // 128)
     blocks = np.empty((len(positions), words, 2), dtype="<i8")
     blocks[:, :, 0] = positions[:, None]
     blocks[:, :, 1] = np.arange(words)
-    stream = _aes128_ecb(key, blocks).reshape(-1, 16 * words)
+    return _aes128_ecb(key, blocks).reshape(-1, 16 * words)
+
+
+def secret_bits(key: bytes, positions: np.ndarray, n: int) -> np.ndarray:
+    """The n secret bits of each position, shape (len(positions), n), uint8.
+
+    This is the reference definition of the secrets.  Position i's secret is
+    the first n bits of AES-128 under `key` of the blocks i || w, for
+    w = 0 .. ceil(n/128) - 1, each of i and w as 8 little-endian bytes, in
+    `np.unpackbits` order (bit b is bit 7 - b % 8 of byte b // 8): AES in
+    counter form, a keyed pseudorandom function of the position, so a round
+    costs what it samples and the bank stores only the key.  Every block of
+    a call is encrypted in one AES-128-ECB call, so the cost is nearly flat
+    in the number of positions: about 20 us for 20 positions and 30 us for
+    2000 on an x86-64 Xeon with AES-NI.
+    """
+    used = -(-n // 8)
+    stream = _secret_stream(key, positions, n)
     # Unpack only the bytes that hold the n bits, as one contiguous run.
     return np.unpackbits(stream[:, :used].ravel()).reshape(-1, 8 * used)[:, :n]
 
 
+def _stream_parities(stream: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray) -> np.ndarray:
+    """x_i XOR x_j of each row of a `_secret_stream`, for 1-based node pairs,
+    read from the packed bytes: node b's bit is bit 7 - (b-1) % 8 of byte
+    (b-1) // 8, the `np.unpackbits` order of `secret_bits`."""
+    flat = stream.ravel()
+    base = np.arange(len(stream)) * stream.shape[1]
+    i, j = pair_i - 1, pair_j - 1
+    parity = (flat[base + (i >> 3)] >> (7 - (i & 7))) ^ (flat[base + (j >> 3)] >> (7 - (j & 7)))
+    return (parity & 1).astype(np.uint8)
+
+
 def pair_parities(key: bytes, n: int, positions: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray) -> np.ndarray:
-    """x_i XOR x_j of each position's secret, for 1-based node pairs."""
-    bits = secret_bits(key, positions, n)
-    rows = np.arange(len(bits))
-    return bits[rows, pair_i - 1] ^ bits[rows, pair_j - 1]
+    """x_i XOR x_j of each position's secret, for 1-based node pairs, as
+    uint8: read from the packed AES output without unpacking the secrets,
+    equal to the parities of `secret_bits`."""
+    return _stream_parities(_secret_stream(key, positions, n), pair_i, pair_j)
 
 
 def coin_budget(n: int, q: int, l: int) -> int:
@@ -516,7 +540,6 @@ def measure_positions(
     """
     n = coin.n
     k = len(positions)
-    pairs_arr = matching_set(n).pairs_array
     u_loss = rng.random(k)
     pair_pick = rng.integers(0, n // 2, size=k)
     u_err = rng.random(k)
@@ -527,29 +550,32 @@ def measure_positions(
     # Error rate by PositionKind; an absent position is never measured.
     err_prob = np.array([beta, 0.0, coin.forged_error or 0.0, 0.0])[kinds]
 
-    nodes = pairs_arr[alphas - 1, pair_pick]
     present = (u_loss < eta) & (kinds != PositionKind.ABSENT)
     errors = (u_err < err_prob) & present
-    # A lost outcome needs no secret: only present positions are derived.
+    # A lost outcome needs neither a pair nor a secret: only present
+    # positions are looked up in the flattened table of every matching's
+    # pairs, and derived.
     at = np.flatnonzero(present)
-    bits = secret_bits(key, positions[at], n)
-    rows = np.arange(len(at))
+    mset = matching_set(n)
+    table = mset.pairs_array.ravel()
+    first = 2 * ((alphas[at] - 1) * (n // 2) + pair_pick[at])
+    node_i, node_j = table[first], table[first + 1]
+    stream = _secret_stream(key, positions[at], n)
     answer = np.full(k, -1, dtype=np.int8)
-    answer[at] = bits[rows, nodes[at, 0] - 1] ^ bits[rows, nodes[at, 1] - 1] ^ errors[at]
+    answer[at] = _stream_parities(stream, node_i, node_j) ^ errors[at]
 
     if coin.custom_channel is not None:
-        mset = matching_set(n)
         for row in np.flatnonzero(kinds[at] == PositionKind.FORGED):
             idx = at[row]
-            x = BitString(tuple(bits[row].tolist()))
+            x = BitString(tuple(np.unpackbits(stream[row], count=n).tolist()))
             rho = coin.custom_channel(hidden_matching_state(x), rng)
             out = measure_matching(rho, mset.matching(int(alphas[idx])), rng)
-            nodes[idx, 0], nodes[idx, 1] = out.i, out.j
+            node_i[row], node_j[row] = out.i, out.j
             answer[idx] = out.b
-            errors[idx] = out.b != bits[row, out.i - 1] ^ bits[row, out.j - 1]
+            errors[idx] = out.b != x.bits[out.i - 1] ^ x.bits[out.j - 1]
 
-    pair_i = np.where(present, nodes[:, 0], 0)
-    pair_j = np.where(present, nodes[:, 1], 0)
+    pair_i, pair_j = np.zeros((2, k), dtype=np.int64)
+    pair_i[at], pair_j[at] = node_i, node_j
     return pair_i, pair_j, answer, errors
 
 
@@ -581,23 +607,31 @@ def _plan_round(coin: Coin, rng: np.random.Generator) -> tuple[np.ndarray, np.nd
     consumed positions.  Each batch draws the positions still missing and
     keeps, in draw order, the first occurrence of each one not consumed
     before; the rng calls and the sample are those of taking the draws one
-    by one."""
+    by one.  A batch with no repeat (one sort finds them) and no consumed
+    position is the sample as drawn."""
     if coin.unused() < coin.l:
         raise InsufficientPositionsError(
             f"coin has {coin.unused()} unused positions, verification needs {coin.l}"
         )
-    sample: list[int] = []
-    while len(sample) < coin.l:
-        draw = rng.integers(0, coin.q - len(coin.masked), size=coin.l - len(sample))
+    batches: list[np.ndarray] = []
+    missing = coin.l
+    while missing:
+        draw = rng.integers(0, coin.q - len(coin.masked), size=missing)
         draw[draw >= coin.masked.start] += len(coin.masked)
-        fresh = dict.fromkeys(draw.tolist())  # first occurrences, in draw order
-        taken = coin.consumed.intersection(fresh)
-        fresh = [v for v in fresh if v not in taken] if taken else list(fresh)
+        fresh = draw.tolist()
+        ordered = np.sort(draw)
+        if np.any(ordered[1:] == ordered[:-1]):
+            fresh = list(dict.fromkeys(fresh))  # first occurrences, in draw order
+        if coin.consumed and not coin.consumed.isdisjoint(fresh):
+            fresh = [v for v in fresh if v not in coin.consumed]
+        if len(fresh) < len(draw):
+            draw = np.array(fresh, dtype=np.int64)
         coin.consumed.update(fresh)
-        sample += fresh
+        batches.append(draw)
+        missing -= len(draw)
     alphas = rng.integers(1, coin.n, size=coin.l)
     measure_seed = int(rng.integers(0, 2**63))
-    return np.array(sample, dtype=np.int64), alphas, measure_seed
+    return np.concatenate(batches), alphas, measure_seed
 
 
 def _finish_round(coin: Coin, sample: np.ndarray, alphas: np.ndarray, outcomes: tuple,
@@ -633,47 +667,46 @@ def bank_check(db: BankDatabase, transcript: VerificationTranscript, params: Ver
             l_prime=transcript.l_prime, threshold=0.0, code="coin_exhausted",
         )
     db.s += 1
-    code = _structural_violation(db, transcript)
+    present = transcript.answer >= 0
+    l_prime = int(np.count_nonzero(present))
+    code = _structural_violation(db, transcript, present)
     if code is not None:
         return CheckResult(
             valid=False, s=db.s, T=db.T, correct_count=0,
-            l_prime=transcript.l_prime, threshold=0.0, code=code,
+            l_prime=l_prime, threshold=0.0, code=code,
         )
-    present = transcript.answer >= 0
-    l_prime = int(np.sum(present))
     threshold = l_prime * (params.c - params.delta)
-    if l_prime:
-        parity = pair_parities(
-            db.key, db.n, transcript.positions[present],
-            transcript.pair_i[present], transcript.pair_j[present],
-        )
-        correct = int(np.sum(parity == transcript.answer[present]))
-    else:
-        correct = 0
+    parity = pair_parities(
+        db.key, db.n, transcript.positions[present],
+        transcript.pair_i[present], transcript.pair_j[present],
+    )
+    correct = int(np.count_nonzero(parity == transcript.answer[present]))
     return CheckResult(
         valid=correct > threshold, s=db.s, T=db.T,
         correct_count=correct, l_prime=l_prime, threshold=threshold,
     )
 
 
-def _structural_violation(db: BankDatabase, transcript: VerificationTranscript) -> str | None:
+def _structural_violation(db: BankDatabase, transcript: VerificationTranscript, present: np.ndarray) -> str | None:
+    """The first rule the transcript breaks, in a fixed order, or None.
+    One sort finds duplicates and the position range; every other range is
+    a min/max reduction."""
     pos = transcript.positions
     if len(pos) != db.l or transcript.l != db.l:
         return "wrong_sample_size"
-    if np.any(np.diff(np.sort(pos)) == 0):
+    ordered = np.sort(pos)
+    if np.any(ordered[1:] == ordered[:-1]):
         return "duplicate_position"
-    if np.any(pos < 0) or np.any(pos >= db.q):
+    if ordered[0] < 0 or ordered[-1] >= db.q:
         return "position_out_of_range"
-    if np.any(transcript.alpha < 1) or np.any(transcript.alpha > db.n - 1):
+    if transcript.alpha.min() < 1 or transcript.alpha.max() > db.n - 1:
         return "alpha_out_of_range"
-    if np.any(transcript.answer < -1) or np.any(transcript.answer > 1):
+    if transcript.answer.min() < -1 or transcript.answer.max() > 1:
         return "answer_not_a_bit"
-    present = transcript.answer >= 0
     pi, pj = transcript.pair_i[present], transcript.pair_j[present]
-    if np.any(pi < 1) or np.any(pi > db.n) or np.any(pj < 1) or np.any(pj > db.n) or np.any(pi == pj):
+    if pi.size and (min(pi.min(), pj.min()) < 1 or max(pi.max(), pj.max()) > db.n or np.any(pi == pj)):
         return "node_out_of_range"
-    table = _pair_to_alpha(db.n)
-    if np.any(table[pi, pj] != transcript.alpha[present]):
+    if np.any(_pair_to_alpha(db.n)[pi, pj] != transcript.alpha[present]):
         return "pair_not_in_matching"
     return None
 

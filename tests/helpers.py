@@ -105,8 +105,8 @@ def plan_round_reference(coin, rng: np.random.Generator) -> tuple[np.ndarray, np
 
 
 class AesBlockCounter:
-    """Counts the AES blocks `secret_bits` encrypts: ceil(n/128) per
-    position, on every call."""
+    """Counts the AES blocks the package encrypts (`secret_bits` and
+    `pair_parities` alike): ceil(n/128) per position, on every call."""
 
     def __init__(self, monkeypatch):
         self.count = 0

@@ -199,6 +199,25 @@ def test_forge_csv(capsys):
     assert lines[1].startswith("symmetric_clone,4,100000,50,3,")
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("strategy", ["honest_noise", "register_split"])
+def test_forge_json_writes_null_for_a_side_never_scored(capsys, strategy):
+    # Verifier 2 is never sent a white position under these strategies, so
+    # its white error has no trial to average: null, not NaN (which is not JSON).
+    code, out, _ = run_cli(capsys, "forge", "--strategy", strategy, "--n", "4", "--l", "50",
+                           "--trials", "3", "--seed", "5")
+    assert code == 0
+    report = json.loads(out, parse_constant=refuse_constant)
+    jsonschema.validate(report, load_schema("forge_report"))
+    assert report["mean_white_error2"] is None
+    assert isinstance(report["mean_white_error1"], float)
+    if strategy == "honest_noise":  # verifier 2 gets nothing at all
+        assert report["mean_overall_error2"] is None
+
+
 def test_forge_rejects_unknown_strategy():
     with pytest.raises(SystemExit) as exc_info:
         main(["forge", "--strategy", "bogus"])

@@ -547,17 +547,23 @@ def test_sample_without_replacement():
 def test_plan_round_matches_the_reference_loop():
     # Batched draws take the same rng calls and the same sample as taking
     # the draws one by one: with a masked range, positions consumed before,
-    # and a q small enough that one draw repeats positions.
+    # a q small enough that one draw repeats positions, criterion 7's forge
+    # layout, and one batch holding both a repeat and a consumed position.
+    # Every case but criterion 7's runs out of positions within three rounds.
     for seed, (q, l, masked, consumed) in enumerate([
         (60, 20, range(10, 25), set(range(0, 60, 7))),
         (1000, 300, range(0), {5, 6, 7, 999}),
         (10_000, 2000, range(2000, 6000), set(range(6000, 7000))),
+        (4_000_000, 2000, range(0, 4000), set()),
+        (40, 10, range(0), set(range(0, 40, 5))),
     ]):
         coin = Coin.fresh("c", 4, q, l, 1)
         coin.masked, coin.consumed = masked, set(consumed)
         twin = copy.deepcopy(coin)
         rng, twin_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        while coin.unused() >= l:
+        for _ in range(3):
+            if coin.unused() < l:
+                break
             sample, alphas, measure_seed = _plan_round(coin, rng)
             ref_sample, ref_alphas, ref_seed = plan_round_reference(twin, twin_rng)
             assert sample.dtype == np.int64
@@ -565,6 +571,13 @@ def test_plan_round_matches_the_reference_loop():
             assert alphas.tolist() == ref_alphas.tolist() and measure_seed == ref_seed
             assert coin.consumed == twin.consumed
         assert rng.integers(0, 2**63) == twin_rng.integers(0, 2**63)
+    # The last two cases reach both ends of `_plan_round`: the first batch of
+    # criterion 7's layout has no repeat (the drawn array is the sample), and
+    # the small q's first batch has a repeat and a consumed position.
+    fast = np.random.default_rng(3).integers(0, 4_000_000 - 4000, size=2000)
+    assert len(np.unique(fast)) == len(fast)
+    slow = np.random.default_rng(4).integers(0, 40, size=10).tolist()
+    assert len(set(slow)) < len(slow) and not set(slow).isdisjoint(range(0, 40, 5))
 
 
 def test_a_round_hashes_each_present_position_once(monkeypatch):
@@ -620,6 +633,21 @@ def test_secret_bits_are_keyed_and_position_local():
     parities = pair_parities(key, 10, positions, np.array([1, 2, 3, 9]), np.array([2, 3, 4, 10]))
     assert parities.tolist() == [int(bits[0, 0] ^ bits[0, 1]), int(bits[1, 1] ^ bits[1, 2]),
                                  int(bits[2, 2] ^ bits[2, 3]), int(bits[3, 8] ^ bits[3, 9])]
+    # pair_parities reads the packed AES output; it equals the parities of
+    # secret_bits at every n, across byte and block boundaries, nodes 1 and n
+    # included, and for no positions at all.
+    rng = np.random.default_rng(30)
+    empty = np.array([], dtype=np.int64)
+    for n in (2, 4, 8, 126, 128, 130, 256):
+        positions = rng.integers(0, 2**62, size=200)
+        pair_i, pair_j = rng.integers(1, n + 1, size=(2, 200))
+        pair_i[:3], pair_j[:3] = (1, n, 1), (n, 1, 1)
+        bits = secret_bits(key, positions, n)
+        rows = np.arange(len(positions))
+        parities = pair_parities(key, n, positions, pair_i, pair_j)
+        assert parities.dtype == np.uint8
+        assert parities.tolist() == (bits[rows, pair_i - 1] ^ bits[rows, pair_j - 1]).tolist()
+        assert pair_parities(key, n, empty, empty, empty).shape == (0,)
 
 
 def test_secret_bits_known_answer():
