@@ -480,8 +480,9 @@ def _stream_parities(stream: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray)
 
 def pair_parities(key: bytes, n: int, positions: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray) -> np.ndarray:
     """x_i XOR x_j of each position's secret, for 1-based node pairs, as
-    uint8: read from the packed AES output without unpacking the secrets,
-    equal to the parities of `secret_bits`."""
+    uint8.  Read straight from the packed AES output in `np.unpackbits` bit
+    order, without unpacking the secrets; `secret_bits` is the reference
+    definition they equal."""
     return _stream_parities(_secret_stream(key, positions, n), pair_i, pair_j)
 
 
