@@ -138,19 +138,21 @@ class AttackStrategy:
         return step.pair_error
 
 
+# The named strategies of the CLI and the tests: name -> steps(beta, fraction).
+BUILTIN_STRATEGIES = {
+    "honest_noise": lambda beta, fraction: (HonestNoise(beta),),
+    "register_split": lambda beta, fraction: (RegisterSplit(),),
+    "symmetric_clone": lambda beta, fraction: (RegisterSplit(), SymmetricClone()),
+    "mixed_substitution": lambda beta, fraction: (RegisterSplit(), MixedSubstitution()),
+    "loss_hiding": lambda beta, fraction: (RegisterSplit(), LossHiding(fraction), SymmetricClone()),
+}
+
+
 def builtin_strategy(name: str, beta: float = 0.0, fraction: float = 0.0) -> AttackStrategy:
-    """Build one of the named strategies used by the CLI and the tests."""
-    if name == "honest_noise":
-        return AttackStrategy((HonestNoise(beta),), name=name)
-    if name == "register_split":
-        return AttackStrategy((RegisterSplit(),), name=name)
-    if name == "symmetric_clone":
-        return AttackStrategy((RegisterSplit(), SymmetricClone()), name=name)
-    if name == "mixed_substitution":
-        return AttackStrategy((RegisterSplit(), MixedSubstitution()), name=name)
-    if name == "loss_hiding":
-        return AttackStrategy((RegisterSplit(), LossHiding(fraction), SymmetricClone()), name=name)
-    raise ValueError(f"unknown strategy {name!r}")
+    """Build one of the BUILTIN_STRATEGIES."""
+    if name not in BUILTIN_STRATEGIES:
+        raise ValueError(f"unknown strategy {name!r}")
+    return AttackStrategy(BUILTIN_STRATEGIES[name](beta, fraction), name=name)
 
 
 def check_accounting(strategy: AttackStrategy, q: int, l: int, T: int) -> None:
@@ -182,7 +184,7 @@ def forge_coins(coin: Coin, strategy: AttackStrategy) -> tuple[Coin, Coin]:
     from the positions it is offered and the secrets are i.i.d., so this
     layout is equal in distribution to a random placement of the segments.
     """
-    if not coin.all_genuine() or coin.consumed:
+    if not coin.all_genuine() or coin.consumed.size:
         raise ValueError("forging expects a fresh, fully genuine coin")
     check_accounting(strategy, coin.q, coin.l, coin.T)
     split = strategy.split_step()
@@ -329,20 +331,21 @@ def run_forging_experiment(
 
 
 def loss_hiding_weight_check(
-    sent_flags: np.ndarray, l: int, params: VerdictParameters, trials: int, rng: np.random.Generator
+    q: int, sent: int, l: int, params: VerdictParameters, trials: int, rng: np.random.Generator
 ) -> float:
-    """Abort frequency when only the flagged positions were actually sent.
+    """Abort frequency when only `sent` of a register's q positions were
+    actually sent.
 
     Exact two-stage sampling: the number of sent positions in a uniform
     l-sample is hypergeometric, and each sent position independently yields
     an outcome with probability params.eta.  Returns the empirical frequency
     of the policy's abort, l' < min_outcomes * l, over `trials` rounds.
+    Raises ValueError unless 0 <= sent <= q and 1 <= l <= q.
     """
-    sent_flags = np.asarray(sent_flags)
-    q = sent_flags.size
-    weight = int(np.count_nonzero(sent_flags))
+    if not 0 <= sent <= q:
+        raise ValueError(f"need 0 <= sent <= {q}, got {sent}")
     if not 1 <= l <= q:
         raise ValueError(f"need 1 <= l <= {q}, got {l}")
-    sent_in_sample = rng.hypergeometric(weight, q - weight, l, size=trials)
+    sent_in_sample = rng.hypergeometric(sent, q - sent, l, size=trials)
     outcomes = rng.binomial(sent_in_sample, params.eta)
     return float(np.mean(outcomes < params.min_outcomes * l))

@@ -246,9 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forge", help="double-spend experiment for a named strategy")
     p.add_argument("--config", default=None)
-    p.add_argument("--strategy", default=None,
-                   choices=("honest_noise", "register_split", "symmetric_clone",
-                            "mixed_substitution", "loss_hiding"))
+    p.add_argument("--strategy", default=None, choices=tuple(adversary.BUILTIN_STRATEGIES))
     for key in ("n", "q", "l", "trials"):
         p.add_argument(f"--{key}", type=int, default=None)
     for key in ("beta", "eta", "epsilon", "fraction"):

@@ -83,19 +83,20 @@ def effective_adversary_error(base_error: float, source: BlockSource) -> float:
 @dataclass(frozen=True)
 class CoherentPoint:
     """The chained bound at one |alpha|^2: loss folding, loss-adjusted floor,
-    multi-photon discount."""
+    multi-photon discount.  adjusted_floor and effective_error are None
+    where the loss-hiding correction is undefined (3 epsilon >= eta_eff)."""
 
     alpha_sq: float
     p0: float
     p1: float
     p2plus: float
     effective_eta: float
-    adjusted_floor: float
-    effective_error: float
+    adjusted_floor: float | None
+    effective_error: float | None
 
     @property
     def feasible(self) -> bool:
-        return self.adjusted_floor > 0.0
+        return self.adjusted_floor is not None and self.adjusted_floor > 0.0
 
 
 def coherent_pipeline(
@@ -108,15 +109,16 @@ def coherent_pipeline(
     eta; the multi-photon discount scales it down.  An adjusted floor <= 0
     means no feasible protocol at these parameters (epsilon too large for
     the effective loss); the point is still returned, flagged infeasible.
+    Where 3 epsilon >= eta_eff the correction is undefined, and the point is
+    returned infeasible with both floors None.
     """
     source = BlockSource(alpha=math.sqrt(alpha_sq), n=n)
     stats = photon_statistics(source)
     eta_eff = fold_source_loss(eta_detector, source)
-    if epsilon == 0.0:
-        floor = bounds.e_min(n)
-    else:
+    floor = effective = None
+    if 3.0 * epsilon < eta_eff:
         floor = bounds.lossy_e_min(bounds.e_min(n), epsilon, eta_eff)
-    effective = effective_adversary_error(max(floor, 0.0), source) if floor > 0 else floor
+        effective = effective_adversary_error(floor, source) if floor > 0 else floor
     return CoherentPoint(
         alpha_sq=alpha_sq, p0=stats.p0, p1=stats.p1, p2plus=stats.p2plus,
         effective_eta=eta_eff, adjusted_floor=floor, effective_error=effective,

@@ -106,8 +106,9 @@ class Coin:
     segments is a tuple of (stop, kind) pairs with increasing stops, the
     last one q: positions [previous stop, stop) have that kind.  Positions
     in `masked` are never offered to the sampler (a forger withheld them
-    from this verifier).  `consumed` holds the positions earlier rounds
-    sampled, so it grows by l per round, whatever q is.
+    from this verifier).  `consumed` is the sorted int64 array of the
+    positions earlier rounds sampled, each once, so it grows by l per round,
+    whatever q is.
 
     forged_error is the exact per-measurement error rate of forged
     positions (all built-in attack channels produce states whose
@@ -124,7 +125,7 @@ class Coin:
     T: int
     segments: tuple[tuple[int, PositionKind], ...]
     masked: range = range(0)
-    consumed: set[int] = field(default_factory=set)
+    consumed: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     forged_error: float | None = None
     custom_channel: Callable | None = None
 
@@ -605,11 +606,13 @@ def holder_verify(
 def _plan_round(coin: Coin, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
     """Draw the sample, the bases and the measurement seed, consuming the
     sample: uniform draws from [0, q) minus the masked range, rejecting
-    consumed positions.  Each batch draws the positions still missing and
-    keeps, in draw order, the first occurrence of each one not consumed
-    before; the rng calls and the sample are those of taking the draws one
-    by one.  A batch with no repeat (one sort finds them) and no consumed
-    position is the sample as drawn."""
+    consumed positions.  Each batch draws the positions still missing; one
+    sort of the draw finds the first occurrence of each value (`np.unique`),
+    a binary search of `consumed` drops those consumed before, and the rest
+    join the sample in draw order.  `consumed` stays a sorted array of unique
+    positions: the new ones are merged in by a stable sort, which merges the
+    two sorted runs in linear time.  The rng calls and the sample are those
+    of taking the draws one by one."""
     if coin.unused() < coin.l:
         raise InsufficientPositionsError(
             f"coin has {coin.unused()} unused positions, verification needs {coin.l}"
@@ -619,17 +622,11 @@ def _plan_round(coin: Coin, rng: np.random.Generator) -> tuple[np.ndarray, np.nd
     while missing:
         draw = rng.integers(0, coin.q - len(coin.masked), size=missing)
         draw[draw >= coin.masked.start] += len(coin.masked)
-        fresh = draw.tolist()
-        ordered = np.sort(draw)
-        if np.any(ordered[1:] == ordered[:-1]):
-            fresh = list(dict.fromkeys(fresh))  # first occurrences, in draw order
-        if coin.consumed and not coin.consumed.isdisjoint(fresh):
-            fresh = [v for v in fresh if v not in coin.consumed]
-        if len(fresh) < len(draw):
-            draw = np.array(fresh, dtype=np.int64)
-        coin.consumed.update(fresh)
-        batches.append(draw)
-        missing -= len(draw)
+        values, first = np.unique(draw, return_index=True)
+        fresh = np.searchsorted(coin.consumed, values) == np.searchsorted(coin.consumed, values, side="right")
+        coin.consumed = np.sort(np.concatenate((coin.consumed, values[fresh])), kind="stable")
+        batches.append(draw[np.sort(first[fresh])])
+        missing -= len(batches[-1])
     alphas = rng.integers(1, coin.n, size=coin.l)
     measure_seed = int(rng.integers(0, 2**63))
     return np.concatenate(batches), alphas, measure_seed

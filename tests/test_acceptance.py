@@ -171,10 +171,9 @@ def test_criterion_08_lossy_variant():
 
     q, l, trials = 2_000_000, 2000, 10_000
     gamma = 1.0 - 3.0 * epsilon / eta
-    flags = np.zeros(q, dtype=np.uint8)
-    flags[: int(gamma * q)] = 1
     rng = np.random.default_rng(0x1056)
-    hide_abort = loss_hiding_weight_check(flags, l, VerdictParameters.from_noise(8, 0.1, eta, epsilon), trials, rng)
+    hide_abort = loss_hiding_weight_check(
+        q, int(gamma * q), l, VerdictParameters.from_noise(8, 0.1, eta, epsilon), trials, rng)
     no_abort_bound = math.exp(-2.0 * (epsilon**2 / eta**2) * l) + math.exp(-2.0 * l * epsilon**2)
     sigma = math.sqrt(no_abort_bound * (1 - no_abort_bound) / trials)
     no_abort_freq = 1.0 - hide_abort

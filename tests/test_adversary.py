@@ -129,10 +129,10 @@ def test_forge_verifier_never_samples_masked_positions():
 def test_forge_requires_fresh_coin():
     rng = np.random.default_rng(32)
     coin, _ = bank_mint(4, 10_000, 10, rng)
-    coin.consumed.add(0)
+    coin.consumed = np.array([0])
     with pytest.raises(ValueError, match="fresh"):
         forge_coins(coin, builtin_strategy("symmetric_clone"))
-    coin.consumed.clear()
+    coin.consumed = np.zeros(0, dtype=np.int64)
     coin.segments = ((1, PositionKind.REPLICA), (coin.q, PositionKind.GENUINE))
     with pytest.raises(ValueError, match="fresh"):
         forge_coins(coin, builtin_strategy("symmetric_clone"))
@@ -187,7 +187,7 @@ def abort_policy(eta, epsilon):
 def test_loss_hiding_weight_check_full_register():
     rng = np.random.default_rng(36)
     q, l, eta, epsilon = 100_000, 1000, 0.6, 0.02
-    freq = loss_hiding_weight_check(np.ones(q, dtype=np.uint8), l, abort_policy(eta, epsilon), 20_000, rng)
+    freq = loss_hiding_weight_check(q, q, l, abort_policy(eta, epsilon), 20_000, rng)
     exact = binomial_tail_below(580, l, eta)  # (eta - epsilon) * l = 580
     sigma = math.sqrt(exact * (1 - exact) / 20_000)
     assert abs(freq - exact) <= 3 * sigma
@@ -197,9 +197,7 @@ def test_loss_hiding_weight_check_at_gamma():
     rng = np.random.default_rng(37)
     q, l, eta, epsilon = 2_000_000, 2000, 0.6, 0.05
     gamma = 1.0 - 3.0 * epsilon / eta  # heaviest register losses can explain
-    flags = np.zeros(q, dtype=np.uint8)
-    flags[: int(gamma * q)] = 1
-    abort_freq = loss_hiding_weight_check(flags, l, abort_policy(eta, epsilon), 20_000, rng)
+    abort_freq = loss_hiding_weight_check(q, int(gamma * q), l, abort_policy(eta, epsilon), 20_000, rng)
     no_abort_bound = math.exp(-2.0 * (epsilon**2 / eta**2) * l) + math.exp(-2.0 * l * epsilon**2)
     sigma = math.sqrt(max(no_abort_bound * (1 - no_abort_bound), 1e-12) / 20_000)
     assert 1.0 - abort_freq <= no_abort_bound + 3 * sigma
@@ -210,18 +208,21 @@ def test_loss_hiding_abort_grows_with_hidden_weight():
     q, l, eta, epsilon = 10_000, 200, 0.6, 0.05
     freqs = []
     for w in (0.96, 0.92, 0.88):
-        flags = np.zeros(q, dtype=np.uint8)
-        flags[: int(w * q)] = 1
-        freqs.append(loss_hiding_weight_check(flags, l, abort_policy(eta, epsilon), 20_000, rng))
+        freqs.append(loss_hiding_weight_check(q, int(w * q), l, abort_policy(eta, epsilon), 20_000, rng))
     assert freqs[0] < freqs[1] < freqs[2]
 
 
 def test_loss_hiding_weight_check_guards():
     rng = np.random.default_rng(39)
-    with pytest.raises(ValueError):
-        loss_hiding_weight_check(np.ones(10), 0, abort_policy(0.6, 0.05), 10, rng)
-    with pytest.raises(ValueError):
-        loss_hiding_weight_check(np.ones(10), 11, abort_policy(0.6, 0.05), 10, rng)
+    policy = abort_policy(0.6, 0.05)
+    with pytest.raises(ValueError, match="1 <= l <= 10"):
+        loss_hiding_weight_check(10, 10, 0, policy, 10, rng)
+    with pytest.raises(ValueError, match="1 <= l <= 10"):
+        loss_hiding_weight_check(10, 10, 11, policy, 10, rng)
+    for sent in (-1, 11):
+        with pytest.raises(ValueError, match="0 <= sent <= 10"):
+            loss_hiding_weight_check(10, sent, 5, policy, 10, rng)
+    assert loss_hiding_weight_check(10, 0, 5, policy, 10, rng) == 1.0  # nothing sent: always abort
 
 
 def test_forge_outcome_serialization(capsys):
@@ -269,7 +270,7 @@ def test_custom_channel_plugin():
 
 def test_forge_layout_holds_no_q_length_state():
     # The layout is a handful of segments whatever q is, and a round adds
-    # exactly l positions to a coin's consumed set.
+    # exactly l positions to a coin's consumed array.
     rng = np.random.default_rng(42)
     coin, db = bank_mint(4, 10**9, 2000, rng)
     strategy = builtin_strategy("loss_hiding", fraction=0.25)
@@ -282,4 +283,4 @@ def test_forge_layout_holds_no_q_length_state():
     assert coin1.kind_of(np.array([10**9 - 1]))[0] == PositionKind.FORGED
     params = VerdictParameters.from_noise(4, 0.0)
     holder_verify(coin1, db, params, HonestChannel(0.0), rng)
-    assert len(coin1.consumed) == 2000 and not coin2.consumed
+    assert len(coin1.consumed) == 2000 and coin2.consumed.size == 0

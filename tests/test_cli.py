@@ -1,11 +1,14 @@
 import importlib.resources
 import json
+import pathlib
+import re
+import shlex
 
 import jsonschema
 import numpy as np
 import pytest
 
-from hmqm import bounds
+from hmqm import adversary, bounds
 from hmqm.cli import _parse_n_list, _parse_sweep, main, parse_config
 from hmqm.matchings import build_disjoint_set
 from hmqm.protocol import HonestChannel, VerdictParameters, bank_mint, holder_verify
@@ -218,6 +221,16 @@ def test_forge_json_writes_null_for_a_side_never_scored(capsys, strategy):
         assert report["mean_overall_error2"] is None
 
 
+@pytest.mark.parametrize("strategy", sorted(adversary.BUILTIN_STRATEGIES))
+def test_forge_runs_every_builtin_strategy(capsys, strategy):
+    code, out, _ = run_cli(capsys, "forge", "--strategy", strategy, "--n", "4", "--l", "10",
+                           "--trials", "2", "--seed", "3")
+    assert code == 0
+    report = json.loads(out, parse_constant=refuse_constant)
+    jsonschema.validate(report, load_schema("forge_report"))
+    assert report["strategy"] == strategy
+
+
 def test_forge_rejects_unknown_strategy():
     with pytest.raises(SystemExit) as exc_info:
         main(["forge", "--strategy", "bogus"])
@@ -252,6 +265,32 @@ def test_coherent_single_point(capsys):
     assert float(fields[3]) == 0.026499021160743902
     assert float(fields[4]) == 0.13271953015715707
     assert 0.0 < float(fields[5]) < 0.25
+
+
+def test_coherent_point_losses_could_hide_is_an_empty_cell(capsys):
+    # The README's sweep starts where 3 epsilon >= eta_eff: that row is
+    # reported infeasible, an empty CSV cell or JSON null, not an error.
+    code, out, _ = run_cli(capsys, "coherent", "--alpha-sq", "0.05,0.5", "--eta", "0.6", "--epsilon", "0.01")
+    assert code == 0
+    first, second = out.strip().split("\n")[1:]
+    assert first.endswith(",") and not second.endswith(",")
+    code, out, _ = run_cli(capsys, "coherent", "--alpha-sq", "0.05", "--epsilon", "0.01", "--format", "json")
+    assert code == 0
+    assert json.loads(out)[0]["effective_adversary_error"] is None
+
+
+def test_readme_command_examples_succeed(capsys):
+    # Every `hmqm` line of the README's sh blocks, except the two that need
+    # a running service, exits 0.
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    commands = [shlex.split(line, comments=True)[1:] for block in blocks
+                for line in block.splitlines() if line.startswith("hmqm ")]
+    commands = [argv for argv in commands if argv[0] not in ("serve", "verify")]
+    assert {argv[0] for argv in commands} == {"bounds", "plan", "simulate", "forge", "coherent"}
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_coherent_default_sweep(capsys):

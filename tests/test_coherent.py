@@ -118,6 +118,17 @@ def test_pipeline_infeasible_point():
     assert point.effective_error == point.adjusted_floor
 
 
+def test_pipeline_point_losses_could_hide_is_infeasible_not_an_error():
+    # At alpha^2 = 0.05, eta_eff = 0.0293 < 3 epsilon: the loss correction
+    # is undefined, and the point comes back infeasible with no floors.
+    point = coherent_pipeline(0.05, 8, 0.6, 0.01)
+    assert point.effective_eta == 0.6 * (1.0 - math.exp(-0.05))
+    assert point.adjusted_floor is None and point.effective_error is None
+    assert not point.feasible
+    with pytest.raises(ValueError):
+        coherent_pipeline(0.5, 8, 0.6, -0.01)
+
+
 def test_pipeline_zero_epsilon_keeps_lossless_floor():
     point = coherent_pipeline(0.25, 8, 0.6, 0.0)
     assert point.adjusted_floor == bounds.e_min(8)

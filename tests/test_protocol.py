@@ -52,7 +52,7 @@ def test_mint_basics():
     assert bits.dtype == np.uint8
     assert db.s == 0
     assert coin.all_genuine()
-    assert not coin.consumed
+    assert coin.consumed.size == 0 and coin.consumed.dtype == np.int64
     coin2, _ = bank_mint(8, 1_000_000, 100, rng)
     assert coin2.coin_id != coin.coin_id
 
@@ -106,7 +106,7 @@ def test_r_bits_flip_even_when_round_aborts():
 def test_insufficient_positions():
     rng = np.random.default_rng(5)
     coin, db = bank_mint(4, 10_000, 10, rng)
-    coin.consumed.update(range(10_000 - 5))
+    coin.consumed = np.arange(10_000 - 5)
     with pytest.raises(InsufficientPositionsError):
         holder_verify(coin, db, make_params(), HonestChannel(0.0), rng)
 
@@ -538,27 +538,45 @@ def test_sample_without_replacement():
         assert sample.min() >= 0 and sample.max() < 100
         seen.extend(sample.tolist())
     assert sorted(seen) == [p for p in range(100) if p not in coin.masked]
-    assert coin.consumed == set(seen)
+    assert coin.consumed.tolist() == sorted(seen)
     assert coin.unused() == 0
     with pytest.raises(InsufficientPositionsError):
         _plan_round(coin, rng)
+
+
+def test_consumed_stays_a_sorted_unique_array():
+    # After every round, `consumed` is the sorted int64 array of every
+    # position sampled so far, each once.
+    rng = np.random.default_rng(30)
+    coin = Coin.fresh("c", 4, 500, 40, 1)
+    coin.masked = range(100, 200)
+    seen = []
+    while coin.unused() >= coin.l:
+        sample, _, _ = _plan_round(coin, rng)
+        seen.extend(sample.tolist())
+        assert coin.consumed.dtype == np.int64
+        assert np.all(coin.consumed[1:] > coin.consumed[:-1])
+        assert coin.consumed.tolist() == sorted(seen)
+    assert len(seen) == 400
 
 
 def test_plan_round_matches_the_reference_loop():
     # Batched draws take the same rng calls and the same sample as taking
     # the draws one by one: with a masked range, positions consumed before,
     # a q small enough that one draw repeats positions, criterion 7's forge
-    # layout, and one batch holding both a repeat and a consumed position.
-    # Every case but criterion 7's runs out of positions within three rounds.
+    # layout, one batch holding both a repeat and a consumed position, and
+    # half a register consumed on both sides of the masked range.  Every
+    # case but criterion 7's runs out of positions within three rounds.
     for seed, (q, l, masked, consumed) in enumerate([
-        (60, 20, range(10, 25), set(range(0, 60, 7))),
-        (1000, 300, range(0), {5, 6, 7, 999}),
-        (10_000, 2000, range(2000, 6000), set(range(6000, 7000))),
-        (4_000_000, 2000, range(0, 4000), set()),
-        (40, 10, range(0), set(range(0, 40, 5))),
+        (60, 20, range(10, 25), range(0, 60, 7)),
+        (1000, 300, range(0), [5, 6, 7, 999]),
+        (10_000, 2000, range(2000, 6000), range(6000, 7000)),
+        (4_000_000, 2000, range(0, 4000), []),
+        (40, 10, range(0), range(0, 40, 5)),
+        (200, 50, range(100, 150), [*range(0, 100, 2), *range(150, 200, 2)]),
     ]):
         coin = Coin.fresh("c", 4, q, l, 1)
-        coin.masked, coin.consumed = masked, set(consumed)
+        coin.masked, coin.consumed = masked, np.array(consumed, dtype=np.int64)
         twin = copy.deepcopy(coin)
         rng, twin_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
@@ -569,11 +587,11 @@ def test_plan_round_matches_the_reference_loop():
             assert sample.dtype == np.int64
             assert sample.tolist() == ref_sample.tolist()
             assert alphas.tolist() == ref_alphas.tolist() and measure_seed == ref_seed
-            assert coin.consumed == twin.consumed
+            assert np.array_equal(coin.consumed, twin.consumed)
         assert rng.integers(0, 2**63) == twin_rng.integers(0, 2**63)
-    # The last two cases reach both ends of `_plan_round`: the first batch of
-    # criterion 7's layout has no repeat (the drawn array is the sample), and
-    # the small q's first batch has a repeat and a consumed position.
+    # The fourth and fifth cases reach both ends of a batch: the first batch
+    # of criterion 7's layout has no repeat and no consumed position, and the
+    # small q's first batch has both.
     fast = np.random.default_rng(3).integers(0, 4_000_000 - 4000, size=2000)
     assert len(np.unique(fast)) == len(fast)
     slow = np.random.default_rng(4).integers(0, 40, size=10).tolist()

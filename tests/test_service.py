@@ -75,7 +75,7 @@ def test_wire_run_matches_in_process_run_bit_for_bit(service):
     remote = client_verify(service.address, wire_coin, params, HonestChannel(0.0), np.random.default_rng(123))
     assert remote.transcript.to_json() == local.transcript.to_json()
     assert remote.check == local.check
-    assert wire_coin.consumed == local_coin.consumed
+    assert np.array_equal(wire_coin.consumed, local_coin.consumed)
 
 
 def test_check_budget_exhaustion_over_the_wire(service):
