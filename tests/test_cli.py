@@ -267,7 +267,7 @@ def test_coherent_single_point(capsys):
     assert 0.0 < float(fields[5]) < 0.25
 
 
-def test_coherent_point_losses_could_hide_is_an_empty_cell(capsys):
+def test_coherent_undefined_point_is_an_empty_cell(capsys):
     # The README's sweep starts where 3 epsilon >= eta_eff: that row is
     # reported infeasible, an empty CSV cell or JSON null, not an error.
     code, out, _ = run_cli(capsys, "coherent", "--alpha-sq", "0.05,0.5", "--eta", "0.6", "--epsilon", "0.01")
@@ -279,7 +279,7 @@ def test_coherent_point_losses_could_hide_is_an_empty_cell(capsys):
     assert json.loads(out)[0]["effective_adversary_error"] is None
 
 
-def test_readme_command_examples_succeed(capsys):
+def test_readme_command_examples_succeed():
     # Every `hmqm` line of the README's sh blocks, except the two that need
     # a running service, exits 0.
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
@@ -290,7 +290,6 @@ def test_readme_command_examples_succeed(capsys):
     assert {argv[0] for argv in commands} == {"bounds", "plan", "simulate", "forge", "coherent"}
     for argv in commands:
         assert main(argv) == 0, argv
-    capsys.readouterr()
 
 
 def test_coherent_default_sweep(capsys):

@@ -118,7 +118,7 @@ def test_pipeline_infeasible_point():
     assert point.effective_error == point.adjusted_floor
 
 
-def test_pipeline_point_losses_could_hide_is_infeasible_not_an_error():
+def test_pipeline_undefined_correction_is_infeasible_not_an_error():
     # At alpha^2 = 0.05, eta_eff = 0.0293 < 3 epsilon: the loss correction
     # is undefined, and the point comes back infeasible with no floors.
     point = coherent_pipeline(0.05, 8, 0.6, 0.01)

@@ -592,10 +592,10 @@ def test_plan_round_matches_the_reference_loop():
     # The fourth and fifth cases reach both ends of a batch: the first batch
     # of criterion 7's layout has no repeat and no consumed position, and the
     # small q's first batch has both.
-    fast = np.random.default_rng(3).integers(0, 4_000_000 - 4000, size=2000)
-    assert len(np.unique(fast)) == len(fast)
-    slow = np.random.default_rng(4).integers(0, 40, size=10).tolist()
-    assert len(set(slow)) < len(slow) and not set(slow).isdisjoint(range(0, 40, 5))
+    clean = np.random.default_rng(3).integers(0, 4_000_000 - 4000, size=2000)
+    assert len(np.unique(clean)) == len(clean)
+    mixed = np.random.default_rng(4).integers(0, 40, size=10).tolist()
+    assert len(set(mixed)) < len(mixed) and not set(mixed).isdisjoint(range(0, 40, 5))
 
 
 def test_a_round_hashes_each_present_position_once(monkeypatch):
