@@ -29,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import bounds
+from .bounds import COIN_BUDGET_DIVISOR
 from .protocol import (
     Coin,
     HonestChannel,
@@ -39,8 +40,8 @@ from .protocol import (
     holder_verify,
 )
 
-SPLIT_FRACTION = 1.0 / 1000.0
-REPLICATION_CAP = 1.0 / 500.0
+SPLIT_FRACTION = 1.0 / COIN_BUDGET_DIVISOR
+REPLICATION_CAP = 2.0 / COIN_BUDGET_DIVISOR
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,6 @@ class CustomChannel:
     """Plugin point: channel(state, rng) -> (rho1, rho2) per white position."""
 
     channel: Callable
-    pair_error: tuple[float, float] = (0.5, 0.5)
 
 
 CHANNEL_STEPS = (SymmetricClone, MixedSubstitution, HonestNoise, CustomChannel)
@@ -102,30 +102,18 @@ class AttackStrategy:
             if isinstance(s, HonestNoise) and not 0.0 <= s.beta <= 0.5:
                 raise ValueError(f"beta must be in [0, 1/2], got {s.beta}")
 
-    def channel_step(self):
-        for s in self.steps:
-            if isinstance(s, CHANNEL_STEPS):
-                return s
-        return None
+    def step(self, kinds):
+        """The first step that is an instance of kinds (a class or a tuple
+        of classes, as for isinstance), or None."""
+        return next((s for s in self.steps if isinstance(s, kinds)), None)
 
-    def split_step(self) -> RegisterSplit | None:
-        for s in self.steps:
-            if isinstance(s, RegisterSplit):
-                return s
-        return None
-
-    def hiding_step(self) -> LossHiding | None:
-        for s in self.steps:
-            if isinstance(s, LossHiding):
-                return s
-        return None
-
-    def white_pair_error(self, n: int) -> tuple[float, float]:
-        """Analytic per-verifier error rates on white positions.
+    def white_pair_error(self, n: int) -> tuple[float, float] | None:
+        """Analytic per-verifier error rates on white positions, None for a
+        custom channel (its states are measured exactly instead).
 
         A position a verifier never receives counts as error rate 1.
         """
-        step = self.channel_step()
+        step = self.step(CHANNEL_STEPS)
         if step is None:
             return (0.0, 1.0)
         if isinstance(step, SymmetricClone):
@@ -135,7 +123,7 @@ class AttackStrategy:
             return (0.5, 0.5)
         if isinstance(step, HonestNoise):
             return (step.beta, 1.0)
-        return step.pair_error
+        return None
 
 
 # The named strategies of the CLI and the tests: name -> steps(beta, fraction).
@@ -155,10 +143,14 @@ def builtin_strategy(name: str, beta: float = 0.0, fraction: float = 0.0) -> Att
     return AttackStrategy(BUILTIN_STRATEGIES[name](beta, fraction), name=name)
 
 
-def check_accounting(strategy: AttackStrategy, q: int, l: int, T: int) -> None:
+def check_accounting(strategy: AttackStrategy, q: int, l: int, T: int) -> tuple[int, int, int]:
     """Enforce the replication cap: each coin may hold perfect copies of at
-    most q/500 positions (opposite split side plus auxiliary knowledge)."""
-    split = strategy.split_step()
+    most q/500 positions (opposite split side plus auxiliary knowledge).
+
+    Returns the register's layout counts (m, known, hidden): the positions
+    masked from each verifier, the T*l known ones and the hidden ones.
+    """
+    split = strategy.step(RegisterSplit)
     split_count = int(split.fraction * q) if split else 0
     aux_count = T * l if split else 0
     if split_count + aux_count > math.ceil(REPLICATION_CAP * q):
@@ -166,10 +158,11 @@ def check_accounting(strategy: AttackStrategy, q: int, l: int, T: int) -> None:
             f"strategy replicates {split_count + aux_count} positions per coin, "
             f"cap is {math.ceil(REPLICATION_CAP * q)} = q/500"
         )
-    hiding = strategy.hiding_step()
+    hiding = strategy.step(LossHiding)
     hidden = int(hiding.fraction * q) if hiding else 0
     if 2 * split_count + aux_count + hidden > q:
         raise ValueError("strategy fractions exceed the register size")
+    return split_count, aux_count, hidden
 
 
 def forge_coins(coin: Coin, strategy: AttackStrategy) -> tuple[Coin, Coin]:
@@ -186,22 +179,18 @@ def forge_coins(coin: Coin, strategy: AttackStrategy) -> tuple[Coin, Coin]:
     """
     if not coin.all_genuine() or coin.consumed.size:
         raise ValueError("forging expects a fresh, fully genuine coin")
-    check_accounting(strategy, coin.q, coin.l, coin.T)
-    split = strategy.split_step()
-    m = int(split.fraction * coin.q) if split else 0
-    known = coin.T * coin.l if split else 0
-    hiding = strategy.hiding_step()
-    hidden = int(hiding.fraction * coin.q) if hiding else 0
+    m, known, hidden = check_accounting(strategy, coin.q, coin.l, coin.T)
 
-    step = strategy.channel_step()
+    step = strategy.step(CHANNEL_STEPS)
     white1 = PositionKind.GENUINE if step is None else PositionKind.FORGED
     one_state = step is None or isinstance(step, HonestNoise)  # verifier 1 keeps it
     white2 = PositionKind.ABSENT if one_state else PositionKind.FORGED
-    err1, err2 = strategy.white_pair_error(coin.n)
-    chan1 = chan2 = None
+    err1 = err2 = chan1 = chan2 = None
     if isinstance(step, CustomChannel):
         chan1 = lambda state, r: step.channel(state, r)[0]
         chan2 = lambda state, r: step.channel(state, r)[1]
+    else:
+        err1, err2 = strategy.white_pair_error(coin.n)
 
     # (length, kind for verifier 1, kind for verifier 2).  A masked side's
     # physical state goes to the other verifier intact.

@@ -24,11 +24,16 @@ import numpy as np
 
 from .qrg import BitString, DensityMatrix, hidden_matching_state
 
+# A coin's positions are accounted per mille, in units of q / 1000: the bank
+# allows T = q // (1000 l) checks, so auxiliary verification reveals at most
+# one unit, register splitting masks one unit from each verifier, and a forged
+# coin may replicate two (adversary.SPLIT_FRACTION and REPLICATION_CAP).
+COIN_BUDGET_DIVISOR = 1000
 # Fraction of coin positions an adversary cannot have replicated, relative to
 # the fraction a verifier can sample: (1 - 3/1000) / (1 - 1/1000).  Two
 # per-mille of positions go to register splitting, one to auxiliary
 # verification knowledge, and each verifier's sampling excludes one per-mille.
-REGISTER_DISCOUNT = 997.0 / 999.0
+REGISTER_DISCOUNT = (COIN_BUDGET_DIVISOR - 3) / (COIN_BUDGET_DIVISOR - 1)
 
 UNIT_ROUNDOFF = 2.0**-53
 
@@ -283,8 +288,6 @@ class CloneBound:
     pair_error_lower: float
     e_min: float
     e_max: float
-
-    CSV_HEADER = "n,q_norm,fidelity_bound,pair_error_lower,e_min,e_max"
 
     @classmethod
     def compute(cls, n: int) -> "CloneBound":

@@ -9,7 +9,8 @@ invalid parameters or a request the bank refused, 3 for an infeasible plan,
 4 for I/O or network failures.
 
 Config files (simulate, forge) are flat key=value lines; '#' starts a
-comment.  Command-line flags override config values.
+comment.  Each value is read with its flag's type, so a value the flag
+would refuse is refused (exit 2).  Command-line flags override config values.
 """
 
 import argparse
@@ -21,13 +22,18 @@ import numpy as np
 
 from . import adversary, bounds, coherent, protocol, service
 
-SIMULATE_KEYS = {"n", "q", "l", "beta", "eta", "epsilon", "trials", "seed"}
-FORGE_KEYS = SIMULATE_KEYS | {"strategy", "fraction"}
+# The inputs of an experiment, key -> type: each is a flag and a config key.
+SIMULATE_KEYS = {"n": int, "q": int, "l": int, "beta": float, "eta": float,
+                 "epsilon": float, "trials": int, "seed": int}
+FORGE_KEYS = {**SIMULATE_KEYS, "fraction": float, "strategy": str}
+# What a flag adds to its key's type.
+FLAG_OPTIONS = {"seed": {"help": "64-bit RNG seed"},
+                "strategy": {"choices": tuple(adversary.BUILTIN_STRATEGIES)}}
 
 
-def parse_config(path: str) -> dict:
-    """Flat key=value file with # comments; values become int, float or str."""
-    values: dict = {}
+def parse_config(path: str) -> dict[str, str]:
+    """Flat key=value file with # comments; values stay strings."""
+    values: dict[str, str] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -36,14 +42,7 @@ def parse_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            for cast in (int, float):
-                try:
-                    value = cast(value)
-                    break
-                except ValueError:
-                    continue
-            values[key] = value
+            values[key.strip()] = value.strip()
     return values
 
 
@@ -70,16 +69,17 @@ def _parse_n_list(spec: str) -> list[int]:
     return values
 
 
-def _report(data: dict | list[dict], header: list[str], fmt: str, out: str | None) -> None:
-    """Emit one report: JSON of data as given, or CSV of the header's columns
-    with one line per row (a dict is a single row; missing or None cells
-    are empty)."""
+def _report(data: dict | list[dict], fmt: str, out: str | None, columns: list[str] | None = None) -> None:
+    """Emit one report: JSON of data as given, or CSV with one line per row
+    (a dict is a single row; missing or None cells are empty).  The CSV's
+    columns are `columns`, else the first row's keys."""
     if fmt == "json":
         text = json.dumps(data, sort_keys=True, indent=2)
     else:
         rows = [data] if isinstance(data, dict) else data
-        lines = [",".join(header)]
-        lines += [",".join(_csv_cell(row.get(col)) for col in header) for row in rows]
+        columns = columns or list(rows[0])
+        lines = [",".join(columns)]
+        lines += [",".join(_csv_cell(row.get(col)) for col in columns) for row in rows]
         text = "\n".join(lines)
     if out is None:
         sys.stdout.write(text + "\n")
@@ -98,20 +98,27 @@ def _csv_cell(value) -> str:
 
 def cmd_bounds(args) -> int:
     rows = [dataclasses.asdict(bounds.CloneBound.compute(n)) for n in _parse_n_list(args.n)]
-    _report(rows, bounds.CloneBound.CSV_HEADER.split(","), args.format, args.out)
+    columns = [field.name for field in dataclasses.fields(bounds.CloneBound)]
+    _report(rows, args.format, args.out, columns)
     return 0
 
 
-def _gather(args, keys: set, defaults: dict) -> dict:
+def _gather(args, keys: dict, defaults: dict) -> dict:
+    """The defaults, overridden by the config file's values, each read with
+    its key's type, then by the flags given."""
     values = dict(defaults)
     if args.config:
         loaded = parse_config(args.config)
-        unknown = set(loaded) - keys
+        unknown = set(loaded) - set(keys)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        values.update(loaded)
+        for key, text in loaded.items():
+            try:
+                values[key] = keys[key](text)
+            except ValueError:
+                raise ValueError(f"config key {key!r} needs {keys[key].__name__}, got {text!r}") from None
     for key in keys:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
     return values
@@ -120,21 +127,13 @@ def _gather(args, keys: set, defaults: dict) -> dict:
 SIMULATE_DEFAULTS = {"n": 8, "q": None, "l": 2000, "beta": 0.0, "eta": 1.0,
                      "epsilon": 0.0, "trials": 100, "seed": 0}
 
-SIMULATE_HEADER = ["n", "q", "l", "beta", "eta", "epsilon", "trials", "valid", "invalid",
-                   "aborted", "valid_rate", "invalid_rate", "abort_rate", "reject_bound",
-                   "abort_bound"]
-
 
 def cmd_simulate(args) -> int:
     cfg = _gather(args, SIMULATE_KEYS, SIMULATE_DEFAULTS)
     if cfg["q"] is None:
         cfg["q"] = 1000 * cfg["l"]
-    rng = np.random.default_rng(int(cfg["seed"]))
-    report = protocol.run_honest_experiment(
-        n=int(cfg["n"]), q=int(cfg["q"]), l=int(cfg["l"]), beta=float(cfg["beta"]),
-        trials=int(cfg["trials"]), rng=rng, eta=float(cfg["eta"]), epsilon=float(cfg["epsilon"]),
-    ).to_dict()
-    _report(report, SIMULATE_HEADER, args.format, args.out)
+    rng = np.random.default_rng(cfg.pop("seed"))
+    _report(protocol.run_honest_experiment(**cfg, rng=rng).to_dict(), args.format, args.out)
     return 0
 
 
@@ -143,26 +142,20 @@ def cmd_forge(args) -> int:
                                      "beta": 0.1, "strategy": "symmetric_clone", "fraction": 0.0})
     if cfg["q"] is None:
         cfg["q"] = 2000 * cfg["l"]  # T = 2: both halves of a double-spend get judged
-    strategy = adversary.builtin_strategy(str(cfg["strategy"]), beta=float(cfg["beta"]),
-                                          fraction=float(cfg["fraction"]))
-    params = protocol.VerdictParameters.from_noise(
-        int(cfg["n"]), float(cfg["beta"]), float(cfg["eta"]), float(cfg["epsilon"]))
-    rng = np.random.default_rng(int(cfg["seed"]))
+    strategy = adversary.builtin_strategy(cfg["strategy"], beta=cfg["beta"], fraction=cfg["fraction"])
+    params = protocol.VerdictParameters.from_noise(cfg["n"], cfg["beta"], cfg["eta"], cfg["epsilon"])
+    rng = np.random.default_rng(cfg["seed"])
     outcome = adversary.run_forging_experiment(
-        n=int(cfg["n"]), q=int(cfg["q"]), l=int(cfg["l"]), strategy=strategy,
-        trials=int(cfg["trials"]), params=params, rng=rng,
+        n=cfg["n"], q=cfg["q"], l=cfg["l"], strategy=strategy, trials=cfg["trials"],
+        params=params, rng=rng,
     )
-    _report(outcome.to_dict(), outcome.CSV_HEADER.split(","), args.format, args.out)
+    _report(outcome.to_dict(), args.format, args.out, outcome.CSV_HEADER.split(","))
     return 0
-
-
-PLAN_HEADER = ["n", "beta", "eta", "epsilon", "c", "delta", "l", "q_min", "T",
-               "error_floor", "target", "achieved"]
 
 
 def cmd_plan(args) -> int:
     plan = protocol.plan_parameters(args.n, args.beta, args.security, args.eta, args.epsilon)
-    _report(plan.to_dict(), PLAN_HEADER, args.format, args.out)
+    _report(dataclasses.asdict(plan), args.format, args.out)
     return 0
 
 
@@ -178,7 +171,7 @@ def cmd_coherent(args) -> int:
             "p2plus": point.p2plus, "effective_eta": point.effective_eta,
             "effective_adversary_error": point.effective_error,
         })
-    _report(rows, COHERENT_HEADER, args.format, args.out)
+    _report(rows, args.format, args.out, COHERENT_HEADER)
     return 0
 
 
@@ -217,7 +210,7 @@ def cmd_verify(args) -> int:
     report = {"verdict": outcome.verdict.value}
     if outcome.check is not None:
         report.update(outcome.check.to_dict())
-    _report(report, VERIFY_HEADER, args.format, args.out)
+    _report(report, args.format, args.out, VERIFY_HEADER)
     return 0
 
 
@@ -234,26 +227,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, fmt_default="csv")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("simulate", help="honest coin lifecycles, Monte Carlo")
-    p.add_argument("--config", default=None, help="key=value config file")
-    for key in ("n", "q", "l", "trials"):
-        p.add_argument(f"--{key}", type=int, default=None)
-    for key in ("beta", "eta", "epsilon"):
-        p.add_argument(f"--{key}", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("forge", help="double-spend experiment for a named strategy")
-    p.add_argument("--config", default=None)
-    p.add_argument("--strategy", default=None, choices=tuple(adversary.BUILTIN_STRATEGIES))
-    for key in ("n", "q", "l", "trials"):
-        p.add_argument(f"--{key}", type=int, default=None)
-    for key in ("beta", "eta", "epsilon", "fraction"):
-        p.add_argument(f"--{key}", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
-    common(p)
-    p.set_defaults(func=cmd_forge)
+    for name, keys, func, summary in (
+        ("simulate", SIMULATE_KEYS, cmd_simulate, "honest coin lifecycles, Monte Carlo"),
+        ("forge", FORGE_KEYS, cmd_forge, "double-spend experiment for a named strategy"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", default=None, help="key=value config file")
+        for key, kind in keys.items():
+            p.add_argument(f"--{key}", type=kind, **FLAG_OPTIONS.get(key, {}))
+        common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("plan", help="smallest sample size meeting a security target")
     p.add_argument("--n", type=int, required=True)

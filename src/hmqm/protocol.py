@@ -48,10 +48,10 @@ import json
 import numpy as np
 
 from . import bounds
+from .bounds import COIN_BUDGET_DIVISOR
 from .matchings import DisjointMatchingSet, build_disjoint_set
 from .qrg import BitString, hidden_matching_state, measure_matching
 
-COIN_BUDGET_DIVISOR = 1000  # T = q // (1000 l)
 KEY_BYTES = 16
 # Largest n a coin may have: a round on a coin builds O(n^2) matching tables.
 MAX_N = 256
@@ -765,14 +765,6 @@ class Plan:
     error_floor: float
     target: float
     achieved: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "beta": self.beta, "eta": self.eta, "epsilon": self.epsilon,
-            "c": self.c, "delta": self.delta, "l": self.l, "q_min": self.q_min,
-            "T": self.T, "error_floor": self.error_floor, "target": self.target,
-            "achieved": self.achieved,
-        }
 
 
 def plan_parameters(

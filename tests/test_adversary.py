@@ -61,8 +61,8 @@ def test_white_pair_error_per_strategy():
         assert builtin_strategy("mixed_substitution").white_pair_error(n) == (0.5, 0.5)
         assert builtin_strategy("honest_noise", beta=0.1).white_pair_error(n) == (0.1, 1.0)
         assert builtin_strategy("register_split").white_pair_error(n) == (0.0, 1.0)
-        custom = AttackStrategy((CustomChannel(lambda s, r: (None, None), pair_error=(0.3, 0.4)),))
-        assert custom.white_pair_error(n) == (0.3, 0.4)
+        custom = AttackStrategy((CustomChannel(lambda s, r: (None, None)),))
+        assert custom.white_pair_error(n) is None
 
 
 def test_white_pair_error_respects_cloning_bound():
@@ -77,10 +77,10 @@ def test_white_pair_error_respects_cloning_bound():
 
 def test_check_accounting_cap():
     clone = builtin_strategy("symmetric_clone")
-    check_accounting(clone, 1_000_000, 100, 10)  # 1000 + 1000, exactly at cap
+    assert check_accounting(clone, 1_000_000, 100, 10) == (1000, 1000, 0)  # exactly at cap
     with pytest.raises(ValueError, match="cap is"):
         check_accounting(clone, 1_000_000, 2000, 1)  # 1000 + 2000 over the cap
-    check_accounting(builtin_strategy("honest_noise"), 1000, 500, 1)  # no split, no cap
+    assert check_accounting(builtin_strategy("honest_noise"), 1000, 500, 1) == (0, 0, 0)  # no cap
 
 
 def test_check_accounting_register_size():
@@ -258,6 +258,8 @@ def test_custom_channel_plugin():
         return maximally_mixed(state.dim), maximally_mixed(state.dim)
 
     strategy = AttackStrategy((CustomChannel(both_mixed),))
+    coin1, coin2 = forge_coins(bank_mint(4, 10_000, 10, np.random.default_rng(0))[0], strategy)
+    assert coin1.forged_error is coin2.forged_error is None  # the channel is measured instead
     params = VerdictParameters.from_noise(4, 0.0)
     outcome = run_forging_experiment(4, 100_000, 50, strategy, 5, params, rng)
     assert outcome.strategy == "custom"

@@ -111,15 +111,31 @@ def test_simulate_csv_header(capsys):
                       "valid_rate,invalid_rate,abort_rate,reject_bound,abort_bound")
 
 
-def test_parse_config_casts_and_comments(tmp_path):
+def test_parse_config_keeps_strings_and_drops_comments(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 4  # dimension\nbeta = 0.1\n\n# full-line comment\nstrategy = symmetric_clone\n")
     values = parse_config(str(cfg))
-    assert values == {"n": 4, "beta": 0.1, "strategy": "symmetric_clone"}
+    assert values == {"n": "4", "beta": "0.1", "strategy": "symmetric_clone"}
     bad = tmp_path / "bad.cfg"
     bad.write_text("just words\n")
     with pytest.raises(ValueError, match="expected key=value"):
         parse_config(str(bad))
+
+
+@pytest.mark.parametrize("command", ["simulate", "forge"])
+@pytest.mark.parametrize("key, value", [("l", "20.7"), ("n", "8.9"), ("seed", "1.9"),
+                                        ("trials", "2.5"), ("q", "1e6"), ("beta", "low")])
+def test_config_value_is_read_with_its_flag_type(tmp_path, capsys, command, key, value):
+    # A config value the flag would refuse is refused too, naming the key,
+    # instead of being truncated to fit.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = 4\nq = 100000\nl = 10\ntrials = 1\n{key} = {value}\n")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and f"'{key}'" in err
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, f"--{key}", value])
+    assert exc_info.value.code == 2
 
 
 def test_config_file_drives_simulate(tmp_path):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -370,7 +371,7 @@ def test_plan_parameters_ideal():
     assert plan.error_floor == bounds.e_min(8)
     assert plan.l == math.ceil(math.log(1e6) / (2.0 * plan.delta**2))
     assert plan.achieved <= 1e-6 < honest_fail_bound(plan.l - 1, plan.delta)
-    d = plan.to_dict()
+    d = dataclasses.asdict(plan)
     assert d["l"] == 2132 and d["target"] == 1e-6
 
 
