@@ -16,15 +16,13 @@ verifiers against the same bank record.  Built-in steps:
 - LossHiding: do not send a fraction of white positions at all, hoping the
   abort rule blames the detectors.
 
-Every built-in channel produces depolarizing-class states, so the
-double-spend Monte Carlo uses the same exact sampling as honest runs.  A
-custom channel (state, rng) -> (rho1, rho2) hooks arbitrary per-position
-attacks into the general measurement path.
+Every channel produces depolarizing-class states: a forged position's
+measurement errs at one rate per coin, independently of the pair, so the
+double-spend Monte Carlo uses the same exact sampling as honest runs.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -46,9 +44,8 @@ REPLICATION_CAP = 2.0 / COIN_BUDGET_DIVISOR
 
 @dataclass(frozen=True)
 class RegisterSplit:
-    """Mask a fraction from each verifier, forward the state to the other."""
-
-    fraction: float = SPLIT_FRACTION
+    """Mask SPLIT_FRACTION of the positions from each verifier, forward the
+    state to the other."""
 
 
 @dataclass(frozen=True)
@@ -75,29 +72,25 @@ class LossHiding:
     fraction: float = 0.0
 
 
-@dataclass(frozen=True)
-class CustomChannel:
-    """Plugin point: channel(state, rng) -> (rho1, rho2) per white position."""
-
-    channel: Callable
-
-
-CHANNEL_STEPS = (SymmetricClone, MixedSubstitution, HonestNoise, CustomChannel)
+CHANNEL_STEPS = (SymmetricClone, MixedSubstitution, HonestNoise)
+STEP_KINDS = (RegisterSplit, LossHiding, CHANNEL_STEPS)
 
 
 @dataclass(frozen=True)
 class AttackStrategy:
-    """An ordered composition of attack steps."""
+    """An ordered composition of attack steps, at most one of each kind in
+    STEP_KINDS (a split, a hiding step, a channel)."""
 
     steps: tuple = ()
     name: str = ""
 
     def __post_init__(self):
-        channels = [s for s in self.steps if isinstance(s, CHANNEL_STEPS)]
-        if len(channels) > 1:
-            raise ValueError("at most one channel step per strategy")
+        if any(sum(isinstance(s, kind) for s in self.steps) > 1 for kind in STEP_KINDS):
+            raise ValueError("at most one channel step, one RegisterSplit and one LossHiding per strategy")
         for s in self.steps:
-            if isinstance(s, (RegisterSplit, LossHiding)) and not 0.0 <= s.fraction <= 1.0:
+            if not isinstance(s, STEP_KINDS):
+                raise ValueError(f"not an attack step: {s!r}")
+            if isinstance(s, LossHiding) and not 0.0 <= s.fraction <= 1.0:
                 raise ValueError(f"fraction must be in [0, 1], got {s.fraction}")
             if isinstance(s, HonestNoise) and not 0.0 <= s.beta <= 0.5:
                 raise ValueError(f"beta must be in [0, 1/2], got {s.beta}")
@@ -107,9 +100,8 @@ class AttackStrategy:
         of classes, as for isinstance), or None."""
         return next((s for s in self.steps if isinstance(s, kinds)), None)
 
-    def white_pair_error(self, n: int) -> tuple[float, float] | None:
-        """Analytic per-verifier error rates on white positions, None for a
-        custom channel (its states are measured exactly instead).
+    def white_pair_error(self, n: int) -> tuple[float, float]:
+        """Exact per-verifier error rates on white positions.
 
         A position a verifier never receives counts as error rate 1.
         """
@@ -121,9 +113,7 @@ class AttackStrategy:
             return (e, e)
         if isinstance(step, MixedSubstitution):
             return (0.5, 0.5)
-        if isinstance(step, HonestNoise):
-            return (step.beta, 1.0)
-        return None
+        return (step.beta, 1.0)  # HonestNoise
 
 
 # The named strategies of the CLI and the tests: name -> steps(beta, fraction).
@@ -151,7 +141,7 @@ def check_accounting(strategy: AttackStrategy, q: int, l: int, T: int) -> tuple[
     masked from each verifier, the T*l known ones and the hidden ones.
     """
     split = strategy.step(RegisterSplit)
-    split_count = int(split.fraction * q) if split else 0
+    split_count = int(SPLIT_FRACTION * q) if split else 0
     aux_count = T * l if split else 0
     if split_count + aux_count > math.ceil(REPLICATION_CAP * q):
         raise ValueError(
@@ -181,16 +171,10 @@ def forge_coins(coin: Coin, strategy: AttackStrategy) -> tuple[Coin, Coin]:
         raise ValueError("forging expects a fresh, fully genuine coin")
     m, known, hidden = check_accounting(strategy, coin.q, coin.l, coin.T)
 
-    step = strategy.step(CHANNEL_STEPS)
-    white1 = PositionKind.GENUINE if step is None else PositionKind.FORGED
-    one_state = step is None or isinstance(step, HonestNoise)  # verifier 1 keeps it
-    white2 = PositionKind.ABSENT if one_state else PositionKind.FORGED
-    err1 = err2 = chan1 = chan2 = None
-    if isinstance(step, CustomChannel):
-        chan1 = lambda state, r: step.channel(state, r)[0]
-        chan2 = lambda state, r: step.channel(state, r)[1]
-    else:
-        err1, err2 = strategy.white_pair_error(coin.n)
+    err1, err2 = strategy.white_pair_error(coin.n)
+    white1 = PositionKind.GENUINE if strategy.step(CHANNEL_STEPS) is None else PositionKind.FORGED
+    # Error rate 1 marks white positions verifier 2 never receives.
+    white2 = PositionKind.ABSENT if err2 == 1.0 else PositionKind.FORGED
 
     # (length, kind for verifier 1, kind for verifier 2).  A masked side's
     # physical state goes to the other verifier intact.
@@ -205,8 +189,8 @@ def forge_coins(coin: Coin, strategy: AttackStrategy) -> tuple[Coin, Coin]:
     segments1 = tuple((stop, k1) for stop, (length, k1, _) in zip(stops, layout) if length)
     segments2 = tuple((stop, k2) for stop, (length, _, k2) in zip(stops, layout) if length)
     same = dict(coin_id=coin.coin_id, n=coin.n, q=coin.q, l=coin.l, T=coin.T)
-    coin1 = Coin(**same, segments=segments1, masked=range(0, m), forged_error=err1, custom_channel=chan1)
-    coin2 = Coin(**same, segments=segments2, masked=range(m, 2 * m), forged_error=err2, custom_channel=chan2)
+    coin1 = Coin(**same, segments=segments1, masked=range(0, m), forged_error=err1)
+    coin2 = Coin(**same, segments=segments2, masked=range(m, 2 * m), forged_error=err2)
     return coin1, coin2
 
 
@@ -329,12 +313,14 @@ def loss_hiding_weight_check(
     l-sample is hypergeometric, and each sent position independently yields
     an outcome with probability params.eta.  Returns the empirical frequency
     of the policy's abort, l' < min_outcomes * l, over `trials` rounds.
-    Raises ValueError unless 0 <= sent <= q and 1 <= l <= q.
+    Raises ValueError unless 0 <= sent <= q, 1 <= l <= q and trials >= 1.
     """
     if not 0 <= sent <= q:
         raise ValueError(f"need 0 <= sent <= {q}, got {sent}")
     if not 1 <= l <= q:
         raise ValueError(f"need 1 <= l <= {q}, got {l}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     sent_in_sample = rng.hypergeometric(sent, q - sent, l, size=trials)
     outcomes = rng.binomial(sent_in_sample, params.eta)
     return float(np.mean(outcomes < params.min_outcomes * l))

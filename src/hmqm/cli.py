@@ -131,7 +131,7 @@ SIMULATE_DEFAULTS = {"n": 8, "q": None, "l": 2000, "beta": 0.0, "eta": 1.0,
 def cmd_simulate(args) -> int:
     cfg = _gather(args, SIMULATE_KEYS, SIMULATE_DEFAULTS)
     if cfg["q"] is None:
-        cfg["q"] = 1000 * cfg["l"]
+        cfg["q"] = bounds.COIN_BUDGET_DIVISOR * cfg["l"]
     rng = np.random.default_rng(cfg.pop("seed"))
     _report(protocol.run_honest_experiment(**cfg, rng=rng).to_dict(), args.format, args.out)
     return 0
@@ -141,7 +141,7 @@ def cmd_forge(args) -> int:
     cfg = _gather(args, FORGE_KEYS, {**SIMULATE_DEFAULTS, "n": 4, "trials": 50,
                                      "beta": 0.1, "strategy": "symmetric_clone", "fraction": 0.0})
     if cfg["q"] is None:
-        cfg["q"] = 2000 * cfg["l"]  # T = 2: both halves of a double-spend get judged
+        cfg["q"] = 2 * bounds.COIN_BUDGET_DIVISOR * cfg["l"]  # T = 2: both halves of a double-spend get judged
     strategy = adversary.builtin_strategy(cfg["strategy"], beta=cfg["beta"], fraction=cfg["fraction"])
     params = protocol.VerdictParameters.from_noise(cfg["n"], cfg["beta"], cfg["eta"], cfg["epsilon"])
     rng = np.random.default_rng(cfg["seed"])

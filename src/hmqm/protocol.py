@@ -8,15 +8,14 @@ that `hashlib` already loads, so the holder's simulated measurement and the
 bank's check each derive the secrets they need.  `secret_bits` is the
 reference definition of the secrets.  The measurement and the check read
 each parity x_i XOR x_j straight from the packed AES output, in
-`np.unpackbits` bit order (`pair_parities`); only the positions of a custom
-forge channel are unpacked.  The holder verifies by sampling l unused
-positions, measuring each in a random matching basis, and sending the
-claimed parities to the bank, which accepts when the correct fraction
-clears c - delta.  The bank allows at most T = q // (1000 l)
-checks per coin, and grades a transcript against the l of its own record.
-All sampling is exact: outcomes are drawn from closed-form distributions,
-never from simulated state vectors.  No state of a coin or a round grows
-with q.
+`np.unpackbits` bit order (`pair_parities`), without unpacking any secret.
+The holder verifies by sampling l unused positions, measuring each in a
+random matching basis, and sending the claimed parities to the bank, which
+accepts when the correct fraction clears c - delta.  The bank allows at
+most T = q // (1000 l) checks per coin, and grades a transcript against
+the l of its own record.  All sampling is exact: outcomes are drawn from
+closed-form distributions, never from simulated state vectors.  No state
+of a coin or a round grows with q.
 
 Each rule is written once.  `VerdictParameters` is the acceptance policy:
 `from_noise` sets c and delta from the channel noise and the adversary error
@@ -50,7 +49,6 @@ import numpy as np
 from . import bounds
 from .bounds import COIN_BUDGET_DIVISOR
 from .matchings import DisjointMatchingSet, build_disjoint_set
-from .qrg import BitString, hidden_matching_state, measure_matching
 
 KEY_BYTES = 16
 # Largest n a coin may have: a round on a coin builds O(n^2) matching tables.
@@ -76,7 +74,7 @@ class InfeasiblePlanError(ProtocolError):
 class PositionKind(IntEnum):
     GENUINE = 0  # reference to the bank's state, subject to channel noise
     REPLICA = 1  # perfect adversary-known copy, error-free
-    FORGED = 2   # output of the coin's forge channel
+    FORGED = 2   # forger's output, errs at the coin's forged_error
     ABSENT = 3   # nothing there; measuring it never yields an outcome
 
 
@@ -111,11 +109,9 @@ class Coin:
     whatever q is.
 
     forged_error is the exact per-measurement error rate of forged
-    positions (all built-in attack channels produce states whose
-    measurement statistics are uniform over pairs with an independent
-    error bit).  custom_channel, when set, overrides it: a callable
-    (PureState, rng) -> DensityMatrix giving this coin's marginal state,
-    measured through the general exact path.
+    positions: every attack channel produces states whose measurement
+    statistics are uniform over pairs with an independent error bit.  A
+    coin with forged positions must set it.
     """
 
     coin_id: str
@@ -127,7 +123,6 @@ class Coin:
     masked: range = range(0)
     consumed: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     forged_error: float | None = None
-    custom_channel: Callable | None = None
 
     @classmethod
     def fresh(cls, coin_id: str, n: int, q: int, l: int, T: int) -> "Coin":
@@ -468,23 +463,18 @@ def secret_bits(key: bytes, positions: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(stream[:, :used].ravel()).reshape(-1, 8 * used)[:, :n]
 
 
-def _stream_parities(stream: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray) -> np.ndarray:
-    """x_i XOR x_j of each row of a `_secret_stream`, for 1-based node pairs,
-    read from the packed bytes: node b's bit is bit 7 - (b-1) % 8 of byte
-    (b-1) // 8, the `np.unpackbits` order of `secret_bits`."""
+def pair_parities(key: bytes, n: int, positions: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray) -> np.ndarray:
+    """x_i XOR x_j of each position's secret, for 1-based node pairs, as
+    uint8.  Read straight from the packed AES output without unpacking the
+    secrets: node b's bit is bit 7 - (b-1) % 8 of byte (b-1) // 8, the
+    `np.unpackbits` order of `secret_bits`, the reference definition they
+    equal."""
+    stream = _secret_stream(key, positions, n)
     flat = stream.ravel()
     base = np.arange(len(stream)) * stream.shape[1]
     i, j = pair_i - 1, pair_j - 1
     parity = (flat[base + (i >> 3)] >> (7 - (i & 7))) ^ (flat[base + (j >> 3)] >> (7 - (j & 7)))
     return (parity & 1).astype(np.uint8)
-
-
-def pair_parities(key: bytes, n: int, positions: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray) -> np.ndarray:
-    """x_i XOR x_j of each position's secret, for 1-based node pairs, as
-    uint8.  Read straight from the packed AES output in `np.unpackbits` bit
-    order, without unpacking the secrets; `secret_bits` is the reference
-    definition they equal."""
-    return _stream_parities(_secret_stream(key, positions, n), pair_i, pair_j)
 
 
 def coin_budget(n: int, q: int, l: int) -> int:
@@ -533,12 +523,11 @@ def measure_positions(
     Returns (pair_i, pair_j, answer, errors) with answer == -1 for lost
     outcomes; errors flags the outcomes whose bit differs from the secret's
     parity on the returned pair, and is False where the outcome was lost.
-    Exact sampling: every built-in position kind yields a state of the form
+    Exact sampling: every position kind yields a state of the form
     w * phi_x + (1 - w) * I/n, whose outcome distribution is a uniform pair
     of the matching plus an independent error bit (genuine: beta, replica: 0,
     forged: the coin's forged_error).  Detector loss hits every present
-    position independently with probability 1 - eta.  Custom-channel
-    positions go through the general density-matrix path.
+    position independently with probability 1 - eta.
     """
     n = coin.n
     k = len(positions)
@@ -547,8 +536,8 @@ def measure_positions(
     u_err = rng.random(k)
 
     kinds = coin.kind_of(positions)
-    if coin.forged_error is None and coin.custom_channel is None and np.any(kinds == PositionKind.FORGED):
-        raise ValueError("coin has forged positions but no forge channel")
+    if coin.forged_error is None and np.any(kinds == PositionKind.FORGED):
+        raise ValueError("coin has forged positions but no forged_error")
     # Error rate by PositionKind; an absent position is never measured.
     err_prob = np.array([beta, 0.0, coin.forged_error or 0.0, 0.0])[kinds]
 
@@ -558,24 +547,11 @@ def measure_positions(
     # positions are looked up in the flattened table of every matching's
     # pairs, and derived.
     at = np.flatnonzero(present)
-    mset = matching_set(n)
-    table = mset.pairs_array.ravel()
+    table = matching_set(n).pairs_array.ravel()
     first = 2 * ((alphas[at] - 1) * (n // 2) + pair_pick[at])
     node_i, node_j = table[first], table[first + 1]
-    stream = _secret_stream(key, positions[at], n)
     answer = np.full(k, -1, dtype=np.int8)
-    answer[at] = _stream_parities(stream, node_i, node_j) ^ errors[at]
-
-    if coin.custom_channel is not None:
-        for row in np.flatnonzero(kinds[at] == PositionKind.FORGED):
-            idx = at[row]
-            x = BitString(tuple(np.unpackbits(stream[row], count=n).tolist()))
-            rho = coin.custom_channel(hidden_matching_state(x), rng)
-            out = measure_matching(rho, mset.matching(int(alphas[idx])), rng)
-            node_i[row], node_j[row] = out.i, out.j
-            answer[idx] = out.b
-            errors[idx] = out.b != x.bits[out.i - 1] ^ x.bits[out.j - 1]
-
+    answer[at] = pair_parities(key, n, positions[at], node_i, node_j) ^ errors[at]
     pair_i, pair_j = np.zeros((2, k), dtype=np.int64)
     pair_i[at], pair_j[at] = node_i, node_j
     return pair_i, pair_j, answer, errors

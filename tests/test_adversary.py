@@ -7,7 +7,6 @@ from helpers import binomial_tail_below
 from hmqm import bounds
 from hmqm.adversary import (
     AttackStrategy,
-    CustomChannel,
     ForgeOutcome,
     HonestNoise,
     LossHiding,
@@ -28,7 +27,6 @@ from hmqm.protocol import (
     bank_mint,
     holder_verify,
 )
-from hmqm.qrg import maximally_mixed
 
 
 def test_builtin_strategy_compositions():
@@ -47,11 +45,22 @@ def test_strategy_validation():
     with pytest.raises(ValueError, match="at most one channel step"):
         AttackStrategy((SymmetricClone(), MixedSubstitution()))
     with pytest.raises(ValueError):
-        AttackStrategy((RegisterSplit(fraction=1.5),))
-    with pytest.raises(ValueError):
         AttackStrategy((LossHiding(fraction=-0.1),))
     with pytest.raises(ValueError):
         AttackStrategy((HonestNoise(beta=0.7),))
+
+
+def test_strategy_refuses_foreign_and_repeated_steps():
+    # Only the first step of a kind is ever read, so a second one, or an
+    # object that is no step at all, would be dropped without a word.
+    for steps in [(LossHiding(0.1), LossHiding(0.2)), (RegisterSplit(), RegisterSplit())]:
+        with pytest.raises(ValueError, match="at most one"):
+            AttackStrategy(steps)
+    for junk in ["junk", 42, None, RegisterSplit]:
+        with pytest.raises(ValueError, match="not an attack step"):
+            AttackStrategy((RegisterSplit(), junk))
+    with pytest.raises(ValueError):
+        AttackStrategy((LossHiding(0.1), LossHiding(0.2), "junk", 42))
 
 
 def test_white_pair_error_per_strategy():
@@ -61,8 +70,6 @@ def test_white_pair_error_per_strategy():
         assert builtin_strategy("mixed_substitution").white_pair_error(n) == (0.5, 0.5)
         assert builtin_strategy("honest_noise", beta=0.1).white_pair_error(n) == (0.1, 1.0)
         assert builtin_strategy("register_split").white_pair_error(n) == (0.0, 1.0)
-        custom = AttackStrategy((CustomChannel(lambda s, r: (None, None)),))
-        assert custom.white_pair_error(n) is None
 
 
 def test_white_pair_error_respects_cloning_bound():
@@ -222,6 +229,9 @@ def test_loss_hiding_weight_check_guards():
     for sent in (-1, 11):
         with pytest.raises(ValueError, match="0 <= sent <= 10"):
             loss_hiding_weight_check(10, sent, 5, policy, 10, rng)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            loss_hiding_weight_check(10, 10, 5, policy, trials, rng)
     assert loss_hiding_weight_check(10, 0, 5, policy, 10, rng) == 1.0  # nothing sent: always abort
 
 
@@ -249,25 +259,6 @@ def test_forge_outcome_serialization(capsys):
     d = outcome.to_dict()
     assert d["trials"] == 3
     assert 0.0 <= d["mean_white_error1"] <= 1.0
-
-
-def test_custom_channel_plugin():
-    rng = np.random.default_rng(41)
-
-    def both_mixed(state, _rng):
-        return maximally_mixed(state.dim), maximally_mixed(state.dim)
-
-    strategy = AttackStrategy((CustomChannel(both_mixed),))
-    coin1, coin2 = forge_coins(bank_mint(4, 10_000, 10, np.random.default_rng(0))[0], strategy)
-    assert coin1.forged_error is coin2.forged_error is None  # the channel is measured instead
-    params = VerdictParameters.from_noise(4, 0.0)
-    outcome = run_forging_experiment(4, 100_000, 50, strategy, 5, params, rng)
-    assert outcome.strategy == "custom"
-    pooled = np.concatenate([outcome.observed_error1, outcome.observed_error2])
-    mean_err = float(np.nanmean(pooled))
-    sigma = math.sqrt(0.25 / (10 * 50))
-    assert abs(mean_err - 0.5) <= 4 * sigma
-    assert outcome.both_accept_rate == 0.0
 
 
 def test_forge_layout_holds_no_q_length_state():

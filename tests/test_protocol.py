@@ -33,7 +33,6 @@ from hmqm.protocol import (
     run_honest_experiment,
     secret_bits,
 )
-from hmqm.qrg import maximally_mixed
 
 
 def make_params(**kw):
@@ -476,40 +475,26 @@ def test_measure_positions_forged_without_channel_raises():
     rng = np.random.default_rng(20)
     coin, db = bank_mint(4, 10_000, 10, rng)
     coin.segments = ((coin.q, PositionKind.FORGED),)
-    with pytest.raises(ValueError, match="no forge channel"):
+    with pytest.raises(ValueError, match="no forged_error"):
         measured_error_rate(db, coin, 100, beta=0.0, eta=1.0, seed=21)
 
 
-def test_measure_positions_custom_channel():
-    rng = np.random.default_rng(22)
-    coin, db = bank_mint(4, 10_000, 10, rng)
-    coin.segments = ((coin.q, PositionKind.FORGED),)
-    coin.custom_channel = lambda state, _rng: state.to_density()
-    errors, present, _ = measured_error_rate(db, coin, 2000, beta=0.0, eta=1.0, seed=23)
-    assert errors == 0
-
-    coin.custom_channel = lambda state, _rng: maximally_mixed(state.dim)
-    errors, present, _ = measured_error_rate(db, coin, 2000, beta=0.0, eta=1.0, seed=24)
-    sigma = math.sqrt(0.25 / present)
-    assert abs(errors / present - 0.5) <= 4 * sigma
-
-
 def test_error_flags_agree_with_the_bank():
-    # Genuine, replica, forged and absent segments under loss, with the
-    # built-in forged error and with two custom channels: a flag is set
-    # exactly where the bank finds a wrong parity, never on a lost outcome.
+    # Genuine, replica, forged and absent segments under loss, at three
+    # forged error rates: a flag is set exactly where the bank finds a wrong
+    # parity, never on a lost outcome, and never on a forged position whose
+    # error rate is 0.
     rng = np.random.default_rng(28)
     coin, db = bank_mint(4, 10_000, 10, rng)
     coin.segments = ((2500, PositionKind.GENUINE), (5000, PositionKind.REPLICA),
                      (7500, PositionKind.FORGED), (10_000, PositionKind.ABSENT))
-    coin.forged_error = 0.3
-    cases = [  # (custom channel, step between sampled positions, forged positions can err)
-        (None, 1, True),
-        (lambda state, _rng: maximally_mixed(state.dim), 10, True),
-        (lambda state, _rng: state.to_density(), 10, False),
+    cases = [  # (forged error, step between sampled positions, forged positions can err)
+        (0.3, 1, True),
+        (0.5, 10, True),
+        (0.0, 10, False),
     ]
-    for seed, (channel, step, forged_errs) in enumerate(cases):
-        coin.custom_channel = channel
+    for seed, (forged_error, step, forged_errs) in enumerate(cases):
+        coin.forged_error = forged_error
         positions = np.arange(0, 10_000, step, dtype=np.int64)
         alphas = rng.integers(1, coin.n, size=len(positions))
         pi, pj, ans, flags = measure_positions(
