@@ -255,7 +255,7 @@ def _transcript_errors(coin, outcome) -> tuple[float, float]:
     if not l_prime:
         return (math.nan, math.nan)
     kinds = coin.kind_of(outcome.transcript.positions)
-    white = ((kinds == PositionKind.FORGED) | (kinds == PositionKind.GENUINE)) & present
+    white = ((kinds == PositionKind.FORGED.value) | (kinds == PositionKind.GENUINE.value)) & present
     white_count = np.count_nonzero(white)
     white_err = np.count_nonzero(outcome.errors & white) / white_count if white_count else math.nan
     return (white_err, np.count_nonzero(outcome.errors) / l_prime)

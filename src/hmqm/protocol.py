@@ -130,9 +130,9 @@ class Coin:
 
     def kind_of(self, positions: np.ndarray) -> np.ndarray:
         """PositionKind of each position, as a uint8 array."""
-        stops = [stop for stop, _ in self.segments]
+        stops = np.array([stop for stop, _ in self.segments], dtype=np.int64)
         kinds = np.array([kind for _, kind in self.segments], dtype=np.uint8)
-        return kinds[np.searchsorted(stops, positions, side="right")]
+        return kinds[stops.searchsorted(positions, side="right")]
 
     def unused(self) -> int:
         """Positions a round may still sample."""
@@ -471,10 +471,12 @@ def pair_parities(key: bytes, n: int, positions: np.ndarray, pair_i: np.ndarray,
     equal."""
     stream = _secret_stream(key, positions, n)
     flat = stream.ravel()
-    base = np.arange(len(stream)) * stream.shape[1]
-    i, j = pair_i - 1, pair_j - 1
-    parity = (flat[base + (i >> 3)] >> (7 - (i & 7))) ^ (flat[base + (j >> 3)] >> (7 - (j & 7)))
-    return (parity & 1).astype(np.uint8)
+    # i and j are bit offsets into the stream: shifting a node's byte left
+    # by its offset mod 8, in uint8, moves the node's bit to the top.
+    base = np.arange(len(stream)) * (8 * stream.shape[1]) - 1
+    i, j = base + pair_i, base + pair_j
+    parity = (flat.take(i >> 3) << (i & 7).astype(np.uint8)) ^ (flat.take(j >> 3) << (j & 7).astype(np.uint8))
+    return parity >> 7
 
 
 def coin_budget(n: int, q: int, l: int) -> int:
@@ -536,24 +538,23 @@ def measure_positions(
     u_err = rng.random(k)
 
     kinds = coin.kind_of(positions)
-    if coin.forged_error is None and np.any(kinds == PositionKind.FORGED):
+    # Kinds compare as plain ints: an IntEnum operand costs numpy microseconds.
+    if coin.forged_error is None and (kinds == PositionKind.FORGED.value).any():
         raise ValueError("coin has forged positions but no forged_error")
     # Error rate by PositionKind; an absent position is never measured.
-    err_prob = np.array([beta, 0.0, coin.forged_error or 0.0, 0.0])[kinds]
+    err_prob = np.array([beta, 0.0, coin.forged_error or 0.0, 0.0]).take(kinds)
 
-    present = (u_loss < eta) & (kinds != PositionKind.ABSENT)
+    present = (u_loss < eta) & (kinds != PositionKind.ABSENT.value)
     errors = (u_err < err_prob) & present
-    # A lost outcome needs neither a pair nor a secret: only present
-    # positions are looked up in the flattened table of every matching's
-    # pairs, and derived.
-    at = np.flatnonzero(present)
+    # Every position's pair is read from the flattened table of every
+    # matching's pairs, and a lost one is zeroed; only present positions are
+    # derived.
     table = matching_set(n).pairs_array.ravel()
-    first = 2 * ((alphas[at] - 1) * (n // 2) + pair_pick[at])
-    node_i, node_j = table[first], table[first + 1]
+    first = 2 * ((alphas - 1) * (n // 2) + pair_pick)
+    pair_i = np.where(present, table[first], 0)
+    pair_j = np.where(present, table[first + 1], 0)
     answer = np.full(k, -1, dtype=np.int8)
-    answer[at] = pair_parities(key, n, positions[at], node_i, node_j) ^ errors[at]
-    pair_i, pair_j = np.zeros((2, k), dtype=np.int64)
-    pair_i[at], pair_j[at] = node_i, node_j
+    answer[present] = pair_parities(key, n, positions[present], pair_i[present], pair_j[present]) ^ errors[present]
     return pair_i, pair_j, answer, errors
 
 
@@ -583,12 +584,12 @@ def _plan_round(coin: Coin, rng: np.random.Generator) -> tuple[np.ndarray, np.nd
     """Draw the sample, the bases and the measurement seed, consuming the
     sample: uniform draws from [0, q) minus the masked range, rejecting
     consumed positions.  Each batch draws the positions still missing; one
-    sort of the draw finds the first occurrence of each value (`np.unique`),
-    a binary search of `consumed` drops those consumed before, and the rest
-    join the sample in draw order.  `consumed` stays a sorted array of unique
-    positions: the new ones are merged in by a stable sort, which merges the
-    two sorted runs in linear time.  The rng calls and the sample are those
-    of taking the draws one by one."""
+    argsort groups equal draws, and each group's least draw index is its
+    first occurrence.  One binary search of `consumed` drops values consumed
+    before, and a mask keeps the rest in draw order.  `consumed` stays a
+    sorted array of unique positions: a stable sort merges the new ones in,
+    in linear time.  The rng calls and the sample are those of taking the
+    draws one by one."""
     if coin.unused() < coin.l:
         raise InsufficientPositionsError(
             f"coin has {coin.unused()} unused positions, verification needs {coin.l}"
@@ -597,11 +598,19 @@ def _plan_round(coin: Coin, rng: np.random.Generator) -> tuple[np.ndarray, np.nd
     missing = coin.l
     while missing:
         draw = rng.integers(0, coin.q - len(coin.masked), size=missing)
-        draw[draw >= coin.masked.start] += len(coin.masked)
-        values, first = np.unique(draw, return_index=True)
-        fresh = np.searchsorted(coin.consumed, values) == np.searchsorted(coin.consumed, values, side="right")
+        if coin.masked:
+            draw += (draw >= coin.masked.start) * len(coin.masked)
+        order = np.argsort(draw)
+        ranked = draw[order]
+        starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        values = ranked[starts]
+        fresh = np.ones(len(values), dtype=bool)
+        if len(coin.consumed):  # past the end, the search clips to a smaller position
+            fresh = coin.consumed.take(np.searchsorted(coin.consumed, values), mode="clip") != values
+        keep = np.zeros(missing, dtype=bool)
+        keep[np.minimum.reduceat(order, starts)[fresh]] = True
         coin.consumed = np.sort(np.concatenate((coin.consumed, values[fresh])), kind="stable")
-        batches.append(draw[np.sort(first[fresh])])
+        batches.append(draw[keep])
         missing -= len(batches[-1])
     alphas = rng.integers(1, coin.n, size=coin.l)
     measure_seed = int(rng.integers(0, 2**63))
@@ -669,7 +678,7 @@ def _structural_violation(db: BankDatabase, transcript: VerificationTranscript, 
     if len(pos) != db.l or transcript.l != db.l:
         return "wrong_sample_size"
     ordered = np.sort(pos)
-    if np.any(ordered[1:] == ordered[:-1]):
+    if (ordered[1:] == ordered[:-1]).any():
         return "duplicate_position"
     if ordered[0] < 0 or ordered[-1] >= db.q:
         return "position_out_of_range"
@@ -678,9 +687,9 @@ def _structural_violation(db: BankDatabase, transcript: VerificationTranscript, 
     if transcript.answer.min() < -1 or transcript.answer.max() > 1:
         return "answer_not_a_bit"
     pi, pj = transcript.pair_i[present], transcript.pair_j[present]
-    if pi.size and (min(pi.min(), pj.min()) < 1 or max(pi.max(), pj.max()) > db.n or np.any(pi == pj)):
+    if pi.size and (min(pi.min(), pj.min()) < 1 or max(pi.max(), pj.max()) > db.n or (pi == pj).any()):
         return "node_out_of_range"
-    if np.any(_pair_to_alpha(db.n)[pi, pj] != transcript.alpha[present]):
+    if (_pair_to_alpha(db.n).take(pi * (db.n + 1) + pj) != transcript.alpha[present]).any():
         return "pair_not_in_matching"
     return None
 

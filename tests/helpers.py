@@ -107,6 +107,34 @@ def plan_round_reference(coin, rng: np.random.Generator) -> tuple[np.ndarray, np
     return np.array(sample, dtype=np.int64), alphas, measure_seed
 
 
+def measure_positions_reference(key: bytes, coin, positions: np.ndarray, alphas: np.ndarray,
+                                beta: float, eta: float, rng: np.random.Generator):
+    """`protocol.measure_positions` as a loop over positions: the same three
+    draws, then each position's kind from the segments, its loss, its pair
+    from the matching's own pairs and its error bit in turn, with the parity
+    read off `secret_bits` of that one position."""
+    n, k = coin.n, len(positions)
+    u_loss = rng.random(k)
+    pair_pick = rng.integers(0, n // 2, size=k)
+    u_err = rng.random(k)
+    error_rate = {protocol.PositionKind.GENUINE: beta, protocol.PositionKind.REPLICA: 0.0,
+                  protocol.PositionKind.FORGED: coin.forged_error}
+    matchings = protocol.matching_set(n)
+    pair_i, pair_j = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
+    answer = np.full(k, -1, dtype=np.int8)
+    errors = np.zeros(k, dtype=bool)
+    for t, position in enumerate(positions.tolist()):
+        kind = next(kind for stop, kind in coin.segments if position < stop)
+        if kind == protocol.PositionKind.ABSENT or not u_loss[t] < eta:
+            continue
+        i, j = matchings.matching(int(alphas[t])).pairs[pair_pick[t]]
+        x = protocol.secret_bits(key, np.array([position]), n)[0]
+        errors[t] = u_err[t] < error_rate[kind]
+        pair_i[t], pair_j[t] = i, j
+        answer[t] = x[i - 1] ^ x[j - 1] ^ errors[t]
+    return pair_i, pair_j, answer, errors
+
+
 class AesBlockCounter:
     """Counts the AES blocks the package encrypts (`secret_bits` and
     `pair_parities` alike): ceil(n/128) per position, on every call."""

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import AesBlockCounter, plan_round_reference
+from helpers import AesBlockCounter, measure_positions_reference, plan_round_reference
 from hmqm import bounds, protocol
 from hmqm.protocol import (
     CheckResult,
@@ -510,6 +512,29 @@ def test_error_flags_agree_with_the_bank():
         assert np.any(flags[kinds == PositionKind.FORGED]) == forged_errs
 
 
+@pytest.mark.parametrize("n", [4, 14, 130])
+def test_measure_positions_matches_the_reference_loop(n):
+    # Every kind of segment under loss, position by position: the pairs,
+    # the outcomes and the error flags are equal bit for bit, zeros and -1
+    # included where an outcome is lost or a position absent.  n = 130
+    # takes a secret from two AES blocks.
+    rng = np.random.default_rng(n)
+    coin, db = bank_mint(n, 200_000, 100, rng)
+    coin.segments = ((50_000, PositionKind.GENUINE), (100_000, PositionKind.REPLICA),
+                     (150_000, PositionKind.FORGED), (200_000, PositionKind.ABSENT))
+    coin.forged_error = 0.3
+    positions = rng.integers(0, coin.q, size=600)
+    alphas = rng.integers(1, n, size=len(positions))
+    got = measure_positions(db.key, coin, positions, alphas, 0.2, 0.7, np.random.default_rng(1))
+    ref = measure_positions_reference(db.key, coin, positions, alphas, 0.2, 0.7, np.random.default_rng(1))
+    for name, a, b in zip(("pair_i", "pair_j", "answer", "errors"), got, ref):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    kinds = coin.kind_of(positions)
+    lost = (got[2] < 0) & (kinds != PositionKind.ABSENT)
+    assert lost.any() and np.all(got[2][kinds == PositionKind.ABSENT] == -1)
+    assert got[3][kinds == PositionKind.GENUINE].any() and got[3][kinds == PositionKind.FORGED].any()
+
+
 def test_sample_without_replacement():
     # _plan_round samples by rejection from [0, q) minus the masked range and
     # the consumed positions; it can take the very last unused ones.
@@ -582,6 +607,44 @@ def test_plan_round_matches_the_reference_loop():
     assert len(np.unique(clean)) == len(clean)
     mixed = np.random.default_rng(4).integers(0, 40, size=10).tolist()
     assert len(set(mixed)) < len(mixed) and not set(mixed).isdisjoint(range(0, 40, 5))
+
+
+@st.composite
+def planner_shapes(draw):
+    """A coin shape, a masked range and consumed positions outside it, for
+    the planner.  q runs from l to 8 l, so a batch often repeats positions."""
+    l = draw(st.integers(1, 200))
+    q = draw(st.integers(l, 8 * l))
+    width = draw(st.integers(0, q - l))
+    start = draw(st.integers(0, q - width))
+    masked = range(start, start + width)
+    consumed = draw(st.lists(st.integers(0, q - 1), max_size=2 * l))
+    consumed = np.array(sorted(set(consumed) - set(masked)), dtype=np.int64)
+    return q, l, masked, consumed
+
+
+@settings(max_examples=200, deadline=None)
+@given(planner_shapes(), st.sampled_from([2, 4, 8]), st.integers(0, 2**32 - 1))
+def test_plan_round_matches_the_reference_loop_on_drawn_shapes(shape, n, seed):
+    # Round after round until the positions run out or four rounds pass, the
+    # planner takes the same sample, bases, seed and consumed positions as
+    # the loop over single draws, and leaves its generator in the same state.
+    q, l, masked, consumed = shape
+    coin = Coin.fresh("c", n, q, l, 1)
+    coin.masked, coin.consumed = masked, consumed
+    twin = copy.deepcopy(coin)
+    rng, twin_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(4):
+        if coin.unused() < l:
+            with pytest.raises(InsufficientPositionsError):
+                _plan_round(coin, rng)
+            break
+        sample, alphas, measure_seed = _plan_round(coin, rng)
+        ref_sample, ref_alphas, ref_seed = plan_round_reference(twin, twin_rng)
+        assert sample.dtype == np.int64 and sample.tolist() == ref_sample.tolist()
+        assert alphas.tolist() == ref_alphas.tolist() and measure_seed == ref_seed
+        assert coin.consumed.dtype == np.int64 and np.array_equal(coin.consumed, twin.consumed)
+        assert rng.bit_generator.state == twin_rng.bit_generator.state
 
 
 def test_a_round_hashes_each_present_position_once(monkeypatch):
