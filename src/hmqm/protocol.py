@@ -587,9 +587,9 @@ def _plan_round(coin: Coin, rng: np.random.Generator) -> tuple[np.ndarray, np.nd
     argsort groups equal draws, and each group's least draw index is its
     first occurrence.  One binary search of `consumed` drops values consumed
     before, and a mask keeps the rest in draw order.  `consumed` stays a
-    sorted array of unique positions: a stable sort merges the new ones in,
-    in linear time.  The rng calls and the sample are those of taking the
-    draws one by one."""
+    sorted array of unique positions: the new ones are inserted at the
+    indices that search found, without a sort.  The rng calls and the
+    sample are those of taking the draws one by one."""
     if coin.unused() < coin.l:
         raise InsufficientPositionsError(
             f"coin has {coin.unused()} unused positions, verification needs {coin.l}"
@@ -604,12 +604,15 @@ def _plan_round(coin: Coin, rng: np.random.Generator) -> tuple[np.ndarray, np.nd
         ranked = draw[order]
         starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
         values = ranked[starts]
-        fresh = np.ones(len(values), dtype=bool)
         if len(coin.consumed):  # past the end, the search clips to a smaller position
-            fresh = coin.consumed.take(np.searchsorted(coin.consumed, values), mode="clip") != values
+            at = np.searchsorted(coin.consumed, values)
+            fresh = coin.consumed.take(at, mode="clip") != values
+            coin.consumed = np.insert(coin.consumed, at[fresh], values[fresh])
+        else:
+            fresh = np.ones(len(values), dtype=bool)
+            coin.consumed = values
         keep = np.zeros(missing, dtype=bool)
         keep[np.minimum.reduceat(order, starts)[fresh]] = True
-        coin.consumed = np.sort(np.concatenate((coin.consumed, values[fresh])), kind="stable")
         batches.append(draw[keep])
         missing -= len(batches[-1])
     alphas = rng.integers(1, coin.n, size=coin.l)
@@ -652,17 +655,15 @@ def bank_check(db: BankDatabase, transcript: VerificationTranscript, params: Ver
     db.s += 1
     present = transcript.answer >= 0
     l_prime = int(np.count_nonzero(present))
-    code = _structural_violation(db, transcript, present)
+    pi, pj = transcript.pair_i[present], transcript.pair_j[present]
+    code = _structural_violation(db, transcript, present, pi, pj)
     if code is not None:
         return CheckResult(
             valid=False, s=db.s, T=db.T, correct_count=0,
             l_prime=l_prime, threshold=0.0, code=code,
         )
     threshold = l_prime * (params.c - params.delta)
-    parity = pair_parities(
-        db.key, db.n, transcript.positions[present],
-        transcript.pair_i[present], transcript.pair_j[present],
-    )
+    parity = pair_parities(db.key, db.n, transcript.positions[present], pi, pj)
     correct = int(np.count_nonzero(parity == transcript.answer[present]))
     return CheckResult(
         valid=correct > threshold, s=db.s, T=db.T,
@@ -670,10 +671,12 @@ def bank_check(db: BankDatabase, transcript: VerificationTranscript, params: Ver
     )
 
 
-def _structural_violation(db: BankDatabase, transcript: VerificationTranscript, present: np.ndarray) -> str | None:
+def _structural_violation(db: BankDatabase, transcript: VerificationTranscript, present: np.ndarray,
+                          pi: np.ndarray, pj: np.ndarray) -> str | None:
     """The first rule the transcript breaks, in a fixed order, or None.
-    One sort finds duplicates and the position range; every other range is
-    a min/max reduction."""
+    pi and pj are the node pairs of the present outcomes.  One sort finds
+    duplicates and the position range; every other range is a min/max
+    reduction."""
     pos = transcript.positions
     if len(pos) != db.l or transcript.l != db.l:
         return "wrong_sample_size"
@@ -686,7 +689,6 @@ def _structural_violation(db: BankDatabase, transcript: VerificationTranscript, 
         return "alpha_out_of_range"
     if transcript.answer.min() < -1 or transcript.answer.max() > 1:
         return "answer_not_a_bit"
-    pi, pj = transcript.pair_i[present], transcript.pair_j[present]
     if pi.size and (min(pi.min(), pj.min()) < 1 or max(pi.max(), pj.max()) > db.n or (pi == pj).any()):
         return "node_out_of_range"
     if (_pair_to_alpha(db.n).take(pi * (db.n + 1) + pj) != transcript.alpha[present]).any():

@@ -30,11 +30,19 @@ mint record of one coin, a check counter outside [1, T], and a mint record
 of any other format: journals written with SHAKE-256 secrets (format 1,
 which had no format field) or keyed BLAKE2b secrets (format 2) are refused,
 not migrated.
+
+Each connection is served by one handler thread, from its first request to
+its close.  A handler outlives its connection: it then waits for the next
+one, and the accept loop starts a new handler only when every handler is
+busy, so there are as many handlers as connections were ever open at once,
+with no cap.  stop() ends the handlers that wait, and a handler whose
+connection ends after stop() exits.
 """
 
 import json
 import logging
 import os
+import queue
 import socket
 import struct
 import threading
@@ -216,7 +224,12 @@ def _apply_record(coins: dict[str, BankDatabase], record: dict) -> None:
 
 
 class BankService:
-    """Threaded socket server wrapping a durable bank database."""
+    """Threaded socket server wrapping a durable bank database.
+
+    serve_forever() hands each accepted connection to an idle handler
+    thread through a queue, and starts a daemon handler only when none is
+    idle.  A handler whose connection closes counts itself idle and takes
+    the next one; stop() ends every idle handler."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, journal_path: str | None = None):
         if journal_path is None:
@@ -233,6 +246,9 @@ class BankService:
             self.journal.close()
             raise
         self._stop = threading.Event()
+        self._connections: queue.SimpleQueue[socket.socket | None] = queue.SimpleQueue()
+        self._idle_lock = threading.Lock()
+        self._idle = 0
 
     @property
     def address(self) -> tuple[str, int]:
@@ -244,7 +260,12 @@ class BankService:
                 conn, _ = self._sock.accept()
             except OSError:
                 break
-            threading.Thread(target=self._serve_connection, args=(conn,), daemon=True).start()
+            with self._idle_lock:
+                self._connections.put(conn)
+                if self._idle:
+                    self._idle -= 1
+                    continue
+            threading.Thread(target=self._handle_connections, daemon=True).start()
 
     def start(self) -> threading.Thread:
         t = threading.Thread(target=self.serve_forever, daemon=True)
@@ -257,7 +278,23 @@ class BankService:
             self._sock.close()
         except OSError:
             pass
+        with self._idle_lock:
+            for _ in range(self._idle):
+                self._connections.put(None)
+            self._idle = 0
         self.journal.close()
+
+    def _handle_connections(self) -> None:
+        """A handler thread: serve connections from the queue one after
+        another until stop() hands it None.  `_idle` counts the handlers
+        waiting on the queue beyond the connections already in it, so that
+        stop() can hand each of them a None."""
+        while (conn := self._connections.get()) is not None:
+            self._serve_connection(conn)
+            with self._idle_lock:
+                if self._stop.is_set():
+                    return
+                self._idle += 1
 
     def _serve_connection(self, conn: socket.socket) -> None:
         with conn:

@@ -1,9 +1,15 @@
 import gc
 import json
 import math
+import os
+import re
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -162,20 +168,142 @@ def test_mint_refuses_huge_n_and_the_connection_lives_on(service):
     assert len(service.coins) == 1
 
 
-def test_finished_connection_threads_are_released(service):
-    def handlers():
-        return {t for t in threading.enumerate() if "_serve_connection" in t.name}
+def handler_threads() -> set[threading.Thread]:
+    return {t for t in threading.enumerate() if "_handle_connections" in t.name}
 
-    before = handlers()
-    with BankClient(*service.address) as client:
-        client.mint(4, 10_000, 10, seed=81)  # the handler is running once this returns
-        (handler,) = handlers() - before
-    ref = weakref.ref(handler)
+
+def wait_until(condition, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition not met in time"
+        time.sleep(0.001)
+
+
+def ping(sock: socket.socket) -> None:
+    """One request and its reply, so a handler has taken the connection."""
+    send_message(sock, {"type": "ping", "request_id": "p"})
+    assert recv_message(sock)["code"] == "bad_request"
+
+
+def test_sequential_connections_leave_at_most_one_handler(service):
+    before = handler_threads()
+    for k in range(50):
+        with BankClient(*service.address) as client:
+            client.mint(4, 10_000, 10, seed=8100 + k)
+        # Once the handler counts itself idle, the next connection reuses it.
+        wait_until(lambda: service._idle == 1)
+    assert len(handler_threads() - before) <= 1
+
+
+def test_clients_held_open_at_once_are_all_served_without_a_cap(service):
+    before = handler_threads()
+    clients = [BankClient(*service.address) for _ in range(8)]
+    try:
+        coins = [client.mint(4, 10_000, 10, seed=8200 + k) for k, client in enumerate(clients)]
+        assert len({coin.coin_id for coin in coins}) == 8
+        ninth = raw_call(service.address, {"type": "mint", "n": 4, "q": 10_000, "l": 10,
+                                           "seed": 8300, "request_id": "ninth"})
+        assert ninth["type"] == "mint_ok"
+        assert len(handler_threads() - before) == 9
+    finally:
+        for client in clients:
+            client.close()
+
+
+def test_stop_ends_every_handler_thread(tmp_path):
+    # Idle handlers end at stop(), and so do handlers whose clients close
+    # while stop() runs or just after it, with thread switches forced often.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for rounds in range(10):
+            before = handler_threads()
+            svc = BankService(journal_path=str(tmp_path / f"journal{rounds}.ndjson"))
+            svc.start()
+            socks = [socket.create_connection(svc.address) for _ in range(8)]
+
+            def close_three():
+                for sock in socks[3:6]:
+                    sock.close()
+
+            closer = threading.Thread(target=close_three)
+            try:
+                for sock in socks:
+                    ping(sock)
+                handlers = list(handler_threads() - before)
+                assert len(handlers) == 8
+                for sock in socks[:3]:
+                    sock.close()
+                wait_until(lambda: svc._idle == 3)
+                closer.start()
+            finally:
+                svc.stop()
+                if closer.ident is not None:
+                    closer.join(timeout=10)
+                for sock in socks:
+                    sock.close()
+            for thread in handlers:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in handlers)
+            refs = [weakref.ref(thread) for thread in handlers]
+            del handlers, thread
+            gc.collect()
+            assert all(ref() is None for ref in refs)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_stop_between_a_connection_end_and_the_idle_count_ends_the_handler(tmp_path):
+    # The handler reads the stop flag as unset, then stop() runs in full
+    # before the handler counts itself idle: it must not be left waiting.
+    svc = BankService(journal_path=str(tmp_path / "journal.ndjson"))
+    stoppers = []
+
+    class StopRightAfterTheHandlerLooks(threading.Event):
+        def is_set(self):
+            seen = super().is_set()
+            if not stoppers and sys._getframe(1).f_code.co_name == "_handle_connections":
+                stoppers.append(threading.Thread(target=svc.stop))
+                stoppers[0].start()
+                stoppers[0].join(timeout=0.5)
+            return seen
+
+    svc._stop = StopRightAfterTheHandlerLooks()
+    svc.start()
+    before = handler_threads()
+    with socket.create_connection(svc.address) as sock:
+        ping(sock)
+        (handler,) = handler_threads() - before
     handler.join(timeout=10)
-    assert not handler.is_alive()
-    del handler
-    gc.collect()
-    assert ref() is None
+    stoppers[0].join(timeout=10)
+    assert not handler.is_alive() and not stoppers[0].is_alive()
+
+
+def test_serve_exits_on_sigint_with_idle_handlers(tmp_path):
+    src = os.path.dirname(os.path.dirname(hmqm.service.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hmqm.cli", "serve", "--listen", "127.0.0.1:0", "--data", str(tmp_path)],
+        stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        line = proc.stderr.readline()
+        match = re.search(r"serving on ([0-9.]+):(\d+)", line)
+        assert match, f"unexpected serve banner: {line!r}"
+        address = (match.group(1), int(match.group(2)))
+        socks = [socket.create_connection(address) for _ in range(3)]
+        for sock in socks:
+            ping(sock)
+            sock.close()
+        with socket.create_connection(address) as sock:
+            ping(sock)
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
 
 
 def test_a_taken_port_closes_the_journal(tmp_path, monkeypatch):
