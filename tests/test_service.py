@@ -293,7 +293,8 @@ def test_serve_exits_on_sigint_with_idle_handlers(tmp_path):
         address = (match.group(1), int(match.group(2)))
         socks = [socket.create_connection(address) for _ in range(3)]
         for sock in socks:
-            ping(sock)
+            ping(sock)  # three handlers, busy at once
+        for sock in socks:
             sock.close()
         with socket.create_connection(address) as sock:
             ping(sock)
