@@ -5,14 +5,12 @@ from .matchings import DisjointMatchingSet, Matching, build_disjoint_set, valida
 from .qrg import (
     BitString,
     DensityMatrix,
-    MeasurementOutcome,
     PureState,
     averaged_error_probability,
     averaged_povm,
     error_probability_given_matching,
     fidelity,
     hidden_matching_state,
-    measure_matching,
 )
 from .bounds import (
     BlockDiagonal,

@@ -20,7 +20,7 @@ of a coin or a round grows with q.
 Each rule is written once.  `VerdictParameters` is the acceptance policy:
 `from_noise` sets c and delta from the channel noise and the adversary error
 floor (and refuses a beta at or above the floor), `min_outcomes` is the
-abort rule and `forgery_bound` picks the ideal or the lossy forgery bound.
+abort rule and `tail_bounds` picks the ideal or the lossy tail bounds.
 A round is `_plan_round` (sample, bases, measurement seed), a measurement
 (in process or over the wire) and `_finish_round` (transcript, abort,
 verdict).  `encode_outcomes` / `decode_outcomes` are the only codec of an
@@ -111,7 +111,10 @@ class Coin:
     forged_error is the exact per-measurement error rate of forged
     positions: every attack channel produces states whose measurement
     statistics are uniform over pairs with an independent error bit.  A
-    coin with forged positions must set it.
+    coin with forged positions must set it.  That every built-in channel's
+    state (and a genuine position's, at rate beta) has this form, at the
+    rate the fast path grades it at, is checked exactly by
+    `tests/test_adversary.py::test_channel_states_grade_at_the_fast_path_rate`.
     """
 
     coin_id: str
@@ -189,13 +192,21 @@ class VerdictParameters:
         """Abort threshold on the outcome count: (eta - epsilon) * l, scaled by l later."""
         return self.eta - self.epsilon
 
-    def forgery_bound(self, l: int) -> float:
-        """Chance a double-spend passes both verifiers at sample size l: the
-        ideal bound exp(-2 l delta^2) when no outcome may be lost, else the
-        lossy three-term bound."""
+    def tail_bounds(self, l: int) -> tuple[float, float, float | None]:
+        """Tail bounds at sample size l: (an honest round is rejected or
+        aborts, a double-spend passes both verifiers, an honest round
+        aborts).  When no outcome may be lost (eta = 1, epsilon = 0) both
+        tails are the ideal exp(-2 l delta^2) and no round aborts (None);
+        else they are `lossy_fail_bounds`' terms."""
         if self.eta == 1.0 and self.epsilon == 0.0:
-            return honest_fail_bound(l, self.delta)
-        return lossy_fail_bounds(l, self.delta, self.epsilon, self.eta).forgery
+            ideal = honest_fail_bound(l, self.delta)
+            return ideal, ideal, None
+        lossy = lossy_fail_bounds(l, self.delta, self.epsilon, self.eta)
+        return lossy.correctness, lossy.forgery, lossy.abort
+
+    def forgery_bound(self, l: int) -> float:
+        """Chance a double-spend passes both verifiers at sample size l."""
+        return self.tail_bounds(l)[1]
 
 
 def _noise_policy(n: int, beta: float, eta: float, epsilon: float) -> tuple[VerdictParameters, float]:
@@ -538,11 +549,7 @@ def measure_positions(
     u_err = rng.random(k)
 
     kinds = coin.kind_of(positions)
-    # Kinds compare as plain ints: an IntEnum operand costs numpy microseconds.
-    if coin.forged_error is None and (kinds == PositionKind.FORGED.value).any():
-        raise ValueError("coin has forged positions but no forged_error")
-    # Error rate by PositionKind; an absent position is never measured.
-    err_prob = np.array([beta, 0.0, coin.forged_error or 0.0, 0.0]).take(kinds)
+    err_prob = _error_rates(coin, kinds, beta)
 
     present = (u_loss < eta) & (kinds != PositionKind.ABSENT.value)
     errors = (u_err < err_prob) & present
@@ -556,6 +563,16 @@ def measure_positions(
     answer = np.full(k, -1, dtype=np.int8)
     answer[present] = pair_parities(key, n, positions[present], pair_i[present], pair_j[present]) ^ errors[present]
     return pair_i, pair_j, answer, errors
+
+
+def _error_rates(coin: Coin, kinds: np.ndarray, beta: float) -> np.ndarray:
+    """The rate each measured position errs at, by its PositionKind: genuine
+    beta, replica 0, forged the coin's forged_error (an absent position is
+    never measured)."""
+    # Kinds compare as plain ints: an IntEnum operand costs numpy microseconds.
+    if coin.forged_error is None and (kinds == PositionKind.FORGED.value).any():
+        raise ValueError("coin has forged positions but no forged_error")
+    return np.array([beta, 0.0, coin.forged_error or 0.0, 0.0]).take(kinds)
 
 
 def holder_verify(
@@ -710,6 +727,7 @@ class LossyBounds:
     correctness: float  # honest run rejected or aborted
     no_abort: float     # under-filled coin slips past the abort rule
     forgery: float      # double-spend accepted by both verifiers
+    abort: float        # honest run aborted: fewer than l_min outcomes
 
 
 def lossy_fail_bounds(l: int, delta: float, epsilon: float, eta: float) -> LossyBounds:
@@ -733,6 +751,7 @@ def lossy_fail_bounds(l: int, delta: float, epsilon: float, eta: float) -> Lossy
         correctness=verdict_term + sample_term,
         no_abort=hide_term + sample_term,
         forgery=hide_term + sample_term + verdict_term,
+        abort=sample_term,
     )
 
 
@@ -840,13 +859,7 @@ def run_honest_experiment(
         coin, db = bank_mint(n, q, l, rng)
         outcome = holder_verify(coin, db, params, channel, rng)
         tallies[outcome.verdict] += 1
-    if eta == 1.0 and epsilon == 0.0:
-        reject_bound = honest_fail_bound(l, params.delta)
-        abort_bound = None
-    else:
-        lb = lossy_fail_bounds(l, params.delta, epsilon, eta)
-        reject_bound = lb.correctness
-        abort_bound = math.exp(-2.0 * l * epsilon**2)
+    reject_bound, _, abort_bound = params.tail_bounds(l)
     return HonestExperiment(
         n=n, q=q, l=l, beta=beta, eta=eta, epsilon=epsilon, trials=trials,
         valid=tallies[Verdict.VALID], invalid=tallies[Verdict.INVALID],

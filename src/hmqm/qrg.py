@@ -4,8 +4,9 @@ A secret n-bit string x is encoded in the n-dimensional pure state with
 amplitudes (-1)^(x_i) / sqrt(n).  Measuring in the basis attached to a
 perfect matching M, {(|i> + |j>)/sqrt(2), (|i> - |j>)/sqrt(2) : (i,j) in M},
 yields a pair (i, j) and a bit b; on the ideal state b equals x_i xor x_j
-with certainty.  Everything here samples from analytically computed outcome
-distributions; no state-vector trajectories are ever simulated.
+with certainty.  Everything here is exact: outcome distributions and error
+probabilities are computed in closed form and nothing is sampled.  The
+protocol's rounds sample outcomes in `protocol.measure_positions`.
 """
 
 from dataclasses import dataclass
@@ -89,19 +90,6 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True)
-class MeasurementOutcome:
-    """One matching-basis outcome: the pair (i, j), i < j, and the bit b.
-
-    A lost measurement (the lossy-detector case) is represented by None
-    wherever an outcome is expected.
-    """
-
-    i: int
-    j: int
-    b: int
-
-
-@dataclass(frozen=True)
 class AveragedPovm:
     """Two-outcome POVM {incorrect, correct} for the matching-averaged game."""
 
@@ -136,26 +124,19 @@ def outcome_distribution(rho: DensityMatrix, m: Matching) -> np.ndarray:
         cross = (a[ii, jj] + a[jj, ii]).real
         probs[k, 0] = 0.5 * (diag + cross)
         probs[k, 1] = 0.5 * (diag - cross)
-    return _clamp_probabilities(probs)
-
-
-def _clamp_probabilities(probs: np.ndarray) -> np.ndarray:
-    if np.min(probs) < -PROBABILITY_TOL or np.max(probs) > 1.0 + PROBABILITY_TOL:
-        raise ValueError(f"probability outside [0, 1] beyond tolerance: {probs}")
-    probs = np.clip(probs, 0.0, 1.0)
+    probs = _clamp(probs)
     total = probs.sum()
     if abs(total - 1.0) > PROBABILITY_TOL * probs.size:
         raise ValueError(f"probabilities sum to {total}, not 1")
     return probs / total
 
 
-def measure_matching(rho: DensityMatrix, m: Matching, rng: np.random.Generator) -> MeasurementOutcome:
-    """Sample one outcome of the matching-basis measurement on rho."""
-    probs = outcome_distribution(rho, m)
-    idx = rng.choice(probs.size, p=probs.ravel())
-    k, b = divmod(int(idx), 2)
-    i, j = m.pairs[k]
-    return MeasurementOutcome(i, j, int(b))
+def _clamp(p):
+    """p (a probability or an array of them) clipped to [0, 1]; raises if any
+    lies more than PROBABILITY_TOL outside it, or is NaN."""
+    if not np.all((p >= -PROBABILITY_TOL) & (p <= 1.0 + PROBABILITY_TOL)):
+        raise ValueError(f"probability outside [0, 1] beyond tolerance: {p}")
+    return np.clip(p, 0.0, 1.0)
 
 
 def error_probability_given_matching(
@@ -174,12 +155,7 @@ def error_probability_given_matching(
     for i, j in m.pairs:
         sign = -1.0 if x.bits[i - 1] ^ x.bits[j - 1] else 1.0
         acc += sign * (a[i - 1, j - 1] + a[j - 1, i - 1]).real
-    p = 0.5 * (1.0 - acc)
-    return float(np.clip(p, 0.0, 1.0)) if -PROBABILITY_TOL <= p <= 1 + PROBABILITY_TOL else _reject(p)
-
-
-def _reject(p: float) -> float:
-    raise ValueError(f"probability outside [0, 1] beyond tolerance: {p}")
+    return float(_clamp(0.5 * (1.0 - acc)))
 
 
 def fidelity(x: BitString, rho: DensityMatrix) -> float:
@@ -202,10 +178,7 @@ def averaged_error_probability(rho: DensityMatrix, x: BitString, mset: DisjointM
     n = mset.n
     if rho.dim != n or x.n != n:
         raise ValueError("dimension mismatch between state, secret and matching set")
-    p = n / (2.0 * (n - 1)) * (1.0 - fidelity(x, rho))
-    if not -PROBABILITY_TOL <= p <= 1 + PROBABILITY_TOL:
-        _reject(p)
-    return float(np.clip(p, 0.0, 1.0))
+    return float(_clamp(n / (2.0 * (n - 1)) * (1.0 - fidelity(x, rho))))
 
 
 def averaged_povm(x: BitString, mset: DisjointMatchingSet) -> AveragedPovm:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import binomial_tail_below
-from hmqm import bounds
+from hmqm import bounds, protocol
 from hmqm.adversary import (
+    BUILTIN_STRATEGIES,
     AttackStrategy,
     ForgeOutcome,
     HonestNoise,
@@ -21,12 +22,14 @@ from hmqm.adversary import (
 )
 from hmqm.cli import main
 from hmqm.protocol import (
+    Coin,
     HonestChannel,
     PositionKind,
     VerdictParameters,
     bank_mint,
     holder_verify,
 )
+from hmqm.qrg import BitString, hidden_matching_state, maximally_mixed, outcome_distribution
 
 
 def test_builtin_strategy_compositions():
@@ -80,6 +83,74 @@ def test_white_pair_error_respects_cloning_bound():
         for name in ("symmetric_clone", "mixed_substitution", "honest_noise", "register_split"):
             e1, e2 = builtin_strategy(name, beta=0.1).white_pair_error(n)
             assert e1 + e2 >= lower - floor_margin
+
+
+def _clone_outputs(x, beta):
+    pair = bounds.symmetric_clone(hidden_matching_state(x).to_density())
+    return pair.first, pair.second
+
+
+# The state each verifier receives on a forged coin's white positions, by
+# the reference physics: (verifier 1, verifier 2), None where that verifier
+# receives nothing.  register_split's white positions are the intact coin
+# through the honest channel.  A strategy added to BUILTIN_STRATEGIES needs
+# an entry here.
+WHITE_STATES = {
+    "honest_noise": lambda x, beta: (bounds.depolarization_for_error(x, beta), None),
+    "register_split": lambda x, beta: (bounds.depolarization_for_error(x, beta), None),
+    "symmetric_clone": _clone_outputs,
+    "mixed_substitution": lambda x, beta: (maximally_mixed(x.n), maximally_mixed(x.n)),
+    "loss_hiding": _clone_outputs,
+}
+CHANNEL_BETAS = (0.0, 0.05, 0.1, 0.2)
+
+
+def assert_grades_at(rho, x, coin, kind, beta):
+    """Measured in every matching basis, rho gives each pair with
+    probability 2/n and, on each pair, the wrong parity at the rate the fast
+    path grades a `kind` position of `coin` at, both to 1e-12."""
+    n = x.n
+    rate = protocol._error_rates(coin, np.array([kind], dtype=np.uint8), beta)[0]
+    matchings = protocol.matching_set(n)
+    for alpha in range(1, n):
+        m = matchings.matching(alpha)
+        probs = outcome_distribution(rho, m)
+        wrong = [probs[k, x.bits[i - 1] ^ x.bits[j - 1] ^ 1] for k, (i, j) in enumerate(m.pairs)]
+        assert np.max(np.abs(probs.sum(axis=1) - 2 / n)) < 1e-12
+        assert np.max(np.abs(np.array(wrong) * n / 2 - rate)) < 1e-12
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_STRATEGIES))
+def test_channel_states_grade_at_the_fast_path_rate(name):
+    assert name in WHITE_STATES, f"strategy {name!r} has no entry in WHITE_STATES: state its channel's physics"
+    rng = np.random.default_rng(61)
+    for n in range(4, 15, 2):
+        for _ in range(3):
+            x = BitString.random(n, rng)
+            for beta in CHANNEL_BETAS:
+                strategy = builtin_strategy(name, beta=beta, fraction=0.1)
+                coins = forge_coins(Coin.fresh("c", n, 100_000, 10, 1), strategy)
+                for coin, white in zip(coins, WHITE_STATES[name](x, beta)):
+                    *others, (_, white_kind) = coin.segments
+                    assert (white_kind == PositionKind.ABSENT) == (white is None)
+                    if white is not None:
+                        assert_grades_at(white, x, coin, white_kind, beta)
+                    # A masked side or a known position holds the intact
+                    # state, checked as a replica below.
+                    assert {kind for _, kind in others} <= {PositionKind.ABSENT, PositionKind.REPLICA}
+
+
+def test_genuine_and_replica_states_grade_at_their_rates():
+    rng = np.random.default_rng(67)
+    for n in range(4, 15, 2):
+        coin = Coin.fresh("c", n, 1000, 1, 1)
+        for _ in range(3):
+            x = BitString.random(n, rng)
+            # A replica is the intact state and errs at 0 whatever the channel's beta.
+            assert_grades_at(hidden_matching_state(x).to_density(), x, coin, PositionKind.REPLICA, 0.3)
+            for beta in CHANNEL_BETAS:
+                noisy = bounds.depolarization_for_error(x, beta)
+                assert_grades_at(noisy, x, coin, PositionKind.GENUINE, beta)
 
 
 def test_check_accounting_cap():
