@@ -3,18 +3,20 @@
 Wire format: every message is a 4-byte big-endian length followed by UTF-8
 JSON object with sorted keys.  Requests carry a client-chosen request_id
 echoed in the response.  A frame that is not such an object gets a
-bad_request error and the connection is closed.  `mint_ok` carries the
-coin's id and parameters; the holder keeps the coin (its layout and the
-positions it has consumed) client-side.  A coin's id and key depend on the
-mint seed only, so a mint that would recreate a coin the bank holds is a
-bad_request.  Because secrets stay in the service, the holder measures
-genuine positions by sending the sampled positions, bases, channel
-parameters (beta in [0, 1/2], eta in (0, 1]) and a measurement seed in one
-MeasureRequest, and the service runs the same exact sampling engine used
-in-process, which makes remote runs bit-identical to local ones under the
-same seeds.  `client_verify` is the in-process round with the measurement
-and the check sent over the wire: the planning, the outcome codec, the abort
-rule and the verdict are protocol's own.
+bad_request error and the connection is closed.  A reply that would exceed
+the frame limit (MAX_MESSAGE_BYTES) is not sent: the request gets a
+bad_request error naming the limit instead, and the connection stays open.
+`mint_ok` carries the coin's id and parameters; the holder keeps the coin
+(its layout and the positions it has consumed) client-side.  A coin's id
+and key depend on the mint seed only, so a mint that would recreate a coin
+the bank holds is a bad_request.  Because secrets stay in the service, the
+holder measures genuine positions by sending the sampled positions, bases,
+channel parameters (beta in [0, 1/2], eta in (0, 1]) and a measurement
+seed in one MeasureRequest, and the service runs the same exact sampling
+engine used in-process, which makes remote runs bit-identical to local
+ones under the same seeds.  `client_verify` is the in-process round with
+the measurement and the check sent over the wire: the planning, the
+outcome codec, the abort rule and the verdict are protocol's own.
 
 State is durable: every mint and every check-counter increment is appended
 to a newline-delimited JSON journal and fsynced before the response is
@@ -35,8 +37,8 @@ Each connection is served by one handler thread, from its first request to
 its close.  A handler outlives its connection: it then waits for the next
 one, and the accept loop starts a new handler only when every handler is
 busy, so there are as many handlers as connections were ever open at once,
-with no cap.  stop() ends the handlers that wait, and a handler whose
-connection ends after stop() exits.
+with no cap.  stop() ends the accept loop and the handlers that wait, and
+a handler whose connection ends after stop() exits.
 """
 
 import json
@@ -100,7 +102,7 @@ class JournalCorruptError(ServiceError):
 def send_message(sock: socket.socket, obj: dict) -> None:
     payload = json.dumps(obj, sort_keys=True).encode("utf-8")
     if len(payload) > MAX_MESSAGE_BYTES:
-        raise ServiceError(f"message of {len(payload)} bytes exceeds the limit")
+        raise ServiceError(f"message of {len(payload)} bytes exceeds the limit of {MAX_MESSAGE_BYTES}")
     sock.sendall(struct.pack(">I", len(payload)) + payload)
 
 
@@ -275,9 +277,11 @@ class BankService:
     def stop(self) -> None:
         self._stop.set()
         try:
-            self._sock.close()
+            # close() alone does not wake a thread blocked in accept() on Linux.
+            self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._sock.close()
         with self._idle_lock:
             for _ in range(self._idle):
                 self._connections.put(None)
@@ -311,7 +315,12 @@ class BankService:
                 if request is None:
                     return
                 try:
-                    send_message(conn, self._dispatch(request))
+                    reply = self._dispatch(request)
+                    try:
+                        send_message(conn, reply)
+                    except ServiceError as exc:  # over the frame limit, nothing was sent
+                        send_message(conn, _error(request.get("request_id"), "bad_request",
+                                                  f"reply not sent: {exc}"))
                 except OSError:
                     return
 

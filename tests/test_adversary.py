@@ -75,14 +75,14 @@ def test_white_pair_error_per_strategy():
         assert builtin_strategy("register_split").white_pair_error(n) == (0.0, 1.0)
 
 
-def test_white_pair_error_respects_cloning_bound():
+@pytest.mark.parametrize("name", list(BUILTIN_STRATEGIES))
+def test_white_pair_error_respects_cloning_bound(name):
     # No strategy's white channel may beat the certified total error.
     floor_margin = 1e-9
     for n in (4, 8):
         lower = bounds.pair_error_lower_bound(n)
-        for name in ("symmetric_clone", "mixed_substitution", "honest_noise", "register_split"):
-            e1, e2 = builtin_strategy(name, beta=0.1).white_pair_error(n)
-            assert e1 + e2 >= lower - floor_margin
+        e1, e2 = builtin_strategy(name, beta=0.1).white_pair_error(n)
+        assert e1 + e2 >= lower - floor_margin
 
 
 def _clone_outputs(x, beta):
@@ -243,9 +243,7 @@ def test_clone_experiment_error_rate_and_bound():
 
 
 @pytest.mark.parametrize("n", [4, 8])
-@pytest.mark.parametrize(
-    "name", ["honest_noise", "register_split", "symmetric_clone", "mixed_substitution", "loss_hiding"]
-)
+@pytest.mark.parametrize("name", list(BUILTIN_STRATEGIES))
 def test_every_builtin_stays_below_the_bound(n, name):
     rng = np.random.default_rng(35)
     strategy = builtin_strategy(name, beta=0.05, fraction=0.2)

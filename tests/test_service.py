@@ -168,6 +168,23 @@ def test_mint_refuses_huge_n_and_the_connection_lives_on(service):
     assert len(service.coins) == 1
 
 
+def test_an_over_limit_reply_gets_bad_request_and_the_connection_lives_on(service, monkeypatch):
+    with BankClient(*service.address) as client:
+        coin = client.mint(4, 10_000, 10, seed=41)
+    # A measure reply costs about 26 bytes per outcome: 150 outcomes pass 3000.
+    monkeypatch.setattr(hmqm.service, "MAX_MESSAGE_BYTES", 3000)
+    request = {"type": "measure", "coin_id": coin.coin_id, "positions": list(range(150)),
+               "alphas": [1] * 150, "beta": 0.0, "eta": 1.0, "seed": 1, "request_id": "big"}
+    with socket.create_connection(service.address) as sock:
+        send_message(sock, request)
+        resp = recv_message(sock)
+        assert (resp["type"], resp["code"], resp["request_id"]) == ("error", "bad_request", "big")
+        assert "limit of 3000" in resp["message"]
+        send_message(sock, dict(request, positions=list(range(10)), alphas=[1] * 10, request_id="small"))
+        resp = recv_message(sock)
+        assert (resp["type"], resp["request_id"]) == ("measure_ok", "small")
+
+
 def handler_threads() -> set[threading.Thread]:
     return {t for t in threading.enumerate() if "_handle_connections" in t.name}
 
@@ -251,6 +268,17 @@ def test_stop_ends_every_handler_thread(tmp_path):
             assert all(ref() is None for ref in refs)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_stop_ends_the_accept_loop(tmp_path):
+    svc = BankService(journal_path=str(tmp_path / "journal.ndjson"))
+    accept_loop = svc.start()
+    with socket.create_connection(svc.address) as sock:
+        ping(sock)
+    wait_until(lambda: sys._current_frames()[accept_loop.ident].f_code.co_name == "accept")
+    svc.stop()
+    accept_loop.join(timeout=10)
+    assert not accept_loop.is_alive()
 
 
 def test_stop_between_a_connection_end_and_the_idle_count_ends_the_handler(tmp_path):
