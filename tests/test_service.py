@@ -273,8 +273,6 @@ def test_stop_ends_every_handler_thread(tmp_path):
 def test_stop_ends_the_accept_loop(tmp_path):
     svc = BankService(journal_path=str(tmp_path / "journal.ndjson"))
     accept_loop = svc.start()
-    with socket.create_connection(svc.address) as sock:
-        ping(sock)
     wait_until(lambda: sys._current_frames()[accept_loop.ident].f_code.co_name == "accept")
     svc.stop()
     accept_loop.join(timeout=10)
