@@ -12,11 +12,21 @@ and key depend on the mint seed only, so a mint that would recreate a coin
 the bank holds is a bad_request.  Because secrets stay in the service, the
 holder measures genuine positions by sending the sampled positions, bases,
 channel parameters (beta in [0, 1/2], eta in (0, 1]) and a measurement
-seed in one MeasureRequest, and the service runs the same exact sampling
+seed in a `measure` request, and the service runs the same exact sampling
 engine used in-process, which makes remote runs bit-identical to local
-ones under the same seeds.  `client_verify` is the in-process round with
-the measurement and the check sent over the wire: the planning, the
-outcome codec, the abort rule and the verdict are protocol's own.
+ones under the same seeds.  A `verify` request carries a whole transcript
+and the verdict parameters.  A `round` request carries a measure's fields
+with the verdict parameters in place of eta (the measurement uses
+params.eta), and is one exchange per verification round: the service
+measures, ends the round with protocol's `_finish_round` and replies
+`round_ok` with the outcomes and, unless the holder's abort rule fired, the
+verify_ok body as `check`.  It charges and journals exactly what a measure
+followed by a verify of the transcript built from it would, and nothing
+when the round_ok might not fit the frame limit.  `client_verify` is the
+in-process round with one `round` request in place of the measurement and
+the check: the planning, the outcome codec, the abort rule and the verdict
+are protocol's own.  A request that races stop() and finds the journal
+closed gets an `unavailable` error, with no coin added and no check charged.
 
 State is durable: every mint and every check-counter increment is appended
 to a newline-delimited JSON journal and fsynced before the response is
@@ -93,6 +103,10 @@ class ErrorReply(ServiceError):
     """The bank refused a request with an error reply; the connection is fine."""
 
 
+class JournalClosedError(ServiceError):
+    """An append to a journal that stop() closed: the bank is shutting down."""
+
+
 class JournalCorruptError(ServiceError):
     def __init__(self, path: str, offset: int, reason: str):
         super().__init__(f"journal {path} corrupt at byte {offset}: {reason}")
@@ -149,6 +163,8 @@ class Journal:
     def append(self, record: dict) -> None:
         line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
+            if self._fh.closed:
+                raise JournalClosedError(f"journal {self.path} is closed: the bank is stopping")
             self._fh.write(line)
             self._fh.flush()
             os.fsync(self._fh.fileno())
@@ -334,9 +350,13 @@ class BankService:
                 return self._handle_measure(request)
             if kind == "verify":
                 return self._handle_verify(request)
+            if kind == "round":
+                return self._handle_round(request)
             return _error(request_id, "bad_request", f"unknown request type {kind!r}")
         except UnknownCoinError as exc:
             return _error(request_id, "unknown_coin", str(exc))
+        except JournalClosedError as exc:  # nothing was added or charged
+            return _error(request_id, "unavailable", str(exc))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             return _error(request_id, "bad_request", str(exc))
 
@@ -363,7 +383,10 @@ class BankService:
                 raise UnknownCoinError(f"no coin {coin_id!r}")
             return self.coins[coin_id], self._coin_locks[coin_id]
 
-    def _handle_measure(self, request: dict) -> dict:
+    def _measure(self, request: dict, eta) -> tuple[Coin, np.ndarray, np.ndarray, tuple]:
+        """Validate a measurement's fields and measure: the bank's view of
+        the coin, the positions, the bases and the outcomes (pair_i, pair_j,
+        answer)."""
         db, _ = self._coin(request["coin_id"])
         positions, alphas = (wire_ints(request[name], name) for name in ("positions", "alphas"))
         if positions.shape != alphas.shape:
@@ -373,7 +396,7 @@ class BankService:
         if np.any(alphas < 1) or np.any(alphas > db.n - 1):
             raise ValueError("alpha out of range")
         beta = HonestChannel(wire_float(request["beta"], "beta")).beta
-        eta = wire_float(request["eta"], "eta")
+        eta = wire_float(eta, "eta")
         if not 0.0 < eta <= 1.0:
             raise ValueError(f"eta must be in (0, 1], got {eta}")
         view = Coin.fresh(db.coin_id, db.n, db.q, db.l, db.T)
@@ -381,28 +404,72 @@ class BankService:
             db.key, view, positions, alphas, beta, eta,
             np.random.default_rng(wire_int(request["seed"], "seed")),
         )
-        return {"type": "measure_ok", "request_id": request.get("request_id"),
-                "outcomes": encode_outcomes(pair_i, pair_j, answer)}
+        return view, positions, alphas, (pair_i, pair_j, answer)
 
-    def _handle_verify(self, request: dict) -> dict:
-        transcript = VerificationTranscript.from_dict(request["transcript"])
-        p = request["params"]
-        params = VerdictParameters(
-            c=wire_float(p["c"], "c"), delta=wire_float(p["delta"], "delta"),
-            eta=wire_float(p.get("eta", 1.0), "eta"), epsilon=wire_float(p.get("epsilon", 0.0), "epsilon"),
-        )
+    def _check(self, transcript: VerificationTranscript, params: VerdictParameters) -> CheckResult:
+        """Grade a transcript under its coin's lock, charging one check."""
         db, lock = self._coin(transcript.coin_id)
         with lock:
             if db.s < db.T:
                 # Write-ahead: the counter increment must survive a crash
                 # that happens before the response is sent.
                 self.journal.append({"event": "check", "coin_id": db.coin_id, "s": db.s + 1})
-            result = bank_check(db, transcript, params)
-        response = {"type": "verify_ok", "request_id": request.get("request_id")}
-        response.update(result.to_dict())
-        if result.code is not None:
-            response["code"] = result.code
-        return response
+            return bank_check(db, transcript, params)
+
+    def _handle_measure(self, request: dict) -> dict:
+        *_, outcomes = self._measure(request, request["eta"])
+        return {"type": "measure_ok", "request_id": request.get("request_id"),
+                "outcomes": encode_outcomes(*outcomes)}
+
+    def _handle_verify(self, request: dict) -> dict:
+        transcript = VerificationTranscript.from_dict(request["transcript"])
+        result = self._check(transcript, _verdict_parameters(request["params"]))
+        return {"type": "verify_ok", "request_id": request.get("request_id"), **_check_body(result)}
+
+    def _handle_round(self, request: dict) -> dict:
+        """A measure and the verify of the transcript built from it, unless
+        the holder's abort rule fires; a reply that might not fit a frame
+        is refused before the check is charged."""
+        params = _verdict_parameters(request["params"])
+        view, positions, alphas, outcomes = self._measure(request, params.eta)
+        request_id = request.get("request_id")
+        size = _round_reply_bound(request_id, view.n, len(positions))
+        if size > MAX_MESSAGE_BYTES:
+            raise ValueError(f"a round_ok of up to {size} bytes exceeds the limit of {MAX_MESSAGE_BYTES}")
+        outcome = _finish_round(view, positions, alphas, outcomes, params, lambda t: self._check(t, params))
+        return {"type": "round_ok", "request_id": request_id, "outcomes": encode_outcomes(*outcomes),
+                "check": None if outcome.check is None else _check_body(outcome.check)}
+
+
+def _verdict_parameters(p: dict) -> VerdictParameters:
+    return VerdictParameters(
+        c=wire_float(p["c"], "c"), delta=wire_float(p["delta"], "delta"),
+        eta=wire_float(p.get("eta", 1.0), "eta"), epsilon=wire_float(p.get("epsilon", 0.0), "epsilon"),
+    )
+
+
+def _check_body(result: CheckResult) -> dict:
+    """A verdict in its wire form: the body of a verify_ok, a round_ok's check."""
+    body = result.to_dict()
+    if result.code is not None:
+        body["code"] = result.code
+    return body
+
+
+def _check_result(body: dict) -> CheckResult:
+    return CheckResult(
+        valid=bool(body["valid"]), s=int(body["s"]), T=int(body["T"]),
+        correct_count=int(body["correct_count"]), l_prime=int(body["l_prime"]),
+        threshold=float(body["threshold"]), code=body.get("code"),
+    )
+
+
+def _round_reply_bound(request_id, n: int, k: int) -> int:
+    """The most bytes a round_ok frame of k outcomes on an n-node coin can
+    take: each outcome is null or {"b": 0, "i": i, "j": j} with i, j <= n,
+    and the check and the keys take under 512 bytes beside the request_id."""
+    per_outcome = len('{"b": 0, "i": , "j": }, ') + 2 * len(str(n))
+    return 512 + len(json.dumps(request_id)) + k * per_outcome
 
 
 def _error(request_id, code: str, message: str) -> dict:
@@ -463,14 +530,29 @@ class BankClient:
         resp = self._call({
             "type": "verify",
             "transcript": transcript.to_dict(),
-            "params": {"c": params.c, "delta": params.delta,
-                       "eta": params.eta, "epsilon": params.epsilon},
+            "params": _wire_params(params),
         })
-        return CheckResult(
-            valid=bool(resp["valid"]), s=int(resp["s"]), T=int(resp["T"]),
-            correct_count=int(resp["correct_count"]), l_prime=int(resp["l_prime"]),
-            threshold=float(resp["threshold"]), code=resp.get("code"),
-        )
+        return _check_result(resp)
+
+    def round(
+        self, coin_id: str, positions: np.ndarray, alphas: np.ndarray,
+        beta: float, params: VerdictParameters, seed: int,
+    ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], CheckResult | None]:
+        """Measure the positions at params.eta and have the bank check the
+        transcript: the outcomes (pair_i, pair_j, answer) and the bank's
+        verdict, None when the bank's abort rule fired."""
+        resp = self._call({
+            "type": "round", "coin_id": coin_id,
+            "positions": [int(v) for v in positions],
+            "alphas": [int(v) for v in alphas],
+            "beta": beta, "seed": seed, "params": _wire_params(params),
+        })
+        check = resp["check"]
+        return decode_outcomes(resp["outcomes"]), None if check is None else _check_result(check)
+
+
+def _wire_params(params: VerdictParameters) -> dict:
+    return {"c": params.c, "delta": params.delta, "eta": params.eta, "epsilon": params.epsilon}
 
 
 def client_verify(
@@ -483,14 +565,24 @@ def client_verify(
     """Remote twin of holder_verify, bit-identical under the same seeds.
 
     Draws the sample, bases and measurement seed exactly as the in-process
-    path does, asks the service for the outcomes, and ends the round with
-    the same `_finish_round`, submitting the transcript over the wire
-    unless the round aborts.  Only honest coins are supported:
+    path does, and sends them in one `round` request: the service measures
+    and, unless the round aborts, checks.  The holder ends the round with
+    the same `_finish_round` and raises ServiceError if the bank's abort
+    decision differs from its own.  Only honest coins are supported:
     forged positions would need the bank-side view to measure.
     """
     if not coin.all_genuine():
         raise ValueError("client_verify handles honest coins only")
     sample, alphas, measure_seed = _plan_round(coin, rng)
     with BankClient(*address) as client:
-        outcomes = client.measure(coin.coin_id, sample, alphas, channel.beta, params.eta, measure_seed)
-        return _finish_round(coin, sample, alphas, outcomes, params, lambda t: client.verify(t, params))
+        outcomes, check = client.round(coin.coin_id, sample, alphas, channel.beta, params, measure_seed)
+
+    def bank_verdict(transcript: VerificationTranscript) -> CheckResult:
+        if check is None:
+            raise ServiceError("the bank aborted a round the holder submits")
+        return check
+
+    outcome = _finish_round(coin, sample, alphas, outcomes, params, bank_verdict)
+    if outcome.check is not check:
+        raise ServiceError("the bank checked a round the holder aborts")
+    return outcome

@@ -21,15 +21,19 @@ from hypothesis import strategies as st
 import hmqm.service
 from hmqm.protocol import (
     MAX_N,
+    CheckResult,
     Coin,
     HonestChannel,
     PositionKind,
     Verdict,
     VerdictParameters,
     bank_mint,
+    decode_outcomes,
     holder_verify,
     matching_set,
     secret_bits,
+    _finish_round,
+    _plan_round,
 )
 from hmqm.service import (
     DEFAULT_JOURNAL,
@@ -111,6 +115,21 @@ def test_lossy_round_aborts_client_side(service):
     assert outcome.check is None
     assert outcome.transcript.l_prime < 10
     assert service.coins[coin_id].s == 0  # abort never reached the bank
+
+
+def test_client_verify_refuses_a_bank_whose_abort_decision_differs(service, monkeypatch):
+    with BankClient(*service.address) as client:
+        coin = client.mint(8, 40_000, 20, seed=13)
+    honest_round = BankClient.round
+    channel = HonestChannel(0.0)
+    monkeypatch.setattr(BankClient, "round", lambda self, *args: (honest_round(self, *args)[0], None))
+    with pytest.raises(ServiceError, match="aborted a round the holder submits"):
+        client_verify(service.address, coin, VerdictParameters.from_noise(8, 0.0), channel, np.random.default_rng(5))
+    checked = CheckResult(valid=True, s=1, T=2, correct_count=20, l_prime=20, threshold=17.0)
+    monkeypatch.setattr(BankClient, "round", lambda self, *args: (honest_round(self, *args)[0], checked))
+    with pytest.raises(ServiceError, match="checked a round the holder aborts"):
+        client_verify(service.address, coin, VerdictParameters(c=0.9, delta=0.1, eta=0.5), channel,
+                      np.random.default_rng(3))
 
 
 def test_client_verify_rejects_forged_coins(service):
@@ -437,6 +456,117 @@ def test_measure_request_validation(service):
     assert service.coins[coin.coin_id].s == 0
 
 
+def journal_bytes(service) -> bytes:
+    with open(service.journal.path, "rb") as fh:
+        return fh.read()
+
+
+def test_round_request_validation(service):
+    with BankClient(*service.address) as client:
+        coin = client.mint(4, 10_000, 10, seed=32)
+    params = {"c": 0.9, "delta": 0.1, "eta": 1.0, "epsilon": 0.0}
+    base = {"type": "round", "coin_id": coin.coin_id, "positions": [0], "alphas": [1], "beta": 0.0,
+            "seed": 1, "params": params, "request_id": "r"}
+    journal = journal_bytes(service)
+    requests = [
+        dict(base, positions=[0, 1]),  # mismatched lengths
+        dict(base, positions=[10_000]), dict(base, positions=[-1]), dict(base, positions=[2**63]),
+        dict(base, alphas=[4]), dict(base, alphas=[0]),
+    ]
+    for bad in (math.nan, "0.1", True):
+        requests.append(dict(base, beta=bad))
+        requests += [dict(base, params=dict(params, **{field: bad})) for field in ("c", "delta", "eta", "epsilon")]
+    requests += [dict(base, seed=bad) for bad in (1.5, "3", True, None)]
+    requests += [dict(base, params={"c": 0.9}), dict(base, params=[0.9, 0.1]),
+                 {k: v for k, v in base.items() if k != "seed"}]
+    for request in requests:
+        resp = raw_call(service.address, request)
+        assert (resp["type"], resp["code"], resp["request_id"]) == ("error", "bad_request", "r"), request
+    resp = raw_call(service.address, dict(base, coin_id="f" * 32))
+    assert (resp["type"], resp["code"]) == ("error", "unknown_coin")
+    assert service.coins[coin.coin_id].s == 0
+    assert journal_bytes(service) == journal
+
+
+def test_a_round_of_the_wrong_size_is_charged_as_verify_charges_it(service):
+    with BankClient(*service.address) as client:
+        coin = client.mint(4, 100_000, 10, seed=33)
+    resp = raw_call(service.address, {
+        "type": "round", "coin_id": coin.coin_id, "positions": list(range(11)), "alphas": [1] * 11,
+        "beta": 0.0, "seed": 1, "params": {"c": 0.9, "delta": 0.1, "eta": 1.0, "epsilon": 0.0},
+        "request_id": "w"})
+    assert (resp["type"], len(resp["outcomes"])) == ("round_ok", 11)
+    check = resp["check"]
+    assert (check["valid"], check["code"], check["s"], check["l_prime"]) == (False, "wrong_sample_size", 1, 11)
+    assert service.coins[coin.coin_id].s == 1
+    with open(service.journal.path) as fh:
+        assert [json.loads(line)["event"] for line in fh] == ["mint", "check"]
+
+
+def test_a_round_the_abort_rule_ends_charges_nothing(service):
+    # `hmqm verify --n 8 --q 20000 --l 20 --seed 9 --eta 0.9 --epsilon 0.05`
+    with BankClient(*service.address) as client:
+        coin = client.mint(8, 20_000, 20, seed=9)
+    journal = journal_bytes(service)
+    params = VerdictParameters.from_noise(8, 0.0, 0.9, 0.05)
+    sample, alphas, measure_seed = _plan_round(coin, np.random.default_rng(9))
+    resp = raw_call(service.address, {
+        "type": "round", "coin_id": coin.coin_id, "positions": sample.tolist(), "alphas": alphas.tolist(),
+        "beta": 0.0, "seed": measure_seed, "request_id": "a",
+        "params": {"c": params.c, "delta": params.delta, "eta": params.eta, "epsilon": params.epsilon}})
+    assert (resp["type"], resp["check"]) == ("round_ok", None)
+    assert np.count_nonzero(decode_outcomes(resp["outcomes"])[2] >= 0) < (0.9 - 0.05) * 20
+    assert service.coins[coin.coin_id].s == 0
+    assert journal_bytes(service) == journal
+
+
+def test_an_over_limit_round_is_refused_before_it_is_charged(service, monkeypatch):
+    with BankClient(*service.address) as client:
+        coin = client.mint(4, 100_000, 10, seed=42)
+    journal = journal_bytes(service)
+    # On n = 4 a round_ok is bounded at 26 bytes per outcome plus 512: 150
+    # outcomes pass 3000, 10 do not.
+    monkeypatch.setattr(hmqm.service, "MAX_MESSAGE_BYTES", 3000)
+    request = {"type": "round", "coin_id": coin.coin_id, "positions": list(range(150)),
+               "alphas": [1] * 150, "beta": 0.0, "seed": 1, "request_id": "big",
+               "params": {"c": 0.9, "delta": 0.1, "eta": 1.0, "epsilon": 0.0}}
+    with socket.create_connection(service.address) as sock:
+        send_message(sock, request)
+        resp = recv_message(sock)
+        assert (resp["type"], resp["code"], resp["request_id"]) == ("error", "bad_request", "big")
+        assert "limit of 3000" in resp["message"]
+        assert service.coins[coin.coin_id].s == 0
+        assert journal_bytes(service) == journal
+        send_message(sock, dict(request, positions=list(range(10)), alphas=[1] * 10, request_id="small"))
+        resp = recv_message(sock)
+        assert (resp["type"], resp["request_id"], resp["check"]["s"]) == ("round_ok", "small", 1)
+
+
+@pytest.mark.parametrize("kind", ["mint", "round"])
+def test_a_request_that_races_stop_gets_unavailable(tmp_path, kind):
+    svc = BankService(journal_path=str(tmp_path / "journal.ndjson"))
+    svc.start()
+    with socket.create_connection(svc.address) as sock:
+        send_message(sock, {"type": "mint", "n": 8, "q": 20_000, "l": 20, "seed": 3, "request_id": "a"})
+        minted = recv_message(sock)
+        svc.stop()
+        if kind == "mint":
+            request = {"type": "mint", "n": 8, "q": 20_000, "l": 20, "seed": 4}
+        else:
+            coin = Coin.fresh(minted["coin_id"], 8, 20_000, 20, minted["T"])
+            sample, alphas, measure_seed = _plan_round(coin, np.random.default_rng(5))
+            request = {"type": "round", "coin_id": coin.coin_id, "positions": sample.tolist(),
+                       "alphas": alphas.tolist(), "beta": 0.0, "seed": measure_seed,
+                       "params": {"c": 0.9, "delta": 0.1, "eta": 1.0, "epsilon": 0.0}}
+        send_message(sock, dict(request, request_id="b"))
+        resp = recv_message(sock)
+    assert (resp["type"], resp["code"], resp["request_id"]) == ("error", "unavailable", "b")
+    assert list(svc.coins) == [minted["coin_id"]]
+    assert svc.coins[minted["coin_id"]].s == 0
+    with open(svc.journal.path) as fh:
+        assert [json.loads(line)["event"] for line in fh] == ["mint"]
+
+
 def test_an_outcome_bit_outside_0_1_is_refused_not_graded_as_lost(service):
     # Only null marks a lost outcome: an outcome object with b = -2, -1 or 2
     # is a bad_request and charges no check.
@@ -470,7 +600,7 @@ def test_a_wire_round_hashes_each_position_once_on_the_server(service, monkeypat
     params = VerdictParameters.from_noise(8, 0.0)
     outcome = client_verify(service.address, coin, params, HonestChannel(0.0), np.random.default_rng(42))
     assert outcome.verdict is Verdict.VALID
-    assert counter.count == 2 * 200  # the measure request, then the verify request
+    assert counter.count == 2 * 200  # the measurement, then the check, of one round request
 
 
 def test_minting_a_seed_again_is_refused(service):
@@ -847,7 +977,7 @@ def test_any_json_frame_gets_one_reply_and_the_service_lives_on(service, monkeyp
     with BankClient(*service.address) as client:
         coin = client.mint(4, 10_000, 10, seed=71)
     scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
-               | st.just(coin.coin_id) | st.sampled_from(["mint", "measure", "verify"]))
+               | st.just(coin.coin_id) | st.sampled_from(["mint", "measure", "verify", "round"]))
     values = st.recursive(scalars, lambda inner: (
         st.lists(inner, max_size=4)
         | st.dictionaries(st.sampled_from(WIRE_KEYS) | st.text(max_size=4), inner, max_size=6)
@@ -860,7 +990,7 @@ def test_any_json_frame_gets_one_reply_and_the_service_lives_on(service, monkeyp
             send_message(sock, value)
             sock.shutdown(socket.SHUT_WR)
             reply = recv_message(sock)
-            assert reply is not None and reply["type"] in {"mint_ok", "measure_ok", "verify_ok", "error"}
+            assert reply is not None and reply["type"] in {"mint_ok", "measure_ok", "verify_ok", "round_ok", "error"}
             assert recv_message(sock) is None
 
     one_frame()
@@ -912,3 +1042,43 @@ def test_any_transcript_gets_one_reply_and_charges_at_most_one_check(service, mo
 
     one_verify()
     assert thread_errors == []
+
+
+def test_a_round_is_a_measure_then_a_verify(tmp_path):
+    # Two banks hold the same coin; one answers rounds, the other the
+    # measure and, unless the holder's abort rule fires, the verify of the
+    # transcript built from its outcomes.  Outcomes, verdicts and journals
+    # must agree.
+    banks = [BankService(journal_path=str(tmp_path / f"{side}.ndjson")) for side in "ab"]
+    for bank in banks:
+        bank.start()
+    try:
+        coins = []
+        for bank in banks:
+            with BankClient(*bank.address) as client:
+                coins.append(client.mint(4, 2**40, 4, seed=93))  # T is large enough never to run out here
+        coin = coins[0]
+        assert coins[1].coin_id == coin.coin_id
+        position = st.integers(0, coin.q - 1) | st.integers(0, 5)
+        samples = st.lists(position, min_size=coin.l, max_size=coin.l, unique=True) | st.lists(position, max_size=6)
+
+        @settings(max_examples=100, deadline=None)
+        @given(samples, st.data(), st.floats(0.0, 0.5), st.floats(0.51, 1.0), st.floats(0.01, 0.99),
+               st.floats(0.05, 1.0), st.floats(0.0, 0.6), st.integers(0, 2**63 - 1))
+        def same(positions, data, beta, c, share, eta, epsilon, seed):
+            alphas = data.draw(st.lists(st.integers(1, 3), min_size=len(positions), max_size=len(positions)))
+            params = VerdictParameters(c=c, delta=share * (c - 0.5), eta=eta, epsilon=epsilon)
+            sample, bases = np.array(positions, dtype=np.int64), np.array(alphas, dtype=np.int64)
+            with BankClient(*banks[0].address) as client:
+                round_outcomes, round_check = client.round(coin.coin_id, sample, bases, beta, params, seed)
+            with BankClient(*banks[1].address) as client:
+                outcomes = client.measure(coin.coin_id, sample, bases, beta, eta, seed)
+                outcome = _finish_round(coin, sample, bases, outcomes, params, lambda t: client.verify(t, params))
+            assert all(map(np.array_equal, round_outcomes, outcomes))
+            assert round_check == outcome.check
+            assert journal_bytes(banks[0]) == journal_bytes(banks[1])
+
+        same()
+    finally:
+        for bank in banks:
+            bank.stop()
