@@ -464,15 +464,15 @@ def journal_bytes(service) -> bytes:
 def test_round_request_validation(service):
     with BankClient(*service.address) as client:
         coin = client.mint(4, 10_000, 10, seed=32)
+    # Valid, the base request would be checked and charged: no outcome is lost at eta = 1.
     params = {"c": 0.9, "delta": 0.1, "eta": 1.0, "epsilon": 0.0}
-    base = {"type": "round", "coin_id": coin.coin_id, "positions": [0], "alphas": [1], "beta": 0.0,
+    positions, alphas = list(range(10)), [1] * 10
+    base = {"type": "round", "coin_id": coin.coin_id, "positions": positions, "alphas": alphas, "beta": 0.0,
             "seed": 1, "params": params, "request_id": "r"}
     journal = journal_bytes(service)
-    requests = [
-        dict(base, positions=[0, 1]),  # mismatched lengths
-        dict(base, positions=[10_000]), dict(base, positions=[-1]), dict(base, positions=[2**63]),
-        dict(base, alphas=[4]), dict(base, alphas=[0]),
-    ]
+    requests = [dict(base, positions=positions + [10])]  # mismatched lengths
+    requests += [dict(base, positions=[bad] + positions[1:]) for bad in (10_000, -1, 2**63)]
+    requests += [dict(base, alphas=[bad] + alphas[1:]) for bad in (4, 0)]
     for bad in (math.nan, "0.1", True):
         requests.append(dict(base, beta=bad))
         requests += [dict(base, params=dict(params, **{field: bad})) for field in ("c", "delta", "eta", "epsilon")]
@@ -486,6 +486,8 @@ def test_round_request_validation(service):
     assert (resp["type"], resp["code"]) == ("error", "unknown_coin")
     assert service.coins[coin.coin_id].s == 0
     assert journal_bytes(service) == journal
+    resp = raw_call(service.address, base)
+    assert (resp["type"], resp["check"]["s"]) == ("round_ok", 1)
 
 
 def test_a_round_of_the_wrong_size_is_charged_as_verify_charges_it(service):
