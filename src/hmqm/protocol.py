@@ -604,9 +604,9 @@ def _plan_round(coin: Coin, rng: np.random.Generator) -> tuple[np.ndarray, np.nd
     argsort groups equal draws, and each group's least draw index is its
     first occurrence.  One binary search of `consumed` drops values consumed
     before, and a mask keeps the rest in draw order.  `consumed` stays a
-    sorted array of unique positions: the new ones are inserted at the
-    indices that search found, without a sort.  The rng calls and the
-    sample are those of taking the draws one by one."""
+    sorted array of unique positions: `_merge_sorted` places the new ones
+    at the indices that search found, without a sort.  The rng calls and
+    the sample are those of taking the draws one by one."""
     if coin.unused() < coin.l:
         raise InsufficientPositionsError(
             f"coin has {coin.unused()} unused positions, verification needs {coin.l}"
@@ -624,7 +624,7 @@ def _plan_round(coin: Coin, rng: np.random.Generator) -> tuple[np.ndarray, np.nd
         if len(coin.consumed):  # past the end, the search clips to a smaller position
             at = np.searchsorted(coin.consumed, values)
             fresh = coin.consumed.take(at, mode="clip") != values
-            coin.consumed = np.insert(coin.consumed, at[fresh], values[fresh])
+            coin.consumed = _merge_sorted(coin.consumed, values[fresh], at[fresh])
         else:
             fresh = np.ones(len(values), dtype=bool)
             coin.consumed = values
@@ -635,6 +635,19 @@ def _plan_round(coin: Coin, rng: np.random.Generator) -> tuple[np.ndarray, np.nd
     alphas = rng.integers(1, coin.n, size=coin.l)
     measure_seed = int(rng.integers(0, 2**63))
     return np.concatenate(batches), alphas, measure_seed
+
+
+def _merge_sorted(old: np.ndarray, new: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """old with the sorted values new, none of them in old, merged in:
+    new[k] goes before old[at[k]], so, with at non-decreasing, to slot
+    at[k] + k, and one mask places old in the remaining slots."""
+    slots = at + np.arange(len(new))
+    merged = np.empty(len(old) + len(new), dtype=old.dtype)
+    merged[slots] = new
+    keep = np.ones(len(merged), dtype=bool)
+    keep[slots] = False
+    merged[keep] = old
+    return merged
 
 
 def _finish_round(coin: Coin, sample: np.ndarray, alphas: np.ndarray, outcomes: tuple,
@@ -651,7 +664,8 @@ def _finish_round(coin: Coin, sample: np.ndarray, alphas: np.ndarray, outcomes: 
     return VerifyOutcome(Verdict.VALID if result.valid else Verdict.INVALID, transcript, result, errors)
 
 
-def bank_check(db: BankDatabase, transcript: VerificationTranscript, params: VerdictParameters) -> CheckResult:
+def bank_check(db: BankDatabase, transcript: VerificationTranscript, params: VerdictParameters,
+               errors: np.ndarray | None = None) -> CheckResult:
     """Bank-side verdict on a transcript.
 
     Valid iff the count of correct parities strictly exceeds l' * (c - delta),
@@ -661,6 +675,13 @@ def bank_check(db: BankDatabase, transcript: VerificationTranscript, params: Ver
     a claimed l other than the record's l, duplicate positions, out-of-range
     indices, a pair not in the claimed matching) consume a check and yield
     Invalid.
+
+    errors, when given, are the error flags `measure_positions` returned
+    when the bank itself measured the transcript's positions and bases,
+    which it range-checked first.  The nodes, pairs and bits are then the
+    bank's own, so only the sample is judged (its size, then duplicates),
+    and since a present outcome's bit is its parity XOR its error, l' minus
+    the errors are correct, with no second derivation.
     """
     if transcript.coin_id != db.coin_id:
         raise UnknownCoinError(f"no coin {transcript.coin_id!r}")
@@ -672,16 +693,18 @@ def bank_check(db: BankDatabase, transcript: VerificationTranscript, params: Ver
     db.s += 1
     present = transcript.answer >= 0
     l_prime = int(np.count_nonzero(present))
-    pi, pj = transcript.pair_i[present], transcript.pair_j[present]
-    code = _structural_violation(db, transcript, present, pi, pj)
+    pairs = None if errors is not None else (transcript.pair_i[present], transcript.pair_j[present])
+    code = _structural_violation(db, transcript, present, pairs)
     if code is not None:
         return CheckResult(
             valid=False, s=db.s, T=db.T, correct_count=0,
             l_prime=l_prime, threshold=0.0, code=code,
         )
     threshold = l_prime * (params.c - params.delta)
-    parity = pair_parities(db.key, db.n, transcript.positions[present], pi, pj)
-    correct = int(np.count_nonzero(parity == transcript.answer[present]))
+    if errors is None:
+        parity = pair_parities(db.key, db.n, transcript.positions[present], *pairs)
+        errors = parity != transcript.answer[present]
+    correct = l_prime - int(np.count_nonzero(errors))
     return CheckResult(
         valid=correct > threshold, s=db.s, T=db.T,
         correct_count=correct, l_prime=l_prime, threshold=threshold,
@@ -689,17 +712,21 @@ def bank_check(db: BankDatabase, transcript: VerificationTranscript, params: Ver
 
 
 def _structural_violation(db: BankDatabase, transcript: VerificationTranscript, present: np.ndarray,
-                          pi: np.ndarray, pj: np.ndarray) -> str | None:
+                          pairs: tuple[np.ndarray, np.ndarray] | None) -> str | None:
     """The first rule the transcript breaks, in a fixed order, or None.
-    pi and pj are the node pairs of the present outcomes.  One sort finds
-    duplicates and the position range; every other range is a min/max
-    reduction."""
+    pairs are the node pairs (pi, pj) of the present outcomes, None when the
+    bank measured the transcript itself: then only the sample size and
+    duplicates are judged.  One sort finds duplicates and the position
+    range; every other range is a min/max reduction."""
     pos = transcript.positions
     if len(pos) != db.l or transcript.l != db.l:
         return "wrong_sample_size"
     ordered = np.sort(pos)
     if (ordered[1:] == ordered[:-1]).any():
         return "duplicate_position"
+    if pairs is None:
+        return None
+    pi, pj = pairs
     if ordered[0] < 0 or ordered[-1] >= db.q:
         return "position_out_of_range"
     if transcript.alpha.min() < 1 or transcript.alpha.max() > db.n - 1:

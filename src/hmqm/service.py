@@ -21,8 +21,14 @@ params.eta), and is one exchange per verification round: the service
 measures, ends the round with protocol's `_finish_round` and replies
 `round_ok` with the outcomes and, unless the holder's abort rule fired, the
 verify_ok body as `check`.  It charges and journals exactly what a measure
-followed by a verify of the transcript built from it would, and nothing
-when the round_ok might not fit the frame limit.  `client_verify` is the
+followed by a verify of the transcript built from it would, and, measuring
+nothing, refuses a round whose round_ok might not fit the frame limit.  The
+check grades the bank's own measurement: its nodes, pairs and bits are the
+bank's, and positions and bases were range-checked before measuring, so only
+the holder's sample is judged (its size, then duplicates), and a present
+outcome's bit is its parity XOR its error flag, so l' minus the errors are
+correct.  A round thus derives each present position's AES blocks once;
+a measure and a verify derive them once each.  `client_verify` is the
 in-process round with one `round` request in place of the measurement and
 the check: the planning, the outcome codec, the abort rule and the verdict
 are protocol's own.  A request that races stop() and finds the journal
@@ -317,8 +323,10 @@ class BankService:
                 self._idle += 1
 
     def _serve_connection(self, conn: socket.socket) -> None:
+        """Serve the connection's requests until it closes, stop() or not:
+        after stop() a request that needs the journal gets `unavailable`."""
         with conn:
-            while not self._stop.is_set():
+            while True:
                 try:
                     request = recv_message(conn)
                 except (ServiceError, ConnectionError):
@@ -383,11 +391,11 @@ class BankService:
                 raise UnknownCoinError(f"no coin {coin_id!r}")
             return self.coins[coin_id], self._coin_locks[coin_id]
 
-    def _measure(self, request: dict, eta) -> tuple[Coin, np.ndarray, np.ndarray, tuple]:
+    def _measure(self, db: BankDatabase, request: dict,
+                 eta) -> tuple[Coin, np.ndarray, np.ndarray, tuple, np.ndarray]:
         """Validate a measurement's fields and measure: the bank's view of
-        the coin, the positions, the bases and the outcomes (pair_i, pair_j,
-        answer)."""
-        db, _ = self._coin(request["coin_id"])
+        the coin, the positions, the bases, the outcomes (pair_i, pair_j,
+        answer) and their error flags."""
         positions, alphas = (wire_ints(request[name], name) for name in ("positions", "alphas"))
         if positions.shape != alphas.shape:
             raise ValueError("positions and alphas must be equal-length lists")
@@ -400,24 +408,27 @@ class BankService:
         if not 0.0 < eta <= 1.0:
             raise ValueError(f"eta must be in (0, 1], got {eta}")
         view = Coin.fresh(db.coin_id, db.n, db.q, db.l, db.T)
-        pair_i, pair_j, answer, _ = measure_positions(
+        pair_i, pair_j, answer, errors = measure_positions(
             db.key, view, positions, alphas, beta, eta,
             np.random.default_rng(wire_int(request["seed"], "seed")),
         )
-        return view, positions, alphas, (pair_i, pair_j, answer)
+        return view, positions, alphas, (pair_i, pair_j, answer), errors
 
-    def _check(self, transcript: VerificationTranscript, params: VerdictParameters) -> CheckResult:
-        """Grade a transcript under its coin's lock, charging one check."""
+    def _check(self, transcript: VerificationTranscript, params: VerdictParameters,
+               errors: np.ndarray | None = None) -> CheckResult:
+        """Grade a transcript under its coin's lock, charging one check;
+        errors are those of the bank's own measurement of it, if it made one."""
         db, lock = self._coin(transcript.coin_id)
         with lock:
             if db.s < db.T:
                 # Write-ahead: the counter increment must survive a crash
                 # that happens before the response is sent.
                 self.journal.append({"event": "check", "coin_id": db.coin_id, "s": db.s + 1})
-            return bank_check(db, transcript, params)
+            return bank_check(db, transcript, params, errors)
 
     def _handle_measure(self, request: dict) -> dict:
-        *_, outcomes = self._measure(request, request["eta"])
+        db, _ = self._coin(request["coin_id"])
+        *_, outcomes, _ = self._measure(db, request, request["eta"])
         return {"type": "measure_ok", "request_id": request.get("request_id"),
                 "outcomes": encode_outcomes(*outcomes)}
 
@@ -428,15 +439,18 @@ class BankService:
 
     def _handle_round(self, request: dict) -> dict:
         """A measure and the verify of the transcript built from it, unless
-        the holder's abort rule fires; a reply that might not fit a frame
-        is refused before the check is charged."""
+        the holder's abort rule fires.  The check grades the bank's own
+        measurement from its error flags, deriving nothing again.  A reply
+        that might not fit a frame is refused before anything is measured."""
         params = _verdict_parameters(request["params"])
-        view, positions, alphas, outcomes = self._measure(request, params.eta)
+        db, _ = self._coin(request["coin_id"])
         request_id = request.get("request_id")
-        size = _round_reply_bound(request_id, view.n, len(positions))
+        size = _round_reply_bound(request_id, db.n, len(request["positions"]))
         if size > MAX_MESSAGE_BYTES:
             raise ValueError(f"a round_ok of up to {size} bytes exceeds the limit of {MAX_MESSAGE_BYTES}")
-        outcome = _finish_round(view, positions, alphas, outcomes, params, lambda t: self._check(t, params))
+        view, positions, alphas, outcomes, errors = self._measure(db, request, params.eta)
+        outcome = _finish_round(view, positions, alphas, outcomes, params,
+                                lambda t: self._check(t, params, errors))
         return {"type": "round_ok", "request_id": request_id, "outcomes": encode_outcomes(*outcomes),
                 "check": None if outcome.check is None else _check_body(outcome.check)}
 
@@ -520,8 +534,8 @@ class BankClient:
         """The outcomes (pair_i, pair_j, answer) of measuring the positions."""
         resp = self._call({
             "type": "measure", "coin_id": coin_id,
-            "positions": [int(v) for v in positions],
-            "alphas": [int(v) for v in alphas],
+            "positions": positions.tolist(),
+            "alphas": alphas.tolist(),
             "beta": beta, "eta": eta, "seed": seed,
         })
         return decode_outcomes(resp["outcomes"])
@@ -543,8 +557,8 @@ class BankClient:
         verdict, None when the bank's abort rule fired."""
         resp = self._call({
             "type": "round", "coin_id": coin_id,
-            "positions": [int(v) for v in positions],
-            "alphas": [int(v) for v in alphas],
+            "positions": positions.tolist(),
+            "alphas": alphas.tolist(),
             "beta": beta, "seed": seed, "params": _wire_params(params),
         })
         check = resp["check"]

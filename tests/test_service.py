@@ -529,6 +529,7 @@ def test_an_over_limit_round_is_refused_before_it_is_charged(service, monkeypatc
     # On n = 4 a round_ok is bounded at 26 bytes per outcome plus 512: 150
     # outcomes pass 3000, 10 do not.
     monkeypatch.setattr(hmqm.service, "MAX_MESSAGE_BYTES", 3000)
+    counter = AesBlockCounter(monkeypatch)
     request = {"type": "round", "coin_id": coin.coin_id, "positions": list(range(150)),
                "alphas": [1] * 150, "beta": 0.0, "seed": 1, "request_id": "big",
                "params": {"c": 0.9, "delta": 0.1, "eta": 1.0, "epsilon": 0.0}}
@@ -537,11 +538,65 @@ def test_an_over_limit_round_is_refused_before_it_is_charged(service, monkeypatc
         resp = recv_message(sock)
         assert (resp["type"], resp["code"], resp["request_id"]) == ("error", "bad_request", "big")
         assert "limit of 3000" in resp["message"]
+        assert counter.count == 0  # refused before anything was measured
         assert service.coins[coin.coin_id].s == 0
         assert journal_bytes(service) == journal
         send_message(sock, dict(request, positions=list(range(10)), alphas=[1] * 10, request_id="small"))
         resp = recv_message(sock)
         assert (resp["type"], resp["request_id"], resp["check"]["s"]) == ("round_ok", "small", 1)
+
+
+@pytest.fixture
+def twin(tmp_path):
+    """A second bank, to hold the same coins as `service`."""
+    svc = BankService(journal_path=str(tmp_path / "twin.ndjson"))
+    svc.start()
+    yield svc
+    svc.stop()
+
+
+def round_and_twin(service, twin, coin, sample, bases, params):
+    """One round on `service`, and the measure and verify of the same
+    transcript on `twin`: the round's reply, and the twin's check."""
+    fields = dict(coin_id=coin.coin_id, positions=sample, alphas=bases, beta=0.0, seed=7)
+    with BankClient(*service.address) as client:
+        reply = client.round(params=params, **fields)
+    with BankClient(*twin.address) as client:
+        outcomes = client.measure(eta=params.eta, **fields)
+        outcome = _finish_round(coin, sample, bases, outcomes, params, lambda t: client.verify(t, params))
+    assert all(map(np.array_equal, reply[0], outcomes))
+    assert reply[1] == outcome.check
+    return reply
+
+
+def test_a_round_with_a_repeated_position_is_charged_as_verify_charges_it(service, twin):
+    for bank in (service, twin):
+        with BankClient(*bank.address) as client:
+            coin = client.mint(4, 100_000, 10, seed=34)
+    journal = journal_bytes(service)
+    sample, bases = np.array([5, *range(9)]), np.ones(10, dtype=np.int64)  # 5 twice, at the right size
+    params = VerdictParameters(c=0.9, delta=0.1)
+    _, check = round_and_twin(service, twin, coin, sample, bases, params)
+    assert (check.valid, check.code, check.s, check.l_prime) == (False, "duplicate_position", 1, 10)
+    assert service.coins[coin.coin_id].s == 1
+    added = journal_bytes(service)[len(journal):].decode().splitlines()
+    assert [json.loads(line) for line in added] == [{"event": "check", "coin_id": coin.coin_id, "s": 1}]
+
+
+def test_a_round_on_an_exhausted_coin_journals_nothing(service, twin):
+    for bank in (service, twin):
+        with BankClient(*bank.address) as client:
+            coin = client.mint(4, 10_000, 10, seed=35)
+    assert coin.T == 1
+    sample, bases = np.arange(10), np.ones(10, dtype=np.int64)
+    params = VerdictParameters(c=0.9, delta=0.1)
+    _, check = round_and_twin(service, twin, coin, sample, bases, params)
+    assert (check.valid, check.s) == (True, 1)
+    journal = journal_bytes(service)
+    _, check = round_and_twin(service, twin, coin, sample + 10, bases, params)
+    assert (check.valid, check.code, check.s, check.correct_count) == (False, "coin_exhausted", 1, 0)
+    assert service.coins[coin.coin_id].s == 1
+    assert journal_bytes(service) == journal
 
 
 @pytest.mark.parametrize("kind", ["mint", "round"])
@@ -602,7 +657,8 @@ def test_a_wire_round_hashes_each_position_once_on_the_server(service, monkeypat
     params = VerdictParameters.from_noise(8, 0.0)
     outcome = client_verify(service.address, coin, params, HonestChannel(0.0), np.random.default_rng(42))
     assert outcome.verdict is Verdict.VALID
-    assert counter.count == 2 * 200  # the measurement, then the check, of one round request
+    # The check grades the bank's own measurement: one derivation per round request.
+    assert counter.count == 200
 
 
 def test_minting_a_seed_again_is_refused(service):
