@@ -1,20 +1,22 @@
 """Forging strategies and double-spend experiments.
 
 An attack takes one genuine coin and produces two coins to spend with two
-verifiers against the same bank record.  Built-in steps:
+verifiers against the same bank record.  A strategy is one AttackStrategy
+record of the choices an attack makes:
 
-- RegisterSplit: mask a 1/1000 fraction of positions from each verifier and
-  forward those states untouched to the other one, and treat T*l positions
-  as known from auxiliary verification interactions; the receiving coin
-  carries perfect replicas there.  Together this saturates the q/500
-  replication cap.
-- SymmetricClone / MixedSubstitution / HonestNoise: the per-position channel
-  applied to the remaining "white" positions.  The cloner errs at e_max(n)
-  on both coins, substitution by the maximally mixed state at 1/2, honest
-  noise keeps a single (noisy) coin for verifier 1 and sends verifier 2
-  nothing.
-- LossHiding: do not send a fraction of white positions at all, hoping the
-  abort rule blames the detectors.
+- split: mask a 1/1000 fraction of positions from each verifier and forward
+  those states untouched to the other one, and treat T*l positions as known
+  from auxiliary verification interactions; the receiving coin carries
+  perfect replicas there.  Together this saturates the q/500 replication
+  cap.
+- hidden: do not send this fraction of positions at all, hoping the abort
+  rule blames the detectors.
+- channel: what the remaining "white" positions carry, a CHANNELS row.  The
+  symmetrized cloner errs at e_max(n) on both coins, substitution by the
+  maximally mixed state at 1/2, honest noise keeps a single (noisy) coin for
+  verifier 1 and sends verifier 2 nothing.  Without a channel verifier 1
+  keeps the intact white states and verifier 2 gets nothing there.
+- beta: the honest channel's noise, which only honest_noise reads.
 
 Every channel produces depolarizing-class states: a forged position's
 measurement errs at one rate per coin, independently of the pair, so the
@@ -41,88 +43,52 @@ from .protocol import (
 SPLIT_FRACTION = 1.0 / COIN_BUDGET_DIVISOR
 REPLICATION_CAP = 2.0 / COIN_BUDGET_DIVISOR
 
-
-@dataclass(frozen=True)
-class RegisterSplit:
-    """Mask SPLIT_FRACTION of the positions from each verifier, forward the
-    state to the other."""
-
-
-@dataclass(frozen=True)
-class SymmetricClone:
-    """Send each verifier one output of the symmetrized cloner."""
-
-
-@dataclass(frozen=True)
-class MixedSubstitution:
-    """Send both verifiers maximally mixed states."""
-
-
-@dataclass(frozen=True)
-class HonestNoise:
-    """No forging: the original coin, through depolarizing noise, to one verifier."""
-
-    beta: float = 0.0
-
-
-@dataclass(frozen=True)
-class LossHiding:
-    """Withhold a fraction of white positions from both verifiers."""
-
-    fraction: float = 0.0
-
-
-CHANNEL_STEPS = (SymmetricClone, MixedSubstitution, HonestNoise)
-STEP_KINDS = (RegisterSplit, LossHiding, CHANNEL_STEPS)
+# The white-position channels: name -> (n, beta) -> (e1, e2), the pair that
+# AttackStrategy.white_pair_error returns.
+CHANNELS = {
+    "symmetric_clone": lambda n, beta: (bounds.e_max(n), bounds.e_max(n)),
+    "mixed_substitution": lambda n, beta: (0.5, 0.5),
+    "honest_noise": lambda n, beta: (beta, 1.0),
+}
 
 
 @dataclass(frozen=True)
 class AttackStrategy:
-    """An ordered composition of attack steps, at most one of each kind in
-    STEP_KINDS (a split, a hiding step, a channel)."""
+    """A forging strategy: whether the register is split, the fraction of
+    positions hidden from both verifiers, the white positions' channel (a
+    CHANNELS key, or None for the intact coin to verifier 1 alone) and the
+    honest channel's beta."""
 
-    steps: tuple = ()
-    name: str = ""
+    name: str
+    split: bool = False
+    hidden: float = 0.0
+    channel: str | None = None
+    beta: float = 0.0
 
     def __post_init__(self):
-        if any(sum(isinstance(s, kind) for s in self.steps) > 1 for kind in STEP_KINDS):
-            raise ValueError("at most one channel step, one RegisterSplit and one LossHiding per strategy")
-        for s in self.steps:
-            if not isinstance(s, STEP_KINDS):
-                raise ValueError(f"not an attack step: {s!r}")
-            if isinstance(s, LossHiding) and not 0.0 <= s.fraction <= 1.0:
-                raise ValueError(f"fraction must be in [0, 1], got {s.fraction}")
-            if isinstance(s, HonestNoise) and not 0.0 <= s.beta <= 0.5:
-                raise ValueError(f"beta must be in [0, 1/2], got {s.beta}")
-
-    def step(self, kinds):
-        """The first step that is an instance of kinds (a class or a tuple
-        of classes, as for isinstance), or None."""
-        return next((s for s in self.steps if isinstance(s, kinds)), None)
+        if self.channel is not None and self.channel not in CHANNELS:
+            raise ValueError(f"unknown channel {self.channel!r}")
+        if not 0.0 <= self.hidden <= 1.0:
+            raise ValueError(f"hidden fraction must be in [0, 1], got {self.hidden}")
+        HonestChannel(self.beta)  # refuses a beta outside [0, 1/2]
 
     def white_pair_error(self, n: int) -> tuple[float, float]:
         """Exact per-verifier error rates on white positions.
 
         A position a verifier never receives counts as error rate 1.
         """
-        step = self.step(CHANNEL_STEPS)
-        if step is None:
+        if self.channel is None:
             return (0.0, 1.0)
-        if isinstance(step, SymmetricClone):
-            e = bounds.e_max(n)
-            return (e, e)
-        if isinstance(step, MixedSubstitution):
-            return (0.5, 0.5)
-        return (step.beta, 1.0)  # HonestNoise
+        return CHANNELS[self.channel](n, self.beta)
 
 
-# The named strategies of the CLI and the tests: name -> steps(beta, fraction).
+# The named strategies of the CLI and the tests: name -> fields(beta, fraction).
 BUILTIN_STRATEGIES = {
-    "honest_noise": lambda beta, fraction: (HonestNoise(beta),),
-    "register_split": lambda beta, fraction: (RegisterSplit(),),
-    "symmetric_clone": lambda beta, fraction: (RegisterSplit(), SymmetricClone()),
-    "mixed_substitution": lambda beta, fraction: (RegisterSplit(), MixedSubstitution()),
-    "loss_hiding": lambda beta, fraction: (RegisterSplit(), LossHiding(fraction), SymmetricClone()),
+    "honest_noise": lambda beta, fraction: dict(channel="honest_noise", beta=beta),
+    "register_split": lambda beta, fraction: dict(split=True),
+    "symmetric_clone": lambda beta, fraction: dict(split=True, channel="symmetric_clone"),
+    "mixed_substitution": lambda beta, fraction: dict(split=True, channel="mixed_substitution"),
+    "loss_hiding": lambda beta, fraction: dict(split=True, hidden=fraction, channel="symmetric_clone"),
 }
 
 
@@ -130,7 +96,7 @@ def builtin_strategy(name: str, beta: float = 0.0, fraction: float = 0.0) -> Att
     """Build one of the BUILTIN_STRATEGIES."""
     if name not in BUILTIN_STRATEGIES:
         raise ValueError(f"unknown strategy {name!r}")
-    return AttackStrategy(BUILTIN_STRATEGIES[name](beta, fraction), name=name)
+    return AttackStrategy(name, **BUILTIN_STRATEGIES[name](beta, fraction))
 
 
 def check_accounting(strategy: AttackStrategy, q: int, l: int, T: int) -> tuple[int, int, int]:
@@ -140,16 +106,14 @@ def check_accounting(strategy: AttackStrategy, q: int, l: int, T: int) -> tuple[
     Returns the register's layout counts (m, known, hidden): the positions
     masked from each verifier, the T*l known ones and the hidden ones.
     """
-    split = strategy.step(RegisterSplit)
-    split_count = int(SPLIT_FRACTION * q) if split else 0
-    aux_count = T * l if split else 0
+    split_count = int(SPLIT_FRACTION * q) if strategy.split else 0
+    aux_count = T * l if strategy.split else 0
     if split_count + aux_count > math.ceil(REPLICATION_CAP * q):
         raise ValueError(
             f"strategy replicates {split_count + aux_count} positions per coin, "
             f"cap is {math.ceil(REPLICATION_CAP * q)} = q/500"
         )
-    hiding = strategy.step(LossHiding)
-    hidden = int(hiding.fraction * q) if hiding else 0
+    hidden = int(strategy.hidden * q)
     if 2 * split_count + aux_count + hidden > q:
         raise ValueError("strategy fractions exceed the register size")
     return split_count, aux_count, hidden
@@ -172,7 +136,7 @@ def forge_coins(coin: Coin, strategy: AttackStrategy) -> tuple[Coin, Coin]:
     m, known, hidden = check_accounting(strategy, coin.q, coin.l, coin.T)
 
     err1, err2 = strategy.white_pair_error(coin.n)
-    white1 = PositionKind.GENUINE if strategy.step(CHANNEL_STEPS) is None else PositionKind.FORGED
+    white1 = PositionKind.GENUINE if strategy.channel is None else PositionKind.FORGED
     # Error rate 1 marks white positions verifier 2 never receives.
     white2 = PositionKind.ABSENT if err2 == 1.0 else PositionKind.FORGED
 
@@ -295,7 +259,7 @@ def run_forging_experiment(
         werr1[t], oerr1[t] = _transcript_errors(coin1, out1)
         werr2[t], oerr2[t] = _transcript_errors(coin2, out2)
     return ForgeOutcome(
-        strategy=strategy.name or "custom", n=n, q=q, l=l, trials=trials,
+        strategy=strategy.name, n=n, q=q, l=l, trials=trials,
         accept1=accept1, accept2=accept2,
         observed_error1=werr1, observed_error2=werr2,
         overall_error1=oerr1, overall_error2=oerr2,

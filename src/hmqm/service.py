@@ -6,6 +6,10 @@ echoed in the response.  A frame that is not such an object gets a
 bad_request error and the connection is closed.  A reply that would exceed
 the frame limit (MAX_MESSAGE_BYTES) is not sent: the request gets a
 bad_request error naming the limit instead, and the connection stays open.
+If that error does not fit either, because the request_id alone fills a
+frame, the bad_request goes out with a null request_id and the connection
+is closed, as for a malformed frame.  A measure or round whose reply might
+not fit the limit is refused before any secret is derived.
 `mint_ok` carries the coin's id and parameters; the holder keeps the coin
 (its layout and the positions it has consumed) client-side.  A coin's id
 and key depend on the mint seed only, so a mint that would recreate a coin
@@ -21,8 +25,7 @@ params.eta), and is one exchange per verification round: the service
 measures, ends the round with protocol's `_finish_round` and replies
 `round_ok` with the outcomes and, unless the holder's abort rule fired, the
 verify_ok body as `check`.  It charges and journals exactly what a measure
-followed by a verify of the transcript built from it would, and, measuring
-nothing, refuses a round whose round_ok might not fit the frame limit.  The
+followed by a verify of the transcript built from it would.  The
 check grades the bank's own measurement: its nodes, pairs and bits are the
 bank's, and positions and bases were range-checked before measuring, so only
 the holder's sample is judged (its size, then duplicates), and a present
@@ -330,11 +333,7 @@ class BankService:
                 try:
                     request = recv_message(conn)
                 except (ServiceError, ConnectionError):
-                    try:
-                        send_message(conn, {"type": "error", "code": "bad_request",
-                                            "message": "malformed frame", "request_id": None})
-                    except OSError:
-                        pass
+                    _hang_up(conn, "malformed frame")
                     return
                 if request is None:
                     return
@@ -343,8 +342,12 @@ class BankService:
                     try:
                         send_message(conn, reply)
                     except ServiceError as exc:  # over the frame limit, nothing was sent
-                        send_message(conn, _error(request.get("request_id"), "bad_request",
-                                                  f"reply not sent: {exc}"))
+                        try:
+                            send_message(conn, _error(request.get("request_id"), "bad_request",
+                                                      f"reply not sent: {exc}"))
+                        except ServiceError:  # the request_id alone fills a frame
+                            _hang_up(conn, "reply not sent: the request_id does not fit a frame")
+                            return
                 except OSError:
                     return
 
@@ -395,10 +398,14 @@ class BankService:
                  eta) -> tuple[Coin, np.ndarray, np.ndarray, tuple, np.ndarray]:
         """Validate a measurement's fields and measure: the bank's view of
         the coin, the positions, the bases, the outcomes (pair_i, pair_j,
-        answer) and their error flags."""
+        answer) and their error flags.  A sample whose reply might not fit
+        a frame is refused before any secret is derived."""
         positions, alphas = (wire_ints(request[name], name) for name in ("positions", "alphas"))
         if positions.shape != alphas.shape:
             raise ValueError("positions and alphas must be equal-length lists")
+        size = _reply_bound(request.get("request_id"), db.n, positions.size)
+        if size > MAX_MESSAGE_BYTES:
+            raise ValueError(f"a reply of up to {size} bytes exceeds the limit of {MAX_MESSAGE_BYTES}")
         if np.any(positions < 0) or np.any(positions >= db.q):
             raise ValueError("position out of range")
         if np.any(alphas < 1) or np.any(alphas > db.n - 1):
@@ -440,18 +447,14 @@ class BankService:
     def _handle_round(self, request: dict) -> dict:
         """A measure and the verify of the transcript built from it, unless
         the holder's abort rule fires.  The check grades the bank's own
-        measurement from its error flags, deriving nothing again.  A reply
-        that might not fit a frame is refused before anything is measured."""
+        measurement from its error flags, deriving nothing again."""
         params = _verdict_parameters(request["params"])
         db, _ = self._coin(request["coin_id"])
-        request_id = request.get("request_id")
-        size = _round_reply_bound(request_id, db.n, len(request["positions"]))
-        if size > MAX_MESSAGE_BYTES:
-            raise ValueError(f"a round_ok of up to {size} bytes exceeds the limit of {MAX_MESSAGE_BYTES}")
         view, positions, alphas, outcomes, errors = self._measure(db, request, params.eta)
         outcome = _finish_round(view, positions, alphas, outcomes, params,
                                 lambda t: self._check(t, params, errors))
-        return {"type": "round_ok", "request_id": request_id, "outcomes": encode_outcomes(*outcomes),
+        return {"type": "round_ok", "request_id": request.get("request_id"),
+                "outcomes": encode_outcomes(*outcomes),
                 "check": None if outcome.check is None else _check_body(outcome.check)}
 
 
@@ -478,16 +481,26 @@ def _check_result(body: dict) -> CheckResult:
     )
 
 
-def _round_reply_bound(request_id, n: int, k: int) -> int:
-    """The most bytes a round_ok frame of k outcomes on an n-node coin can
-    take: each outcome is null or {"b": 0, "i": i, "j": j} with i, j <= n,
-    and the check and the keys take under 512 bytes beside the request_id."""
+def _reply_bound(request_id, n: int, k: int) -> int:
+    """The most bytes a measure_ok or round_ok frame of k outcomes on an
+    n-node coin can take: each outcome is null or {"b": 0, "i": i, "j": j}
+    with i, j <= n, and the check and the keys take under 512 bytes beside
+    the request_id."""
     per_outcome = len('{"b": 0, "i": , "j": }, ') + 2 * len(str(n))
     return 512 + len(json.dumps(request_id)) + k * per_outcome
 
 
 def _error(request_id, code: str, message: str) -> dict:
     return {"type": "error", "request_id": request_id, "code": code, "message": message}
+
+
+def _hang_up(conn: socket.socket, message: str) -> None:
+    """The last reply on a connection the bank closes: a bad_request with
+    no request_id, sent if the socket still takes it."""
+    try:
+        send_message(conn, _error(None, "bad_request", message))
+    except OSError:
+        pass
 
 
 @dataclass

@@ -7,13 +7,9 @@ from helpers import binomial_tail_below
 from hmqm import bounds, protocol
 from hmqm.adversary import (
     BUILTIN_STRATEGIES,
+    CHANNELS,
     AttackStrategy,
     ForgeOutcome,
-    HonestNoise,
-    LossHiding,
-    MixedSubstitution,
-    RegisterSplit,
-    SymmetricClone,
     builtin_strategy,
     check_accounting,
     forge_coins,
@@ -32,38 +28,38 @@ from hmqm.protocol import (
 from hmqm.qrg import BitString, hidden_matching_state, maximally_mixed, outcome_distribution
 
 
-def test_builtin_strategy_compositions():
-    assert builtin_strategy("honest_noise", beta=0.1).steps == (HonestNoise(0.1),)
-    assert builtin_strategy("register_split").steps == (RegisterSplit(),)
-    assert builtin_strategy("symmetric_clone").steps == (RegisterSplit(), SymmetricClone())
-    assert builtin_strategy("mixed_substitution").steps == (RegisterSplit(), MixedSubstitution())
-    assert builtin_strategy("loss_hiding", fraction=0.1).steps == (
-        RegisterSplit(), LossHiding(0.1), SymmetricClone(),
-    )
+def test_builtin_strategy_fields():
+    # beta is read by the honest channel alone, the hidden fraction by loss_hiding alone.
+    assert builtin_strategy("honest_noise", beta=0.1, fraction=0.2) == AttackStrategy(
+        "honest_noise", channel="honest_noise", beta=0.1)
+    assert builtin_strategy("register_split", beta=0.1, fraction=0.2) == AttackStrategy(
+        "register_split", split=True)
+    assert builtin_strategy("symmetric_clone", beta=0.1, fraction=0.2) == AttackStrategy(
+        "symmetric_clone", split=True, channel="symmetric_clone")
+    assert builtin_strategy("mixed_substitution", beta=0.1, fraction=0.2) == AttackStrategy(
+        "mixed_substitution", split=True, channel="mixed_substitution")
+    assert builtin_strategy("loss_hiding", beta=0.1, fraction=0.2) == AttackStrategy(
+        "loss_hiding", split=True, hidden=0.2, channel="symmetric_clone")
     with pytest.raises(ValueError, match="unknown strategy"):
         builtin_strategy("teleport")
 
 
-def test_strategy_validation():
-    with pytest.raises(ValueError, match="at most one channel step"):
-        AttackStrategy((SymmetricClone(), MixedSubstitution()))
-    with pytest.raises(ValueError):
-        AttackStrategy((LossHiding(fraction=-0.1),))
-    with pytest.raises(ValueError):
-        AttackStrategy((HonestNoise(beta=0.7),))
-
-
-def test_strategy_refuses_foreign_and_repeated_steps():
-    # Only the first step of a kind is ever read, so a second one, or an
-    # object that is no step at all, would be dropped without a word.
-    for steps in [(LossHiding(0.1), LossHiding(0.2)), (RegisterSplit(), RegisterSplit())]:
-        with pytest.raises(ValueError, match="at most one"):
-            AttackStrategy(steps)
-    for junk in ["junk", 42, None, RegisterSplit]:
-        with pytest.raises(ValueError, match="not an attack step"):
-            AttackStrategy((RegisterSplit(), junk))
-    with pytest.raises(ValueError):
-        AttackStrategy((LossHiding(0.1), LossHiding(0.2), "junk", 42))
+def test_strategy_record_validation():
+    for channel in ("teleport", "", "SymmetricClone"):
+        with pytest.raises(ValueError, match="unknown channel"):
+            AttackStrategy("x", channel=channel)
+    for hidden in (-0.1, 1.1, math.nan):
+        with pytest.raises(ValueError, match="hidden fraction must be in"):
+            AttackStrategy("x", hidden=hidden)
+    for beta in (-0.1, 0.7, math.nan):
+        with pytest.raises(ValueError, match="beta must be in"):
+            AttackStrategy("x", beta=beta)
+    with pytest.raises(ValueError, match="hidden fraction must be in"):
+        builtin_strategy("loss_hiding", fraction=1.5)
+    with pytest.raises(ValueError, match="beta must be in"):
+        builtin_strategy("honest_noise", beta=0.7)
+    # Both ranges are closed.
+    assert AttackStrategy("x", hidden=1.0, beta=0.5).white_pair_error(4) == (0.0, 1.0)
 
 
 def test_white_pair_error_per_strategy():
@@ -91,16 +87,15 @@ def _clone_outputs(x, beta):
 
 
 # The state each verifier receives on a forged coin's white positions, by
-# the reference physics: (verifier 1, verifier 2), None where that verifier
-# receives nothing.  register_split's white positions are the intact coin
-# through the honest channel.  A strategy added to BUILTIN_STRATEGIES needs
-# an entry here.
+# the reference physics, keyed by channel: (verifier 1, verifier 2), None
+# where that verifier receives nothing.  None, no channel, is the intact coin
+# through the honest channel to verifier 1.  A row added to CHANNELS needs an
+# entry here.
 WHITE_STATES = {
+    None: lambda x, beta: (bounds.depolarization_for_error(x, beta), None),
     "honest_noise": lambda x, beta: (bounds.depolarization_for_error(x, beta), None),
-    "register_split": lambda x, beta: (bounds.depolarization_for_error(x, beta), None),
     "symmetric_clone": _clone_outputs,
     "mixed_substitution": lambda x, beta: (maximally_mixed(x.n), maximally_mixed(x.n)),
-    "loss_hiding": _clone_outputs,
 }
 CHANNEL_BETAS = (0.0, 0.05, 0.1, 0.2)
 
@@ -122,7 +117,8 @@ def assert_grades_at(rho, x, coin, kind, beta):
 
 @pytest.mark.parametrize("name", list(BUILTIN_STRATEGIES))
 def test_channel_states_grade_at_the_fast_path_rate(name):
-    assert name in WHITE_STATES, f"strategy {name!r} has no entry in WHITE_STATES: state its channel's physics"
+    missing = {None, *CHANNELS} - set(WHITE_STATES)
+    assert not missing, f"channels {missing} have no entry in WHITE_STATES: state their physics"
     rng = np.random.default_rng(61)
     for n in range(4, 15, 2):
         for _ in range(3):
@@ -130,7 +126,7 @@ def test_channel_states_grade_at_the_fast_path_rate(name):
             for beta in CHANNEL_BETAS:
                 strategy = builtin_strategy(name, beta=beta, fraction=0.1)
                 coins = forge_coins(Coin.fresh("c", n, 100_000, 10, 1), strategy)
-                for coin, white in zip(coins, WHITE_STATES[name](x, beta)):
+                for coin, white in zip(coins, WHITE_STATES[strategy.channel](x, beta)):
                     *others, (_, white_kind) = coin.segments
                     assert (white_kind == PositionKind.ABSENT) == (white is None)
                     if white is not None:

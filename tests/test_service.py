@@ -192,6 +192,7 @@ def test_an_over_limit_reply_gets_bad_request_and_the_connection_lives_on(servic
         coin = client.mint(4, 10_000, 10, seed=41)
     # A measure reply costs about 26 bytes per outcome: 150 outcomes pass 3000.
     monkeypatch.setattr(hmqm.service, "MAX_MESSAGE_BYTES", 3000)
+    counter = AesBlockCounter(monkeypatch)
     request = {"type": "measure", "coin_id": coin.coin_id, "positions": list(range(150)),
                "alphas": [1] * 150, "beta": 0.0, "eta": 1.0, "seed": 1, "request_id": "big"}
     with socket.create_connection(service.address) as sock:
@@ -199,9 +200,28 @@ def test_an_over_limit_reply_gets_bad_request_and_the_connection_lives_on(servic
         resp = recv_message(sock)
         assert (resp["type"], resp["code"], resp["request_id"]) == ("error", "bad_request", "big")
         assert "limit of 3000" in resp["message"]
+        assert counter.count == 0  # refused before any secret was derived
         send_message(sock, dict(request, positions=list(range(10)), alphas=[1] * 10, request_id="small"))
         resp = recv_message(sock)
         assert (resp["type"], resp["request_id"]) == ("measure_ok", "small")
+
+
+def test_a_request_id_that_fills_a_frame_closes_the_connection_and_the_handler_lives_on(
+        service, monkeypatch):
+    # The error echoing this request_id does not fit a frame either: the
+    # bank answers without it and hangs up, and its handler serves on.
+    monkeypatch.setattr(hmqm.service, "MAX_MESSAGE_BYTES", 3000)
+    with socket.create_connection(service.address) as sock:
+        send_message(sock, {"type": "ping", "request_id": "x" * 2950})
+        resp = recv_message(sock)
+        assert (resp["type"], resp["code"], resp["request_id"]) == ("error", "bad_request", None)
+        assert "request_id" in resp["message"]
+        assert recv_message(sock) is None
+    wait_until(lambda: service._idle == 1)
+    with socket.create_connection(service.address) as sock:
+        ping(sock)
+    resp = raw_call(service.address, {"type": "mint", "n": 4, "q": 10_000, "l": 10, "request_id": "next"})
+    assert (resp["type"], resp["request_id"]) == ("mint_ok", "next")
 
 
 def handler_threads() -> set[threading.Thread]:
