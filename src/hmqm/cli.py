@@ -179,7 +179,7 @@ def _parse_address(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     if not host or not port.isdigit():
         raise ValueError(f"address must be HOST:PORT, got {text!r}")
-    return host, int(port)
+    return host, service.check_port(int(port))
 
 
 def cmd_serve(args) -> int:

@@ -4,11 +4,13 @@ A coin is q positions, each hiding an n-bit secret known only to the bank,
 which stores a 16-byte key per coin and derives secrets from it on demand
 with AES-128 in counter form, a pseudorandom function of the position.
 Deriving any set of positions is one AES-128-ECB call through the libcrypto
-that `hashlib` already loads, so the holder's simulated measurement and the
-bank's check each derive the secrets they need.  `secret_bits` is the
-reference definition of the secrets.  The measurement and the check read
-each parity x_i XOR x_j straight from the packed AES output, in
-`np.unpackbits` bit order (`pair_parities`), without unpacking any secret.
+that `hashlib` already loads.  A round derives its present positions once,
+in the simulated measurement, and the bank grades that measurement from its
+error flags; only a transcript the bank did not measure (a wire `verify`)
+is derived again by the check.  `secret_bits` is the reference definition
+of the secrets.  The measurement and the check read each parity x_i XOR x_j
+straight from the packed AES output, in `np.unpackbits` bit order
+(`pair_parities`), without unpacking any secret.
 The holder verifies by sampling l unused positions, measuring each in a
 random matching basis, and sending the claimed parities to the bank, which
 accepts when the correct fraction clears c - delta.  The bank allows at
@@ -587,14 +589,17 @@ def holder_verify(
     The sample is marked consumed before anything is measured, so positions
     are consumed even when the round aborts.  With fewer than l unused
     positions the round cannot start at all (InsufficientPositionsError, not
-    a verdict).
+    a verdict).  The measurement is the bank's own, under its key, so the
+    bank grades it from the error flags `measure_positions` returned, as it
+    grades a wire `round`: each present position is derived once.
     """
     sample, alphas, measure_seed = _plan_round(coin, rng)
     *outcomes, errors = measure_positions(
         db.key, coin, sample, alphas, channel.beta, params.eta,
         np.random.default_rng(measure_seed),
     )
-    return _finish_round(coin, sample, alphas, outcomes, params, lambda t: bank_check(db, t, params), errors)
+    return _finish_round(coin, sample, alphas, outcomes, params,
+                         lambda t: bank_check(db, t, params, errors), errors)
 
 
 def _plan_round(coin: Coin, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
@@ -677,11 +682,15 @@ def bank_check(db: BankDatabase, transcript: VerificationTranscript, params: Ver
     Invalid.
 
     errors, when given, are the error flags `measure_positions` returned
-    when the bank itself measured the transcript's positions and bases,
-    which it range-checked first.  The nodes, pairs and bits are then the
-    bank's own, so only the sample is judged (its size, then duplicates),
-    and since a present outcome's bit is its parity XOR its error, l' minus
-    the errors are correct, with no second derivation.
+    when the bank itself measured the transcript's positions and bases
+    under its key: in process (`holder_verify`) or in a wire `round`, whose
+    positions and bases were range-checked first.  The nodes, pairs and
+    bits are then the bank's own, so only the sample is judged (its size,
+    then duplicates), and since a present outcome's bit is its parity XOR
+    its error, l' minus the errors are correct, with no second derivation.
+    Without errors (a wire `verify`, whose outcomes the holder reports) the
+    check derives the present positions and judges every range, node and
+    pair.
     """
     if transcript.coin_id != db.coin_id:
         raise UnknownCoinError(f"no coin {transcript.coin_id!r}")

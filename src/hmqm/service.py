@@ -122,6 +122,15 @@ class JournalCorruptError(ServiceError):
         self.offset = offset
 
 
+def check_port(port: int) -> int:
+    """port, which must be in 0-65535: getaddrinfo would wrap a larger one
+    modulo 65536, and a bind that overflows leaks its socket.  Raises
+    ValueError otherwise."""
+    if not 0 <= port <= 65535:
+        raise ValueError(f"port must be in 0-65535, got {port}")
+    return port
+
+
 def send_message(sock: socket.socket, obj: dict) -> None:
     payload = json.dumps(obj, sort_keys=True).encode("utf-8")
     if len(payload) > MAX_MESSAGE_BYTES:
@@ -259,6 +268,7 @@ class BankService:
     the next one; stop() ends every idle handler."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, journal_path: str | None = None):
+        check_port(port)
         if journal_path is None:
             journal_path = os.environ.get(DATA_ENV_VAR, DEFAULT_JOURNAL)
         if os.path.isdir(journal_path):
@@ -269,7 +279,7 @@ class BankService:
         self._coin_locks: dict[str, threading.Lock] = {cid: threading.Lock() for cid in self.coins}
         try:
             self._sock = socket.create_server((host, port))
-        except OSError:
+        except BaseException:
             self.journal.close()
             raise
         self._stop = threading.Event()
@@ -511,7 +521,7 @@ class BankClient:
     port: int
 
     def __post_init__(self):
-        self._sock = socket.create_connection((self.host, self.port))
+        self._sock = socket.create_connection((self.host, check_port(self.port)))
         self._next_id = 0
 
     def close(self) -> None:

@@ -324,11 +324,16 @@ def test_out_to_missing_directory_is_io_error(capsys):
     assert "i/o error" in err
 
 
-def test_bad_listen_address(capsys):
+def test_bad_listen_address(capsys, tmp_path):
     code, _, err = run_cli(capsys, "serve", "--listen", "nocolon")
     assert code == 2
     code, _, err = run_cli(capsys, "verify", "--connect", "nocolon")
     assert code == 2
+    # getaddrinfo would wrap 70000 to port 4464, and bind would overflow.
+    code, _, err = run_cli(capsys, "serve", "--listen", "127.0.0.1:70000", "--data", str(tmp_path))
+    assert code == 2 and "0-65535" in err and not list(tmp_path.iterdir())
+    code, _, err = run_cli(capsys, "verify", "--connect", "127.0.0.1:70000")
+    assert code == 2 and "0-65535" in err
 
 
 def test_verify_against_live_service(tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import AesBlockCounter, measure_positions_reference, plan_round_reference
 from hmqm import bounds, protocol
+from hmqm.adversary import BUILTIN_STRATEGIES, builtin_strategy, forge_coins
 from hmqm.protocol import (
     CheckResult,
     Coin,
@@ -648,21 +649,21 @@ def test_plan_round_matches_the_reference_loop_on_drawn_shapes(shape, n, seed):
 
 
 def test_a_round_hashes_each_present_position_once(monkeypatch):
-    # Once for the holder's measurement and once for the bank's check, which
-    # derives the secrets it grades itself.
+    # Once, in the holder's simulated measurement: the bank grades its own
+    # measurement from the error flags and derives nothing again.
     counter = AesBlockCounter(monkeypatch)
     rng = np.random.default_rng(29)
     coin, db = bank_mint(8, 2_000_000, 1000, rng)  # T = 2
     outcome = holder_verify(coin, db, VerdictParameters.from_noise(8, 0.0), HonestChannel(0.0), rng)
     assert outcome.verdict is Verdict.VALID
-    assert counter.count == 2 * 1000
+    assert counter.count == 1000
     counter.count = 0
     params = VerdictParameters.from_noise(8, 0.0, 0.9, 0.05)
     outcome = holder_verify(coin, db, params, HonestChannel(0.0), rng)
     assert outcome.verdict is Verdict.VALID and outcome.check.l_prime < 1000
-    assert counter.count == 2 * outcome.check.l_prime
+    assert counter.count == outcome.check.l_prime
     # Two rounds interleaved, as two clients of one server: measure both,
-    # then check both.
+    # then check both without the error flags, so the check derives again.
     counter.count = 0
     transcripts = []
     for coin, db in (bank_mint(8, 1_000_000, 1000, rng) for _ in range(2)):
@@ -672,6 +673,39 @@ def test_a_round_hashes_each_present_position_once(monkeypatch):
     for db, transcript in transcripts:
         assert bank_check(db, transcript, VerdictParameters.from_noise(8, 0.0)).valid
     assert counter.count == 2 * 2000
+
+
+def _assert_check_matches_rederivation(coin, db, params, channel, rng):
+    """holder_verify's check, graded from its measurement's error flags,
+    equals bank_check re-deriving the same transcript on a copy of the
+    record as it stood before the round."""
+    before = copy.deepcopy(db)
+    outcome = holder_verify(coin, db, params, channel, rng)
+    assert outcome.check is not None
+    assert bank_check(before, outcome.transcript, params) == outcome.check
+    return outcome
+
+
+@pytest.mark.parametrize("n", [4, 8, 14])
+@pytest.mark.parametrize("name", sorted(BUILTIN_STRATEGIES))
+def test_flag_grading_equals_rederivation_for_every_strategy(name, n):
+    # epsilon = eta: no round aborts, so even a verifier sent nothing is graded.
+    params = VerdictParameters(c=0.9, delta=0.1, eta=1.0, epsilon=1.0)
+    strategy = builtin_strategy(name, beta=0.1, fraction=0.05)
+    rng = np.random.default_rng([n, sorted(BUILTIN_STRATEGIES).index(name)])
+    coin, db = bank_mint(n, 1_000_000, 100, rng)
+    for forged in forge_coins(coin, strategy):
+        outcome = _assert_check_matches_rederivation(forged, db, params, HonestChannel(0.0), rng)
+        assert outcome.check.correct_count == outcome.check.l_prime - np.count_nonzero(outcome.errors)
+
+
+@pytest.mark.parametrize("n", [8, 14])
+def test_flag_grading_equals_rederivation_on_a_lossy_honest_round(n):
+    params = VerdictParameters.from_noise(n, 0.1, 0.9, 0.05)
+    rng = np.random.default_rng(n)
+    coin, db = bank_mint(n, 2_000_000, 1000, rng)
+    outcome = _assert_check_matches_rederivation(coin, db, params, HonestChannel(0.1), rng)
+    assert 0 < outcome.check.l_prime < 1000 and outcome.errors.any()
 
 
 def test_check_result_serialization():

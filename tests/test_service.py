@@ -385,6 +385,27 @@ def test_a_taken_port_closes_the_journal(tmp_path, monkeypatch):
         with pytest.raises(OSError):
             BankService(port=taken.getsockname()[1], journal_path=str(tmp_path / "j.ndjson"))
     assert len(opened) == 1 and opened[0]._fh.closed
+    # So does any other failure to listen, not only an OSError.
+
+    def refuse(address):
+        raise TypeError("not an OSError")
+
+    monkeypatch.setattr(hmqm.service.socket, "create_server", refuse)
+    with pytest.raises(TypeError):
+        BankService(journal_path=str(tmp_path / "j.ndjson"))
+    assert len(opened) == 2 and opened[1]._fh.closed
+
+
+def test_a_port_past_65535_is_refused_before_anything_opens(tmp_path):
+    # create_server would leak its socket on bind's OverflowError, and
+    # getaddrinfo would wrap the port to 4464.
+    for port in (70000, -1):
+        with pytest.raises(ValueError, match="0-65535"):
+            BankService(port=port, journal_path=str(tmp_path / "j.ndjson"))
+        with pytest.raises(ValueError, match="0-65535"):
+            BankClient("127.0.0.1", port)
+    gc.collect()  # an unclosed file or socket would raise its ResourceWarning here
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_with_missing_params_consumes_no_check(service):
