@@ -122,8 +122,9 @@ def check_accounting(strategy: AttackStrategy, q: int, l: int, T: int) -> tuple[
 def forge_coins(coin: Coin, strategy: AttackStrategy) -> tuple[Coin, Coin]:
     """Split one genuine coin into two coins for a double-spend attempt.
 
-    The input coin must be fresh (all positions genuine and unused).  The
-    returned coins share the bank record and the coin id.
+    The input coin must be fresh (all positions genuine, and its sampler
+    never read).  The returned coins share the bank record and the coin id,
+    and each draws its own sampler key at its first round.
 
     The register is laid out in contiguous segments: the side masked from
     verifier 1, the side masked from verifier 2, the T*l known positions,
@@ -131,7 +132,7 @@ def forge_coins(coin: Coin, strategy: AttackStrategy) -> tuple[Coin, Coin]:
     from the positions it is offered and the secrets are i.i.d., so this
     layout is equal in distribution to a random placement of the segments.
     """
-    if not coin.all_genuine() or coin.consumed.size:
+    if not coin.all_genuine() or (coin.sampler_key, coin.cursor, coin.sampled) != (None, 0, 0):
         raise ValueError("forging expects a fresh, fully genuine coin")
     m, known, hidden = check_accounting(strategy, coin.q, coin.l, coin.T)
 

@@ -15,9 +15,12 @@ The holder verifies by sampling l unused positions, measuring each in a
 random matching basis, and sending the claimed parities to the bank, which
 accepts when the correct fraction clears c - delta.  The bank allows at
 most T = q // (1000 l) checks per coin, and grades a transcript against
-the l of its own record.  All sampling is exact: outcomes are drawn from
-closed-form distributions, never from simulated state vectors.  No state
-of a coin or a round grows with q.
+the l of its own record.  A coin's samples are the successive values of a
+keyed permutation (`_permute`), so no position repeats across rounds and
+the sampler keeps a key and two counters.  All sampling is exact: outcomes
+are drawn from closed-form distributions, never from simulated state
+vectors.  No state of a coin or a round grows with q or with the number of
+rounds.
 
 Each rule is written once.  `VerdictParameters` is the acceptance policy:
 `from_noise` sets c and delta from the channel noise and the adversary error
@@ -31,16 +34,18 @@ outcome's wire form, {"i", "j", "b"} or null when lost.
 Positions are indexed from 0.  Node indices inside measurement outcomes are
 1-based, matching the matching convention.
 
-Randomness discipline (load-bearing for wire equivalence): a verification
-draws, in order, the position sample, the matching indices, and a single
-63-bit measurement seed; outcomes come from a fresh generator seeded with it
-inside `measure_positions`.  A remote client makes the same draws and ships
-the seed, so the service reproduces outcomes bit for bit.
+Randomness discipline (load-bearing for wire equivalence): a coin's first
+round draws the coin's sampler key; every round then draws, in order, the
+matching indices and a single 63-bit measurement seed.  The sample itself
+is read from the keyed permutation and draws nothing.  Outcomes come from
+a fresh generator seeded with the measurement seed inside
+`measure_positions`.  A remote client makes the same draws and ships the
+seed, so the service reproduces outcomes bit for bit.
 """
 
 import ctypes
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum, Enum
 from functools import lru_cache
 from typing import Callable
@@ -53,6 +58,8 @@ from .bounds import COIN_BUDGET_DIVISOR
 from .matchings import DisjointMatchingSet, build_disjoint_set
 
 KEY_BYTES = 16
+# A coin's sampler key: one 64-bit word per round of `_permute`'s Feistel network.
+SAMPLER_KEY_BYTES = 32
 # Largest n a coin may have: a round on a coin builds O(n^2) matching tables.
 MAX_N = 256
 
@@ -100,15 +107,17 @@ class HonestChannel:
 
 @dataclass
 class Coin:
-    """Holder-side view of a coin: the kind of each position and the
-    positions already consumed.
+    """Holder-side view of a coin: the kind of each position and the state
+    of its sampler.
 
     segments is a tuple of (stop, kind) pairs with increasing stops, the
     last one q: positions [previous stop, stop) have that kind.  Positions
     in `masked` are never offered to the sampler (a forger withheld them
-    from this verifier).  `consumed` is the sorted int64 array of the
-    positions earlier rounds sampled, each once, so it grows by l per round,
-    whatever q is.
+    from this verifier); it is fixed before the first round.  The sampler
+    (`_plan_round`) is `sampler_key`, None until the first round draws it,
+    `cursor`, the next index of the keyed permutation to read, and
+    `sampled`, the count of positions taken so far: one key and two
+    integers, whatever the number of rounds.
 
     forged_error is the exact per-measurement error rate of forged
     positions: every attack channel produces states whose measurement
@@ -126,7 +135,9 @@ class Coin:
     T: int
     segments: tuple[tuple[int, PositionKind], ...]
     masked: range = range(0)
-    consumed: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    sampler_key: bytes | None = None
+    cursor: int = 0
+    sampled: int = 0
     forged_error: float | None = None
 
     @classmethod
@@ -141,7 +152,7 @@ class Coin:
 
     def unused(self) -> int:
         """Positions a round may still sample."""
-        return self.q - len(self.masked) - len(self.consumed)
+        return self.q - len(self.masked) - self.sampled
 
     def all_genuine(self) -> bool:
         return all(kind == PositionKind.GENUINE for _, kind in self.segments)
@@ -586,8 +597,8 @@ def holder_verify(
 ) -> VerifyOutcome:
     """One verification round: sample, measure, abort or submit to the bank.
 
-    The sample is marked consumed before anything is measured, so positions
-    are consumed even when the round aborts.  With fewer than l unused
+    The sample is taken before anything is measured, so its positions are
+    used up even when the round aborts.  With fewer than l unused
     positions the round cannot start at all (InsufficientPositionsError, not
     a verdict).  The measurement is the bank's own, under its key, so the
     bank grades it from the error flags `measure_positions` returned, as it
@@ -603,56 +614,70 @@ def holder_verify(
 
 
 def _plan_round(coin: Coin, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
-    """Draw the sample, the bases and the measurement seed, consuming the
-    sample: uniform draws from [0, q) minus the masked range, rejecting
-    consumed positions.  Each batch draws the positions still missing; one
-    argsort groups equal draws, and each group's least draw index is its
-    first occurrence.  One binary search of `consumed` drops values consumed
-    before, and a mask keeps the rest in draw order.  `consumed` stays a
-    sorted array of unique positions: `_merge_sorted` places the new ones
-    at the indices that search found, without a sort.  The rng calls and
-    the sample are those of taking the draws one by one."""
+    """Draw the sample, the bases and the measurement seed.
+
+    The sample is the next l values below the domain q - |masked| of the
+    coin's keyed permutation of [0, 2^b), 2^b the least power of two not
+    below the domain, read from index `cursor` on and skipping the values
+    past the domain (Black and Rogaway, CT-RSA 2002); each is then shifted
+    past the masked range.  A permutation repeats no value, so no round
+    takes a position an earlier one took, and the sample is uniform without
+    replacement if the permutation is pseudorandom.  The key is drawn from
+    rng at the coin's first round, before the bases and the seed."""
     if coin.unused() < coin.l:
         raise InsufficientPositionsError(
             f"coin has {coin.unused()} unused positions, verification needs {coin.l}"
         )
-    batches: list[np.ndarray] = []
-    missing = coin.l
-    while missing:
-        draw = rng.integers(0, coin.q - len(coin.masked), size=missing)
-        if coin.masked:
-            draw += (draw >= coin.masked.start) * len(coin.masked)
-        order = np.argsort(draw)
-        ranked = draw[order]
-        starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-        values = ranked[starts]
-        if len(coin.consumed):  # past the end, the search clips to a smaller position
-            at = np.searchsorted(coin.consumed, values)
-            fresh = coin.consumed.take(at, mode="clip") != values
-            coin.consumed = _merge_sorted(coin.consumed, values[fresh], at[fresh])
-        else:
-            fresh = np.ones(len(values), dtype=bool)
-            coin.consumed = values
-        keep = np.zeros(missing, dtype=bool)
-        keep[np.minimum.reduceat(order, starts)[fresh]] = True
-        batches.append(draw[keep])
-        missing -= len(batches[-1])
+    coin.sampler_key = coin.sampler_key or rng.bytes(SAMPLER_KEY_BYTES)
+    domain = coin.q - len(coin.masked)
+    bits = (domain - 1).bit_length()
+    sample = np.zeros(0, dtype=np.uint64)
+    while missing := coin.l - len(sample):
+        # The indices from the cursor on hold domain - sampled values below
+        # the domain: read a few standard deviations past the share expected
+        # to hold the missing ones, and read on if that falls short.
+        rest = (1 << bits) - coin.cursor
+        ahead = min(rest, (missing + 4 * math.isqrt(missing) + 4) * rest // (domain - coin.sampled))
+        values = _permute(coin.sampler_key, np.arange(coin.cursor, coin.cursor + ahead, dtype=np.uint64), bits)
+        taken = np.flatnonzero(values < domain)[:missing]
+        sample = np.concatenate((sample, values[taken]))
+        coin.cursor += int(taken[-1]) + 1 if len(taken) == missing else ahead
+        coin.sampled += len(taken)
+    sample = sample.astype(np.int64)
+    if coin.masked:
+        sample += (sample >= coin.masked.start) * len(coin.masked)
     alphas = rng.integers(1, coin.n, size=coin.l)
     measure_seed = int(rng.integers(0, 2**63))
-    return np.concatenate(batches), alphas, measure_seed
+    return sample, alphas, measure_seed
 
 
-def _merge_sorted(old: np.ndarray, new: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """old with the sorted values new, none of them in old, merged in:
-    new[k] goes before old[at[k]], so, with at non-decreasing, to slot
-    at[k] + k, and one mask places old in the remaining slots."""
-    slots = at + np.arange(len(new))
-    merged = np.empty(len(old) + len(new), dtype=old.dtype)
-    merged[slots] = new
-    keep = np.ones(len(merged), dtype=bool)
-    keep[slots] = False
-    merged[keep] = old
-    return merged
+# SplitMix64's output function (Steele, Lea and Flood, OOPSLA 2014): shift,
+# multiply, shift, multiply, shift.
+_SHIFT1, _MUL1, _SHIFT2, _MUL2, _SHIFT3 = map(np.uint64, (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31))
+
+
+def _permute(key: bytes, idx: np.ndarray, bits: int) -> np.ndarray:
+    """The image of each index (a uint64 array) under a keyed permutation
+    of [0, 2^bits).
+
+    A Feistel network (Luby and Rackoff, SIAM J. Comput. 17, 1988) with one
+    round per little-endian 64-bit word of the key, on a high half of
+    bits - bits // 2 bits and a low half of bits // 2 bits.  Round r XORs
+    one half, the high one first, with SplitMix64's output function of the
+    other half XOR word r, cut to the half's width.  Each round undoes
+    itself, so the map is a bijection for every key and width.  The round
+    function is integer mixing, not a cipher: the holder samples its own
+    coin, as it did with the generator's draws before.
+    """
+    low = np.uint64(bits // 2)
+    masks = (np.uint64((1 << (bits - bits // 2)) - 1), np.uint64((1 << bits // 2) - 1))
+    halves = [idx >> low, idx & masks[1]]
+    for r, word in enumerate(np.frombuffer(key, dtype="<u8")):
+        z = halves[1 - r % 2] ^ word
+        z = (z ^ z >> _SHIFT1) * _MUL1
+        z = (z ^ z >> _SHIFT2) * _MUL2
+        halves[r % 2] ^= (z ^ z >> _SHIFT3) & masks[r % 2]
+    return halves[0] << low | halves[1]
 
 
 def _finish_round(coin: Coin, sample: np.ndarray, alphas: np.ndarray, outcomes: tuple,

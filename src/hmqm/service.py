@@ -11,7 +11,8 @@ frame, the bad_request goes out with a null request_id and the connection
 is closed, as for a malformed frame.  A measure or round whose reply might
 not fit the limit is refused before any secret is derived.
 `mint_ok` carries the coin's id and parameters; the holder keeps the coin
-(its layout and the positions it has consumed) client-side.  A coin's id
+(its layout, and its sampler: a key and two integers) client-side, and
+draws each round's sample from it.  A coin's id
 and key depend on the mint seed only, so a mint that would recreate a coin
 the bank holds is a bad_request.  Because secrets stay in the service, the
 holder measures genuine positions by sending the sampled positions, bases,

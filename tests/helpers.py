@@ -88,25 +88,6 @@ def binomial_tail_below(k: int, trials: int, p: float) -> float:
     return min(total, 1.0)
 
 
-def plan_round_reference(coin, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
-    """`protocol._plan_round` as a loop over single draws: each draw is
-    shifted past the masked range and taken unless already consumed.  The
-    consumed positions are kept in a set and written back sorted."""
-    consumed = set(coin.consumed.tolist())
-    sample: list[int] = []
-    while len(sample) < coin.l:
-        for v in rng.integers(0, coin.q - len(coin.masked), size=coin.l - len(sample)).tolist():
-            if v >= coin.masked.start:
-                v += len(coin.masked)
-            if v not in consumed:
-                consumed.add(v)
-                sample.append(v)
-    coin.consumed = np.array(sorted(consumed), dtype=np.int64)
-    alphas = rng.integers(1, coin.n, size=coin.l)
-    measure_seed = int(rng.integers(0, 2**63))
-    return np.array(sample, dtype=np.int64), alphas, measure_seed
-
-
 def measure_positions_reference(key: bytes, coin, positions: np.ndarray, alphas: np.ndarray,
                                 beta: float, eta: float, rng: np.random.Generator):
     """`protocol.measure_positions` as a loop over positions: the same three

@@ -24,6 +24,7 @@ from hmqm.protocol import (
     VerdictParameters,
     bank_mint,
     holder_verify,
+    _plan_round,
 )
 from hmqm.qrg import BitString, hidden_matching_state, maximally_mixed, outcome_distribution
 
@@ -203,10 +204,10 @@ def test_forge_verifier_never_samples_masked_positions():
 def test_forge_requires_fresh_coin():
     rng = np.random.default_rng(32)
     coin, _ = bank_mint(4, 10_000, 10, rng)
-    coin.consumed = np.array([0])
+    _plan_round(coin, rng)
     with pytest.raises(ValueError, match="fresh"):
         forge_coins(coin, builtin_strategy("symmetric_clone"))
-    coin.consumed = np.zeros(0, dtype=np.int64)
+    coin, _ = bank_mint(4, 10_000, 10, rng)
     coin.segments = ((1, PositionKind.REPLICA), (coin.q, PositionKind.GENUINE))
     with pytest.raises(ValueError, match="fresh"):
         forge_coins(coin, builtin_strategy("symmetric_clone"))
@@ -327,8 +328,8 @@ def test_forge_outcome_serialization(capsys):
 
 
 def test_forge_layout_holds_no_q_length_state():
-    # The layout is a handful of segments whatever q is, and a round adds
-    # exactly l positions to a coin's consumed array.
+    # The layout is a handful of segments whatever q is, and a round moves
+    # only its own coin's sampler, by exactly l positions.
     rng = np.random.default_rng(42)
     coin, db = bank_mint(4, 10**9, 2000, rng)
     strategy = builtin_strategy("loss_hiding", fraction=0.25)
@@ -341,4 +342,4 @@ def test_forge_layout_holds_no_q_length_state():
     assert coin1.kind_of(np.array([10**9 - 1]))[0] == PositionKind.FORGED
     params = VerdictParameters.from_noise(4, 0.0)
     holder_verify(coin1, db, params, HonestChannel(0.0), rng)
-    assert len(coin1.consumed) == 2000 and coin2.consumed.size == 0
+    assert coin1.sampled == 2000 and (coin2.sampler_key, coin2.cursor, coin2.sampled) == (None, 0, 0)

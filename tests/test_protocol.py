@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import AesBlockCounter, measure_positions_reference, plan_round_reference
+from helpers import AesBlockCounter, measure_positions_reference
 from hmqm import bounds, protocol
 from hmqm.adversary import BUILTIN_STRATEGIES, builtin_strategy, forge_coins
 from hmqm.protocol import (
@@ -17,6 +17,7 @@ from hmqm.protocol import (
     InfeasiblePlanError,
     InsufficientPositionsError,
     PositionKind,
+    SAMPLER_KEY_BYTES,
     UnknownCoinError,
     Verdict,
     VerdictParameters,
@@ -28,6 +29,7 @@ from hmqm.protocol import (
     honest_fail_bound,
     lossy_fail_bounds,
     _aes128_ecb,
+    _permute,
     _plan_round,
     matching_set,
     measure_positions,
@@ -55,7 +57,7 @@ def test_mint_basics():
     assert bits.dtype == np.uint8
     assert db.s == 0
     assert coin.all_genuine()
-    assert coin.consumed.size == 0 and coin.consumed.dtype == np.int64
+    assert (coin.sampler_key, coin.cursor, coin.sampled) == (None, 0, 0)
     coin2, _ = bank_mint(8, 1_000_000, 100, rng)
     assert coin2.coin_id != coin.coin_id
 
@@ -100,16 +102,16 @@ def test_r_bits_flip_even_when_round_aborts():
     assert outcome.verdict is Verdict.ABORTED
     assert outcome.check is None
     assert db.s == 0
-    assert len(coin.consumed) == 10
+    assert coin.sampled == 10 and coin.unused() == coin.q - 10
     outcome = holder_verify(coin, db, params, HonestChannel(0.0), rng)
     assert outcome.verdict is Verdict.ABORTED
-    assert len(coin.consumed) == 20
+    assert coin.sampled == 20 and coin.unused() == coin.q - 20
 
 
 def test_insufficient_positions():
     rng = np.random.default_rng(5)
     coin, db = bank_mint(4, 10_000, 10, rng)
-    coin.consumed = np.arange(10_000 - 5)
+    coin.sampled = 10_000 - 5
     with pytest.raises(InsufficientPositionsError):
         holder_verify(coin, db, make_params(), HonestChannel(0.0), rng)
 
@@ -537,8 +539,8 @@ def test_measure_positions_matches_the_reference_loop(n):
 
 
 def test_sample_without_replacement():
-    # _plan_round samples by rejection from [0, q) minus the masked range and
-    # the consumed positions; it can take the very last unused ones.
+    # _plan_round reads the coin's permutation of [0, q) minus the masked
+    # range at its cursor; it can take the very last unused positions.
     rng = np.random.default_rng(25)
     coin = Coin.fresh("c", 4, 100, 10, 1)
     coin.masked = range(30, 40)
@@ -550,102 +552,126 @@ def test_sample_without_replacement():
         assert sample.min() >= 0 and sample.max() < 100
         seen.extend(sample.tolist())
     assert sorted(seen) == [p for p in range(100) if p not in coin.masked]
-    assert coin.consumed.tolist() == sorted(seen)
     assert coin.unused() == 0
     with pytest.raises(InsufficientPositionsError):
         _plan_round(coin, rng)
 
 
-def test_consumed_stays_a_sorted_unique_array():
-    # After every round, `consumed` is the sorted int64 array of every
-    # position sampled so far, each once.
-    rng = np.random.default_rng(30)
-    coin = Coin.fresh("c", 4, 500, 40, 1)
-    coin.masked = range(100, 200)
-    seen = []
-    while coin.unused() >= coin.l:
-        sample, _, _ = _plan_round(coin, rng)
-        seen.extend(sample.tolist())
-        assert coin.consumed.dtype == np.int64
-        assert np.all(coin.consumed[1:] > coin.consumed[:-1])
-        assert coin.consumed.tolist() == sorted(seen)
-    assert len(seen) == 400
+@pytest.mark.parametrize("domain", [1, 2, 3, 1000, 1001, 4096, 4097, 5000])
+def test_permute_is_a_bijection_on_small_domains(domain):
+    # The width is the least that holds the domain: even (1000, 4096), odd
+    # (2, 3, 4097 = 2^12 + 1, 5000) or zero (a domain of one position).
+    # Every key maps [0, 2^bits) onto itself, and round after round the
+    # sampler reads the values below the domain in index order.
+    bits = (domain - 1).bit_length()
+    for seed in range(3):
+        key = np.random.default_rng(seed).bytes(SAMPLER_KEY_BYTES)
+        image = _permute(key, np.arange(1 << bits, dtype=np.uint64), bits)
+        assert image.dtype == np.uint64 and sorted(image.tolist()) == list(range(1 << bits))
+        coin = Coin.fresh("c", 4, domain, max(1, domain // 4), 1)
+        coin.sampler_key = key
+        order = []
+        while coin.unused() >= coin.l:
+            order += _plan_round(coin, np.random.default_rng(0))[0].tolist()
+        assert order == [v for v in image.tolist() if v < domain][:len(order)]
 
 
-def test_plan_round_matches_the_reference_loop():
-    # Batched draws take the same rng calls and the same sample as taking
-    # the draws one by one: with a masked range, positions consumed before,
-    # a q small enough that one draw repeats positions, criterion 7's forge
-    # layout, one batch holding both a repeat and a consumed position, and
-    # half a register consumed on both sides of the masked range.  Every
-    # case but criterion 7's runs out of positions within three rounds.
-    for seed, (q, l, masked, consumed) in enumerate([
-        (60, 20, range(10, 25), range(0, 60, 7)),
-        (1000, 300, range(0), [5, 6, 7, 999]),
-        (10_000, 2000, range(2000, 6000), range(6000, 7000)),
-        (4_000_000, 2000, range(0, 4000), []),
-        (40, 10, range(0), range(0, 40, 5)),
-        (200, 50, range(100, 150), [*range(0, 100, 2), *range(150, 200, 2)]),
-    ]):
-        coin = Coin.fresh("c", 4, q, l, 1)
-        coin.masked, coin.consumed = masked, np.array(consumed, dtype=np.int64)
-        twin = copy.deepcopy(coin)
-        rng, twin_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(3):
-            if coin.unused() < l:
-                break
-            sample, alphas, measure_seed = _plan_round(coin, rng)
-            ref_sample, ref_alphas, ref_seed = plan_round_reference(twin, twin_rng)
-            assert sample.dtype == np.int64
-            assert sample.tolist() == ref_sample.tolist()
-            assert alphas.tolist() == ref_alphas.tolist() and measure_seed == ref_seed
-            assert np.array_equal(coin.consumed, twin.consumed)
-        assert rng.integers(0, 2**63) == twin_rng.integers(0, 2**63)
-    # The fourth and fifth cases reach both ends of a batch: the first batch
-    # of criterion 7's layout has no repeat and no consumed position, and the
-    # small q's first batch has both.
-    clean = np.random.default_rng(3).integers(0, 4_000_000 - 4000, size=2000)
-    assert len(np.unique(clean)) == len(clean)
-    mixed = np.random.default_rng(4).integers(0, 40, size=10).tolist()
-    assert len(set(mixed)) < len(mixed) and not set(mixed).isdisjoint(range(0, 40, 5))
+def test_permute_known_answers():
+    # Pinned outputs at a fixed key: a change of numpy's integer promotion
+    # (value-based casting in 1.x, NEP 50 in 2.x) or of the byte order of
+    # the key would change every sample, and fails here instead.
+    key = bytes(range(32))
+    assert _permute(key, np.arange(8, dtype=np.uint64), 20).tolist() == [
+        524889, 564916, 339992, 519757, 890556, 131418, 524600, 752667]
+    assert _permute(key, np.arange(4, dtype=np.uint64), 13).tolist() == [7586, 5054, 376, 430]
+    assert _permute(key, np.array([0, 1, 2**62, 2**63 - 1], dtype=np.uint64), 63).tolist() == [
+        9065912411488913762, 3423336924089839939, 6641613126765705563, 3759156221745281643]
+
+
+def test_the_key_is_drawn_once_before_the_bases_and_the_seed():
+    # A coin's first round draws its sampler key, then the bases and the
+    # seed; every later round draws only the bases and the seed.
+    coin = Coin.fresh("c", 8, 20_000, 20, 1)
+    rng, twin = np.random.default_rng(31), np.random.default_rng(31)
+    for r in range(3):
+        _, alphas, seed = _plan_round(coin, rng)
+        if r == 0:
+            assert coin.sampler_key == twin.bytes(SAMPLER_KEY_BYTES)
+        assert alphas.tolist() == twin.integers(1, 8, size=20).tolist()
+        assert seed == int(twin.integers(0, 2**63))
+        assert coin.sampled == 20 * (r + 1)
+
+
+def test_a_short_read_reads_on():
+    # The sampler reads a few standard deviations past the expected number
+    # of indices and reads on when that holds too few values below the
+    # domain.  Key 19983 falls short on its first read at q = 4097, l = 8.
+    reads = []
+
+    def permute(key, idx, bits):
+        reads.append(len(idx))
+        return _permute(key, idx, bits)
+
+    coin = Coin.fresh("c", 4, 4097, 8, 1)
+    coin.sampler_key = (19983).to_bytes(SAMPLER_KEY_BYTES, "little")
+    image = _permute(coin.sampler_key, np.arange(8192, dtype=np.uint64), 13)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "_permute", permute)
+        sample, _, _ = _plan_round(coin, np.random.default_rng(0))
+    assert len(reads) > 1
+    below = np.flatnonzero(image < 4097)
+    assert sample.tolist() == image[below[:8]].tolist() and coin.cursor == below[7] + 1
+
+
+def test_samples_are_uniform():
+    # Position counts over 2000 coins of 100 positions, 10 a round, for the
+    # first round and the second (read on from the cursor).  The chi-square
+    # of each, at 99 degrees of freedom, stays below 148.2, its 0.1 % tail.
+    rng = np.random.default_rng(33)
+    counts = np.zeros((2, 100), dtype=np.int64)
+    for _ in range(2000):
+        coin = Coin.fresh("c", 4, 100, 10, 1)
+        for r in range(2):
+            counts[r] += np.bincount(_plan_round(coin, rng)[0], minlength=100)
+    chi2 = ((counts - 200) ** 2 / 200).sum(axis=1)
+    assert np.all(chi2 < 148.2), chi2
 
 
 @st.composite
 def planner_shapes(draw):
-    """A coin shape, a masked range and consumed positions outside it, for
-    the planner.  q runs from l to 8 l, so a batch often repeats positions."""
+    """A coin shape and a masked range, for the planner.  q runs from l to
+    8 l, so a coin runs out within eight rounds."""
     l = draw(st.integers(1, 200))
     q = draw(st.integers(l, 8 * l))
     width = draw(st.integers(0, q - l))
     start = draw(st.integers(0, q - width))
-    masked = range(start, start + width)
-    consumed = draw(st.lists(st.integers(0, q - 1), max_size=2 * l))
-    consumed = np.array(sorted(set(consumed) - set(masked)), dtype=np.int64)
-    return q, l, masked, consumed
+    return q, l, range(start, start + width)
 
 
 @settings(max_examples=200, deadline=None)
 @given(planner_shapes(), st.sampled_from([2, 4, 8]), st.integers(0, 2**32 - 1))
-def test_plan_round_matches_the_reference_loop_on_drawn_shapes(shape, n, seed):
-    # Round after round until the positions run out or four rounds pass, the
-    # planner takes the same sample, bases, seed and consumed positions as
-    # the loop over single draws, and leaves its generator in the same state.
-    q, l, masked, consumed = shape
+def test_rounds_never_repeat_a_position_until_the_coin_runs_out(shape, n, seed):
+    # Round after round, each sample is l distinct positions in [0, q),
+    # none masked and none taken before, until fewer than l unused
+    # positions are left: then, and only then, the planner refuses, and
+    # draws nothing.
+    q, l, masked = shape
     coin = Coin.fresh("c", n, q, l, 1)
-    coin.masked, coin.consumed = masked, consumed
-    twin = copy.deepcopy(coin)
-    rng, twin_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(4):
-        if coin.unused() < l:
-            with pytest.raises(InsufficientPositionsError):
-                _plan_round(coin, rng)
-            break
-        sample, alphas, measure_seed = _plan_round(coin, rng)
-        ref_sample, ref_alphas, ref_seed = plan_round_reference(twin, twin_rng)
-        assert sample.dtype == np.int64 and sample.tolist() == ref_sample.tolist()
-        assert alphas.tolist() == ref_alphas.tolist() and measure_seed == ref_seed
-        assert coin.consumed.dtype == np.int64 and np.array_equal(coin.consumed, twin.consumed)
-        assert rng.bit_generator.state == twin_rng.bit_generator.state
+    coin.masked = masked
+    rng = np.random.default_rng(seed)
+    seen = np.zeros(0, dtype=np.int64)
+    while coin.unused() >= l:
+        sample, alphas, _ = _plan_round(coin, rng)
+        assert sample.dtype == np.int64 and len(sample) == l and alphas.shape == (l,)
+        assert sample.min() >= 0 and sample.max() < q
+        assert not np.isin(sample, masked).any()
+        seen = np.concatenate((seen, sample))
+        assert len(np.unique(seen)) == len(seen) == coin.sampled
+        assert coin.unused() == q - len(masked) - len(seen)
+    state = rng.bit_generator.state
+    with pytest.raises(InsufficientPositionsError):
+        _plan_round(coin, rng)
+    assert rng.bit_generator.state == state and coin.sampled == len(seen)
 
 
 def test_a_round_hashes_each_present_position_once(monkeypatch):
@@ -810,4 +836,29 @@ def test_production_coin_costs_what_a_round_samples():
     outcome = holder_verify(coin, db, params, HonestChannel(0.0), rng)
     assert outcome.verdict is Verdict.VALID
     assert outcome.check.correct_count == outcome.check.l_prime == 18_000
-    assert len(coin.consumed) == 18_000
+    assert coin.sampled == 18_000
+
+
+def test_the_production_coin_plans_every_round_at_the_cost_of_the_first():
+    # The README's production coin, planned for all T = 55 rounds without
+    # measuring: 990 000 distinct positions, and after round 55 the sampler
+    # is one key and two integers, as after round 1.  The register outlasts
+    # T (the bank refuses round 56 as coin_exhausted), so a twin whose
+    # offered domain is exactly T * l positions, the rest masked, is the one
+    # whose planner runs out at round 56.
+    def sampler(coin):
+        return type(coin.sampler_key), len(coin.sampler_key), type(coin.cursor), type(coin.sampled)
+
+    rng = np.random.default_rng(34)
+    for masked in (range(0), range(0, 10**9 - 55 * 18_000)):
+        coin = Coin.fresh("p", 8, 10**9, 18_000, 55)
+        coin.masked = masked
+        samples = [_plan_round(coin, rng)[0]]
+        after_first = sampler(coin)
+        samples += [_plan_round(coin, rng)[0] for _ in range(54)]
+        assert sampler(coin) == after_first == (bytes, SAMPLER_KEY_BYTES, int, int)
+        everything = np.sort(np.concatenate(samples))
+        assert len(everything) == 55 * 18_000 == coin.sampled
+        assert (everything[1:] != everything[:-1]).all() and everything[0] >= len(masked)
+    with pytest.raises(InsufficientPositionsError):
+        _plan_round(coin, rng)
