@@ -48,7 +48,8 @@ be an append cut short by a crash, before its fsync and before any reply,
 so replay truncates the file to its last newline and logs that it did.  Any
 other malformed line aborts startup with its byte offset.  That includes a
 mint record without a key, a coin shape `bank_mint` would refuse, a second
-mint record of one coin, a check counter outside [1, T], and a mint record
+mint record of one coin, a coin_id that is not a string, a check counter
+outside [1, T], and a mint record
 of any other format: journals written with SHAKE-256 secrets (format 1,
 which had no format field) or keyed BLAKE2b secrets (format 2) are refused,
 not migrated.
@@ -230,6 +231,8 @@ class Journal:
 
 def _apply_record(coins: dict[str, BankDatabase], record: dict) -> None:
     event = record["event"]
+    if event in ("mint", "check") and type(record["coin_id"]) is not str:
+        raise ValueError(f"coin_id must be a string, got {record['coin_id']!r}")
     if event == "mint":
         if record["coin_id"] in coins:
             raise ValueError(f"second mint record for coin {record['coin_id']!r}")
@@ -278,9 +281,16 @@ class BankService:
         self.journal = Journal(journal_path)
         self._coins_lock = threading.Lock()
         self._coin_locks: dict[str, threading.Lock] = {cid: threading.Lock() for cid in self.coins}
+        # As socket.create_server, which closes its socket on OSError only: a
+        # host that bind refuses with TypeError would leak it.
+        self._sock = socket.socket()
         try:
-            self._sock = socket.create_server((host, port))
+            if os.name != "nt":  # on Windows the option lets another socket take the port
+                self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._sock.bind((host, port))
+            self._sock.listen()
         except BaseException:
+            self._sock.close()
             self.journal.close()
             raise
         self._stop = threading.Event()

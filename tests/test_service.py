@@ -386,15 +386,14 @@ def test_a_taken_port_closes_the_journal(tmp_path, monkeypatch):
         with pytest.raises(OSError):
             BankService(port=taken.getsockname()[1], journal_path=str(tmp_path / "j.ndjson"))
     assert len(opened) == 1 and opened[0]._fh.closed
-    # So does any other failure to listen, not only an OSError.
 
-    def refuse(address):
-        raise TypeError("not an OSError")
 
-    monkeypatch.setattr(hmqm.service.socket, "create_server", refuse)
+def test_a_host_that_bind_refuses_leaks_neither_socket_nor_journal(tmp_path):
+    # bind raises TypeError, not OSError, for a host holding a NUL, and
+    # socket.create_server would leave its socket to the garbage collector.
     with pytest.raises(TypeError):
-        BankService(journal_path=str(tmp_path / "j.ndjson"))
-    assert len(opened) == 2 and opened[1]._fh.closed
+        BankService(host="\0", journal_path=str(tmp_path / "j.ndjson"))
+    gc.collect()  # an unclosed socket or journal would raise its ResourceWarning here
 
 
 def test_a_port_past_65535_is_refused_before_anything_opens(tmp_path):
@@ -822,6 +821,25 @@ def test_journal_corruption_is_refused(tmp_path):
         )).encode() + b"\n")
         with pytest.raises(JournalCorruptError, match="bad record"):
             Journal.replay(str(old_format))
+
+
+@pytest.mark.parametrize("coin_id", [5, None, True, 1.5])
+@pytest.mark.parametrize("bad_record", ["mint", "check"])
+def test_journal_refuses_a_coin_id_that_is_not_a_string(tmp_path, coin_id, bad_record):
+    # A mint record whose coin_id is not a string, followed by a check record
+    # naming it, is refused at the mint; so is a check record naming one
+    # after a good mint.
+    mint = {"event": "mint", "coin_id": "c", "n": 2, "q": 1000, "l": 1, "T": 1, "s": 0,
+            "key": "ff" * 16, "format": JOURNAL_FORMAT}
+    check = {"event": "check", "coin_id": "c", "s": 1}
+    lines = [json.dumps(mint, sort_keys=True), json.dumps(check, sort_keys=True)]
+    at = {"mint": 0, "check": 1}[bad_record]
+    lines[at] = json.dumps({**(mint, check)[at], "coin_id": coin_id}, sort_keys=True)
+    path = tmp_path / "j.ndjson"
+    path.write_bytes("".join(line + "\n" for line in lines).encode())
+    with pytest.raises(JournalCorruptError, match="coin_id must be a string") as exc_info:
+        Journal.replay(str(path))
+    assert exc_info.value.offset == sum(len(line) + 1 for line in lines[:at])
 
 
 def test_journal_mint_record_round_trip(tmp_path):
