@@ -667,7 +667,7 @@ def _permute(key: bytes, idx: np.ndarray, bits: int) -> np.ndarray:
     other half XOR word r, cut to the half's width.  Each round undoes
     itself, so the map is a bijection for every key and width.  The round
     function is integer mixing, not a cipher: the holder samples its own
-    coin, as it did with the generator's draws before.
+    coin.
     """
     low = np.uint64(bits // 2)
     masks = (np.uint64((1 << (bits - bits // 2)) - 1), np.uint64((1 << bits // 2) - 1))

@@ -11,11 +11,11 @@ frame, the bad_request goes out with a null request_id and the connection
 is closed, as for a malformed frame.  A measure or round whose reply might
 not fit the limit is refused before any secret is derived.
 `mint_ok` carries the coin's id and parameters; the holder keeps the coin
-(its layout, and its sampler: a key and two integers) client-side, and
-draws each round's sample from it.  A coin's id
-and key depend on the mint seed only, so a mint that would recreate a coin
-the bank holds is a bad_request.  Because secrets stay in the service, the
-holder measures genuine positions by sending the sampled positions, bases,
+(its layout, and its sampler: a key and two integers) client-side and
+draws each round's sample from it.  A coin's id and key depend on the mint
+seed only, so a mint that would recreate a coin the bank holds is a
+bad_request.  Because secrets stay in the service, the holder measures
+genuine positions by sending the sampled positions, bases,
 channel parameters (beta in [0, 1/2], eta in (0, 1]) and a measurement
 seed in a `measure` request, and the service runs the same exact sampling
 engine used in-process, which makes remote runs bit-identical to local
@@ -49,10 +49,9 @@ so replay truncates the file to its last newline and logs that it did.  Any
 other malformed line aborts startup with its byte offset.  That includes a
 mint record without a key, a coin shape `bank_mint` would refuse, a second
 mint record of one coin, a coin_id that is not a string, a check counter
-outside [1, T], and a mint record
-of any other format: journals written with SHAKE-256 secrets (format 1,
-which had no format field) or keyed BLAKE2b secrets (format 2) are refused,
-not migrated.
+outside [1, T], and a mint record of any other format: journals written
+with SHAKE-256 secrets (format 1, which had no format field) or keyed
+BLAKE2b secrets (format 2) are refused, not migrated.
 
 Each connection is served by one handler thread, from its first request to
 its close.  A handler outlives its connection: it then waits for the next
@@ -126,8 +125,8 @@ class JournalCorruptError(ServiceError):
 
 def check_port(port: int) -> int:
     """port, which must be in 0-65535: getaddrinfo would wrap a larger one
-    modulo 65536, and a bind that overflows leaks its socket.  Raises
-    ValueError otherwise."""
+    modulo 65536, and bind would raise OverflowError.  Raises ValueError
+    otherwise."""
     if not 0 <= port <= 65535:
         raise ValueError(f"port must be in 0-65535, got {port}")
     return port

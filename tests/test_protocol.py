@@ -602,7 +602,7 @@ def test_the_key_is_drawn_once_before_the_bases_and_the_seed():
         assert coin.sampled == 20 * (r + 1)
 
 
-def test_a_short_read_reads_on():
+def test_a_short_read_reads_on(monkeypatch):
     # The sampler reads a few standard deviations past the expected number
     # of indices and reads on when that holds too few values below the
     # domain.  Key 19983 falls short on its first read at q = 4097, l = 8.
@@ -615,9 +615,8 @@ def test_a_short_read_reads_on():
     coin = Coin.fresh("c", 4, 4097, 8, 1)
     coin.sampler_key = (19983).to_bytes(SAMPLER_KEY_BYTES, "little")
     image = _permute(coin.sampler_key, np.arange(8192, dtype=np.uint64), 13)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocol, "_permute", permute)
-        sample, _, _ = _plan_round(coin, np.random.default_rng(0))
+    monkeypatch.setattr(protocol, "_permute", permute)
+    sample, _, _ = _plan_round(coin, np.random.default_rng(0))
     assert len(reads) > 1
     below = np.flatnonzero(image < 4097)
     assert sample.tolist() == image[below[:8]].tolist() and coin.cursor == below[7] + 1

@@ -397,8 +397,8 @@ def test_a_host_that_bind_refuses_leaks_neither_socket_nor_journal(tmp_path):
 
 
 def test_a_port_past_65535_is_refused_before_anything_opens(tmp_path):
-    # create_server would leak its socket on bind's OverflowError, and
-    # getaddrinfo would wrap the port to 4464.
+    # bind would raise OverflowError, and getaddrinfo would wrap the port to
+    # 4464.
     for port in (70000, -1):
         with pytest.raises(ValueError, match="0-65535"):
             BankService(port=port, journal_path=str(tmp_path / "j.ndjson"))
