@@ -25,6 +25,7 @@ double-spend Monte Carlo uses the same exact sampling as honest runs.
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -150,7 +151,7 @@ def forge_coins(coin: Coin, strategy: AttackStrategy) -> tuple[Coin, Coin]:
         (hidden, PositionKind.ABSENT, PositionKind.ABSENT),
         (coin.q - 2 * m - known - hidden, white1, white2),
     ]
-    stops = np.cumsum([length for length, _, _ in layout]).tolist()
+    stops = list(accumulate(length for length, _, _ in layout))
     segments1 = tuple((stop, k1) for stop, (length, k1, _) in zip(stops, layout) if length)
     segments2 = tuple((stop, k2) for stop, (length, _, k2) in zip(stops, layout) if length)
     same = dict(coin_id=coin.coin_id, n=coin.n, q=coin.q, l=coin.l, T=coin.T)
@@ -219,8 +220,9 @@ def _transcript_errors(coin, outcome) -> tuple[float, float]:
     l_prime = np.count_nonzero(present)
     if not l_prime:
         return (math.nan, math.nan)
-    kinds = coin.kind_of(outcome.transcript.positions)
-    white = ((kinds == PositionKind.FORGED.value) | (kinds == PositionKind.GENUINE.value)) & present
+    # An absent position is never present, so the present white ones are
+    # the present ones that are not replicas.
+    white = (coin.kind_of(outcome.transcript.positions) != PositionKind.REPLICA.value) & present
     white_count = np.count_nonzero(white)
     white_err = np.count_nonzero(outcome.errors & white) / white_count if white_count else math.nan
     return (white_err, np.count_nonzero(outcome.errors) / l_prime)

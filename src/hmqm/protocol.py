@@ -146,8 +146,7 @@ class Coin:
 
     def kind_of(self, positions: np.ndarray) -> np.ndarray:
         """PositionKind of each position, as a uint8 array."""
-        stops = np.array([stop for stop, _ in self.segments], dtype=np.int64)
-        kinds = np.array([kind for _, kind in self.segments], dtype=np.uint8)
+        stops, kinds = _segment_table(self.segments)
         return kinds[stops.searchsorted(positions, side="right")]
 
     def unused(self) -> int:
@@ -156,6 +155,17 @@ class Coin:
 
     def all_genuine(self) -> bool:
         return all(kind == PositionKind.GENUINE for _, kind in self.segments)
+
+
+@lru_cache(maxsize=64)
+def _segment_table(segments: tuple[tuple[int, PositionKind], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The stops and the kinds of a coin's segments as read-only arrays,
+    built once per layout: every trial of a forge run repeats the same two."""
+    stops = np.array([stop for stop, _ in segments], dtype=np.int64)
+    kinds = np.array([kind for _, kind in segments], dtype=np.uint8)
+    stops.setflags(write=False)
+    kinds.setflags(write=False)
+    return stops, kinds
 
 
 @dataclass
@@ -388,6 +398,16 @@ def _pair_to_alpha(n: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def _pair_nodes(n: int) -> np.ndarray:
+    """The nodes (i, j) of pair p of matching alpha in column alpha * n/2 + p,
+    read-only, shape (2, n * n/2); the n/2 columns of alpha = 0 are zeros."""
+    nodes = np.zeros((2, n * (n // 2)), dtype=np.int64)
+    nodes[:, n // 2:] = matching_set(n).pairs_array.reshape(-1, 2).T
+    nodes.setflags(write=False)
+    return nodes
+
+
 # The EVP calls of AES-128-ECB: name -> (restype, argtypes).
 _EVP_SIGNATURES = {
     "EVP_CIPHER_CTX_new": (ctypes.c_void_p, []),
@@ -497,9 +517,10 @@ def pair_parities(key: bytes, n: int, positions: np.ndarray, pair_i: np.ndarray,
     flat = stream.ravel()
     # i and j are bit offsets into the stream: shifting a node's byte left
     # by its offset mod 8, in uint8, moves the node's bit to the top.
-    base = np.arange(len(stream)) * (8 * stream.shape[1]) - 1
+    base = np.arange(-1, 8 * stream.size - 1, 8 * stream.shape[1])
     i, j = base + pair_i, base + pair_j
-    parity = (flat.take(i >> 3) << (i & 7).astype(np.uint8)) ^ (flat.take(j >> 3) << (j & 7).astype(np.uint8))
+    parity = flat.take(i >> 3) << (i & 7).astype(np.uint8)
+    parity ^= flat.take(j >> 3) << (j & 7).astype(np.uint8)
     return parity >> 7
 
 
@@ -565,17 +586,18 @@ def measure_positions(
     err_prob = _error_rates(coin, kinds, beta)
 
     present = (u_loss < eta) & (kinds != PositionKind.ABSENT.value)
-    errors = (u_err < err_prob) & present
-    # Every position's pair is read from the flattened table of every
-    # matching's pairs, and a lost one is zeroed; only present positions are
-    # derived.
-    table = matching_set(n).pairs_array.ravel()
-    first = 2 * ((alphas - 1) * (n // 2) + pair_pick)
-    pair_i = np.where(present, table[first], 0)
-    pair_j = np.where(present, table[first + 1], 0)
+    errors = u_err < err_prob
+    # Both nodes of every position's pair are read in one gather, and a lost
+    # one's are zeroed.  Only present positions are derived: all of them, and
+    # no mask is applied, when none is lost.
+    pairs = _pair_nodes(n).take(alphas * (n // 2) + pair_pick, axis=1)
+    if present.all():
+        return *pairs, (pair_parities(key, n, positions, *pairs) ^ errors).view(np.int8), errors
+    errors &= present
+    pairs *= present
     answer = np.full(k, -1, dtype=np.int8)
-    answer[present] = pair_parities(key, n, positions[present], pair_i[present], pair_j[present]) ^ errors[present]
-    return pair_i, pair_j, answer, errors
+    answer[present] = pair_parities(key, n, positions[present], *pairs.compress(present, axis=1)) ^ errors[present]
+    return *pairs, answer, errors
 
 
 def _error_rates(coin: Coin, kinds: np.ndarray, beta: float) -> np.ndarray:
@@ -631,8 +653,8 @@ def _plan_round(coin: Coin, rng: np.random.Generator) -> tuple[np.ndarray, np.nd
     coin.sampler_key = coin.sampler_key or rng.bytes(SAMPLER_KEY_BYTES)
     domain = coin.q - len(coin.masked)
     bits = (domain - 1).bit_length()
-    sample = np.zeros(0, dtype=np.uint64)
-    while missing := coin.l - len(sample):
+    batches = []
+    while missing := coin.l - sum(map(len, batches)):
         # The indices from the cursor on hold domain - sampled values below
         # the domain: read a few standard deviations past the share expected
         # to hold the missing ones, and read on if that falls short.
@@ -640,12 +662,13 @@ def _plan_round(coin: Coin, rng: np.random.Generator) -> tuple[np.ndarray, np.nd
         ahead = min(rest, (missing + 4 * math.isqrt(missing) + 4) * rest // (domain - coin.sampled))
         values = _permute(coin.sampler_key, np.arange(coin.cursor, coin.cursor + ahead, dtype=np.uint64), bits)
         taken = np.flatnonzero(values < domain)[:missing]
-        sample = np.concatenate((sample, values[taken]))
+        batches.append(values[taken])
         coin.cursor += int(taken[-1]) + 1 if len(taken) == missing else ahead
         coin.sampled += len(taken)
-    sample = sample.astype(np.int64)
+    # The values are below 2^63, so their int64 view is the same numbers.
+    sample = (batches[0] if len(batches) == 1 else np.concatenate(batches)).view(np.int64)
     if coin.masked:
-        sample += (sample >= coin.masked.start) * len(coin.masked)
+        np.add(sample, len(coin.masked), out=sample, where=sample >= coin.masked.start)
     alphas = rng.integers(1, coin.n, size=coin.l)
     measure_seed = int(rng.integers(0, 2**63))
     return sample, alphas, measure_seed
@@ -672,12 +695,19 @@ def _permute(key: bytes, idx: np.ndarray, bits: int) -> np.ndarray:
     low = np.uint64(bits // 2)
     masks = (np.uint64((1 << (bits - bits // 2)) - 1), np.uint64((1 << bits // 2) - 1))
     halves = [idx >> low, idx & masks[1]]
+    # Every pass runs in place, on the halves and two scratch buffers.
+    z, t = np.empty_like(halves[0]), np.empty_like(halves[0])
     for r, word in enumerate(np.frombuffer(key, dtype="<u8")):
-        z = halves[1 - r % 2] ^ word
-        z = (z ^ z >> _SHIFT1) * _MUL1
-        z = (z ^ z >> _SHIFT2) * _MUL2
-        halves[r % 2] ^= (z ^ z >> _SHIFT3) & masks[r % 2]
-    return halves[0] << low | halves[1]
+        np.bitwise_xor(halves[1 - r % 2], word, out=z)
+        z ^= np.right_shift(z, _SHIFT1, out=t)
+        z *= _MUL1
+        z ^= np.right_shift(z, _SHIFT2, out=t)
+        z *= _MUL2
+        z ^= np.right_shift(z, _SHIFT3, out=t)
+        z &= masks[r % 2]
+        halves[r % 2] ^= z
+    halves[0] <<= low
+    return np.bitwise_or(*halves, out=halves[0])
 
 
 def _finish_round(coin: Coin, sample: np.ndarray, alphas: np.ndarray, outcomes: tuple,

@@ -98,6 +98,12 @@ from .protocol import (
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 DATA_ENV_VAR = "HMQM_DATA"
 DEFAULT_JOURNAL = "hmqm-journal.ndjson"
+# The longest the accept loop waits in one accept().  CPython runs a signal's
+# handler in the main thread, between bytecodes or when a blocking call there
+# fails with EINTR; a signal that lands just before the call (Ctrl-C while the
+# loop hands off a connection) interrupts nothing, and is handled when the
+# call times out.
+ACCEPT_POLL_S = 0.5
 # The key-to-secret map of mint records: AES-128_key(i || w), w counting
 # 128-bit blocks.  Format 1 was SHAKE-256(key || i), format 2 keyed BLAKE2b.
 JOURNAL_FORMAT = 3
@@ -288,6 +294,7 @@ class BankService:
                 self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             self._sock.bind((host, port))
             self._sock.listen()
+            self._sock.settimeout(ACCEPT_POLL_S)
         except BaseException:
             self._sock.close()
             self.journal.close()
@@ -305,6 +312,8 @@ class BankService:
         while not self._stop.is_set():
             try:
                 conn, _ = self._sock.accept()
+            except TimeoutError:
+                continue
             except OSError:
                 break
             with self._idle_lock:

@@ -536,6 +536,18 @@ def test_measure_positions_matches_the_reference_loop(n):
     lost = (got[2] < 0) & (kinds != PositionKind.ABSENT)
     assert lost.any() and np.all(got[2][kinds == PositionKind.ABSENT] == -1)
     assert got[3][kinds == PositionKind.GENUINE].any() and got[3][kinds == PositionKind.FORGED].any()
+    # Without loss or absent positions every outcome is present (the branch
+    # every forge and honest round takes); an empty sample measures nothing.
+    coin.segments = coin.segments[:3]
+    coin.q = 150_000
+    for size in (600, 0):
+        positions = rng.integers(0, coin.q, size=size)
+        alphas = rng.integers(1, n, size=size)
+        got = measure_positions(db.key, coin, positions, alphas, 0.2, 1.0, np.random.default_rng(2))
+        ref = measure_positions_reference(db.key, coin, positions, alphas, 0.2, 1.0, np.random.default_rng(2))
+        for name, a, b in zip(("pair_i", "pair_j", "answer", "errors"), got, ref):
+            assert a.dtype == b.dtype and a.shape == (size,) and np.array_equal(a, b), name
+        assert np.all(got[2] >= 0) and (size == 0 or got[3].any())
 
 
 def test_sample_without_replacement():
@@ -574,6 +586,32 @@ def test_permute_is_a_bijection_on_small_domains(domain):
         while coin.unused() >= coin.l:
             order += _plan_round(coin, np.random.default_rng(0))[0].tolist()
         assert order == [v for v in image.tolist() if v < domain][:len(order)]
+
+
+def test_round_kernels_leave_their_inputs_unchanged():
+    # The kernels of a round work on scratch buffers and in place, but never
+    # on the arrays they are given: each input equals its copy afterwards,
+    # with and without lost outcomes.
+    rng = np.random.default_rng(33)
+    key = rng.bytes(SAMPLER_KEY_BYTES)
+    idx = np.arange(100, 2386, dtype=np.uint64)
+    before = idx.copy()
+    _permute(key, idx, 22)
+    assert np.array_equal(idx, before)
+    coin, db = bank_mint(8, 100_000, 100, rng)
+    coin.segments = ((50_000, PositionKind.GENUINE), (100_000, PositionKind.ABSENT))
+    for eta in (1.0, 0.6):
+        positions = rng.integers(0, coin.q, size=500)
+        alphas = rng.integers(1, coin.n, size=500)
+        inputs = (positions, alphas)
+        copies = [a.copy() for a in inputs]
+        pair_i, pair_j, _, _ = measure_positions(db.key, coin, positions, alphas, 0.1, eta, rng)
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, copies))
+        present = pair_i > 0
+        inputs = (positions[present], pair_i[present], pair_j[present])
+        copies = [a.copy() for a in inputs]
+        pair_parities(db.key, coin.n, *inputs)
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, copies))
 
 
 def test_permute_known_answers():

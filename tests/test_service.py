@@ -36,6 +36,7 @@ from hmqm.protocol import (
     _plan_round,
 )
 from hmqm.service import (
+    ACCEPT_POLL_S,
     DEFAULT_JOURNAL,
     JOURNAL_FORMAT,
     MAX_MESSAGE_BYTES,
@@ -345,13 +346,52 @@ def test_stop_between_a_connection_end_and_the_idle_count_ends_the_handler(tmp_p
     assert not handler.is_alive() and not stoppers[0].is_alive()
 
 
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs POSIX thread signals")
+def test_a_signal_that_misses_accept_is_handled_within_the_poll(tmp_path):
+    # A signal another thread takes sets CPython's flag but interrupts no
+    # accept() in the main thread, as a signal that lands just before the
+    # call does: the accept loop still raises the handler's exception within
+    # ACCEPT_POLL_S, not at the next connection.
+    class Interrupted(Exception):
+        pass
+
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    svc = BankService(journal_path=str(tmp_path / "journal.ndjson"))
+    sender = threading.Thread(target=lambda: (time.sleep(0.1), signal.pthread_kill(threading.get_ident(), signal.SIGUSR1)))
+    watchdog = threading.Timer(10, svc.stop)
+    previous = signal.signal(signal.SIGUSR1, interrupt)
+    try:
+        watchdog.start()
+        sender.start()
+        start = time.monotonic()
+        with pytest.raises(Interrupted):
+            svc.serve_forever()
+        assert time.monotonic() - start < 0.1 + ACCEPT_POLL_S + 2.0
+    finally:
+        signal.signal(signal.SIGUSR1, previous)
+        watchdog.cancel()
+        sender.join(timeout=10)
+        svc.stop()
+
+
 def test_serve_exits_on_sigint_with_idle_handlers(tmp_path):
     src = os.path.dirname(os.path.dirname(hmqm.service.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "hmqm.cli", "serve", "--listen", "127.0.0.1:0", "--data", str(tmp_path)],
-        stderr=subprocess.PIPE, text=True, env=env,
-    )
+    # A child inherits an ignored SIGINT (a `&` job of a non-interactive
+    # shell runs with SIGINT ignored) and Python then never raises
+    # KeyboardInterrupt in it.  A caught signal is reset to its default by
+    # exec, so catching SIGINT here while the server starts gives it the
+    # disposition a terminal would.
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hmqm.cli", "serve", "--listen", "127.0.0.1:0", "--data", str(tmp_path)],
+            stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        signal.signal(signal.SIGINT, previous)
     try:
         line = proc.stderr.readline()
         match = re.search(r"serving on ([0-9.]+):(\d+)", line)
