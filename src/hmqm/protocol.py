@@ -3,14 +3,14 @@
 A coin is q positions, each hiding an n-bit secret known only to the bank,
 which stores a 16-byte key per coin and derives secrets from it on demand
 with AES-128 in counter form, a pseudorandom function of the position.
-Deriving any set of positions is one AES-128-ECB call through the libcrypto
-that `hashlib` already loads.  A round derives its present positions once,
-in the simulated measurement, and the bank grades that measurement from its
-error flags; only a transcript the bank did not measure (a wire `verify`)
-is derived again by the check.  `secret_bits` is the reference definition
-of the secrets.  The measurement and the check read each parity x_i XOR x_j
-straight from the packed AES output, in `np.unpackbits` bit order
-(`pair_parities`), without unpacking any secret.
+Deriving a batch of rounds' positions is one AES-128-ECB call per bank key,
+through the libcrypto that `hashlib` already loads.  A round derives its
+present positions once, in the simulated measurement, and the bank grades
+that measurement from its error flags; only a transcript the bank did not
+measure (a wire `verify`) is derived again by the check.  `secret_bits` is
+the reference definition of the secrets.  The measurement and the check
+read each parity x_i XOR x_j straight from the packed AES output, in
+`np.unpackbits` bit order (`pair_parities`), without unpacking any secret.
 The holder verifies by sampling l unused positions, measuring each in a
 random matching basis, and sending the claimed parities to the bank, which
 accepts when the correct fraction clears c - delta.  The bank allows at
@@ -26,10 +26,13 @@ Each rule is written once.  `VerdictParameters` is the acceptance policy:
 `from_noise` sets c and delta from the channel noise and the adversary error
 floor (and refuses a beta at or above the floor), `min_outcomes` is the
 abort rule and `tail_bounds` picks the ideal or the lossy tail bounds.
-A round is `_plan_round` (sample, bases, measurement seed), a measurement
-(in process or over the wire) and `_finish_round` (transcript, abort,
-verdict).  `encode_outcomes` / `decode_outcomes` are the only codec of an
-outcome's wire form, {"i", "j", "b"} or null when lost.
+A round is `_plan_round` (its draws, `_draw_round`, then its sample,
+`_read_samples`), a measurement (`measure_positions`, in process or over the
+wire) and `_finish_round` (transcript, abort, verdict).  The kernels take a
+leading axis of rounds: `verify_rounds` runs the experiments' rounds through
+them a batch at a time, and a single round (`holder_verify`, a wire round)
+is the batch of one.  `encode_outcomes` / `decode_outcomes` are the only
+codec of an outcome's wire form, {"i", "j", "b"} or null when lost.
 
 Positions are indexed from 0.  Node indices inside measurement outcomes are
 1-based, matching the matching convention.
@@ -40,7 +43,11 @@ matching indices and a single 63-bit measurement seed.  The sample itself
 is read from the keyed permutation and draws nothing.  Outcomes come from
 a fresh generator seeded with the measurement seed inside
 `measure_positions`.  A remote client makes the same draws and ships the
-seed, so the service reproduces outcomes bit for bit.
+seed, so the service reproduces outcomes bit for bit.  The experiments
+defer each round's sample read, measurement and grading to the end of its
+batch (`verify_rounds`); those draw nothing from the experiment's
+generator, so every draw and every outcome is that of one round after
+another.
 """
 
 import ctypes
@@ -48,7 +55,8 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum, Enum
 from functools import lru_cache
-from typing import Callable
+from itertools import groupby
+from typing import Callable, Iterable, Iterator, Sequence
 import json
 
 import numpy as np
@@ -146,8 +154,8 @@ class Coin:
 
     def kind_of(self, positions: np.ndarray) -> np.ndarray:
         """PositionKind of each position, as a uint8 array."""
-        stops, kinds = _segment_table(self.segments)
-        return kinds[stops.searchsorted(positions, side="right")]
+        stops, kinds = _segment_table((self.segments,))
+        return kinds[0][stops.searchsorted(positions, side="right")]
 
     def unused(self) -> int:
         """Positions a round may still sample."""
@@ -158,13 +166,21 @@ class Coin:
 
 
 @lru_cache(maxsize=64)
-def _segment_table(segments: tuple[tuple[int, PositionKind], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The stops and the kinds of a coin's segments as read-only arrays,
-    built once per layout: every trial of a forge run repeats the same two."""
-    stops = np.array([stop for stop, _ in segments], dtype=np.int64)
-    kinds = np.array([kind for _, kind in segments], dtype=np.uint8)
-    stops.setflags(write=False)
-    kinds.setflags(write=False)
+def _segment_table(layouts: tuple[tuple[tuple[int, PositionKind], ...], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The stops of the segments of every layout (coins of one q), merged,
+    and each layout's kind between consecutive merged stops, shape
+    (layouts, stops), as read-only arrays: one search into the stops finds
+    a position's segment under every layout.  Built once per set of
+    layouts: every trial of a forge run repeats the same two."""
+    # A set, not np.unique: np.unique loads numpy.ma, 40 ms and 1 MB at a
+    # process's first round.
+    stops = np.array(sorted({stop for segments in layouts for stop, _ in segments}), dtype=np.int64)
+    # A merged segment ends at a stop; its kind is that of the layout's
+    # segment ending at the first stop not below it.
+    kinds = np.array([np.array([kind for _, kind in segments], dtype=np.uint8)[
+        np.searchsorted([stop for stop, _ in segments], stops)] for segments in layouts])
+    for table in (stops, kinds):
+        table.setflags(write=False)
     return stops, kinds
 
 
@@ -378,8 +394,10 @@ class VerifyOutcome:
     transcript: VerificationTranscript
     check: CheckResult | None  # None when the holder aborted
     # Per position: did the measurement err?  False where the outcome was
-    # lost.  Known to the in-process simulation only (None over the wire).
+    # lost.  Known to the in-process simulation only (None over the wire),
+    # as is each position's PositionKind.
     errors: np.ndarray | None
+    kinds: np.ndarray | None = None
 
 
 @lru_cache(maxsize=None)
@@ -546,68 +564,103 @@ def coin_budget(n: int, q: int, l: int) -> int:
 def bank_mint(n: int, q: int, l: int, rng: np.random.Generator) -> tuple[Coin, BankDatabase]:
     """Mint a coin: a fresh secret key, an unused register, check budget T.
 
-    Raises ValueError for a shape `coin_budget` refuses.
+    The key and the 16-byte coin id are the two halves of one draw of 32
+    bytes, the same bytes as drawing each in turn.  Raises ValueError for a
+    shape `coin_budget` refuses.
     """
     T = coin_budget(n, q, l)
-    key = rng.bytes(KEY_BYTES)
-    coin_id = rng.bytes(16).hex()
+    drawn = rng.bytes(KEY_BYTES + 16)
+    key, coin_id = drawn[:KEY_BYTES], drawn[KEY_BYTES:].hex()
     coin = Coin.fresh(coin_id, n, q, l, T)
     db = BankDatabase(coin_id=coin_id, n=n, q=q, l=l, T=T, key=key)
     return coin, db
 
 
-def measure_positions(
-    key: bytes,
-    coin: Coin,
-    positions: np.ndarray,
-    alphas: np.ndarray,
-    beta: float,
-    eta: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Measure the given coin positions in the given matching bases.
+def measure_positions(keys: Sequence[bytes], coins: Sequence[Coin], positions: np.ndarray, alphas: np.ndarray,
+                      beta: float, eta: float, rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, ...]:
+    """Measure R rounds at once: row r of positions and alphas, shape
+    (R, k), on coins[r] (the coins share n) under the bank key keys[r],
+    drawing from rngs[r].  One round may be passed as a key, a coin, 1-D
+    arrays and a generator; its results then come back 1-D.
 
-    Returns (pair_i, pair_j, answer, errors) with answer == -1 for lost
-    outcomes; errors flags the outcomes whose bit differs from the secret's
-    parity on the returned pair, and is False where the outcome was lost.
+    Returns (pair_i, pair_j, answer, errors, kinds) with answer == -1 for
+    lost outcomes; errors flags the outcomes whose bit differs from the
+    secret's parity on the returned pair, and is False where the outcome
+    was lost; kinds is each position's PositionKind.
     Exact sampling: every position kind yields a state of the form
     w * phi_x + (1 - w) * I/n, whose outcome distribution is a uniform pair
     of the matching plus an independent error bit (genuine: beta, replica: 0,
     forged: the coin's forged_error).  Detector loss hits every present
     position independently with probability 1 - eta.
+
+    Each row draws k loss uniforms, k pair picks and k error uniforms.  At
+    eta = 1 nothing is lost, and the loss draw is skipped by advancing the
+    generator k steps: the state that drawing them leaves whenever no
+    32-bit half-word is buffered, as in the fresh `default_rng(seed)` every
+    caller measures with.  Each run of rows under one key is derived in one
+    AES-128-ECB call, present positions only.
     """
-    n = coin.n
-    k = len(positions)
-    u_loss = rng.random(k)
-    pair_pick = rng.integers(0, n // 2, size=k)
-    u_err = rng.random(k)
-
-    kinds = coin.kind_of(positions)
-    err_prob = _error_rates(coin, kinds, beta)
-
-    present = (u_loss < eta) & (kinds != PositionKind.ABSENT.value)
-    errors = u_err < err_prob
+    if positions.ndim == 1:
+        keys, coins, rngs = [keys], [coins], [rngs]
+    n, shape, k = coins[0].n, positions.shape, positions.shape[-1]
+    u_loss, pair_pick, u_err = [], [], []
+    for rng in rngs:
+        if eta < 1.0:
+            u_loss.append(rng.random(k))
+        else:
+            rng.bit_generator.advance(k)
+        pair_pick.append(rng.integers(0, n // 2, size=k))
+        u_err.append(rng.random(k))
+    # The rounds run as one flat array; one round's are the row as drawn.
+    def flat(rows): return rows[0] if len(rows) == 1 else np.concatenate(rows)
+    positions = positions.ravel()
+    profiles = {}
+    profile = [profiles.setdefault((coin.segments, coin.forged_error), len(profiles)) for coin in coins]
+    stops, kinds, rates = _profile_table(tuple(profiles), beta)
+    # One search finds each position's merged segment; a row reads its
+    # kind and its rate from its coin's profile's line of the flat tables.
+    segment = stops.searchsorted(positions, side="right")
+    if len(profiles) > 1:
+        segment += np.repeat(np.array(profile) * stops.size, k)
+    kinds = kinds.take(segment)
+    errors = flat(u_err) < rates.take(segment)
+    present = kinds != PositionKind.ABSENT.value
+    if eta < 1.0:
+        present &= flat(u_loss) < eta
     # Both nodes of every position's pair are read in one gather, and a lost
-    # one's are zeroed.  Only present positions are derived: all of them, and
-    # no mask is applied, when none is lost.
-    pairs = _pair_nodes(n).take(alphas * (n // 2) + pair_pick, axis=1)
-    if present.all():
-        return *pairs, (pair_parities(key, n, positions, *pairs) ^ errors).view(np.int8), errors
-    errors &= present
-    pairs *= present
-    answer = np.full(k, -1, dtype=np.int8)
-    answer[present] = pair_parities(key, n, positions[present], *pairs.compress(present, axis=1)) ^ errors[present]
-    return *pairs, answer, errors
+    # one's are zeroed.  No mask is applied when none is lost.
+    pairs = _pair_nodes(n).take(alphas.ravel() * (n // 2) + flat(pair_pick), axis=1)
+    answer = np.empty(len(positions), dtype=np.int8)
+    if lost := not present.all():
+        errors &= present
+        pairs *= present
+        answer.fill(-1)
+    start = 0
+    for key, run in groupby(keys):
+        stop = start + k * len(list(run))
+        got = start + np.flatnonzero(present[start:stop]) if lost else slice(start, stop)
+        answer[got] = errors[got] ^ pair_parities(key, n, positions[got], *pairs[:, got])
+        start = stop
+    measured = (*pairs, answer, errors, kinds)
+    return measured if len(shape) == 1 else tuple(a.reshape(shape) for a in measured)
 
 
-def _error_rates(coin: Coin, kinds: np.ndarray, beta: float) -> np.ndarray:
-    """The rate each measured position errs at, by its PositionKind: genuine
-    beta, replica 0, forged the coin's forged_error (an absent position is
-    never measured)."""
-    # Kinds compare as plain ints: an IntEnum operand costs numpy microseconds.
-    if coin.forged_error is None and (kinds == PositionKind.FORGED.value).any():
+@lru_cache(maxsize=64)
+def _profile_table(profiles: tuple, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The `_segment_table` of coins with these (segments, forged_error)
+    profiles, and beside its kinds the rate a measured position errs at,
+    read-only: genuine beta, replica 0, forged the profile's forged_error
+    (an absent position is never measured).  A profile with forged
+    positions and no forged_error raises ValueError."""
+    stops, kinds = _segment_table(tuple(segments for segments, _ in profiles))
+    # None is NaN here; kinds compare as plain ints, as an IntEnum operand
+    # costs numpy microseconds.
+    forged = np.array([forged_error for _, forged_error in profiles], dtype=float)[:, None]
+    rates = np.where(kinds == PositionKind.FORGED.value, forged, np.array([beta, 0.0, 0.0, 0.0]).take(kinds))
+    if np.isnan(rates).any():
         raise ValueError("coin has forged positions but no forged_error")
-    return np.array([beta, 0.0, coin.forged_error or 0.0, 0.0]).take(kinds)
+    rates.setflags(write=False)
+    return stops, kinds, rates
 
 
 def holder_verify(
@@ -617,7 +670,8 @@ def holder_verify(
     channel: HonestChannel,
     rng: np.random.Generator,
 ) -> VerifyOutcome:
-    """One verification round: sample, measure, abort or submit to the bank.
+    """One verification round: sample, measure, abort or submit to the bank,
+    with the kernels `verify_rounds` runs on a batch, given one round.
 
     The sample is taken before anything is measured, so its positions are
     used up even when the round aborts.  With fewer than l unused
@@ -627,61 +681,129 @@ def holder_verify(
     grades a wire `round`: each present position is derived once.
     """
     sample, alphas, measure_seed = _plan_round(coin, rng)
-    *outcomes, errors = measure_positions(
-        db.key, coin, sample, alphas, channel.beta, params.eta,
-        np.random.default_rng(measure_seed),
-    )
+    *outcomes, errors, kinds = measure_positions(
+        db.key, coin, sample, alphas, channel.beta, params.eta, np.random.default_rng(measure_seed))
     return _finish_round(coin, sample, alphas, outcomes, params,
-                         lambda t: bank_check(db, t, params, errors), errors)
+                         lambda t: bank_check(db, t, params, errors), errors, kinds)
+
+
+# The most positions a batch of `verify_rounds` reads, measures and derives
+# at once: about 2 MB of scratch arrays, and a whole perfbench call.
+ROUND_BATCH_POSITIONS = 2**15
+
+
+def verify_rounds(rounds: Iterable[tuple[Coin, BankDatabase]], params: VerdictParameters,
+                  channel: HonestChannel, rng: np.random.Generator) -> Iterator[VerifyOutcome]:
+    """Verify each (coin, db) of `rounds` in turn, yielding the outcomes
+    that `holder_verify` called on each would return, bit for bit.
+
+    A round draws from rng when it is taken from `rounds`, so the draws
+    that produce the next pair (a mint) follow it, as in a loop of
+    `holder_verify` calls.  Its sample read, measurement and grading draw
+    nothing from rng, so they wait for a batch of at most
+    ROUND_BATCH_POSITIONS positions (at least one round), and run once for
+    the whole batch; the bank then grades the batch's rounds in order, since
+    its counter is sequential.  The rounds share n, q, l and the length of
+    `masked`.  A coin's cursor chains its rounds, so a coin that comes again
+    starts a new batch.
+    """
+    batch = {}  # id(coin) -> the coin's drawn round
+    for coin, db in rounds:
+        if batch and (id(coin) in batch or len(batch) >= ROUND_BATCH_POSITIONS // coin.l):
+            yield from _verify_batch(batch.values(), params, channel)
+            batch = {}
+        batch[id(coin)] = (coin, db, *_draw_round(coin, rng))
+    yield from _verify_batch(batch.values(), params, channel) if batch else ()
+
+
+def _verify_batch(batch: Iterable, params: VerdictParameters, channel: HonestChannel) -> list[VerifyOutcome]:
+    """Read, measure and grade drawn rounds (coin, db, bases, measurement
+    seed): one sample read and one measurement for them all, then each
+    round's transcript and check in order."""
+    coins, dbs, alphas, seeds = zip(*batch)
+    samples, alphas = _read_samples(coins), np.array(alphas)
+    *outcomes, errors, kinds = measure_positions([db.key for db in dbs], coins, samples, alphas, channel.beta,
+                                                 params.eta, [np.random.default_rng(seed) for seed in seeds])
+    rows = zip(coins, dbs, samples, alphas, zip(*outcomes), errors, kinds)
+    return [_finish_round(coin, sample, bases, outcome, params,
+                          lambda t, db=db, flags=flags: bank_check(db, t, params, flags), flags, kind)
+            for coin, db, sample, bases, outcome, flags, kind in rows]
+
+
+def _draw_round(coin: Coin, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """A round's draws, in order: the coin's sampler key at its first round,
+    then the bases and the measurement seed.  With fewer than l unused
+    positions the round cannot start: InsufficientPositionsError, and
+    nothing is drawn."""
+    if coin.unused() < coin.l:
+        raise InsufficientPositionsError(f"coin has {coin.unused()} unused positions, verification needs {coin.l}")
+    coin.sampler_key = coin.sampler_key or rng.bytes(SAMPLER_KEY_BYTES)
+    return rng.integers(1, coin.n, size=coin.l), int(rng.integers(0, 2**63))
 
 
 def _plan_round(coin: Coin, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
-    """Draw the sample, the bases and the measurement seed.
+    """The sample, the bases and the measurement seed of a round the holder
+    sends away (`client_verify`): `_draw_round`, then `_read_samples`."""
+    alphas, measure_seed = _draw_round(coin, rng)
+    return _read_samples([coin])[0], alphas, measure_seed
 
-    The sample is the next l values below the domain q - |masked| of the
-    coin's keyed permutation of [0, 2^b), 2^b the least power of two not
-    below the domain, read from index `cursor` on and skipping the values
-    past the domain (Black and Rogaway, CT-RSA 2002); each is then shifted
-    past the masked range.  A permutation repeats no value, so no round
-    takes a position an earlier one took, and the sample is uniform without
-    replacement if the permutation is pseudorandom.  The key is drawn from
-    rng at the coin's first round, before the bases and the seed."""
-    if coin.unused() < coin.l:
-        raise InsufficientPositionsError(
-            f"coin has {coin.unused()} unused positions, verification needs {coin.l}"
-        )
-    coin.sampler_key = coin.sampler_key or rng.bytes(SAMPLER_KEY_BYTES)
-    domain = coin.q - len(coin.masked)
+
+def _read_samples(coins: Sequence[Coin]) -> np.ndarray:
+    """The next sample of each coin, one row of l positions per coin.
+
+    A coin's sample is the next l values below the domain q - |masked| of
+    its keyed permutation of [0, 2^b), 2^b the least power of two not below
+    the domain, read from index `cursor` on and skipping the values past
+    the domain (Black and Rogaway, CT-RSA 2002); each is then shifted past
+    the masked range.  A permutation repeats no value, so no round takes a
+    position an earlier one took, and the sample is uniform without
+    replacement if the permutation is pseudorandom.  The coins share q, l
+    and the length of `masked`, so every row reads one width, each from its
+    own cursor under its own key, and every read is one `_permute` call."""
+    l, masked = coins[0].l, len(coins[0].masked)
+    domain = coins[0].q - masked
     bits = (domain - 1).bit_length()
-    batches = []
-    while missing := coin.l - sum(map(len, batches)):
-        # The indices from the cursor on hold domain - sampled values below
+    sample, filled = np.empty((len(coins), l), dtype=np.uint64), [0] * len(coins)
+    rows = range(len(coins))
+    while rows:
+        # The indices from a cursor on hold domain - sampled values below
         # the domain: read a few standard deviations past the share expected
         # to hold the missing ones, and read on if that falls short.
-        rest = (1 << bits) - coin.cursor
-        ahead = min(rest, (missing + 4 * math.isqrt(missing) + 4) * rest // (domain - coin.sampled))
-        values = _permute(coin.sampler_key, np.arange(coin.cursor, coin.cursor + ahead, dtype=np.uint64), bits)
-        taken = np.flatnonzero(values < domain)[:missing]
-        batches.append(values[taken])
-        coin.cursor += int(taken[-1]) + 1 if len(taken) == missing else ahead
-        coin.sampled += len(taken)
+        ahead = 0
+        for r in rows:
+            missing, rest, spare = l - filled[r], (1 << bits) - coins[r].cursor, domain - coins[r].sampled
+            ahead = max(ahead, min(rest, (missing + 4 * math.isqrt(missing) + 4) * rest // spare))
+        indices = np.arange(ahead, dtype=np.uint64) + np.array([[coins[r].cursor] for r in rows], dtype=np.uint64)
+        values = _permute(b"".join(coins[r].sampler_key for r in rows), indices, bits)
+        # A coin's unused positions are the values below the domain from its
+        # cursor on, at least its missing ones: a row whose permutation ends
+        # before `ahead` takes them all before the indices past its end.
+        for row, r in zip(values, rows):
+            taken = np.flatnonzero(row < domain)[:l - filled[r]]
+            sample[r, filled[r]:filled[r] + len(taken)] = row[taken]
+            filled[r] += len(taken)
+            coins[r].cursor += int(taken[-1]) + 1 if filled[r] == l else ahead
+            coins[r].sampled += len(taken)
+        rows = [r for r in rows if filled[r] < l]
     # The values are below 2^63, so their int64 view is the same numbers.
-    sample = (batches[0] if len(batches) == 1 else np.concatenate(batches)).view(np.int64)
-    if coin.masked:
-        np.add(sample, len(coin.masked), out=sample, where=sample >= coin.masked.start)
-    alphas = rng.integers(1, coin.n, size=coin.l)
-    measure_seed = int(rng.integers(0, 2**63))
-    return sample, alphas, measure_seed
+    sample = sample.view(np.int64)
+    if masked:
+        starts = np.array([coin.masked.start for coin in coins])[:, None]
+        np.add(sample, masked, out=sample, where=sample >= starts)
+    return sample
 
 
 # SplitMix64's output function (Steele, Lea and Flood, OOPSLA 2014): shift,
-# multiply, shift, multiply, shift.
-_SHIFT1, _MUL1, _SHIFT2, _MUL2, _SHIFT3 = map(np.uint64, (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31))
+# multiply, shift, multiply, shift.  Operands of `_permute`'s ufunc calls
+# are 0-d arrays, each call about 0.4 us cheaper than with a numpy scalar.
+_SHIFT1, _MUL1, _SHIFT2, _MUL2, _SHIFT3 = (np.array(c, dtype=np.uint64)
+                                           for c in (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31))
 
 
-def _permute(key: bytes, idx: np.ndarray, bits: int) -> np.ndarray:
+def _permute(keys: bytes, idx: np.ndarray, bits: int) -> np.ndarray:
     """The image of each index (a uint64 array) under a keyed permutation
-    of [0, 2^bits).
+    of [0, 2^bits), one key per row of idx: keys holds the rows' keys one
+    after another, and a 1-D idx takes one key.
 
     A Feistel network (Luby and Rackoff, SIAM J. Comput. 17, 1988) with one
     round per little-endian 64-bit word of the key, on a high half of
@@ -692,36 +814,37 @@ def _permute(key: bytes, idx: np.ndarray, bits: int) -> np.ndarray:
     function is integer mixing, not a cipher: the holder samples its own
     coin.
     """
-    low = np.uint64(bits // 2)
-    masks = (np.uint64((1 << (bits - bits // 2)) - 1), np.uint64((1 << bits // 2) - 1))
+    words = np.frombuffer(keys, dtype="<u8").reshape(*idx.shape[:-1], -1)
+    low = np.array(bits // 2, dtype=np.uint64)
+    masks = [np.array((1 << width) - 1, dtype=np.uint64) for width in (bits - bits // 2, bits // 2)]
     halves = [idx >> low, idx & masks[1]]
     # Every pass runs in place, on the halves and two scratch buffers.
     z, t = np.empty_like(halves[0]), np.empty_like(halves[0])
-    for r, word in enumerate(np.frombuffer(key, dtype="<u8")):
-        np.bitwise_xor(halves[1 - r % 2], word, out=z)
-        z ^= np.right_shift(z, _SHIFT1, out=t)
+    for r in range(words.shape[-1]):
+        np.bitwise_xor(halves[1 - r % 2], words[..., r, None], z)
+        z ^= np.right_shift(z, _SHIFT1, t)
         z *= _MUL1
-        z ^= np.right_shift(z, _SHIFT2, out=t)
+        z ^= np.right_shift(z, _SHIFT2, t)
         z *= _MUL2
-        z ^= np.right_shift(z, _SHIFT3, out=t)
+        z ^= np.right_shift(z, _SHIFT3, t)
         z &= masks[r % 2]
         halves[r % 2] ^= z
     halves[0] <<= low
-    return np.bitwise_or(*halves, out=halves[0])
+    return np.bitwise_or(*halves, halves[0])
 
 
 def _finish_round(coin: Coin, sample: np.ndarray, alphas: np.ndarray, outcomes: tuple,
                   params: VerdictParameters, check: Callable[[VerificationTranscript], CheckResult],
-                  errors: np.ndarray | None = None) -> VerifyOutcome:
+                  errors: np.ndarray | None = None, kinds: np.ndarray | None = None) -> VerifyOutcome:
     """End a round, wherever its outcomes (pair_i, pair_j, answer) were
     measured: build the transcript, abort when fewer than min_outcomes * l
     outcomes arrived, else submit it through `check` and map the bank's
     answer to a verdict."""
     transcript = VerificationTranscript(coin.coin_id, coin.l, sample, alphas, *outcomes)
     if transcript.l_prime < params.min_outcomes * coin.l:
-        return VerifyOutcome(Verdict.ABORTED, transcript, None, errors)
+        return VerifyOutcome(Verdict.ABORTED, transcript, None, errors, kinds)
     result = check(transcript)
-    return VerifyOutcome(Verdict.VALID if result.valid else Verdict.INVALID, transcript, result, errors)
+    return VerifyOutcome(Verdict.VALID if result.valid else Verdict.INVALID, transcript, result, errors, kinds)
 
 
 def bank_check(db: BankDatabase, transcript: VerificationTranscript, params: VerdictParameters,
@@ -939,16 +1062,17 @@ def run_honest_experiment(
 ) -> HonestExperiment:
     """Mint and verify `trials` fresh coins through the honest channel.
 
-    Raises ValueError unless trials >= 1: the report's rates divide by it.
+    Each coin is minted, then its round drawn, as in a loop of `bank_mint`
+    and `holder_verify`; `verify_rounds` measures and grades the rounds a
+    batch at a time, with the same outcomes.  Raises ValueError unless
+    trials >= 1: the report's rates divide by it.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     params = VerdictParameters.from_noise(n, beta, eta, epsilon)
-    channel = HonestChannel(beta)
     tallies = {Verdict.VALID: 0, Verdict.INVALID: 0, Verdict.ABORTED: 0}
-    for _ in range(trials):
-        coin, db = bank_mint(n, q, l, rng)
-        outcome = holder_verify(coin, db, params, channel, rng)
+    coins = (bank_mint(n, q, l, rng) for _ in range(trials))
+    for outcome in verify_rounds(coins, params, HonestChannel(beta), rng):
         tallies[outcome.verdict] += 1
     reject_bound, _, abort_bound = params.tail_bounds(l)
     return HonestExperiment(

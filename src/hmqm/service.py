@@ -444,7 +444,7 @@ class BankService:
         if not 0.0 < eta <= 1.0:
             raise ValueError(f"eta must be in (0, 1], got {eta}")
         view = Coin.fresh(db.coin_id, db.n, db.q, db.l, db.T)
-        pair_i, pair_j, answer, errors = measure_positions(
+        pair_i, pair_j, answer, errors, _ = measure_positions(
             db.key, view, positions, alphas, beta, eta,
             np.random.default_rng(wire_int(request["seed"], "seed")),
         )

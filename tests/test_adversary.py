@@ -106,7 +106,8 @@ def assert_grades_at(rho, x, coin, kind, beta):
     probability 2/n and, on each pair, the wrong parity at the rate the fast
     path grades a `kind` position of `coin` at, both to 1e-12."""
     n = x.n
-    rate = protocol._error_rates(coin, np.array([kind], dtype=np.uint8), beta)[0]
+    every_kind = tuple((stop, kind) for stop, kind in enumerate(PositionKind, start=1))
+    rate = protocol._profile_table(((every_kind, coin.forged_error or 0.0),), beta)[2][0, kind]
     matchings = protocol.matching_set(n)
     for alpha in range(1, n):
         m = matchings.matching(alpha)
@@ -217,11 +218,25 @@ def test_honest_noise_is_not_a_double_spend():
     rng = np.random.default_rng(33)
     params = VerdictParameters.from_noise(4, 0.0)
     outcome = run_forging_experiment(
-        4, 10_000, 10, builtin_strategy("honest_noise"), 5, params, rng
+        4, 20_000, 10, builtin_strategy("honest_noise"), 5, params, rng
     )
     assert outcome.accept1_rate == 1.0  # the single coin is genuine
     assert outcome.accept2_rate == 0.0  # the other verifier gets nothing
     assert outcome.both_accept_rate == 0.0
+
+
+def test_a_double_spend_needs_two_checks(capsys):
+    # At q = 50 000 and l = 50 a coin allows T = 1 check: the second
+    # verifier's round would be refused as coin_exhausted and never judged,
+    # so the run is refused (the CLI exits 2) instead of reporting 0.
+    params = VerdictParameters.from_noise(4, 0.1)
+    strategy = builtin_strategy("symmetric_clone")
+    with pytest.raises(ValueError, match="T=1"):
+        run_forging_experiment(4, 50_000, 50, strategy, 2, params, np.random.default_rng(1))
+    assert main(["forge", "--n", "4", "--q", "50000", "--l", "50", "--trials", "2", "--seed", "1"]) == 2
+    assert "T=1" in capsys.readouterr().err
+    outcome = run_forging_experiment(4, 100_000, 50, strategy, 40, params, np.random.default_rng(1))
+    assert outcome.accept2_rate > 0.0
 
 
 def test_clone_experiment_error_rate_and_bound():
@@ -305,19 +320,19 @@ def test_forge_outcome_serialization(capsys):
     rng = np.random.default_rng(40)
     params = VerdictParameters.from_noise(4, 0.0)
     outcome = run_forging_experiment(
-        4, 10_000, 10, builtin_strategy("mixed_substitution"), 3, params, rng
+        4, 20_000, 10, builtin_strategy("mixed_substitution"), 3, params, rng
     )
     assert ForgeOutcome.CSV_HEADER == (
         "strategy,n,q,l,trials,accept1_rate,accept2_rate,both_accept_rate,analytic_bound"
     )
     # The CLI's CSV row of the same seeded run.
-    assert main(["forge", "--strategy", "mixed_substitution", "--n", "4", "--q", "10000", "--l", "10",
+    assert main(["forge", "--strategy", "mixed_substitution", "--n", "4", "--q", "20000", "--l", "10",
                  "--trials", "3", "--beta", "0.0", "--seed", "40", "--format", "csv"]) == 0
     header, row = capsys.readouterr().out.strip().split("\n")
     assert header == ForgeOutcome.CSV_HEADER
     fields = row.split(",")
     assert fields[0] == "mixed_substitution"
-    assert fields[1:5] == ["4", "10000", "10", "3"]
+    assert fields[1:5] == ["4", "20000", "10", "3"]
     assert float(fields[7]) == outcome.both_accept_rate
     assert [float(f) for f in fields[5:]] == [
         outcome.accept1_rate, outcome.accept2_rate, outcome.both_accept_rate, outcome.analytic_bound

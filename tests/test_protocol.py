@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import AesBlockCounter, measure_positions_reference
-from hmqm import bounds, protocol
+from hmqm import adversary, bounds, protocol
 from hmqm.adversary import BUILTIN_STRATEGIES, builtin_strategy, forge_coins
 from hmqm.protocol import (
     CheckResult,
@@ -435,7 +435,7 @@ def measured_error_rate(db, coin, k, beta, eta, seed):
     rng = np.random.default_rng(seed)
     positions = np.arange(k, dtype=np.int64)
     alphas = rng.integers(1, coin.n, size=k)
-    pi, pj, ans, flags = measure_positions(db.key, coin, positions, alphas, beta, eta, rng)
+    pi, pj, ans, flags, _ = measure_positions(db.key, coin, positions, alphas, beta, eta, rng)
     present = ans >= 0
     bits = secret_bits(db.key, positions[present], db.n)
     rows = np.arange(len(bits))
@@ -502,7 +502,7 @@ def test_error_flags_agree_with_the_bank():
         coin.forged_error = forged_error
         positions = np.arange(0, 10_000, step, dtype=np.int64)
         alphas = rng.integers(1, coin.n, size=len(positions))
-        pi, pj, ans, flags = measure_positions(
+        pi, pj, ans, flags, _ = measure_positions(
             db.key, coin, positions, alphas, 0.2, 0.7, np.random.default_rng(seed))
         present = ans >= 0
         assert 0 < present.sum() < len(positions)
@@ -605,7 +605,7 @@ def test_round_kernels_leave_their_inputs_unchanged():
         alphas = rng.integers(1, coin.n, size=500)
         inputs = (positions, alphas)
         copies = [a.copy() for a in inputs]
-        pair_i, pair_j, _, _ = measure_positions(db.key, coin, positions, alphas, 0.1, eta, rng)
+        pair_i, pair_j, _, _, _ = measure_positions(db.key, coin, positions, alphas, 0.1, eta, rng)
         assert all(np.array_equal(a, b) for a, b in zip(inputs, copies))
         present = pair_i > 0
         inputs = (positions[present], pair_i[present], pair_j[present])
@@ -731,7 +731,7 @@ def test_a_round_hashes_each_present_position_once(monkeypatch):
     transcripts = []
     for coin, db in (bank_mint(8, 1_000_000, 1000, rng) for _ in range(2)):
         sample, alphas, seed = _plan_round(coin, rng)
-        *outcomes, _ = measure_positions(db.key, coin, sample, alphas, 0.0, 1.0, np.random.default_rng(seed))
+        *outcomes, _, _ = measure_positions(db.key, coin, sample, alphas, 0.0, 1.0, np.random.default_rng(seed))
         transcripts.append((db, VerificationTranscript(coin.coin_id, coin.l, sample, alphas, *outcomes)))
     for db, transcript in transcripts:
         assert bank_check(db, transcript, VerdictParameters.from_noise(8, 0.0)).valid
@@ -899,3 +899,160 @@ def test_the_production_coin_plans_every_round_at_the_cost_of_the_first():
         assert (everything[1:] != everything[:-1]).all() and everything[0] >= len(masked)
     with pytest.raises(InsufficientPositionsError):
         _plan_round(coin, rng)
+
+
+def test_a_mint_is_one_draw_split_in_two():
+    # bank_mint draws 32 bytes once; Generator.bytes reads consecutive
+    # 32-bit words, so the key and the coin id are what a draw of 16 bytes
+    # each would give, after any earlier draw, even one that leaves half a
+    # 64-bit word buffered, and the generator ends where it would.
+    for seed in range(300):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for g in (rng, twin):
+            g.integers(0, 7, size=seed % 5)
+            g.bytes(seed % 3)
+        coin, db = bank_mint(4, 10_000, 10, rng)
+        assert db.key == twin.bytes(16) and coin.coin_id == db.coin_id == twin.bytes(16).hex()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_advancing_a_fresh_generator_equals_drawing_from_it():
+    # measure_positions skips the loss draw at eta = 1 by advancing its
+    # fresh generator k steps: the state, and so every later draw, is that
+    # of drawing k uniforms.
+    for seed in range(200):
+        k = seed * 37 % 2500
+        drawn, advanced = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn.random(k)
+        advanced.bit_generator.advance(k)
+        assert drawn.bit_generator.state == advanced.bit_generator.state
+        assert drawn.integers(0, 4, size=9).tolist() == advanced.integers(0, 4, size=9).tolist()
+        assert drawn.random(3).tolist() == advanced.random(3).tolist()
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.7])
+def test_each_row_of_a_batched_measurement_is_its_reference(eta):
+    # Both coins of two trials of every built-in strategy, and honest coins,
+    # measured as one batch: runs of rows share a bank key, and rows differ
+    # in layout and forged error.  Each row equals the reference loop on
+    # that row alone, and its kinds are the coin's.
+    rng = np.random.default_rng(int(10 * eta))
+    rows = []
+    for name in sorted(BUILTIN_STRATEGIES):
+        strategy = builtin_strategy(name, beta=0.1, fraction=0.05)
+        for _ in range(2):
+            coin, db = bank_mint(8, 200_000, 60, rng)
+            rows += [(db.key, forged, *_plan_round(forged, rng)) for forged in forge_coins(coin, strategy)]
+    for _ in range(3):
+        coin, db = bank_mint(8, 200_000, 60, rng)
+        rows.append((db.key, coin, *_plan_round(coin, rng)))
+    keys, coins, samples, alphas, seeds = zip(*rows)
+    got = measure_positions(keys, coins, np.array(samples), np.array(alphas), 0.2, eta,
+                            [np.random.default_rng(seed) for seed in seeds])
+    assert all(a.shape == (len(rows), 60) for a in got)
+    for r, (key, coin, sample, bases, seed) in enumerate(rows):
+        ref = measure_positions_reference(key, coin, sample, bases, 0.2, eta, np.random.default_rng(seed))
+        for name, a, b in zip(("pair_i", "pair_j", "answer", "errors"), got, ref):
+            assert a.dtype == b.dtype and np.array_equal(a[r], b), (name, r)
+        assert np.array_equal(got[4][r], coin.kind_of(sample))
+    assert (got[2] < 0).any() == (eta < 1.0 or any(c.segments[-1][1] == PositionKind.ABSENT for c in coins))
+
+
+def test_a_batched_read_takes_each_coins_own_sample(monkeypatch):
+    # Coins of one shape read as one batch, each at its own cursor under its
+    # own key: fresh, read on from an earlier round, one whose first read
+    # falls short (key 41524 finds 7 values below 4097 in the batch's first
+    # 40 indices), and one whose permutation ends inside the batch's read.  Each takes the next l
+    # values below the domain of its own permutation, shifted past its
+    # masked range, and advances its own cursor and count.
+    q, l, bits = 4102, 8, 13  # a domain of 4097 past the 5 masked positions
+    coins = [Coin.fresh("c", 4, q, l, 1) for _ in range(4)]
+    for k, coin in enumerate(coins):
+        coin.masked = range(100 * k, 100 * k + 5)
+        coin.sampler_key = np.random.default_rng(k).bytes(SAMPLER_KEY_BYTES)
+    coins[2].sampler_key = (41524).to_bytes(SAMPLER_KEY_BYTES, "little")
+    _plan_round(coins[1], np.random.default_rng(1))
+    images = [_permute(coin.sampler_key, np.arange(1 << bits, dtype=np.uint64), bits) for coin in coins]
+    below = [np.flatnonzero(image < q - 5) for image in images]
+    assert below[2][7] == 41
+    coins[3].cursor = int(below[3][-12])
+    coins[3].sampled = len(below[3]) - 12
+    assert (1 << bits) - coins[3].cursor < 40  # less than the batch reads at once
+    expected = []
+    for coin, image, ok in zip(coins, images, below):
+        taken = ok[ok >= coin.cursor][:l]
+        values = image[taken].astype(np.int64)
+        shifted = np.where(values >= coin.masked.start, values + 5, values)
+        expected.append((shifted, taken[-1] + 1, coin.sampled + l))
+    keys = b"".join(coin.sampler_key for coin in coins)
+    rows = np.arange(4, dtype=np.uint64)[:, None] * 100 + np.arange(50, dtype=np.uint64)
+    assert np.array_equal(_permute(keys, rows, bits), [image[row] for image, row in zip(images, rows)])
+    reads = []
+
+    def permute(keys, idx, bits):
+        reads.append(idx.shape)
+        return _permute(keys, idx, bits)
+
+    monkeypatch.setattr(protocol, "_permute", permute)
+    samples = protocol._read_samples(coins)
+    assert reads[0] == (4, 40) and len(reads) > 1 and reads[1][0] == 1
+    for coin, sample, (values, cursor, sampled) in zip(coins, samples, expected):
+        assert sample.tolist() == values.tolist()
+        assert (coin.cursor, coin.sampled) == (cursor, sampled)
+
+
+@pytest.mark.parametrize("rounds", [1, 3, 7])
+def test_experiments_do_not_depend_on_the_batch_size(monkeypatch, rounds):
+    # Batches of 1, 3 and 7 rounds (3 and 7 split a forge trial's two
+    # rounds, and the last batch is short) give the results of one batch.
+    def run():
+        strategy = builtin_strategy("loss_hiding", fraction=0.05)
+        params = VerdictParameters.from_noise(4, 0.0, 0.9, 0.05)
+        forge = adversary.run_forging_experiment(4, 20_000, 10, strategy, 5, params, np.random.default_rng(3))
+        honest = run_honest_experiment(8, 10_000, 10, 0.1, 9, np.random.default_rng(4), eta=0.9, epsilon=0.05)
+        return forge, honest
+
+    whole = run()
+    assert protocol.ROUND_BATCH_POSITIONS >= 10 * 10
+    monkeypatch.setattr(protocol, "ROUND_BATCH_POSITIONS", 10 * rounds)
+    forge, honest = run()
+    assert forge.to_dict() == whole[0].to_dict() and honest.to_dict() == whole[1].to_dict()
+    for field in ("accept1", "accept2", "observed_error1", "observed_error2", "overall_error1", "overall_error2"):
+        assert np.array_equal(getattr(forge, field), getattr(whole[0], field), equal_nan=True), field
+
+
+def test_rounds_of_one_coin_are_the_rounds_holder_verify_gives():
+    # verify_rounds on one coin T + 2 times: each round starts a new batch,
+    # as its cursor chains the next, and every outcome, check and coin
+    # state is holder_verify's, round after round, the last two refused as
+    # coin_exhausted.
+    rng, twin = np.random.default_rng(43), np.random.default_rng(43)
+    (coin, db), (twin_coin, twin_db) = bank_mint(8, 500_000, 100, rng), bank_mint(8, 500_000, 100, twin)
+    params = VerdictParameters.from_noise(8, 0.1, 0.9, 0.05)
+    got = list(protocol.verify_rounds([(coin, db)] * (coin.T + 2), params, HonestChannel(0.1), rng))
+    for out in got:
+        ref = holder_verify(twin_coin, twin_db, params, HonestChannel(0.1), twin)
+        assert out.verdict is ref.verdict and out.check == ref.check
+        assert out.transcript.to_json() == ref.transcript.to_json()
+        assert np.array_equal(out.errors, ref.errors) and np.array_equal(out.kinds, ref.kinds)
+    assert [out.check.code for out in got[-2:]] == ["coin_exhausted"] * 2
+    assert (coin.cursor, coin.sampled, db.s) == (twin_coin.cursor, twin_coin.sampled, twin_db.s)
+    assert (coin.sampled, db.s) == (700, 5) and rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_a_batch_derives_each_present_position_once_per_key(monkeypatch):
+    # Four forge trials, eight rounds in one batch under a lossy policy:
+    # one AES call per trial's bank key, and exactly sum(l') blocks.
+    counter = AesBlockCounter(monkeypatch)
+    keys = []
+    counted = protocol._aes128_ecb
+    monkeypatch.setattr(protocol, "_aes128_ecb", lambda key, blocks: keys.append(key) or counted(key, blocks))
+    rng = np.random.default_rng(41)
+    params = VerdictParameters.from_noise(8, 0.0, 0.8, 0.1)
+    minted = [bank_mint(8, 400_000, 200, rng) for _ in range(4)]
+    clone = builtin_strategy("symmetric_clone")
+    rounds = [(forged, db) for coin, db in minted for forged in forge_coins(coin, clone)]
+    outcomes = list(protocol.verify_rounds(rounds, params, HonestChannel(0.0), rng))
+    assert keys == [db.key for _, db in minted]
+    assert counter.count == sum(out.transcript.l_prime for out in outcomes)
+    assert all(0 < out.transcript.l_prime < 200 for out in outcomes)
