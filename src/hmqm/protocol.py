@@ -688,7 +688,10 @@ def holder_verify(
 
 
 # The most positions a batch of `verify_rounds` reads, measures and derives
-# at once: about 2 MB of scratch arrays, and a whole perfbench call.
+# at once.  A batch's arrays take about 100 bytes a position: a 200-trial
+# forge run at l = 2000 peaked 4 MB above its imports in batches of 16
+# rounds, and 70 MB above as one batch of 400.  A perfbench `forge` or
+# `honest` call (4 or 5 rounds of 2000) is one batch.
 ROUND_BATCH_POSITIONS = 2**15
 
 
