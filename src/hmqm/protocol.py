@@ -29,10 +29,11 @@ abort rule and `tail_bounds` picks the ideal or the lossy tail bounds.
 A round is `_plan_round` (its draws, `_draw_round`, then its sample,
 `_read_samples`), a measurement (`measure_positions`, in process or over the
 wire) and `_finish_round` (transcript, abort, verdict).  The kernels take a
-leading axis of rounds: `verify_rounds` runs the experiments' rounds through
-them a batch at a time, and a single round (`holder_verify`, a wire round)
-is the batch of one.  `encode_outcomes` / `decode_outcomes` are the only
-codec of an outcome's wire form, {"i", "j", "b"} or null when lost.
+leading axis of rounds: `measure_rounds` reads and measures the experiments'
+rounds a batch at a time and `holder_verify` ends each one, and a single
+round (`holder_verify` alone, a wire round) is the batch of one.
+`encode_outcomes` / `decode_outcomes` are the only codec of an outcome's
+wire form, {"i", "j", "b"} or null when lost.
 
 Positions are indexed from 0.  Node indices inside measurement outcomes are
 1-based, matching the matching convention.
@@ -44,10 +45,10 @@ is read from the keyed permutation and draws nothing.  Outcomes come from
 a fresh generator seeded with the measurement seed inside
 `measure_positions`.  A remote client makes the same draws and ships the
 seed, so the service reproduces outcomes bit for bit.  The experiments
-defer each round's sample read, measurement and grading to the end of its
-batch (`verify_rounds`); those draw nothing from the experiment's
-generator, so every draw and every outcome is that of one round after
-another.
+defer each round's sample read and measurement to the end of its batch
+(`measure_rounds`) and its grading to `holder_verify` after that; those
+draw nothing from the experiment's generator, so every draw and every
+outcome is that of one round after another.
 """
 
 import ctypes
@@ -612,7 +613,6 @@ def measure_positions(keys: Sequence[bytes], coins: Sequence[Coin], positions: n
         pair_pick.append(rng.integers(0, n // 2, size=k))
         u_err.append(rng.random(k))
     # The rounds run as one flat array; one round's are the row as drawn.
-    def flat(rows): return rows[0] if len(rows) == 1 else np.concatenate(rows)
     positions = positions.ravel()
     profiles = {}
     profile = [profiles.setdefault((coin.segments, coin.forged_error), len(profiles)) for coin in coins]
@@ -623,13 +623,13 @@ def measure_positions(keys: Sequence[bytes], coins: Sequence[Coin], positions: n
     if len(profiles) > 1:
         segment += np.repeat(np.array(profile) * stops.size, k)
     kinds = kinds.take(segment)
-    errors = flat(u_err) < rates.take(segment)
+    errors = _joined(u_err) < rates.take(segment)
     present = kinds != PositionKind.ABSENT.value
     if eta < 1.0:
-        present &= flat(u_loss) < eta
+        present &= _joined(u_loss) < eta
     # Both nodes of every position's pair are read in one gather, and a lost
     # one's are zeroed.  No mask is applied when none is lost.
-    pairs = _pair_nodes(n).take(alphas.ravel() * (n // 2) + flat(pair_pick), axis=1)
+    pairs = _pair_nodes(n).take(alphas.ravel() * (n // 2) + _joined(pair_pick), axis=1)
     answer = np.empty(len(positions), dtype=np.int8)
     if lost := not present.all():
         errors &= present
@@ -638,11 +638,17 @@ def measure_positions(keys: Sequence[bytes], coins: Sequence[Coin], positions: n
     start = 0
     for key, run in groupby(keys):
         stop = start + k * len(list(run))
-        got = start + np.flatnonzero(present[start:stop]) if lost else slice(start, stop)
-        answer[got] = errors[got] ^ pair_parities(key, n, positions[got], *pairs[:, got])
+        got = start + present[start:stop].nonzero()[0] if lost else slice(start, stop)
+        answer[got] = errors[got] ^ pair_parities(key, n, positions[got], pairs[0, got], pairs[1, got])
         start = stop
-    measured = (*pairs, answer, errors, kinds)
+    measured = (pairs[0], pairs[1], answer, errors, kinds)
     return measured if len(shape) == 1 else tuple(a.reshape(shape) for a in measured)
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays one after another; a single array is returned as it is,
+    so that one round copies nothing."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 @lru_cache(maxsize=64)
@@ -669,9 +675,9 @@ def holder_verify(
     params: VerdictParameters,
     channel: HonestChannel,
     rng: np.random.Generator,
+    measured: tuple | None = None,
 ) -> VerifyOutcome:
-    """One verification round: sample, measure, abort or submit to the bank,
-    with the kernels `verify_rounds` runs on a batch, given one round.
+    """One verification round: sample, measure, abort or submit to the bank.
 
     The sample is taken before anything is measured, so its positions are
     used up even when the round aborts.  With fewer than l unused
@@ -679,15 +685,21 @@ def holder_verify(
     a verdict).  The measurement is the bank's own, under its key, so the
     bank grades it from the error flags `measure_positions` returned, as it
     grades a wire `round`: each present position is derived once.
+
+    `measured` is the round's measurement when `measure_rounds` took it in
+    a batch: (sample, bases, pair_i, pair_j, answer, errors, kinds).  The
+    round is then only ended and graded, and draws nothing from rng.
     """
-    sample, alphas, measure_seed = _plan_round(coin, rng)
-    *outcomes, errors, kinds = measure_positions(
-        db.key, coin, sample, alphas, channel.beta, params.eta, np.random.default_rng(measure_seed))
+    if measured is None:
+        sample, alphas, measure_seed = _plan_round(coin, rng)
+        measured = (sample, alphas, *measure_positions(db.key, coin, sample, alphas, channel.beta, params.eta,
+                                                       np.random.default_rng(measure_seed)))
+    sample, alphas, *outcomes, errors, kinds = measured
     return _finish_round(coin, sample, alphas, outcomes, params,
                          lambda t: bank_check(db, t, params, errors), errors, kinds)
 
 
-# The most positions a batch of `verify_rounds` reads, measures and derives
+# The most positions a batch of `measure_rounds` reads, measures and derives
 # at once.  A batch's arrays take about 100 bytes a position: a 200-trial
 # forge run at l = 2000 peaked 4 MB above its imports in batches of 16
 # rounds, and 70 MB above as one batch of 400.  A perfbench `forge` or
@@ -695,42 +707,39 @@ def holder_verify(
 ROUND_BATCH_POSITIONS = 2**15
 
 
-def verify_rounds(rounds: Iterable[tuple[Coin, BankDatabase]], params: VerdictParameters,
-                  channel: HonestChannel, rng: np.random.Generator) -> Iterator[VerifyOutcome]:
-    """Verify each (coin, db) of `rounds` in turn, yielding the outcomes
-    that `holder_verify` called on each would return, bit for bit.
+def measure_rounds(rounds: Iterable, channel: HonestChannel, eta: float, rng: np.random.Generator) -> Iterator:
+    """Draw and measure each (coin, db) of `rounds` in turn, yielding
+    (coin, db, measured), the measurement `holder_verify` takes.  Ended by
+    `holder_verify` in the order they come, the rounds give the outcomes of
+    a loop of `holder_verify` calls, bit for bit.
 
     A round draws from rng when it is taken from `rounds`, so the draws
-    that produce the next pair (a mint) follow it, as in a loop of
-    `holder_verify` calls.  Its sample read, measurement and grading draw
-    nothing from rng, so they wait for a batch of at most
-    ROUND_BATCH_POSITIONS positions (at least one round), and run once for
-    the whole batch; the bank then grades the batch's rounds in order, since
-    its counter is sequential.  The rounds share n, q, l and the length of
-    `masked`.  A coin's cursor chains its rounds, so a coin that comes again
-    starts a new batch.
+    that produce the next pair (a mint) follow it, as in that loop.  Its
+    sample read and measurement draw nothing from rng, so they wait for a
+    batch of at most ROUND_BATCH_POSITIONS positions (at least one round),
+    and run once for the whole batch; the bank grades each round when
+    `holder_verify` ends it, since its counter is sequential.  The rounds
+    share n, q, l and the length of `masked`.  A coin's cursor chains its
+    rounds, so a coin that comes again starts a new batch.
     """
     batch = {}  # id(coin) -> the coin's drawn round
     for coin, db in rounds:
         if batch and (id(coin) in batch or len(batch) >= ROUND_BATCH_POSITIONS // coin.l):
-            yield from _verify_batch(batch.values(), params, channel)
+            yield from _measure_batch(batch.values(), channel, eta)
             batch = {}
         batch[id(coin)] = (coin, db, *_draw_round(coin, rng))
-    yield from _verify_batch(batch.values(), params, channel) if batch else ()
+    yield from _measure_batch(batch.values(), channel, eta) if batch else ()
 
 
-def _verify_batch(batch: Iterable, params: VerdictParameters, channel: HonestChannel) -> list[VerifyOutcome]:
-    """Read, measure and grade drawn rounds (coin, db, bases, measurement
-    seed): one sample read and one measurement for them all, then each
-    round's transcript and check in order."""
+def _measure_batch(batch: Iterable, channel: HonestChannel, eta: float) -> Iterator[tuple]:
+    """Read and measure drawn rounds (coin, db, bases, measurement seed)
+    with one sample read and one measurement for them all: each round's
+    (coin, db, measured)."""
     coins, dbs, alphas, seeds = zip(*batch)
     samples, alphas = _read_samples(coins), np.array(alphas)
-    *outcomes, errors, kinds = measure_positions([db.key for db in dbs], coins, samples, alphas, channel.beta,
-                                                 params.eta, [np.random.default_rng(seed) for seed in seeds])
-    rows = zip(coins, dbs, samples, alphas, zip(*outcomes), errors, kinds)
-    return [_finish_round(coin, sample, bases, outcome, params,
-                          lambda t, db=db, flags=flags: bank_check(db, t, params, flags), flags, kind)
-            for coin, db, sample, bases, outcome, flags, kind in rows]
+    measured = measure_positions([db.key for db in dbs], coins, samples, alphas, channel.beta, eta,
+                                 [np.random.default_rng(seed) for seed in seeds])
+    return zip(coins, dbs, zip(samples, alphas, *measured))
 
 
 def _draw_round(coin: Coin, rng: np.random.Generator) -> tuple[np.ndarray, int]:
@@ -766,33 +775,32 @@ def _read_samples(coins: Sequence[Coin]) -> np.ndarray:
     l, masked = coins[0].l, len(coins[0].masked)
     domain = coins[0].q - masked
     bits = (domain - 1).bit_length()
-    sample, filled = np.empty((len(coins), l), dtype=np.uint64), [0] * len(coins)
-    rows = range(len(coins))
+    pieces, missing, rows = [[] for _ in coins], [l] * len(coins), range(len(coins))
     while rows:
         # The indices from a cursor on hold domain - sampled values below
         # the domain: read a few standard deviations past the share expected
         # to hold the missing ones, and read on if that falls short.
         ahead = 0
         for r in rows:
-            missing, rest, spare = l - filled[r], (1 << bits) - coins[r].cursor, domain - coins[r].sampled
-            ahead = max(ahead, min(rest, (missing + 4 * math.isqrt(missing) + 4) * rest // spare))
-        indices = np.arange(ahead, dtype=np.uint64) + np.array([[coins[r].cursor] for r in rows], dtype=np.uint64)
-        values = _permute(b"".join(coins[r].sampler_key for r in rows), indices, bits)
+            rest = (1 << bits) - coins[r].cursor
+            ahead = max(ahead, min(rest, (missing[r] + 4 * math.isqrt(missing[r]) + 4) * rest
+                                   // (domain - coins[r].sampled)))
+        indices = _joined([np.arange(coins[r].cursor, coins[r].cursor + ahead, dtype=np.uint64) for r in rows])
+        values = _permute(b"".join([coins[r].sampler_key for r in rows]), indices.reshape(len(rows), ahead), bits)
         # A coin's unused positions are the values below the domain from its
         # cursor on, at least its missing ones: a row whose permutation ends
         # before `ahead` takes them all before the indices past its end.
         for row, r in zip(values, rows):
-            taken = np.flatnonzero(row < domain)[:l - filled[r]]
-            sample[r, filled[r]:filled[r] + len(taken)] = row[taken]
-            filled[r] += len(taken)
-            coins[r].cursor += int(taken[-1]) + 1 if filled[r] == l else ahead
+            taken = (row < domain).nonzero()[0][:missing[r]]
+            pieces[r].append(row[taken])
+            missing[r] -= len(taken)
+            coins[r].cursor += ahead if missing[r] else int(taken[-1]) + 1
             coins[r].sampled += len(taken)
-        rows = [r for r in rows if filled[r] < l]
+        rows = [r for r in rows if missing[r]]
     # The values are below 2^63, so their int64 view is the same numbers.
-    sample = sample.view(np.int64)
+    sample = _joined([piece for row in pieces for piece in row]).reshape(len(coins), l).view(np.int64)
     if masked:
-        starts = np.array([coin.masked.start for coin in coins])[:, None]
-        np.add(sample, masked, out=sample, where=sample >= starts)
+        np.add(sample, masked, out=sample, where=sample >= np.array([[coin.masked.start] for coin in coins]))
     return sample
 
 
@@ -1066,17 +1074,17 @@ def run_honest_experiment(
     """Mint and verify `trials` fresh coins through the honest channel.
 
     Each coin is minted, then its round drawn, as in a loop of `bank_mint`
-    and `holder_verify`; `verify_rounds` measures and grades the rounds a
-    batch at a time, with the same outcomes.  Raises ValueError unless
-    trials >= 1: the report's rates divide by it.
+    and `holder_verify`; `measure_rounds` measures the rounds a batch at a
+    time and `holder_verify` grades each, with the same outcomes.  Raises
+    ValueError unless trials >= 1: the report's rates divide by it.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     params = VerdictParameters.from_noise(n, beta, eta, epsilon)
+    channel = HonestChannel(beta)
     tallies = {Verdict.VALID: 0, Verdict.INVALID: 0, Verdict.ABORTED: 0}
-    coins = (bank_mint(n, q, l, rng) for _ in range(trials))
-    for outcome in verify_rounds(coins, params, HonestChannel(beta), rng):
-        tallies[outcome.verdict] += 1
+    for coin, db, measured in measure_rounds((bank_mint(n, q, l, rng) for _ in range(trials)), channel, eta, rng):
+        tallies[holder_verify(coin, db, params, channel, rng, measured).verdict] += 1
     reject_bound, _, abort_bound = params.tail_bounds(l)
     return HonestExperiment(
         n=n, q=q, l=l, beta=beta, eta=eta, epsilon=epsilon, trials=trials,

@@ -239,6 +239,33 @@ def test_a_double_spend_needs_two_checks(capsys):
     assert outcome.accept2_rate > 0.0
 
 
+def test_the_experiments_end_each_round_with_holder_verify(monkeypatch):
+    # The rounds are measured a batch at a time, but each one is ended by
+    # holder_verify, looked up in the module that runs the experiment
+    # (perfbench's traced runs patch both names): two per forge trial, one
+    # per honest trial, and in the order a loop of calls would make them.
+    from hmqm import adversary
+
+    calls = []
+
+    def counted(name, original):
+        def wrapper(coin, db, params, channel, rng, measured=None):
+            calls.append((name, coin.coin_id, measured is not None))
+            return original(coin, db, params, channel, rng, measured)
+        return wrapper
+
+    monkeypatch.setattr(adversary, "holder_verify", counted("forge", adversary.holder_verify))
+    monkeypatch.setattr(protocol, "holder_verify", counted("honest", protocol.holder_verify))
+    forge = run_forging_experiment(4, 100_000, 50, builtin_strategy("symmetric_clone"), 3,
+                                   VerdictParameters.from_noise(4, 0.1), np.random.default_rng(5))
+    honest = protocol.run_honest_experiment(8, 100_000, 50, 0.1, 4, np.random.default_rng(6))
+    assert [name for name, _, _ in calls] == ["forge"] * 6 + ["honest"] * 4
+    assert all(batched for _, _, batched in calls)
+    forge_ids = [coin_id for _, coin_id, _ in calls[:6]]
+    assert forge_ids[0::2] == forge_ids[1::2] and len(set(forge_ids)) == 3
+    assert forge.trials == 3 and honest.valid + honest.invalid + honest.aborted == 4
+
+
 def test_clone_experiment_error_rate_and_bound():
     rng = np.random.default_rng(34)
     params = VerdictParameters.from_noise(4, 0.1)

@@ -1024,14 +1024,15 @@ def test_experiments_do_not_depend_on_the_batch_size(monkeypatch, rounds):
 
 
 def test_rounds_of_one_coin_are_the_rounds_holder_verify_gives():
-    # verify_rounds on one coin T + 2 times: each round starts a new batch,
-    # as its cursor chains the next, and every outcome, check and coin
-    # state is holder_verify's, round after round, the last two refused as
-    # coin_exhausted.
+    # measure_rounds on one coin T + 2 times, each ended by holder_verify:
+    # each round starts a new batch, as its cursor chains the next, and
+    # every outcome, check and coin state is that of holder_verify alone,
+    # round after round, the last two refused as coin_exhausted.
     rng, twin = np.random.default_rng(43), np.random.default_rng(43)
     (coin, db), (twin_coin, twin_db) = bank_mint(8, 500_000, 100, rng), bank_mint(8, 500_000, 100, twin)
-    params = VerdictParameters.from_noise(8, 0.1, 0.9, 0.05)
-    got = list(protocol.verify_rounds([(coin, db)] * (coin.T + 2), params, HonestChannel(0.1), rng))
+    params, channel = VerdictParameters.from_noise(8, 0.1, 0.9, 0.05), HonestChannel(0.1)
+    got = [holder_verify(c, d, params, channel, rng, measured)
+           for c, d, measured in protocol.measure_rounds([(coin, db)] * (coin.T + 2), channel, params.eta, rng)]
     for out in got:
         ref = holder_verify(twin_coin, twin_db, params, HonestChannel(0.1), twin)
         assert out.verdict is ref.verdict and out.check == ref.check
@@ -1054,7 +1055,8 @@ def test_a_batch_derives_each_present_position_once_per_key(monkeypatch):
     minted = [bank_mint(8, 400_000, 200, rng) for _ in range(4)]
     clone = builtin_strategy("symmetric_clone")
     rounds = [(forged, db) for coin, db in minted for forged in forge_coins(coin, clone)]
-    outcomes = list(protocol.verify_rounds(rounds, params, HonestChannel(0.0), rng))
+    outcomes = [holder_verify(coin, db, params, HonestChannel(0.0), rng, measured)
+                for coin, db, measured in protocol.measure_rounds(rounds, HonestChannel(0.0), params.eta, rng)]
     assert keys == [db.key for _, db in minted]
     assert counter.count == sum(out.transcript.l_prime for out in outcomes)
     assert all(0 < out.transcript.l_prime < 200 for out in outcomes)
