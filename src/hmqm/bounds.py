@@ -217,12 +217,12 @@ def lossy_e_min(base_error: float, epsilon: float, eta: float) -> float:
     """Adversary error floor once losses can hide a 3*epsilon/eta fraction.
 
     base_error is the lossless floor (e_min).  Requires 0 < eta <= 1 and
-    0 <= 3*epsilon/eta < 1.  The result may be <= 0, meaning no feasible
-    protocol at these parameters.
+    0 <= 3*epsilon/eta < 1, which NaN fails.  The result may be <= 0,
+    meaning no feasible protocol at these parameters.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must be in (0, 1], got {eta}")
-    if epsilon < 0.0 or 3.0 * epsilon / eta >= 1.0:
+    if not 0.0 <= 3.0 * epsilon / eta < 1.0:
         raise ValueError(f"need 0 <= 3*epsilon/eta < 1, got epsilon={epsilon}, eta={eta}")
     return (base_error - 1.5 * epsilon / eta) / (1.0 - 3.0 * epsilon / eta)
 

@@ -205,7 +205,7 @@ def cmd_verify(args) -> int:
     params = protocol.VerdictParameters.from_noise(args.n, args.beta, args.eta, args.epsilon)
     channel = protocol.HonestChannel(args.beta)
     with service.BankClient(*address) as client:
-        coin = client.mint(args.n, args.q, args.l, seed=args.seed)
+        coin = client.mint(args.n, args.q, args.l, args.seed, args.beta, args.eta, args.epsilon)
     outcome = service.client_verify(address, coin, params, channel, rng)
     report = {"verdict": outcome.verdict.value}
     if outcome.check is not None:

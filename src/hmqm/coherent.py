@@ -30,8 +30,8 @@ class BlockSource:
     n: int
 
     def __post_init__(self):
-        if abs(self.alpha) <= 0.0:
-            raise ValueError("alpha must be nonzero")
+        if not 0.0 < abs(self.alpha) < math.inf:
+            raise ValueError(f"alpha must be nonzero and finite, got {self.alpha}")
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError(f"n must be even and >= 2, got {self.n}")
 
@@ -110,8 +110,11 @@ def coherent_pipeline(
     means no feasible protocol at these parameters (epsilon too large for
     the effective loss); the point is still returned, flagged infeasible.
     Where 3 epsilon >= eta_eff the correction is undefined, and the point is
-    returned infeasible with both floors None.
+    returned infeasible with both floors None.  A NaN or negative epsilon
+    raises ValueError.
     """
+    if not epsilon >= 0.0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     source = BlockSource(alpha=math.sqrt(alpha_sq), n=n)
     stats = photon_statistics(source)
     eta_eff = fold_source_loss(eta_detector, source)

@@ -187,7 +187,9 @@ def _segment_table(layouts: tuple[tuple[tuple[int, PositionKind], ...], ...]) ->
 
 @dataclass
 class BankDatabase:
-    """Bank-side record: the key the secrets derive from, and the check counter."""
+    """Bank-side record: the key the secrets derive from, the check counter,
+    and the policy the bank service grades the coin under (None in process,
+    where every check is handed its policy)."""
 
     coin_id: str
     n: int
@@ -196,6 +198,7 @@ class BankDatabase:
     T: int
     key: bytes
     s: int = 0
+    params: "VerdictParameters | None" = None
 
 
 @dataclass(frozen=True)

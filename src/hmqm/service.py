@@ -10,48 +10,63 @@ If that error does not fit either, because the request_id alone fills a
 frame, the bad_request goes out with a null request_id and the connection
 is closed, as for a malformed frame.  A measure or round whose reply might
 not fit the limit is refused before any secret is derived.
-`mint_ok` carries the coin's id and parameters; the holder keeps the coin
-(its layout, and its sampler: a key and two integers) client-side and
-draws each round's sample from it.  A coin's id and key depend on the mint
-seed only, so a mint that would recreate a coin the bank holds is a
-bad_request.  Because secrets stay in the service, the holder measures
-genuine positions by sending the sampled positions, bases,
-channel parameters (beta in [0, 1/2], eta in (0, 1]) and a measurement
-seed in a `measure` request, and the service runs the same exact sampling
-engine used in-process, which makes remote runs bit-identical to local
-ones under the same seeds.  A `verify` request carries a whole transcript
-and the verdict parameters.  A `round` request carries a measure's fields
-with the verdict parameters in place of eta (the measurement uses
-params.eta), and is one exchange per verification round: the service
-measures, ends the round with protocol's `_finish_round` and replies
-`round_ok` with the outcomes and, unless the holder's abort rule fired, the
+
+A `mint` carries the coin's shape (n, q, l), an optional seed and the three
+inputs of the standard acceptance policy: channel noise beta, detector
+efficiency eta and loss budget epsilon, by default 0, 1 and 0.  The bank
+derives c and delta from them once with `VerdictParameters.from_noise`,
+journals the three inputs in the mint record and grades every `round` and
+`verify` of the coin under that policy: no request sets c or delta.  A mint
+whose inputs admit no policy (beta at or above the adversary error floor,
+n = 2, a NaN) is a bad_request.  `mint_ok` carries the coin's id and shape;
+the holder keeps the coin (its layout, and its sampler: a key and two
+integers) client-side, draws each round's sample from it, and derives the
+same policy from the same three inputs for its own abort rule.  A coin's id
+and key depend on the mint seed only, so a mint that would recreate a coin
+the bank holds is a bad_request.
+
+Because secrets stay in the service, a `round` carries the holder's sampled
+positions, bases, simulated channel noise beta (in [0, 1/2]) and a
+measurement seed, and is one exchange per verification round: the service
+measures at the coin's eta with the same exact sampling engine used
+in-process, which makes remote runs bit-identical to local ones under the
+same seeds, ends the round with protocol's `_finish_round` and replies
+`round_ok` with the outcomes and, unless the abort rule fired, the
 verify_ok body as `check`.  It charges and journals exactly what a measure
-followed by a verify of the transcript built from it would.  The
-check grades the bank's own measurement: its nodes, pairs and bits are the
-bank's, and positions and bases were range-checked before measuring, so only
-the holder's sample is judged (its size, then duplicates), and a present
-outcome's bit is its parity XOR its error flag, so l' minus the errors are
-correct.  A round thus derives each present position's AES blocks once;
-a measure and a verify derive them once each.  `client_verify` is the
-in-process round with one `round` request in place of the measurement and
-the check: the planning, the outcome codec, the abort rule and the verdict
-are protocol's own.  A request that races stop() and finds the journal
-closed gets an `unavailable` error, with no coin added and no check charged.
+followed by a verify of the transcript built from it would.  A `verify`
+carries a whole transcript, for a holder who measures physical states.  A
+`measure` carries a round's fields and an eta in (0, 1] and replies with the
+outcomes alone: it stands in for the holder's device, and it is an
+unlimited oracle, since measuring one position in all n - 1 matchings
+reveals its secret up to a global flip.  The check grades the bank's own
+measurement: its nodes, pairs and bits are the bank's, and positions and
+bases were range-checked before measuring, so only the holder's sample is
+judged (its size, then duplicates), and a present outcome's bit is its
+parity XOR its error flag, so l' minus the errors are correct.  A round
+thus derives each present position's AES blocks once; a measure and a
+verify derive them once each.  `client_verify` is the in-process round
+with one `round` request in place of the measurement and the check: the
+planning, the outcome codec, the abort rule and the verdict are protocol's
+own.  A request that races stop() and finds the journal closed gets an
+`unavailable` error, with no coin added and no check charged.
 
 State is durable: every mint and every check-counter increment is appended
 to a newline-delimited JSON journal and fsynced before the response is
-sent.  A mint record carries the coin's parameters, its secret key in hex
-and `"format": 3` (JOURNAL_FORMAT: secrets are AES-128 of the position and
-a block counter under the key), a check record the new counter value.  On
+sent.  A mint record carries the coin's parameters, its secret key in hex,
+its policy inputs beta, eta and epsilon, and `"format": 4` (JOURNAL_FORMAT:
+secrets are AES-128 of the position and a block counter under the key, and
+the record holds the policy), a check record the new counter value.  On
 startup the journal is replayed.  A final line without its newline can only
 be an append cut short by a crash, before its fsync and before any reply,
 so replay truncates the file to its last newline and logs that it did.  Any
 other malformed line aborts startup with its byte offset.  That includes a
-mint record without a key, a coin shape `bank_mint` would refuse, a second
-mint record of one coin, a coin_id that is not a string, a check counter
-outside [1, T], and a mint record of any other format: journals written
-with SHAKE-256 secrets (format 1, which had no format field) or keyed
-BLAKE2b secrets (format 2) are refused, not migrated.
+mint record without a key or a policy input, a coin shape `bank_mint`
+would refuse, policy inputs `from_noise` would refuse, a second mint record
+of one coin, a coin_id that is not a string, a check counter outside
+[1, T], and a mint record of any other format: journals written with
+SHAKE-256 secrets (format 1, which had no format field), keyed BLAKE2b
+secrets (format 2) or AES-128 secrets and no policy (format 3) are refused,
+not migrated.
 
 Each connection is served by one handler thread, from its first request to
 its close.  A handler outlives its connection: it then waits for the next
@@ -78,6 +93,7 @@ from .protocol import (
     CheckResult,
     Coin,
     HonestChannel,
+    InfeasiblePlanError,
     UnknownCoinError,
     VerdictParameters,
     VerificationTranscript,
@@ -104,9 +120,12 @@ DEFAULT_JOURNAL = "hmqm-journal.ndjson"
 # loop hands off a connection) interrupts nothing, and is handled when the
 # call times out.
 ACCEPT_POLL_S = 0.5
-# The key-to-secret map of mint records: AES-128_key(i || w), w counting
-# 128-bit blocks.  Format 1 was SHAKE-256(key || i), format 2 keyed BLAKE2b.
-JOURNAL_FORMAT = 3
+# Mint records: the key-to-secret map AES-128_key(i || w), w counting
+# 128-bit blocks, and the policy inputs.  Format 1 was SHAKE-256(key || i),
+# format 2 keyed BLAKE2b, format 3 AES-128 without the policy inputs.
+JOURNAL_FORMAT = 4
+# A mint's policy inputs, with the defaults of a lossless, noiseless channel.
+POLICY_INPUTS = {"beta": 0.0, "eta": 1.0, "epsilon": 0.0}
 
 log = logging.getLogger(__name__)
 
@@ -228,7 +247,7 @@ class Journal:
                 raise JournalCorruptError(path, offset, str(exc)) from exc
             try:
                 _apply_record(coins, record)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, InfeasiblePlanError) as exc:
                 raise JournalCorruptError(path, offset, f"bad record: {exc}") from exc
             offset = end + 1
         return coins
@@ -244,8 +263,9 @@ def _apply_record(coins: dict[str, BankDatabase], record: dict) -> None:
         if record.get("format") != JOURNAL_FORMAT:
             raise ValueError(
                 f"mint record of format {record.get('format')!r}, this bank reads format "
-                f"{JOURNAL_FORMAT} (AES-128 secrets); format 1 (SHAKE-256 secrets) and "
-                "format 2 (keyed BLAKE2b secrets) are not supported"
+                f"{JOURNAL_FORMAT} (AES-128 secrets and policy inputs); format 1 (SHAKE-256 "
+                "secrets), format 2 (keyed BLAKE2b secrets) and format 3 (no policy inputs) "
+                "are not supported"
             )
         key = bytes.fromhex(record["key"])
         if len(key) != KEY_BYTES:
@@ -255,8 +275,10 @@ def _apply_record(coins: dict[str, BankDatabase], record: dict) -> None:
             raise ValueError("n, q, l, T and s must be integers")
         if T != coin_budget(n, q, l) or not 0 <= s <= T:
             raise ValueError(f"T={T} and s={s} do not fit a coin with q={q}, l={l}")
+        policy = {name: wire_float(record[name], name) for name in POLICY_INPUTS}
         coins[record["coin_id"]] = BankDatabase(
             coin_id=record["coin_id"], n=n, q=q, l=l, T=T, key=key, s=s,
+            params=VerdictParameters.from_noise(n, **policy),
         )
     elif event == "check":
         db = coins[record["coin_id"]]
@@ -397,14 +419,17 @@ class BankService:
             return _error(request_id, "unknown_coin", str(exc))
         except JournalClosedError as exc:  # nothing was added or charged
             return _error(request_id, "unavailable", str(exc))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, InfeasiblePlanError) as exc:
             return _error(request_id, "bad_request", str(exc))
 
     def _handle_mint(self, request: dict) -> dict:
         n, q, l = (wire_int(request[name], name) for name in ("n", "q", "l"))
+        policy = {name: wire_float(request.get(name, value), name) for name, value in POLICY_INPUTS.items()}
         seed = request.get("seed")
         rng = np.random.default_rng(None if seed is None else wire_int(seed, "seed"))
         _, db = bank_mint(n, q, l, rng)
+        db.params = VerdictParameters.from_noise(n, HonestChannel(policy["beta"]).beta,
+                                                 policy["eta"], policy["epsilon"])
         coin = {"coin_id": db.coin_id, "n": n, "q": q, "l": l, "T": db.T}
         with self._coins_lock:
             if db.coin_id in self.coins:
@@ -412,7 +437,7 @@ class BankService:
                 # would bring the coin back with a fresh spend counter.
                 raise ValueError(f"coin {db.coin_id} already exists; a seed mints one coin")
             self.journal.append({"event": "mint", **coin, "s": 0, "key": db.key.hex(),
-                                 "format": JOURNAL_FORMAT})
+                                 "format": JOURNAL_FORMAT, **policy})
             self.coins[db.coin_id] = db
             self._coin_locks[db.coin_id] = threading.Lock()
         return {"type": "mint_ok", "request_id": request.get("request_id"), **coin}
@@ -450,17 +475,17 @@ class BankService:
         )
         return view, positions, alphas, (pair_i, pair_j, answer), errors
 
-    def _check(self, transcript: VerificationTranscript, params: VerdictParameters,
-               errors: np.ndarray | None = None) -> CheckResult:
-        """Grade a transcript under its coin's lock, charging one check;
-        errors are those of the bank's own measurement of it, if it made one."""
+    def _check(self, transcript: VerificationTranscript, errors: np.ndarray | None = None) -> CheckResult:
+        """Grade a transcript under its coin's lock and policy, charging one
+        check; errors are those of the bank's own measurement of it, if it
+        made one."""
         db, lock = self._coin(transcript.coin_id)
         with lock:
             if db.s < db.T:
                 # Write-ahead: the counter increment must survive a crash
                 # that happens before the response is sent.
                 self.journal.append({"event": "check", "coin_id": db.coin_id, "s": db.s + 1})
-            return bank_check(db, transcript, params, errors)
+            return bank_check(db, transcript, db.params, errors)
 
     def _handle_measure(self, request: dict) -> dict:
         db, _ = self._coin(request["coin_id"])
@@ -469,29 +494,21 @@ class BankService:
                 "outcomes": encode_outcomes(*outcomes)}
 
     def _handle_verify(self, request: dict) -> dict:
-        transcript = VerificationTranscript.from_dict(request["transcript"])
-        result = self._check(transcript, _verdict_parameters(request["params"]))
+        result = self._check(VerificationTranscript.from_dict(request["transcript"]))
         return {"type": "verify_ok", "request_id": request.get("request_id"), **_check_body(result)}
 
     def _handle_round(self, request: dict) -> dict:
         """A measure and the verify of the transcript built from it, unless
-        the holder's abort rule fires.  The check grades the bank's own
-        measurement from its error flags, deriving nothing again."""
-        params = _verdict_parameters(request["params"])
+        the coin's abort rule fires, measured at the coin's eta.  The check
+        grades the bank's own measurement from its error flags, deriving
+        nothing again."""
         db, _ = self._coin(request["coin_id"])
-        view, positions, alphas, outcomes, errors = self._measure(db, request, params.eta)
-        outcome = _finish_round(view, positions, alphas, outcomes, params,
-                                lambda t: self._check(t, params, errors))
+        view, positions, alphas, outcomes, errors = self._measure(db, request, db.params.eta)
+        outcome = _finish_round(view, positions, alphas, outcomes, db.params,
+                                lambda t: self._check(t, errors))
         return {"type": "round_ok", "request_id": request.get("request_id"),
                 "outcomes": encode_outcomes(*outcomes),
                 "check": None if outcome.check is None else _check_body(outcome.check)}
-
-
-def _verdict_parameters(p: dict) -> VerdictParameters:
-    return VerdictParameters(
-        c=wire_float(p["c"], "c"), delta=wire_float(p["delta"], "delta"),
-        eta=wire_float(p.get("eta", 1.0), "eta"), epsilon=wire_float(p.get("epsilon", 0.0), "epsilon"),
-    )
 
 
 def _check_body(result: CheckResult) -> dict:
@@ -565,8 +582,12 @@ class BankClient:
             raise ErrorReply(f"{response.get('code')}: {response.get('message')}")
         return response
 
-    def mint(self, n: int, q: int, l: int, seed: int | None = None) -> Coin:
-        resp = self._call({"type": "mint", "n": n, "q": q, "l": l, "seed": seed})
+    def mint(self, n: int, q: int, l: int, seed: int | None = None,
+             beta: float = 0.0, eta: float = 1.0, epsilon: float = 0.0) -> Coin:
+        """A fresh coin, which the bank grades under
+        `VerdictParameters.from_noise(n, beta, eta, epsilon)`."""
+        resp = self._call({"type": "mint", "n": n, "q": q, "l": l, "seed": seed,
+                           "beta": beta, "eta": eta, "epsilon": epsilon})
         return Coin.fresh(resp["coin_id"], resp["n"], resp["q"], resp["l"], resp["T"])
 
     def measure(
@@ -582,33 +603,26 @@ class BankClient:
         })
         return decode_outcomes(resp["outcomes"])
 
-    def verify(self, transcript: VerificationTranscript, params: VerdictParameters) -> CheckResult:
-        resp = self._call({
-            "type": "verify",
-            "transcript": transcript.to_dict(),
-            "params": _wire_params(params),
-        })
-        return _check_result(resp)
+    def verify(self, transcript: VerificationTranscript) -> CheckResult:
+        """The bank's verdict on the transcript, under the coin's policy."""
+        return _check_result(self._call({"type": "verify", "transcript": transcript.to_dict()}))
 
     def round(
         self, coin_id: str, positions: np.ndarray, alphas: np.ndarray,
-        beta: float, params: VerdictParameters, seed: int,
+        beta: float, seed: int,
     ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], CheckResult | None]:
-        """Measure the positions at params.eta and have the bank check the
-        transcript: the outcomes (pair_i, pair_j, answer) and the bank's
-        verdict, None when the bank's abort rule fired."""
+        """Measure the positions at the coin's eta over a channel of noise
+        beta, and have the bank check the transcript under the coin's
+        policy: the outcomes (pair_i, pair_j, answer) and the bank's
+        verdict, None when the coin's abort rule fired."""
         resp = self._call({
             "type": "round", "coin_id": coin_id,
             "positions": positions.tolist(),
             "alphas": alphas.tolist(),
-            "beta": beta, "seed": seed, "params": _wire_params(params),
+            "beta": beta, "seed": seed,
         })
         check = resp["check"]
         return decode_outcomes(resp["outcomes"]), None if check is None else _check_result(check)
-
-
-def _wire_params(params: VerdictParameters) -> dict:
-    return {"c": params.c, "delta": params.delta, "eta": params.eta, "epsilon": params.epsilon}
 
 
 def client_verify(
@@ -622,16 +636,19 @@ def client_verify(
 
     Draws the sample, bases and measurement seed exactly as the in-process
     path does, and sends them in one `round` request: the service measures
-    and, unless the round aborts, checks.  The holder ends the round with
-    the same `_finish_round` and raises ServiceError if the bank's abort
-    decision differs from its own.  Only honest coins are supported:
-    forged positions would need the bank-side view to measure.
+    at the coin's eta and, unless the round aborts, checks under the coin's
+    policy.  params is the holder's copy of that policy, `from_noise` of the
+    mint's inputs, for its own abort rule; the verdict is the bank's.  The
+    holder ends the round with the same `_finish_round` and raises
+    ServiceError if the bank's abort decision differs from its own.  Only
+    honest coins are supported: forged positions would need the bank-side
+    view to measure.
     """
     if not coin.all_genuine():
         raise ValueError("client_verify handles honest coins only")
     sample, alphas, measure_seed = _plan_round(coin, rng)
     with BankClient(*address) as client:
-        outcomes, check = client.round(coin.coin_id, sample, alphas, channel.beta, params, measure_seed)
+        outcomes, check = client.round(coin.coin_id, sample, alphas, channel.beta, measure_seed)
 
     def bank_verdict(transcript: VerificationTranscript) -> CheckResult:
         if check is None:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,10 @@ def test_lossy_e_min_guards():
         lossy_e_min(0.2, -0.01, 0.6)
     with pytest.raises(ValueError):
         lossy_e_min(0.2, 0.5, 0.6)  # 3*eps/eta = 2.5
+    # NaN fails every guard instead of passing through to the result.
+    for epsilon, eta in ((math.nan, 0.6), (0.05, math.nan), (math.inf, 0.6)):
+        with pytest.raises(ValueError):
+            lossy_e_min(0.2, epsilon, eta)
 
 
 def test_clone_shrink_factor():

@@ -295,6 +295,16 @@ def test_coherent_undefined_point_is_an_empty_cell(capsys):
     assert json.loads(out)[0]["effective_adversary_error"] is None
 
 
+@pytest.mark.parametrize("flags", [("--alpha-sq", "inf", "--format", "json"), ("--alpha-sq", "nan"),
+                                   ("--epsilon", "nan")])
+def test_coherent_refuses_non_finite_inputs(capsys, flags):
+    # An infinite or NaN |alpha|^2 and a NaN epsilon are usage errors, not a
+    # row of Infinity or nan, nor a point reported merely infeasible.
+    code, out, err = run_cli(capsys, "coherent", *flags)
+    assert (code, out) == (2, "")
+    assert "error:" in err
+
+
 def test_readme_command_examples_succeed():
     # Every `hmqm` line of the README's sh blocks, except the two that need
     # a running service, exits 0.

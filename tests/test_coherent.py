@@ -127,6 +127,8 @@ def test_pipeline_undefined_correction_is_infeasible_not_an_error():
     assert not point.feasible
     with pytest.raises(ValueError):
         coherent_pipeline(0.5, 8, 0.6, -0.01)
+    with pytest.raises(ValueError, match="epsilon"):  # not merely infeasible
+        coherent_pipeline(0.5, 8, 0.6, math.nan)
 
 
 def test_pipeline_zero_epsilon_keeps_lossless_floor():
@@ -141,4 +143,7 @@ def test_block_source_guards():
         BlockSource(alpha=0.0, n=8)
     with pytest.raises(ValueError):
         BlockSource(alpha=0.5, n=7)
+    for alpha in (math.inf, math.nan, complex(0.5, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            BlockSource(alpha=alpha, n=8)
     assert BlockSource(alpha=0.5, n=8).mean_photons == 0.25

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmqm.service
+from hmqm.bounds import e_min
 from hmqm.protocol import (
     MAX_N,
     CheckResult,
@@ -34,6 +36,7 @@ from hmqm.protocol import (
     secret_bits,
     _finish_round,
     _plan_round,
+    adversary_error_floor,
 )
 from hmqm.service import (
     ACCEPT_POLL_S,
@@ -109,9 +112,9 @@ def test_check_budget_exhaustion_over_the_wire(service):
 
 def test_lossy_round_aborts_client_side(service):
     with BankClient(*service.address) as client:
-        coin = client.mint(8, 20_000, 20, seed=11)
+        coin = client.mint(8, 20_000, 20, seed=11, eta=0.5)
     coin_id = coin.coin_id
-    params = VerdictParameters(c=0.9, delta=0.1, eta=0.5)
+    params = VerdictParameters.from_noise(8, 0.0, 0.5)
     outcome = client_verify(service.address, coin, params, HonestChannel(0.0), np.random.default_rng(3))
     assert outcome.verdict is Verdict.ABORTED
     assert outcome.check is None
@@ -122,6 +125,7 @@ def test_lossy_round_aborts_client_side(service):
 def test_client_verify_refuses_a_bank_whose_abort_decision_differs(service, monkeypatch):
     with BankClient(*service.address) as client:
         coin = client.mint(8, 40_000, 20, seed=13)
+        lossy = client.mint(8, 40_000, 20, seed=113, eta=0.5)
     honest_round = BankClient.round
     channel = HonestChannel(0.0)
     monkeypatch.setattr(BankClient, "round", lambda self, *args: (honest_round(self, *args)[0], None))
@@ -130,8 +134,8 @@ def test_client_verify_refuses_a_bank_whose_abort_decision_differs(service, monk
     checked = CheckResult(valid=True, s=1, T=2, correct_count=20, l_prime=20, threshold=17.0)
     monkeypatch.setattr(BankClient, "round", lambda self, *args: (honest_round(self, *args)[0], checked))
     with pytest.raises(ServiceError, match="checked a round the holder aborts"):
-        client_verify(service.address, coin, VerdictParameters(c=0.9, delta=0.1, eta=0.5), channel,
-                      np.random.default_rng(0))  # 9 of 20 outcomes arrive: the holder aborts
+        client_verify(service.address, lossy, VerdictParameters.from_noise(8, 0.0, 0.5), channel,
+                      np.random.default_rng(3))  # 7 of 20 outcomes arrive: the holder aborts
 
 
 def test_client_verify_rejects_forged_coins(service):
@@ -152,7 +156,9 @@ def test_mint_response_contains_no_secrets(service):
     with open(service.journal.path, "rb") as fh:
         record = json.loads(fh.readline())
     assert len(record["key"]) == 32  # the bank keeps it, the wire does not
-    assert record["format"] == JOURNAL_FORMAT == 3
+    assert record["format"] == JOURNAL_FORMAT == 4
+    assert (record["beta"], record["eta"], record["epsilon"]) == (0.0, 1.0, 0.0)  # the defaults
+    assert service.coins[resp["coin_id"]].params == VerdictParameters.from_noise(4, 0.0)
 
 
 def test_malformed_frame_gets_bad_request_and_close(service):
@@ -448,20 +454,56 @@ def test_a_port_past_65535_is_refused_before_anything_opens(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-def test_verify_with_missing_params_consumes_no_check(service):
-    with BankClient(*service.address) as client:
-        coin = client.mint(8, 20_000, 20, seed=21)
-    transcript = {"coin_id": coin.coin_id, "l": 20, "triplets": []}
-    resp = raw_call(service.address, {"type": "verify", "transcript": transcript, "request_id": "c"})
-    assert (resp["type"], resp["code"]) == ("error", "bad_request")
-    assert service.coins[coin.coin_id].s == 0
+def test_a_lax_policy_in_a_request_passes_no_made_up_transcript(service):
+    # A client that could set c - delta just above 1/2 would pass about 4 in
+    # 10 transcripts of random bits.  The bank grades every coin under the
+    # policy of its mint and reads no `params`: at n = 8 with no noise or
+    # loss that needs 18 of 20 parities right, which no coin gets here.
+    rng = np.random.default_rng(2016)
+    policy = VerdictParameters.from_noise(8, 0.0)
+    accepted = 0
+    with BankClient(*service.address) as client, socket.create_connection(service.address) as sock:
+        for k in range(200):
+            coin = client.mint(8, 20_000, 20, seed=5000 + k)
+            positions = rng.choice(coin.q, size=coin.l, replace=False)
+            alphas = rng.integers(1, 8, size=coin.l)
+            triplets = []
+            for i, alpha in zip(positions.tolist(), alphas.tolist()):
+                a, b = matching_set(8).matching(alpha).pairs[int(rng.integers(4))]
+                triplets.append({"i": i, "alpha": alpha, "outcome": {"i": a, "j": b, "b": int(rng.integers(2))}})
+            send_message(sock, {"type": "verify", "request_id": k,
+                                "transcript": {"coin_id": coin.coin_id, "l": coin.l, "triplets": triplets},
+                                "params": {"c": 0.51, "delta": 0.0099}})
+            reply = recv_message(sock)
+            assert (reply["type"], reply["s"], reply["l_prime"]) == ("verify_ok", 1, 20)
+            assert reply["threshold"] == 20 * (policy.c - policy.delta)
+            accepted += reply["valid"]
+    assert accepted == 0
+
+
+def test_a_mint_that_admits_no_policy_is_refused_and_journals_nothing(service):
+    refused = [
+        ({"n": 4, "beta": 0.2}, "not below the adversary error floor"),
+        ({"n": 4, "beta": adversary_error_floor(4)}, "not below the adversary error floor"),
+        ({"n": 8, "eta": math.nan}, "eta"),
+        ({"n": 8, "epsilon": math.nan}, "epsilon=nan"),
+        ({"n": 2, "q": 1000, "l": 1}, "n must be even and >= 4"),
+    ]
+    with socket.create_connection(service.address) as sock:
+        for fields, message in refused:
+            send_message(sock, dict({"type": "mint", "q": 10_000, "l": 10, "seed": 1, "request_id": "p"}, **fields))
+            resp = recv_message(sock)
+            assert (resp["type"], resp["code"], resp["request_id"]) == ("error", "bad_request", "p"), fields
+            assert message in resp["message"], (fields, resp["message"])
+        assert journal_bytes(service) == b"" and service.coins == {}
+        # The connection lives on: the refusal was a reply, not a dead handler.
+        send_message(sock, {"type": "mint", "n": 4, "q": 10_000, "l": 10, "seed": 1, "request_id": "q"})
+        assert recv_message(sock)["type"] == "mint_ok"
 
 
 def test_unknown_coin_code(service):
     transcript = {"coin_id": "f" * 32, "l": 10, "triplets": []}
-    params = {"c": 0.9, "delta": 0.1}
-    resp = raw_call(service.address, {"type": "verify", "transcript": transcript,
-                                      "params": params, "request_id": "d"})
+    resp = raw_call(service.address, {"type": "verify", "transcript": transcript, "request_id": "d"})
     assert (resp["type"], resp["code"]) == ("error", "unknown_coin")
 
 
@@ -484,29 +526,24 @@ def test_measure_request_validation(service):
                                               **{field: value}))
         assert (resp["type"], resp["code"]) == ("error", "bad_request"), (field, value)
     # Real-valued fields must be JSON numbers: "0.1", true and "1" are
-    # refused, not converted, and no check is charged.
+    # refused, not converted, and no check is charged nor coin minted.
     for bad in ("0.1", True, "1"):
         for field in ("beta", "eta"):
             resp = raw_call(service.address, dict(base, positions=[0], alphas=[1], request_id="w",
                                                   **{field: bad}))
             assert (resp["type"], resp["code"]) == ("error", "bad_request"), (field, bad)
-        for field in ("c", "delta", "eta", "epsilon"):
-            params = dict({"c": 0.9, "delta": 0.1}, **{field: bad})
-            transcript = {"coin_id": coin.coin_id, "l": 10, "triplets": []}
-            resp = raw_call(service.address, {"type": "verify", "transcript": transcript,
-                                              "params": params, "request_id": "x"})
+        for field in ("beta", "eta", "epsilon"):
+            resp = raw_call(service.address, {"type": "mint", "n": 4, "q": 10_000, "l": 10, field: bad,
+                                              "request_id": "x"})
             assert (resp["type"], resp["code"]) == ("error", "bad_request"), (field, bad)
-    # Parameters no round can pass with are refused before a check is charged.
-    for params in ({"c": 0.9, "delta": math.nan}, {"c": 0.9, "delta": 0.1, "epsilon": math.nan}):
-        transcript = {"coin_id": coin.coin_id, "l": 10, "triplets": []}
-        resp = raw_call(service.address, {"type": "verify", "transcript": transcript,
-                                          "params": params, "request_id": "m"})
-        assert (resp["type"], resp["code"]) == ("error", "bad_request"), params
+    # Policy inputs no round can pass with are refused before a coin is minted.
+    for policy in ({"eta": math.nan}, {"epsilon": math.nan}):
+        resp = raw_call(service.address, dict(policy, type="mint", n=4, q=10_000, l=10, request_id="m"))
+        assert (resp["type"], resp["code"]) == ("error", "bad_request"), policy
     # An outcome bit beyond int8 is refused before the bank charges a check.
     triplet = {"i": 0, "alpha": 1, "outcome": {"i": 1, "j": 2, "b": 300}}
     transcript = {"coin_id": coin.coin_id, "l": 10, "triplets": [triplet]}
-    resp = raw_call(service.address, {"type": "verify", "transcript": transcript,
-                                      "params": {"c": 0.9, "delta": 0.1}, "request_id": "i"})
+    resp = raw_call(service.address, {"type": "verify", "transcript": transcript, "request_id": "i"})
     assert (resp["type"], resp["code"], resp["request_id"]) == ("error", "bad_request", "i")
     # Integer fields are type-checked, not converted: 1.5, "3" and true are
     # refused wherever an integer belongs, and no check is charged.
@@ -530,8 +567,7 @@ def test_measure_request_validation(service):
              for f in ("i", "j", "b")]
         for transcript in transcripts:
             resp = raw_call(service.address, {"type": "verify", "request_id": "v",
-                                              "transcript": dict(transcript, coin_id=coin.coin_id),
-                                              "params": {"c": 0.9, "delta": 0.1}})
+                                              "transcript": dict(transcript, coin_id=coin.coin_id)})
             assert (resp["type"], resp["code"]) == ("error", "bad_request"), transcript
     assert len(service.coins) == 1
     assert service.coins[coin.coin_id].s == 0
@@ -546,26 +582,29 @@ def test_round_request_validation(service):
     with BankClient(*service.address) as client:
         coin = client.mint(4, 10_000, 10, seed=32)
     # Valid, the base request would be checked and charged: no outcome is lost at eta = 1.
-    params = {"c": 0.9, "delta": 0.1, "eta": 1.0, "epsilon": 0.0}
     positions, alphas = list(range(10)), [1] * 10
     base = {"type": "round", "coin_id": coin.coin_id, "positions": positions, "alphas": alphas, "beta": 0.0,
-            "seed": 1, "params": params, "request_id": "r"}
+            "seed": 1, "request_id": "r"}
+    # A mint's policy inputs are validated as a round's fields were.
+    mint = {"type": "mint", "n": 4, "q": 10_000, "l": 10, "seed": 33, "request_id": "r"}
     journal = journal_bytes(service)
     requests = [dict(base, positions=positions + [10])]  # mismatched lengths
     requests += [dict(base, positions=[bad] + positions[1:]) for bad in (10_000, -1, 2**63)]
     requests += [dict(base, alphas=[bad] + alphas[1:]) for bad in (4, 0)]
     for bad in (math.nan, "0.1", True):
         requests.append(dict(base, beta=bad))
-        requests += [dict(base, params=dict(params, **{field: bad})) for field in ("c", "delta", "eta", "epsilon")]
+        requests += [dict(mint, **{field: bad}) for field in ("beta", "eta", "epsilon")]
+    requests += [dict(mint, **{field: bad}) for field, bad in (
+        ("beta", -0.1), ("beta", 0.6), ("eta", 0.0), ("eta", 1.5), ("epsilon", -0.01), ("epsilon", 0.5))]
     requests += [dict(base, seed=bad) for bad in (1.5, "3", True, None)]
-    requests += [dict(base, params={"c": 0.9}), dict(base, params=[0.9, 0.1]),
-                 {k: v for k, v in base.items() if k != "seed"}]
+    requests += [{k: v for k, v in base.items() if k != "seed"}]
     for request in requests:
         resp = raw_call(service.address, request)
         assert (resp["type"], resp["code"], resp["request_id"]) == ("error", "bad_request", "r"), request
     resp = raw_call(service.address, dict(base, coin_id="f" * 32))
     assert (resp["type"], resp["code"]) == ("error", "unknown_coin")
     assert service.coins[coin.coin_id].s == 0
+    assert list(service.coins) == [coin.coin_id]
     assert journal_bytes(service) == journal
     resp = raw_call(service.address, base)
     assert (resp["type"], resp["check"]["s"]) == ("round_ok", 1)
@@ -576,8 +615,7 @@ def test_a_round_of_the_wrong_size_is_charged_as_verify_charges_it(service):
         coin = client.mint(4, 100_000, 10, seed=33)
     resp = raw_call(service.address, {
         "type": "round", "coin_id": coin.coin_id, "positions": list(range(11)), "alphas": [1] * 11,
-        "beta": 0.0, "seed": 1, "params": {"c": 0.9, "delta": 0.1, "eta": 1.0, "epsilon": 0.0},
-        "request_id": "w"})
+        "beta": 0.0, "seed": 1, "request_id": "w"})
     assert (resp["type"], len(resp["outcomes"])) == ("round_ok", 11)
     check = resp["check"]
     assert (check["valid"], check["code"], check["s"], check["l_prime"]) == (False, "wrong_sample_size", 1, 11)
@@ -589,14 +627,12 @@ def test_a_round_of_the_wrong_size_is_charged_as_verify_charges_it(service):
 def test_a_round_the_abort_rule_ends_charges_nothing(service):
     # `hmqm verify --n 8 --q 20000 --l 20 --seed 14 --eta 0.9 --epsilon 0.05`
     with BankClient(*service.address) as client:
-        coin = client.mint(8, 20_000, 20, seed=14)
+        coin = client.mint(8, 20_000, 20, seed=14, eta=0.9, epsilon=0.05)
     journal = journal_bytes(service)
-    params = VerdictParameters.from_noise(8, 0.0, 0.9, 0.05)
     sample, alphas, measure_seed = _plan_round(coin, np.random.default_rng(14))
     resp = raw_call(service.address, {
         "type": "round", "coin_id": coin.coin_id, "positions": sample.tolist(), "alphas": alphas.tolist(),
-        "beta": 0.0, "seed": measure_seed, "request_id": "a",
-        "params": {"c": params.c, "delta": params.delta, "eta": params.eta, "epsilon": params.epsilon}})
+        "beta": 0.0, "seed": measure_seed, "request_id": "a"})
     assert (resp["type"], resp["check"]) == ("round_ok", None)
     assert np.count_nonzero(decode_outcomes(resp["outcomes"])[2] >= 0) < (0.9 - 0.05) * 20
     assert service.coins[coin.coin_id].s == 0
@@ -612,8 +648,7 @@ def test_an_over_limit_round_is_refused_before_it_is_charged(service, monkeypatc
     monkeypatch.setattr(hmqm.service, "MAX_MESSAGE_BYTES", 3000)
     counter = AesBlockCounter(monkeypatch)
     request = {"type": "round", "coin_id": coin.coin_id, "positions": list(range(150)),
-               "alphas": [1] * 150, "beta": 0.0, "seed": 1, "request_id": "big",
-               "params": {"c": 0.9, "delta": 0.1, "eta": 1.0, "epsilon": 0.0}}
+               "alphas": [1] * 150, "beta": 0.0, "seed": 1, "request_id": "big"}
     with socket.create_connection(service.address) as sock:
         send_message(sock, request)
         resp = recv_message(sock)
@@ -641,10 +676,10 @@ def round_and_twin(service, twin, coin, sample, bases, params):
     transcript on `twin`: the round's reply, and the twin's check."""
     fields = dict(coin_id=coin.coin_id, positions=sample, alphas=bases, beta=0.0, seed=7)
     with BankClient(*service.address) as client:
-        reply = client.round(params=params, **fields)
+        reply = client.round(**fields)
     with BankClient(*twin.address) as client:
         outcomes = client.measure(eta=params.eta, **fields)
-        outcome = _finish_round(coin, sample, bases, outcomes, params, lambda t: client.verify(t, params))
+        outcome = _finish_round(coin, sample, bases, outcomes, params, client.verify)
     assert all(map(np.array_equal, reply[0], outcomes))
     assert reply[1] == outcome.check
     return reply
@@ -656,7 +691,7 @@ def test_a_round_with_a_repeated_position_is_charged_as_verify_charges_it(servic
             coin = client.mint(4, 100_000, 10, seed=34)
     journal = journal_bytes(service)
     sample, bases = np.array([5, *range(9)]), np.ones(10, dtype=np.int64)  # 5 twice, at the right size
-    params = VerdictParameters(c=0.9, delta=0.1)
+    params = VerdictParameters.from_noise(4, 0.0)
     _, check = round_and_twin(service, twin, coin, sample, bases, params)
     assert (check.valid, check.code, check.s, check.l_prime) == (False, "duplicate_position", 1, 10)
     assert service.coins[coin.coin_id].s == 1
@@ -670,7 +705,7 @@ def test_a_round_on_an_exhausted_coin_journals_nothing(service, twin):
             coin = client.mint(4, 10_000, 10, seed=35)
     assert coin.T == 1
     sample, bases = np.arange(10), np.ones(10, dtype=np.int64)
-    params = VerdictParameters(c=0.9, delta=0.1)
+    params = VerdictParameters.from_noise(4, 0.0)
     _, check = round_and_twin(service, twin, coin, sample, bases, params)
     assert (check.valid, check.s) == (True, 1)
     journal = journal_bytes(service)
@@ -694,8 +729,7 @@ def test_a_request_that_races_stop_gets_unavailable(tmp_path, kind):
             coin = Coin.fresh(minted["coin_id"], 8, 20_000, 20, minted["T"])
             sample, alphas, measure_seed = _plan_round(coin, np.random.default_rng(5))
             request = {"type": "round", "coin_id": coin.coin_id, "positions": sample.tolist(),
-                       "alphas": alphas.tolist(), "beta": 0.0, "seed": measure_seed,
-                       "params": {"c": 0.9, "delta": 0.1, "eta": 1.0, "epsilon": 0.0}}
+                       "alphas": alphas.tolist(), "beta": 0.0, "seed": measure_seed}
         send_message(sock, dict(request, request_id="b"))
         resp = recv_message(sock)
     assert (resp["type"], resp["code"], resp["request_id"]) == ("error", "unavailable", "b")
@@ -719,8 +753,7 @@ def test_an_outcome_bit_outside_0_1_is_refused_not_graded_as_lost(service):
     def verify(first_outcome):
         transcript = {"coin_id": coin.coin_id, "l": 20,
                       "triplets": [dict(triplets[0], outcome=first_outcome)] + triplets[1:]}
-        return raw_call(service.address, {"type": "verify", "transcript": transcript,
-                                          "params": {"c": 0.9, "delta": 0.1}, "request_id": "b"})
+        return raw_call(service.address, {"type": "verify", "transcript": transcript, "request_id": "b"})
 
     for b in (-2, -1, 2):
         resp = verify({"i": 0, "j": 0, "b": b})
@@ -773,7 +806,7 @@ def test_bank_judges_the_sample_size_over_the_wire(service):
     triplet = {"i": 0, "alpha": 1, "outcome": {"i": i, "j": j, "b": int(bits[0, i - 1] ^ bits[0, j - 1])}}
     resp = raw_call(service.address, {
         "type": "verify", "transcript": {"coin_id": coin.coin_id, "l": 1, "triplets": [triplet]},
-        "params": {"c": 0.9, "delta": 0.1}, "request_id": "short",
+        "request_id": "short",
     })
     assert (resp["type"], resp["valid"], resp.get("code"), resp["s"]) == (
         "verify_ok", False, "wrong_sample_size", 1)
@@ -825,8 +858,8 @@ def test_journal_corruption_is_refused(tmp_path):
 
     bad_json = tmp_path / "b.ndjson"
     prefix = json.dumps({
-        "event": "mint", "coin_id": "c", "n": 2, "q": 1000, "l": 1, "T": 1, "s": 0,
-        "key": "ff" * 16, "format": JOURNAL_FORMAT,
+        "event": "mint", "coin_id": "c", "n": 4, "q": 1000, "l": 1, "T": 1, "s": 0,
+        "key": "ff" * 16, "format": JOURNAL_FORMAT, "beta": 0.0, "eta": 1.0, "epsilon": 0.0,
     }, sort_keys=True) + "\n"
     bad_json.write_bytes(prefix.encode() + b"not json\n")
     with pytest.raises(JournalCorruptError) as exc_info:
@@ -856,8 +889,8 @@ def test_journal_corruption_is_refused(tmp_path):
     for payload in ({"secrets": "ffff"}, {"key": "ff" * 8}):
         old_format = tmp_path / "e.ndjson"
         old_format.write_bytes(json.dumps(dict(
-            {"event": "mint", "coin_id": "c", "n": 2, "q": 1000, "l": 1, "T": 1, "s": 0,
-             "format": JOURNAL_FORMAT}, **payload
+            {"event": "mint", "coin_id": "c", "n": 4, "q": 1000, "l": 1, "T": 1, "s": 0,
+             "format": JOURNAL_FORMAT, "beta": 0.0, "eta": 1.0, "epsilon": 0.0}, **payload
         )).encode() + b"\n")
         with pytest.raises(JournalCorruptError, match="bad record"):
             Journal.replay(str(old_format))
@@ -869,8 +902,8 @@ def test_journal_refuses_a_coin_id_that_is_not_a_string(tmp_path, coin_id, bad_r
     # A mint record whose coin_id is not a string, followed by a check record
     # naming it, is refused at the mint; so is a check record naming one
     # after a good mint.
-    mint = {"event": "mint", "coin_id": "c", "n": 2, "q": 1000, "l": 1, "T": 1, "s": 0,
-            "key": "ff" * 16, "format": JOURNAL_FORMAT}
+    mint = {"event": "mint", "coin_id": "c", "n": 4, "q": 1000, "l": 1, "T": 1, "s": 0,
+            "key": "ff" * 16, "format": JOURNAL_FORMAT, "beta": 0.0, "eta": 1.0, "epsilon": 0.0}
     check = {"event": "check", "coin_id": "c", "s": 1}
     lines = [json.dumps(mint, sort_keys=True), json.dumps(check, sort_keys=True)]
     at = {"mint": 0, "check": 1}[bad_record]
@@ -889,6 +922,7 @@ def test_journal_mint_record_round_trip(tmp_path):
     journal.append({
         "event": "mint", "coin_id": db.coin_id, "n": db.n, "q": db.q, "l": db.l,
         "T": db.T, "s": 0, "key": db.key.hex(), "format": JOURNAL_FORMAT,
+        "beta": 0.05, "eta": 0.9, "epsilon": 0.01,
     })
     journal.append({"event": "check", "coin_id": db.coin_id, "s": 1})
     journal.append({"event": "check", "coin_id": db.coin_id, "s": 1})  # replayed write
@@ -897,27 +931,30 @@ def test_journal_mint_record_round_trip(tmp_path):
     rebuilt = coins[db.coin_id]
     assert rebuilt.key == db.key
     assert rebuilt.s == 1  # duplicate check records collapse monotonically
+    assert rebuilt.params == VerdictParameters.from_noise(4, 0.05, 0.9, 0.01)
 
 
 def mint_record(**fields):
     record = {"event": "mint", "coin_id": "c", "n": 4, "q": 10_000, "l": 10, "T": 1, "s": 0,
-              "key": "ab" * 16, "format": JOURNAL_FORMAT}
+              "key": "ab" * 16, "format": JOURNAL_FORMAT, "beta": 0.0, "eta": 1.0, "epsilon": 0.0}
     record.update(fields)
     return json.dumps({k: v for k, v in record.items() if v is not None}, sort_keys=True) + "\n"
 
 
 def test_journal_refuses_other_formats(tmp_path):
     # Format 1 records (SHAKE-256 secrets) had no format field; they, an
-    # explicit format 1 and format 2 (keyed BLAKE2b secrets) are refused and
-    # named.
+    # explicit format 1, format 2 (keyed BLAKE2b secrets) and format 3 (no
+    # policy inputs) are refused and named.
     path = tmp_path / "f.ndjson"
-    for fmt in (None, 1, 2, "3"):
+    for fmt in (None, 1, 2, 3, "4"):
         path.write_text(mint_record(format=fmt))
         with pytest.raises(JournalCorruptError) as exc_info:
             Journal.replay(str(path))
         assert exc_info.value.offset == 0
+        assert f"mint record of format {fmt!r}" in str(exc_info.value)
         assert "format 1 (SHAKE-256 secrets)" in str(exc_info.value)
         assert "format 2 (keyed BLAKE2b secrets)" in str(exc_info.value)
+        assert "format 3 (no policy inputs)" in str(exc_info.value)
 
 
 def test_a_torn_final_journal_line_is_cut_and_the_bank_restarts(tmp_path, caplog):
@@ -939,7 +976,7 @@ def test_a_torn_final_journal_line_is_cut_and_the_bank_restarts(tmp_path, caplog
     assert caplog.text == ""
 
 
-JOURNAL_KEYS = ("event", "coin_id", "n", "q", "l", "T", "s", "key", "format")
+JOURNAL_KEYS = ("event", "coin_id", "n", "q", "l", "T", "s", "key", "format", "beta", "eta", "epsilon")
 
 
 def test_any_journal_replays_or_is_corrupt(tmp_path):
@@ -956,7 +993,9 @@ def test_any_journal_replays_or_is_corrupt(tmp_path):
         "q": st.sampled_from([10_000, 9_999, 2**63]) | values,
         "l": st.sampled_from([10, 0]) | values, "T": st.sampled_from([1, 2]) | values,
         "s": st.integers(-1, 2) | values, "key": st.sampled_from(["ab" * 16, "ab" * 8, "zz"]) | values,
-        "format": st.sampled_from([JOURNAL_FORMAT, 1]) | values,
+        "format": st.sampled_from([JOURNAL_FORMAT, 3]) | values,
+        "beta": st.sampled_from([0.0, 0.2]) | values, "eta": st.sampled_from([1.0, 0.9, math.nan]) | values,
+        "epsilon": st.sampled_from([0.0, 0.05]) | values,
     })
     near_check = st.fixed_dictionaries({
         "event": st.just("check"), "coin_id": st.sampled_from(["c", "d"]) | values,
@@ -995,6 +1034,12 @@ def test_journal_replay_enforces_the_coin_shape(tmp_path):
         mint_record(s=2),  # more checks than T
         mint_record(s=-1),
         mint_record(n=4.0),
+        mint_record(n=2, q=1000, l=1),  # no threshold separates n = 2 coins from forgeries
+        mint_record(beta=0.2),  # at or above the adversary error floor of n = 4
+        mint_record(beta=None),
+        mint_record(eta=math.nan),
+        mint_record(epsilon="0.05"),
+        mint_record(epsilon=10**400),  # past a float
         mint_record(coin_id="ok"),  # a second mint of one coin would reset its counter
     ] + [json.dumps({"event": "check", "coin_id": "ok", "s": s}) + "\n"
          for s in (0, (2**63 - 1) // 10_000 + 1, 1.5)]  # a counter the bank never writes
@@ -1185,8 +1230,7 @@ def test_any_transcript_gets_one_reply_and_charges_at_most_one_check(service, mo
     def one_verify(value):
         s_before = db.s
         with socket.create_connection(service.address, timeout=10) as sock:
-            send_message(sock, {"type": "verify", "transcript": value, "params": {"c": 0.9, "delta": 0.1},
-                                "request_id": "f"})
+            send_message(sock, {"type": "verify", "transcript": value, "request_id": "f"})
             sock.shutdown(socket.SHUT_WR)
             reply = recv_message(sock)
             assert recv_message(sock) is None
@@ -1203,35 +1247,43 @@ def test_any_transcript_gets_one_reply_and_charges_at_most_one_check(service, mo
 
 
 def test_a_round_is_a_measure_then_a_verify(tmp_path):
-    # Two banks hold the same coin; one answers rounds, the other the
-    # measure and, unless the holder's abort rule fires, the verify of the
-    # transcript built from its outcomes.  Outcomes, verdicts and journals
-    # must agree.
+    # Two banks hold the same coin, minted under a drawn policy; one answers
+    # rounds, the other the measure and, unless the holder's abort rule
+    # fires, the verify of the transcript built from its outcomes.
+    # Outcomes, verdicts and journals must agree.
     banks = [BankService(journal_path=str(tmp_path / f"{side}.ndjson")) for side in "ab"]
     for bank in banks:
         bank.start()
+    seeds = itertools.count(93)
     try:
-        coins = []
-        for bank in banks:
-            with BankClient(*bank.address) as client:
-                coins.append(client.mint(4, 2**40, 4, seed=93))  # T is large enough never to run out here
-        coin = coins[0]
-        assert coins[1].coin_id == coin.coin_id
-        position = st.integers(0, coin.q - 1) | st.integers(0, 5)
-        samples = st.lists(position, min_size=coin.l, max_size=coin.l, unique=True) | st.lists(position, max_size=6)
+        floor = e_min(4)
+        position = st.integers(0, 2**40 - 1) | st.integers(0, 5)
+        samples = st.lists(position, min_size=4, max_size=4, unique=True) | st.lists(position, max_size=6)
 
         @settings(max_examples=100, deadline=None)
-        @given(samples, st.data(), st.floats(0.0, 0.5), st.floats(0.51, 1.0), st.floats(0.01, 0.99),
-               st.floats(0.05, 1.0), st.floats(0.0, 0.6), st.integers(0, 2**63 - 1))
-        def same(positions, data, beta, c, share, eta, epsilon, seed):
+        @given(samples, st.data(), st.floats(0.0, 0.5), st.floats(0.0, 0.99), st.floats(0.05, 1.0),
+               st.floats(0.0, 0.99), st.integers(0, 2**63 - 1))
+        def same(positions, data, beta, beta_share, eta, loss_share, seed):
+            # The mint's policy inputs, drawn inside the feasible region:
+            # epsilon below the point where the lossy floor reaches 0, and
+            # the policy's beta below that floor.
+            epsilon = loss_share * eta * floor / 1.5
+            policy = dict(beta=beta_share * adversary_error_floor(4, eta, epsilon), eta=eta, epsilon=epsilon)
+            mint_seed = next(seeds)
+            coins = []
+            for bank in banks:
+                with BankClient(*bank.address) as client:
+                    coins.append(client.mint(4, 2**40, 4, seed=mint_seed, **policy))  # T never runs out here
+            coin = coins[0]
+            assert coins[1].coin_id == coin.coin_id
+            params = VerdictParameters.from_noise(4, **policy)
             alphas = data.draw(st.lists(st.integers(1, 3), min_size=len(positions), max_size=len(positions)))
-            params = VerdictParameters(c=c, delta=share * (c - 0.5), eta=eta, epsilon=epsilon)
             sample, bases = np.array(positions, dtype=np.int64), np.array(alphas, dtype=np.int64)
             with BankClient(*banks[0].address) as client:
-                round_outcomes, round_check = client.round(coin.coin_id, sample, bases, beta, params, seed)
+                round_outcomes, round_check = client.round(coin.coin_id, sample, bases, beta, seed)
             with BankClient(*banks[1].address) as client:
                 outcomes = client.measure(coin.coin_id, sample, bases, beta, eta, seed)
-                outcome = _finish_round(coin, sample, bases, outcomes, params, lambda t: client.verify(t, params))
+                outcome = _finish_round(coin, sample, bases, outcomes, params, client.verify)
             assert all(map(np.array_equal, round_outcomes, outcomes))
             assert round_check == outcome.check
             assert journal_bytes(banks[0]) == journal_bytes(banks[1])
