@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmqm.service
-from hmqm.bounds import e_min
 from hmqm.protocol import (
     MAX_N,
     CheckResult,
@@ -1256,7 +1255,7 @@ def test_a_round_is_a_measure_then_a_verify(tmp_path):
         bank.start()
     seeds = itertools.count(93)
     try:
-        floor = e_min(4)
+        floor = adversary_error_floor(4)  # lossless
         position = st.integers(0, 2**40 - 1) | st.integers(0, 5)
         samples = st.lists(position, min_size=4, max_size=4, unique=True) | st.lists(position, max_size=6)
 
