@@ -254,8 +254,11 @@ class VerdictParameters:
 
 def _noise_policy(n: int, beta: float, eta: float, epsilon: float) -> tuple[VerdictParameters, float]:
     """The standard policy at channel noise beta, and the adversary error
-    floor it separates beta from.  Raises InfeasiblePlanError, naming the
-    gap, unless beta is below the floor."""
+    floor it separates beta from.  Raises ValueError, naming beta, unless
+    beta is finite and >= 0, and InfeasiblePlanError, naming the gap,
+    unless beta is below the floor."""
+    if not (math.isfinite(beta) and beta >= 0.0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
     floor = adversary_error_floor(n, eta, epsilon)
     if floor <= beta:
         raise InfeasiblePlanError(

@@ -69,8 +69,10 @@ def brute_q_matrix(n: int) -> np.ndarray:
 
 def block_spectrum(form) -> np.ndarray:
     """Sorted eigenvalues of a block form, each block's repeated by its
-    multiplicity: the spectrum of the full matrix it stands for."""
-    return np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b), m) for b, m in form.blocks]))
+    multiplicity and divided by the form's divisor: the spectrum of the full
+    matrix it stands for."""
+    spectra = [np.repeat(np.linalg.eigvalsh(np.array(b.rows)), m) for b, m in form.blocks]
+    return np.sort(np.concatenate(spectra)) / form.divisor
 
 
 def binomial_tail_below(k: int, trials: int, p: float) -> float:

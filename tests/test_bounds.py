@@ -1,11 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from helpers import block_spectrum, brute_pair_average, brute_q_matrix, random_density
+from hmqm import bounds
 from hmqm.bounds import (
+    MAX_BOUND_N,
     REGISTER_DISCOUNT,
+    Block,
     BlockDiagonal,
     CloneBound,
     build_q_matrix,
@@ -50,24 +54,67 @@ def test_q_matrix_matches_exhaustive_sum():
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_q_matrix_trace_and_positivity(n):
     form = build_q_matrix(n)
-    assert abs(sum(m * np.trace(b) for b, m in form.blocks) - n) < 1e-9
+    assert abs(sum(m * np.trace(b.rows) for b, m in form.blocks) / form.divisor - n) < 1e-9
     assert np.min(block_spectrum(form)) > -1e-10
 
 
-@pytest.mark.parametrize("n", [16, 80, 1000])
+@pytest.mark.parametrize("n", [16, 80, 1000, MAX_BOUND_N])
 def test_clone_bound_law_at_large_n(n):
     cb = CloneBound.compute(n)
     assert abs(n * cb.q_norm - (0.5 + 1.0 / n)) <= 1e-12
-    assert cb.fidelity_bound >= 0.5 + 1.0 / n - 1e-15
     # Three fixed-size blocks, whatever n is.
     assert build_q_matrix(n).nbytes == 8 * (16 + 9 + 36)
 
 
+def test_clone_bound_is_an_upper_bound_in_exact_arithmetic():
+    # Q's top eigenvalue is (n + 2) / (2 n^2), so the fidelity bound is 1/2 + 1/n.
+    for n in [*range(4, 1001, 2), MAX_BOUND_N]:
+        cb = CloneBound.compute(n)
+        assert Fraction(cb.q_norm) >= Fraction(n + 2, 2 * n * n), n
+        assert Fraction(cb.fidelity_bound) >= Fraction(1, 2) + Fraction(1, n), n
+
+
+def test_clone_bound_refuses_n_past_its_exact_divisor():
+    CloneBound.compute(MAX_BOUND_N)
+    for n in (MAX_BOUND_N + 2, 2**60):
+        with pytest.raises(ValueError, match="MAX_BOUND_N"):
+            CloneBound.compute(n)
+
+
+def test_clone_bound_needs_no_lapack(monkeypatch):
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("the certificate must not call LAPACK")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
+    monkeypatch.setattr(np.linalg, "cholesky", no_lapack)
+    for n in [*range(4, 15, 2), 1000]:
+        assert CloneBound.compute(n).fidelity_bound >= 0.5 + 1.0 / n
+    # Blocks shared by every n are certified once per process; fresh copies
+    # are certified without LAPACK too.
+    for block, _ in build_q_matrix(8).blocks:
+        assert Block(block.rows, block.top).bound >= block.top
+
+
+@pytest.mark.parametrize("n", [4, 14, 1000])
+def test_a_candidate_below_a_block_top_is_refused(n):
+    for block, _ in build_q_matrix(n).blocks:
+        with pytest.raises(ArithmeticError):
+            _ = Block(block.rows, block.top - 1e-9 * block.top).bound
+        # Within the shift's margin a low candidate still certifies a value
+        # at or above the exact top.
+        low = Block(block.rows, math.nextafter(block.top, 0.0))
+        assert Fraction(low.bound) >= Fraction(block.top)
+
+
+def one_block(matrix, top: float) -> BlockDiagonal:
+    return BlockDiagonal(((Block(matrix, top), 1),))
+
+
 def test_operator_norm_known_matrices():
-    assert operator_norm(np.eye(5)) == pytest.approx(1.0, abs=1e-12)
-    assert operator_norm(np.diag([3.0, -7.0, 2.0])) == pytest.approx(3.0, abs=1e-12)
-    assert operator_norm(np.diag([-5.0, 1.0])) == pytest.approx(1.0, abs=1e-12)
-    assert operator_norm(np.zeros((3, 3))) == 0.0
+    assert operator_norm(one_block(np.eye(5), 1.0)) == pytest.approx(1.0, abs=1e-12)
+    assert operator_norm(one_block(np.diag([3.0, -7.0, 2.0]), 3.0)) == pytest.approx(3.0, abs=1e-12)
+    assert operator_norm(one_block(np.diag([-5.0, 1.0]), 1.0)) == pytest.approx(1.0, abs=1e-12)
+    assert operator_norm(one_block(np.zeros((3, 3)), 0.0)) == 0.0
 
 
 def test_operator_norm_agrees_with_eigvalsh():
@@ -75,34 +122,33 @@ def test_operator_norm_agrees_with_eigvalsh():
     a = rng.standard_normal((50, 50))
     h = a + a.T
     expected = float(np.linalg.eigvalsh(h)[-1])
-    got = operator_norm(h)
+    got = operator_norm(one_block(h, expected))
     assert expected <= got < expected + 1e-9
 
 
 def test_operator_norm_is_an_upper_bound_on_every_block():
-    form = BlockDiagonal(((np.diag([1.0, 2.0]), 4), (np.diag([3.0, -7.0, 2.5]), 1)))
+    form = BlockDiagonal(((Block(np.diag([1.0, 2.0]), 2.0), 4), (Block(np.diag([3.0, -7.0, 2.5]), 3.0), 1)))
     assert len(form) == 11
     assert 3.0 <= operator_norm(form) < 3.0 + 1e-12
     # Exact values are dominated strictly: the certificate adds a margin.
-    assert operator_norm(np.eye(5)) > 1.0
+    assert operator_norm(one_block(np.eye(5), 1.0)) > 1.0
 
 
 def test_operator_norm_needs_its_cholesky_certificate(monkeypatch):
-    def no_factor(m):
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
-
-    monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+    # A negative shift makes (top - |s|) I - B indefinite: the factorisation
+    # meets a pivot <= 0 and must refuse.
+    monkeypatch.setattr(bounds, "UNIT_ROUNDOFF", -bounds.UNIT_ROUNDOFF)
     with pytest.raises(ArithmeticError):
         operator_norm(build_q_matrix(8))
 
 
 def test_operator_norm_rejects_bad_input():
     with pytest.raises(ValueError):
-        operator_norm(np.ones((2, 3)))
+        operator_norm(one_block(np.ones((2, 3)), 1.0))
     with pytest.raises(ValueError):
-        operator_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        operator_norm(one_block(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0))
     with pytest.raises(ValueError):
-        operator_norm(np.array([[0.0, 1e-12], [0.0, 0.0]]))
+        operator_norm(one_block(np.array([[0.0, 1e-12], [0.0, 0.0]]), 1.0))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])

@@ -52,6 +52,13 @@ def test_bounds_rejects_bad_n(capsys):
     assert "error:" in err
 
 
+def test_bounds_refuses_n_past_the_certificate_limit(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--n", str(bounds.MAX_BOUND_N + 2))
+    assert code == 2
+    assert out == ""
+    assert "MAX_BOUND_N" in err and "Traceback" not in err
+
+
 def test_bounds_row_past_the_old_cap(capsys):
     code, out, err = run_cli(capsys, "bounds", "--n", "16", "--format", "json")
     assert code == 0
@@ -196,6 +203,20 @@ def test_plan_infeasible_exit_code(capsys):
     code, _, err = run_cli(capsys, "plan", "--n", "8", "--beta", "0.3", "--security", "1e-6")
     assert code == 3
     assert "infeasible" in err
+
+
+@pytest.mark.parametrize("beta", ["-0.1", "nan", "inf"])
+def test_plan_refuses_a_beta_out_of_range(capsys, beta):
+    code, out, err = run_cli(capsys, "plan", "--n", "8", "--beta", beta, "--security", "1e-6")
+    assert code == 2
+    assert out == ""
+    assert f"error: beta must be finite and >= 0, got {float(beta)}" in err
+
+
+def test_plan_at_a_beta_above_the_floor_is_infeasible(capsys):
+    code, _, err = run_cli(capsys, "plan", "--n", "8", "--beta", "0.6", "--security", "1e-6")
+    assert code == 3
+    assert "infeasible" in err and "beta=0.6" in err
 
 
 def test_forge_json(capsys):

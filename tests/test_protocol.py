@@ -358,6 +358,15 @@ def test_verdict_parameters_from_noise():
         VerdictParameters.from_noise(8, 0.3)
 
 
+def test_from_noise_names_a_beta_out_of_range():
+    for beta in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+            VerdictParameters.from_noise(8, beta)
+    # A finite beta at or above the floor is infeasible, not out of range.
+    with pytest.raises(InfeasiblePlanError, match="beta=0.6"):
+        VerdictParameters.from_noise(8, 0.6)
+
+
 def test_adversary_error_floor():
     assert adversary_error_floor(8) == bounds.e_min(8)
     assert adversary_error_floor(8, 0.6, 0.05) == 0.11847561847561845
