@@ -11,10 +11,10 @@ eigenvalues are known in closed form: (n + 2), 3 and 4, each over 2 n^2.
 operator_norm certifies each stated top from above with a small Cholesky
 factorisation in Python floats; it computes no eigenvalue and calls no
 LAPACK routine.  The bound costs the same at every n up to MAX_BOUND_N, and
-equals 1/2 + 1/n to rounding.  From it comes the minimum error an adversary must
-cause on one of two verifiers, 1/4 - 1/(4(n - 1)) per copy before register
-accounting (e_min scales it by 997/999), and so the channel noise the
-protocol can tolerate: a threshold between honest and forged needs the
+equals 1/2 + 1/n to rounding.  From it comes the minimum error an adversary
+must cause on one of two verifiers, 1/4 - 1/(4(n - 1)) per copy before
+register accounting (e_min scales it by 997/999), and so the channel noise
+the protocol can tolerate: a threshold between honest and forged needs the
 noise below that floor.  e_max is not that limit.  It is the per-copy error
 of the symmetrized cloner implemented below, 1/4 - 1/(4(n + 1)), which lies
 1/(2(n^2 - 1)) above the floor's undiscounted value.
