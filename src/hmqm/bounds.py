@@ -178,9 +178,9 @@ def operator_norm(h: BlockDiagonal) -> float:
     (k+2) u ||B||_F, with u = 2^-53, on its candidate top, and must then
     pass a Cholesky factorisation of M = (top + s) I - B, formed in floating
     point; its bound is top + s + eps with eps = 2 (k+3) u (tr M + ||B||_F).
-    No eigenvalue is computed: a candidate below the block's top eigenvalue
-    fails the factorisation, and a failed factorisation raises
-    ArithmeticError instead of returning an uncertified value.  A zero
+    No eigenvalue is computed: a candidate more than s below the block's
+    top eigenvalue fails the factorisation, and a failed factorisation
+    raises ArithmeticError instead of returning an uncertified value.  A zero
     block's bound is 0.  The largest block bound is divided by the divisor
     and rounded up to the next float: the divisor is an exact float, so the
     quotient is correctly rounded and one step up is at or above the exact
