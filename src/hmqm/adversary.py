@@ -266,26 +266,3 @@ def run_forging_experiment(
         accept1=accept[0], accept2=accept[1], observed_error1=white[0], observed_error2=white[1],
         overall_error1=overall[0], overall_error2=overall[1], analytic_bound=params.forgery_bound(l),
     )
-
-
-def loss_hiding_weight_check(
-    q: int, sent: int, l: int, params: VerdictParameters, trials: int, rng: np.random.Generator
-) -> float:
-    """Abort frequency when only `sent` of a register's q positions were
-    actually sent.
-
-    Exact two-stage sampling: the number of sent positions in a uniform
-    l-sample is hypergeometric, and each sent position independently yields
-    an outcome with probability params.eta.  Returns the empirical frequency
-    of the policy's abort, l' < min_outcomes * l, over `trials` rounds.
-    Raises ValueError unless 0 <= sent <= q, 1 <= l <= q and trials >= 1.
-    """
-    if not 0 <= sent <= q:
-        raise ValueError(f"need 0 <= sent <= {q}, got {sent}")
-    if not 1 <= l <= q:
-        raise ValueError(f"need 1 <= l <= {q}, got {l}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    sent_in_sample = rng.hypergeometric(sent, q - sent, l, size=trials)
-    outcomes = rng.binomial(sent_in_sample, params.eta)
-    return float(np.mean(outcomes < params.min_outcomes * l))

@@ -16,8 +16,10 @@ must cause on one of two verifiers, 1/4 - 1/(4(n - 1)) per copy before
 register accounting (e_min scales it by 997/999), and so the channel noise
 the protocol can tolerate: a threshold between honest and forged needs the
 noise below that floor.  e_max is not that limit.  It is the per-copy error
-of the symmetrized cloner implemented below, 1/4 - 1/(4(n + 1)), which lies
-1/(2(n^2 - 1)) above the floor's undiscounted value.
+of the symmetrized cloner, 1/4 - 1/(4(n + 1)), which lies 1/(2(n^2 - 1))
+above the floor's undiscounted value.  Only these closed forms ship; the
+cloner itself, and the exact state model the closed forms are checked
+against, are the tests' reference physics (tests/reference.py).
 """
 
 import math
@@ -26,7 +28,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .qrg import BitString, DensityMatrix, hidden_matching_state
 
 # A coin's positions are accounted per mille, in units of q / 1000: the bank
 # allows T = q // (1000 l) checks, so auxiliary verification reveals at most
@@ -43,25 +44,6 @@ UNIT_ROUNDOFF = 2.0**-53
 # Largest n whose divisor 2 n^2 is an exact float (2^53), so that dividing
 # the certified bound of 2 n^2 Q by it loses at most one rounding.
 MAX_BOUND_N = 2**26
-
-def pair_average(n: int) -> np.ndarray:
-    """Average of phi_x (x) phi_x over all 2^n secrets, in closed form.
-
-    Equals (identity + SWAP + n |Phi+><Phi+| - 2 D) / n^2 on the two-copy
-    space, where |Phi+> is the maximally entangled state and D projects onto
-    the doubled basis states |ii>.  So n^2 times it is the all-ones matrix
-    on span{|ii>} and identity + SWAP on span{|ij> : i != j}.
-    """
-    _check_even(n)
-    d = n * n
-    swap = np.zeros((d, d))
-    rows = np.arange(d)
-    swap[rows, (rows % n) * n + rows // n] = 1.0
-    ent = np.zeros(d)
-    ent[np.arange(n) * (n + 1)] = 1.0 / np.sqrt(n)
-    diag = np.zeros((d, d))
-    diag[np.arange(n) * (n + 1), np.arange(n) * (n + 1)] = 1.0
-    return (np.eye(d) + swap + n * np.outer(ent, ent) - 2.0 * diag) / n**2
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,16 +106,26 @@ _THREE_ODD = Block(tuple(tuple(2.0 if j == i else 1.0 if (j - i) % 6 in (1, 5) e
                          for i in range(6)), top=4.0)
 
 
+def check_bound_n(n: int) -> None:
+    """Raise ValueError unless n is even and in [4, MAX_BOUND_N]: above
+    MAX_BOUND_N = 2^26, n and 2 n^2 stop being exact floats."""
+    _check_even(n)
+    if n > MAX_BOUND_N:
+        raise ValueError(f"n must be <= MAX_BOUND_N = 2^26 = {MAX_BOUND_N} for a certified bound, got {n}")
+
+
 def build_q_matrix(n: int) -> BlockDiagonal:
     """Objective operator of the cloning program on the n^3 triple space,
     average over secrets of (phi_x (x) phi_x (x) 1 + phi_x (x) 1 (x) phi_x)/2,
     as three blocks of 2 n^2 Q over the divisor 2 n^2, whose spectra, with
     multiplicity, are Q's spectrum; each block states its top eigenvalue.
 
-    From pair_average, 2 n^2 <ijk|Q|i'j'k'> = f(ij, i'j') [k = k'] +
-    f(ik, i'k') [j = j'], with f = 1 between doubled pairs (ii, i'i'), f =
-    identity + SWAP between pairs of distinct indices, and 0 between the two
-    kinds.  Flipping the sign of any basis vector on all three copies leaves
+    The average of phi_x (x) phi_x over secrets is (identity + SWAP +
+    n |Phi+><Phi+| - 2 D) / n^2, with |Phi+> the maximally entangled state
+    and D the projector onto the doubled basis states |ii>.  So 2 n^2
+    <ijk|Q|i'j'k'> = f(ij, i'j') [k = k'] + f(ik, i'k') [j = j'], with f = 1
+    between doubled pairs (ii, i'i'), f = identity + SWAP between pairs of
+    distinct indices, and 0 between the two kinds.  Flipping the sign of any basis vector on all three copies leaves
     Q unchanged, so Q keeps the set of indices that occur an odd number of
     times in |ijk>; permuting indices on all three copies also leaves it
     unchanged.  The sectors:
@@ -154,12 +146,9 @@ def build_q_matrix(n: int) -> BlockDiagonal:
     n^3, and n + 2 >= 6 > 4 > 3, so the 4x4 block holds Q's top eigenvalue
     (n + 2) / (2 n^2).  Each entry is exact except r, which math.sqrt rounds
     correctly, so every entry is within u = 2^-53 relative of its value
-    (operator_norm counts that).  Refuses n above MAX_BOUND_N = 2^26, where
-    n and 2 n^2 stop being exact floats.
+    (operator_norm counts that).  Takes the n that check_bound_n accepts.
     """
-    _check_even(n)
-    if n > MAX_BOUND_N:
-        raise ValueError(f"n must be <= MAX_BOUND_N = 2^26 = {MAX_BOUND_N} for a certified bound, got {n}")
+    check_bound_n(n)
     r = math.sqrt(n - 1)
     one_odd = Block(((2.0, 0.0, r, r), (0.0, 2.0, 1.0, 1.0), (r, 1.0, n, 0.0), (r, 1.0, 0.0, n)), top=n + 2)
     return BlockDiagonal((
@@ -276,7 +265,9 @@ def e_min(n: int) -> float:
 
 
 def e_max(n: int) -> float:
-    """Per-copy error rate of the symmetrized cloner (`symmetric_clone`).
+    """Per-copy error rate of the symmetrized cloner, which projects
+    rho (x) I/n onto the symmetric subspace: each output is v * phi_x +
+    (1 - v) I/n with v = (n + 2) / (2(n + 1)).
 
     Equals 1/2 - (n + 2) / (4(n + 1)) = 1/4 - 1/(4(n + 1)), increasing
     toward 1/4.  It is not the largest honest-channel noise the protocol
@@ -301,57 +292,6 @@ def lossy_e_min(base_error: float, epsilon: float, eta: float) -> float:
     if not 0.0 <= 3.0 * epsilon / eta < 1.0:
         raise ValueError(f"need 0 <= 3*epsilon/eta < 1, got epsilon={epsilon}, eta={eta}")
     return (base_error - 1.5 * epsilon / eta) / (1.0 - 3.0 * epsilon / eta)
-
-
-def clone_shrink_factor(n: int) -> float:
-    """Weight of the input state in each output of the symmetrized cloner."""
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"n must be even and >= 2, got {n}")
-    return 0.5 * (n + 2) / (n + 1)
-
-
-@dataclass(frozen=True)
-class ClonePair:
-    """The two single-copy reductions of a cloner output."""
-
-    first: DensityMatrix
-    second: DensityMatrix
-
-
-def symmetric_clone(rho: DensityMatrix) -> ClonePair:
-    """Clone rho by projecting rho (x) I/n onto the symmetric subspace.
-
-    Built explicitly: the projector (identity + SWAP)/2 is applied to the
-    extended two-copy state, the result renormalized, and both reductions
-    returned.  For an encoded pure input the reductions equal
-    v * phi_x + (1 - v)/n with v = clone_shrink_factor(n).
-    """
-    n = rho.dim
-    d = n * n
-    swap = np.zeros((d, d))
-    rows = np.arange(d)
-    swap[rows, (rows % n) * n + rows // n] = 1.0
-    sym = 0.5 * (np.eye(d) + swap)
-    extended = np.kron(rho.mat, np.eye(n) / n)
-    projected = sym @ extended @ sym
-    projected /= np.trace(projected).real
-    t = projected.reshape(n, n, n, n)
-    first = DensityMatrix(np.einsum("ikjk->ij", t))
-    second = DensityMatrix(np.einsum("kikj->ij", t))
-    return ClonePair(first, second)
-
-
-def depolarization_for_error(x: BitString, beta: float) -> DensityMatrix:
-    """Encoded state mixed with noise so every matching errs with rate beta.
-
-    Returns v * phi_x + (1 - v) * I/n with v = 1 - 2*beta; requires
-    0 <= beta <= 1/2.
-    """
-    if not 0.0 <= beta <= 0.5:
-        raise ValueError(f"beta must be in [0, 1/2], got {beta}")
-    v = 1.0 - 2.0 * beta
-    proj = hidden_matching_state(x).to_density().mat
-    return DensityMatrix(v * proj + (1.0 - v) * np.eye(x.n) / x.n)
 
 
 @dataclass(frozen=True)

@@ -57,16 +57,18 @@ def _parse_sweep(spec: str) -> np.ndarray:
 
 
 def _parse_n_list(spec: str) -> list[int]:
-    """'4:14' inclusive range of even n, or '4,6,8'."""
+    """'4:14' inclusive range of even n, or '4,6,8'.  Every n must pass
+    bounds.check_bound_n; a range is checked at its ends before it is
+    built, so one that runs past MAX_BOUND_N is refused at once."""
     if ":" in spec:
         lo, _, hi = spec.partition(":")
-        values = [n for n in range(int(lo), int(hi) + 1) if n % 2 == 0]
+        values = range(int(lo) + int(lo) % 2, int(hi) + 1, 2)
+        checked = [*values[:1], *values[-1:]]
     else:
-        values = [int(v) for v in spec.split(",")]
-    for n in values:
-        if n % 2 != 0 or n < 4:
-            raise ValueError(f"n must be even and >= 4, got {n}")
-    return values
+        values = checked = [int(v) for v in spec.split(",")]
+    for n in checked:
+        bounds.check_bound_n(n)
+    return list(values)
 
 
 def _report(data: dict | list[dict], fmt: str, out: str | None, columns: list[str] | None = None) -> None:

@@ -13,12 +13,7 @@ events.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import bounds
-from .qrg import BitString, hidden_matching_state
-
-AMPLITUDE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -126,29 +121,3 @@ def coherent_pipeline(
         alpha_sq=alpha_sq, p0=stats.p0, p1=stats.p1, p2plus=stats.p2plus,
         effective_eta=eta_eff, adjusted_floor=floor, effective_error=effective,
     )
-
-
-def single_photon_block_amplitudes(x: BitString) -> np.ndarray:
-    """Mode amplitudes of a one-photon block with phase pattern x.
-
-    Built from the block's creation operator: a photon in the superposition
-    mode sum_i (-1)^(x_i) a_i / sqrt(n) applied to the vacuum puts amplitude
-    (-1)^(x_i) / sqrt(n) on mode i.
-    """
-    amps = np.zeros(x.n)
-    for mode in range(x.n):
-        amps[mode] = (-1.0) ** x.bits[mode] / math.sqrt(x.n)
-    return amps
-
-
-def single_photon_state_equivalence(x: BitString, block_amplitudes: np.ndarray | None = None) -> bool:
-    """Whether the one-photon block equals the ideal encoded state.
-
-    True when every amplitude matches within 1e-14.  block_amplitudes can be
-    overridden to probe the check itself (a single flipped sign must make it
-    return False).
-    """
-    if block_amplitudes is None:
-        block_amplitudes = single_photon_block_amplitudes(x)
-    ideal = hidden_matching_state(x).amplitudes
-    return bool(np.max(np.abs(block_amplitudes - ideal)) < AMPLITUDE_TOL)

@@ -10,8 +10,6 @@ matching with index alpha is the round that pairs node n with node alpha.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-import json
 
 import numpy as np
 
@@ -38,15 +36,6 @@ class Matching:
         if len(self.pairs) != self.n // 2 or len(seen) != self.n:
             raise ValueError("pairs do not partition {1, ..., n}")
 
-    def partner(self, i: int) -> int:
-        """Return the node matched with i."""
-        for a, b in self.pairs:
-            if a == i:
-                return b
-            if b == i:
-                return a
-        raise ValueError(f"node {i} outside 1..{self.n}")
-
 
 @dataclass(frozen=True)
 class DisjointMatchingSet:
@@ -69,25 +58,6 @@ class DisjointMatchingSet:
         arr = np.array([m.pairs for m in self.matchings], dtype=np.int64)
         arr.setflags(write=False)
         return arr
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"n": self.n, "matchings": [[list(p) for p in m.pairs] for m in self.matchings]},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DisjointMatchingSet":
-        obj = json.loads(text)
-        n = obj["n"]
-        ms = tuple(
-            Matching(
-                n,
-                tuple(sorted((min(int(i), int(j)), max(int(i), int(j))) for i, j in pairs)),
-            )
-            for pairs in obj["matchings"]
-        )
-        return cls(n, ms)
 
 
 def build_disjoint_set(n: int) -> DisjointMatchingSet:
@@ -117,31 +87,3 @@ def build_disjoint_set(n: int) -> DisjointMatchingSet:
             pairs.append((min(a, b), max(a, b)))
         matchings.append(Matching(n, tuple(sorted(pairs))))
     return DisjointMatchingSet(n, tuple(matchings))
-
-
-def diagnose(mset: DisjointMatchingSet) -> str | None:
-    """Explain why mset is not a maximal disjoint set, or None if it is.
-
-    Checks matching count, per-matching well-formedness (guaranteed by the
-    Matching type) and exact single coverage of every pair of K_n.
-    """
-    n = mset.n
-    if len(mset.matchings) != n - 1:
-        return f"expected {n - 1} matchings, got {len(mset.matchings)}"
-    seen: dict[tuple[int, int], int] = {}
-    for alpha, m in enumerate(mset.matchings, start=1):
-        if m.n != n:
-            return f"matching {alpha} is on {m.n} nodes, set is on {n}"
-        for p in m.pairs:
-            if p in seen:
-                return f"pair {p} appears in matchings {seen[p]} and {alpha}"
-            seen[p] = alpha
-    for p in combinations(range(1, n + 1), 2):
-        if p not in seen:
-            return f"pair {p} is covered by no matching"
-    return None
-
-
-def validate(mset: DisjointMatchingSet) -> bool:
-    """True iff mset is a maximal pairwise-disjoint matching set."""
-    return diagnose(mset) is None

@@ -7,10 +7,10 @@ Deriving a batch of rounds' positions is one AES-128-ECB call per bank key,
 through the libcrypto that `hashlib` already loads.  A round derives its
 present positions once, in the simulated measurement, and the bank grades
 that measurement from its error flags; only a transcript the bank did not
-measure (a wire `verify`) is derived again by the check.  `secret_bits` is
-the reference definition of the secrets.  The measurement and the check
-read each parity x_i XOR x_j straight from the packed AES output, in
-`np.unpackbits` bit order (`pair_parities`), without unpacking any secret.
+measure (a wire `verify`) is derived again by the check.  `pair_parities`
+defines the secrets, and the measurement and the check both call it: it
+reads each parity x_i XOR x_j straight from the packed AES output, in
+`np.unpackbits` bit order, without unpacking any secret.
 The holder verifies by sampling l unused positions, measuring each in a
 random matching basis, and sending the claimed parities to the bank, which
 accepts when the correct fraction clears c - delta.  The bank allows at
@@ -133,7 +133,8 @@ class Coin:
     statistics are uniform over pairs with an independent error bit.  A
     coin with forged positions must set it.  That every built-in channel's
     state (and a genuine position's, at rate beta) has this form, at the
-    rate the fast path grades it at, is checked exactly by
+    rate the fast path grades it at, is checked exactly, on the density
+    matrices of the tests' reference physics (tests/reference.py), by
     `tests/test_adversary.py::test_channel_states_grade_at_the_fast_path_rate`.
     """
 
@@ -502,43 +503,27 @@ def _aes128_ecb(key: bytes, plaintext) -> np.ndarray:
     return out
 
 
-def _secret_stream(key: bytes, positions: np.ndarray, n: int) -> np.ndarray:
-    """The AES-128 output behind each position's secret, one row of
-    16 * ceil(n/128) bytes per position, in a single AES-128-ECB call."""
+def pair_parities(key: bytes, n: int, positions: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray) -> np.ndarray:
+    """x_i XOR x_j of each position's secret, for 1-based node pairs, as
+    uint8.
+
+    This defines the secrets.  Position i's secret is the first n bits of
+    AES-128 under `key` of the blocks i || w, for w = 0 .. ceil(n/128) - 1,
+    each of i and w as 8 little-endian bytes, in `np.unpackbits` order (node
+    b's bit is bit 7 - (b-1) % 8 of byte (b-1) // 8): AES in counter form, a
+    keyed pseudorandom function of the position, so a round costs what it
+    samples and the bank stores only the key.  Every block of a call is
+    encrypted in one AES-128-ECB call, so the cost is nearly flat in the
+    number of positions.  The parities are read straight from the packed
+    AES output without unpacking the secrets; the tests' reference
+    `secret_bits` (tests/reference.py) unpacks them.
+    """
     positions = np.asarray(positions, dtype="<i8")
     words = -(-n // 128)
     blocks = np.empty((len(positions), words, 2), dtype="<i8")
     blocks[:, :, 0] = positions[:, None]
     blocks[:, :, 1] = np.arange(words)
-    return _aes128_ecb(key, blocks).reshape(-1, 16 * words)
-
-
-def secret_bits(key: bytes, positions: np.ndarray, n: int) -> np.ndarray:
-    """The n secret bits of each position, shape (len(positions), n), uint8.
-
-    This is the reference definition of the secrets.  Position i's secret is
-    the first n bits of AES-128 under `key` of the blocks i || w, for
-    w = 0 .. ceil(n/128) - 1, each of i and w as 8 little-endian bytes, in
-    `np.unpackbits` order (bit b is bit 7 - b % 8 of byte b // 8): AES in
-    counter form, a keyed pseudorandom function of the position, so a round
-    costs what it samples and the bank stores only the key.  Every block of
-    a call is encrypted in one AES-128-ECB call, so the cost is nearly flat
-    in the number of positions: about 20 us for 20 positions and 30 us for
-    2000 on an x86-64 Xeon with AES-NI.
-    """
-    used = -(-n // 8)
-    stream = _secret_stream(key, positions, n)
-    # Unpack only the bytes that hold the n bits, as one contiguous run.
-    return np.unpackbits(stream[:, :used].ravel()).reshape(-1, 8 * used)[:, :n]
-
-
-def pair_parities(key: bytes, n: int, positions: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray) -> np.ndarray:
-    """x_i XOR x_j of each position's secret, for 1-based node pairs, as
-    uint8.  Read straight from the packed AES output without unpacking the
-    secrets: node b's bit is bit 7 - (b-1) % 8 of byte (b-1) // 8, the
-    `np.unpackbits` order of `secret_bits`, the reference definition they
-    equal."""
-    stream = _secret_stream(key, positions, n)
+    stream = _aes128_ecb(key, blocks).reshape(-1, 16 * words)
     flat = stream.ravel()
     # i and j are bit offsets into the stream: shifting a node's byte left
     # by its offset mod 8, in uint8, moves the node's bit to the top.

@@ -12,7 +12,7 @@ from itertools import product
 import numpy as np
 
 from hmqm import protocol
-from hmqm.qrg import BitString, DensityMatrix
+from reference import BitString, DensityMatrix, secret_bits
 
 
 def random_density(n: int, rng: np.random.Generator) -> DensityMatrix:
@@ -111,7 +111,7 @@ def measure_positions_reference(key: bytes, coin, positions: np.ndarray, alphas:
         if kind == protocol.PositionKind.ABSENT or not u_loss[t] < eta:
             continue
         i, j = matchings.matching(int(alphas[t])).pairs[pair_pick[t]]
-        x = protocol.secret_bits(key, np.array([position]), n)[0]
+        x = secret_bits(key, np.array([position]), n)[0]
         errors[t] = u_err[t] < error_rate[kind]
         pair_i[t], pair_j[t] = i, j
         answer[t] = x[i - 1] ^ x[j - 1] ^ errors[t]

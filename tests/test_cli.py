@@ -1,8 +1,11 @@
 import importlib.resources
 import json
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -13,6 +16,7 @@ from hmqm.cli import _parse_n_list, _parse_sweep, main, parse_config
 from hmqm.matchings import build_disjoint_set
 from hmqm.protocol import HonestChannel, VerdictParameters, bank_mint, holder_verify
 from hmqm.service import BankService
+from reference import matching_set_to_json
 
 
 def load_schema(name):
@@ -58,6 +62,21 @@ def test_bounds_refuses_n_past_the_certificate_limit(capsys):
     assert out == ""
     assert "MAX_BOUND_N" in err and "Traceback" not in err
 
+
+@pytest.mark.parametrize("spec", ["4:1000000000000", f"4:{bounds.MAX_BOUND_N + 2}"])
+def test_bounds_refuses_a_range_past_the_certificate_limit(capsys, monkeypatch, spec):
+    # Refused before the range is built or any row computed.
+    def compute(n):
+        raise AssertionError(f"computed the row n = {n} of a range it must refuse")
+
+    monkeypatch.setattr(bounds.CloneBound, "compute", compute)
+    code, out, err = run_cli(capsys, "bounds", "--n", spec)
+    assert code == 2
+    assert out == ""
+    assert "MAX_BOUND_N" in err and "Traceback" not in err
+    assert _parse_n_list("5:9") == [6, 8]
+    assert _parse_n_list(f"{bounds.MAX_BOUND_N - 2}:{bounds.MAX_BOUND_N + 1}") == [
+        bounds.MAX_BOUND_N - 2, bounds.MAX_BOUND_N]
 
 def test_bounds_row_past_the_old_cap(capsys):
     code, out, err = run_cli(capsys, "bounds", "--n", "16", "--format", "json")
@@ -429,10 +448,52 @@ def test_verify_connection_refused(capsys):
 
 def test_shipped_schemas_cover_wire_objects():
     mset = build_disjoint_set(6)
-    jsonschema.validate(json.loads(mset.to_json()), load_schema("matching_set"))
+    matching_set_schema = json.loads((pathlib.Path(__file__).parent / "matching_set.schema.json").read_text())
+    jsonschema.validate(json.loads(matching_set_to_json(mset)), matching_set_schema)
     rng = np.random.default_rng(61)
     coin, db = bank_mint(8, 10_000, 10, rng)
     params = VerdictParameters.from_noise(8, 0.0)
     outcome = holder_verify(coin, db, params, HonestChannel(0.0), rng)
     jsonschema.validate(json.loads(outcome.transcript.to_json()), load_schema("transcript"))
     jsonschema.validate(json.loads(outcome.check.to_json()), load_schema("verdict"))
+
+
+# Names that moved to the tests' reference physics (tests/reference.py):
+# module, or module:class -> attribute names.
+MOVED_NAMES = {
+    "hmqm.matchings": ["diagnose", "validate"],
+    "hmqm.matchings:Matching": ["partner"],
+    "hmqm.matchings:DisjointMatchingSet": ["to_json", "from_json"],
+    "hmqm.bounds": ["pair_average", "symmetric_clone", "ClonePair", "clone_shrink_factor",
+                    "depolarization_for_error"],
+    "hmqm.coherent": ["single_photon_block_amplitudes", "single_photon_state_equivalence"],
+    "hmqm.adversary": ["loss_hiding_weight_check"],
+    "hmqm.protocol": ["secret_bits"],
+}
+IMPORT_PROBE = """
+import importlib, importlib.resources, importlib.util, json, sys
+import hmqm.cli
+report = {"file": hmqm.__file__, "qrg_loaded": "hmqm.qrg" in sys.modules,
+          "qrg_found": importlib.util.find_spec("hmqm.qrg") is not None,
+          "schema": (importlib.resources.files("hmqm") / "schemas" / "matching_set.schema.json").is_file(),
+          "left": []}
+for owner, names in json.loads(sys.argv[1]).items():
+    module, _, cls = owner.partition(":")
+    obj = importlib.import_module(module)
+    obj = getattr(obj, cls) if cls else obj
+    report["left"] += [f"{owner}.{name}" for name in names if hasattr(obj, name)]
+print(json.dumps(report))
+"""
+
+
+def test_the_package_ships_no_reference_physics(tmp_path):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(MOVED_NAMES)], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert pathlib.Path(report["file"]).is_relative_to(src)
+    assert not report["qrg_loaded"] and not report["qrg_found"]
+    assert not report["schema"]
+    assert report["left"] == []

@@ -10,10 +10,13 @@ from hmqm.coherent import (
     effective_adversary_error,
     fold_source_loss,
     photon_statistics,
+)
+from reference import (
+    BitString,
+    hidden_matching_state,
     single_photon_block_amplitudes,
     single_photon_state_equivalence,
 )
-from hmqm.qrg import BitString, hidden_matching_state
 
 
 def source(alpha_sq, n=8):

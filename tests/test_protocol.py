@@ -36,8 +36,8 @@ from hmqm.protocol import (
     pair_parities,
     plan_parameters,
     run_honest_experiment,
-    secret_bits,
 )
+from reference import secret_bits
 
 
 def make_params(**kw):

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import basis_vector, brute_error_probability, random_density, state_vector
 from hmqm.matchings import build_disjoint_set
-from hmqm.qrg import (
+from reference import (
     BitString,
     DensityMatrix,
     PureState,

@@ -32,7 +32,6 @@ from hmqm.protocol import (
     decode_outcomes,
     holder_verify,
     matching_set,
-    secret_bits,
     _finish_round,
     _plan_round,
     adversary_error_floor,
@@ -51,6 +50,7 @@ from hmqm.service import (
     recv_message,
     send_message,
 )
+from reference import secret_bits
 
 
 @pytest.fixture
