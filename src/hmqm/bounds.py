@@ -28,7 +28,6 @@ from functools import cached_property
 
 import numpy as np
 
-
 # A coin's positions are accounted per mille, in units of q / 1000: the bank
 # allows T = q // (1000 l) checks, so auxiliary verification reveals at most
 # one unit, register splitting masks one unit from each verifier, and a forged
@@ -125,10 +124,10 @@ def build_q_matrix(n: int) -> BlockDiagonal:
     and D the projector onto the doubled basis states |ii>.  So 2 n^2
     <ijk|Q|i'j'k'> = f(ij, i'j') [k = k'] + f(ik, i'k') [j = j'], with f = 1
     between doubled pairs (ii, i'i'), f = identity + SWAP between pairs of
-    distinct indices, and 0 between the two kinds.  Flipping the sign of any basis vector on all three copies leaves
-    Q unchanged, so Q keeps the set of indices that occur an odd number of
-    times in |ijk>; permuting indices on all three copies also leaves it
-    unchanged.  The sectors:
+    distinct indices, and 0 between the two kinds.  Flipping the sign of any
+    basis vector on all three copies leaves Q unchanged, so Q keeps the set
+    of indices that occur an odd number of times in |ijk>; permuting indices
+    on all three copies also leaves it unchanged.  The sectors:
 
     - one odd index a: |aaa>, |abb>, |bab>, |bba> for b != a (dimension
       3n - 2, n copies).  Within it 2 n^2 Q has |aaa>-|aaa> 2, |aaa>-|bab>
