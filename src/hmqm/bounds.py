@@ -108,7 +108,8 @@ _THREE_ODD = Block(tuple(tuple(2.0 if j == i else 1.0 if (j - i) % 6 in (1, 5) e
 def check_bound_n(n: int) -> None:
     """Raise ValueError unless n is even and in [4, MAX_BOUND_N]: above
     MAX_BOUND_N = 2^26, n and 2 n^2 stop being exact floats."""
-    _check_even(n)
+    if n < 4 or n % 2 != 0:
+        raise ValueError(f"n must be even and >= 4, got {n}")
     if n > MAX_BOUND_N:
         raise ValueError(f"n must be <= MAX_BOUND_N = 2^26 = {MAX_BOUND_N} for a certified bound, got {n}")
 
@@ -247,9 +248,9 @@ def pair_error_lower_bound(n: int) -> float:
     """Least total error the two verifiers of a cloned coin position share.
 
     Equals 1/2 - 1/(2(n-1)); consistent with the fidelity bound through the
-    averaged-game error formula.
+    averaged-game error formula.  Takes the n that check_bound_n accepts.
     """
-    _check_even(n)
+    check_bound_n(n)
     return 0.5 - 0.5 / (n - 1)
 
 
@@ -257,9 +258,10 @@ def e_min(n: int) -> float:
     """Minimum per-verifier error rate a forger causes, after accounting.
 
     The pair bound splits evenly in the worst case, and only the 997/999
-    sampleable-and-unreplicated fraction of positions carries it.
+    sampleable-and-unreplicated fraction of positions carries it.  Takes
+    the n that check_bound_n accepts.
     """
-    _check_even(n)
+    check_bound_n(n)
     return REGISTER_DISCOUNT * (0.25 - 0.25 / (n - 1))
 
 
@@ -315,8 +317,3 @@ class CloneBound:
             e_min=e_min(n),
             e_max=e_max(n),
         )
-
-
-def _check_even(n: int) -> None:
-    if n < 4 or n % 2 != 0:
-        raise ValueError(f"n must be even and >= 4, got {n}")

@@ -135,7 +135,7 @@ def cmd_simulate(args) -> int:
     if cfg["q"] is None:
         cfg["q"] = bounds.COIN_BUDGET_DIVISOR * cfg["l"]
     rng = np.random.default_rng(cfg.pop("seed"))
-    _report(protocol.run_honest_experiment(**cfg, rng=rng).to_dict(), args.format, args.out)
+    _report(dataclasses.asdict(protocol.run_honest_experiment(**cfg, rng=rng)), args.format, args.out)
     return 0
 
 

@@ -26,14 +26,16 @@ Each rule is written once.  `VerdictParameters` is the acceptance policy:
 `from_noise` sets c and delta from the channel noise and the adversary error
 floor (and refuses a beta at or above the floor), `min_outcomes` is the
 abort rule and `tail_bounds` picks the ideal or the lossy tail bounds.
-A round is `_plan_round` (its draws, `_draw_round`, then its sample,
-`_read_samples`), a measurement (`measure_positions`, in process or over the
-wire) and `_finish_round` (transcript, abort, verdict).  The kernels take a
-leading axis of rounds: `measure_rounds` reads and measures the experiments'
-rounds a batch at a time and `holder_verify` ends each one, and a single
-round (`holder_verify` alone, a wire round) is the batch of one.
+A round is its draws (`_draw_round`), its sample (`_read_samples`), a
+measurement (`measure_positions`, in process or over the wire) and
+`_finish_round` (transcript, abort, verdict).  The kernels take a leading
+axis of rounds: `measure_rounds` draws, reads and measures rounds a batch
+at a time and `holder_verify` ends each one.  A single round is the batch
+of one: `holder_verify` alone takes it from `measure_rounds`, and a wire
+round (`client_verify`) takes the same draws and read from `_plan_round`.
 `encode_outcomes` / `decode_outcomes` are the only codec of an outcome's
-wire form, {"i", "j", "b"} or null when lost.
+wire form, {"i", "j", "b"} or null when lost, and `CheckResult.to_dict` is
+the only wire form of a verdict.
 
 Positions are indexed from 0.  Node indices inside measurement outcomes are
 1-based, matching the matching convention.
@@ -123,10 +125,10 @@ class Coin:
     last one q: positions [previous stop, stop) have that kind.  Positions
     in `masked` are never offered to the sampler (a forger withheld them
     from this verifier); it is fixed before the first round.  The sampler
-    (`_plan_round`) is `sampler_key`, None until the first round draws it,
-    `cursor`, the next index of the keyed permutation to read, and
-    `sampled`, the count of positions taken so far: one key and two
-    integers, whatever the number of rounds.
+    (`_draw_round`, `_read_samples`) is `sampler_key`, None until the first
+    round draws it, `cursor`, the next index of the keyed permutation to
+    read, and `sampled`, the count of positions taken so far: one key and
+    two integers, whatever the number of rounds.
 
     forged_error is the exact per-measurement error rate of forged
     positions: every attack channel produces states whose measurement
@@ -384,11 +386,15 @@ class CheckResult:
     code: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "valid": self.valid, "s": self.s, "T": self.T,
-            "correct_count": self.correct_count, "l_prime": self.l_prime,
-            "threshold": self.threshold,
-        }
+        """The verdict's wire form, the body of a verify_ok and a round_ok's
+        check: every field, and `code` only when it is set.  A literal, as
+        `dataclasses.asdict` costs some 40 times as much on the bank's
+        per-round path."""
+        body = {"valid": self.valid, "s": self.s, "T": self.T, "correct_count": self.correct_count,
+                "l_prime": self.l_prime, "threshold": self.threshold}
+        if self.code is not None:
+            body["code"] = self.code
+        return body
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -680,11 +686,11 @@ def holder_verify(
     `measured` is the round's measurement when `measure_rounds` took it in
     a batch: (sample, bases, pair_i, pair_j, answer, errors, kinds).  The
     round is then only ended and graded, and draws nothing from rng.
+    Without it the round is the batch of one: `measure_rounds` of this coin
+    alone draws and measures it.
     """
     if measured is None:
-        sample, alphas, measure_seed = _plan_round(coin, rng)
-        measured = (sample, alphas, *measure_positions(db.key, coin, sample, alphas, channel.beta, params.eta,
-                                                       np.random.default_rng(measure_seed)))
+        _, _, measured = next(measure_rounds([(coin, db)], channel, params.eta, rng))
     sample, alphas, *outcomes, errors, kinds = measured
     return _finish_round(coin, sample, alphas, outcomes, params,
                          lambda t: bank_check(db, t, params, errors), errors, kinds)
@@ -1030,7 +1036,8 @@ def plan_parameters(
 
 @dataclass
 class HonestExperiment:
-    """Monte Carlo tallies for honest coin lifecycles."""
+    """Monte Carlo tallies for honest coin lifecycles, with each verdict's
+    share of the trials: `hmqm simulate` reports the record as it is."""
 
     n: int
     q: int
@@ -1042,20 +1049,11 @@ class HonestExperiment:
     valid: int
     invalid: int
     aborted: int
+    valid_rate: float
+    invalid_rate: float
+    abort_rate: float
     reject_bound: float
     abort_bound: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "q": self.q, "l": self.l, "beta": self.beta,
-            "eta": self.eta, "epsilon": self.epsilon, "trials": self.trials,
-            "valid": self.valid, "invalid": self.invalid, "aborted": self.aborted,
-            "valid_rate": self.valid / self.trials,
-            "invalid_rate": self.invalid / self.trials,
-            "abort_rate": self.aborted / self.trials,
-            "reject_bound": self.reject_bound,
-            "abort_bound": self.abort_bound,
-        }
 
 
 def run_honest_experiment(
@@ -1067,7 +1065,7 @@ def run_honest_experiment(
     Each coin is minted, then its round drawn, as in a loop of `bank_mint`
     and `holder_verify`; `measure_rounds` measures the rounds a batch at a
     time and `holder_verify` grades each, with the same outcomes.  Raises
-    ValueError unless trials >= 1: the report's rates divide by it.
+    ValueError unless trials >= 1: the rates divide by it.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -1077,8 +1075,10 @@ def run_honest_experiment(
     for coin, db, measured in measure_rounds((bank_mint(n, q, l, rng) for _ in range(trials)), channel, eta, rng):
         tallies[holder_verify(coin, db, params, channel, rng, measured).verdict] += 1
     reject_bound, _, abort_bound = params.tail_bounds(l)
+    valid, invalid, aborted = tallies.values()
     return HonestExperiment(
         n=n, q=q, l=l, beta=beta, eta=eta, epsilon=epsilon, trials=trials,
-        valid=tallies[Verdict.VALID], invalid=tallies[Verdict.INVALID],
-        aborted=tallies[Verdict.ABORTED], reject_bound=reject_bound, abort_bound=abort_bound,
+        valid=valid, invalid=invalid, aborted=aborted, valid_rate=valid / trials,
+        invalid_rate=invalid / trials, abort_rate=aborted / trials,
+        reject_bound=reject_bound, abort_bound=abort_bound,
     )

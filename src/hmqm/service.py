@@ -428,8 +428,7 @@ class BankService:
         seed = request.get("seed")
         rng = np.random.default_rng(None if seed is None else wire_int(seed, "seed"))
         _, db = bank_mint(n, q, l, rng)
-        db.params = VerdictParameters.from_noise(n, HonestChannel(policy["beta"]).beta,
-                                                 policy["eta"], policy["epsilon"])
+        db.params = VerdictParameters.from_noise(n, **policy)
         coin = {"coin_id": db.coin_id, "n": n, "q": q, "l": l, "T": db.T}
         with self._coins_lock:
             if db.coin_id in self.coins:
@@ -495,7 +494,7 @@ class BankService:
 
     def _handle_verify(self, request: dict) -> dict:
         result = self._check(VerificationTranscript.from_dict(request["transcript"]))
-        return {"type": "verify_ok", "request_id": request.get("request_id"), **_check_body(result)}
+        return {"type": "verify_ok", "request_id": request.get("request_id"), **result.to_dict()}
 
     def _handle_round(self, request: dict) -> dict:
         """A measure and the verify of the transcript built from it, unless
@@ -508,15 +507,7 @@ class BankService:
                                 lambda t: self._check(t, errors))
         return {"type": "round_ok", "request_id": request.get("request_id"),
                 "outcomes": encode_outcomes(*outcomes),
-                "check": None if outcome.check is None else _check_body(outcome.check)}
-
-
-def _check_body(result: CheckResult) -> dict:
-    """A verdict in its wire form: the body of a verify_ok, a round_ok's check."""
-    body = result.to_dict()
-    if result.code is not None:
-        body["code"] = result.code
-    return body
+                "check": None if outcome.check is None else outcome.check.to_dict()}
 
 
 def _check_result(body: dict) -> CheckResult:
@@ -595,12 +586,7 @@ class BankClient:
         beta: float, eta: float, seed: int,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The outcomes (pair_i, pair_j, answer) of measuring the positions."""
-        resp = self._call({
-            "type": "measure", "coin_id": coin_id,
-            "positions": positions.tolist(),
-            "alphas": alphas.tolist(),
-            "beta": beta, "eta": eta, "seed": seed,
-        })
+        resp = self._call({"type": "measure", **_round_fields(coin_id, positions, alphas, beta, seed), "eta": eta})
         return decode_outcomes(resp["outcomes"])
 
     def verify(self, transcript: VerificationTranscript) -> CheckResult:
@@ -615,14 +601,15 @@ class BankClient:
         beta, and have the bank check the transcript under the coin's
         policy: the outcomes (pair_i, pair_j, answer) and the bank's
         verdict, None when the coin's abort rule fired."""
-        resp = self._call({
-            "type": "round", "coin_id": coin_id,
-            "positions": positions.tolist(),
-            "alphas": alphas.tolist(),
-            "beta": beta, "seed": seed,
-        })
+        resp = self._call({"type": "round", **_round_fields(coin_id, positions, alphas, beta, seed)})
         check = resp["check"]
         return decode_outcomes(resp["outcomes"]), None if check is None else _check_result(check)
+
+
+def _round_fields(coin_id: str, positions: np.ndarray, alphas: np.ndarray, beta: float, seed: int) -> dict:
+    """The fields a `measure` and a `round` request share."""
+    return {"coin_id": coin_id, "positions": positions.tolist(), "alphas": alphas.tolist(),
+            "beta": beta, "seed": seed}
 
 
 def client_verify(

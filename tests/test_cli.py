@@ -63,6 +63,16 @@ def test_bounds_refuses_n_past_the_certificate_limit(capsys):
     assert "MAX_BOUND_N" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["plan", "--beta", "0.1", "--security", "1e-6"], ["coherent"]])
+def test_huge_n_is_refused_at_the_certificate_limit(capsys, command):
+    # e_min takes the n of a certified bound, so an n past any float is a
+    # usage error, not an OverflowError.
+    code, out, err = run_cli(capsys, *command, "--n", str(10**400))
+    assert code == 2
+    assert out == ""
+    assert "MAX_BOUND_N" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("spec", ["4:1000000000000", f"4:{bounds.MAX_BOUND_N + 2}"])
 def test_bounds_refuses_a_range_past_the_certificate_limit(capsys, monkeypatch, spec):
     # Refused before the range is built or any row computed.

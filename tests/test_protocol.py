@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import AesBlockCounter, measure_positions_reference
-from hmqm import adversary, bounds, protocol
+from hmqm import adversary, bounds, protocol, service
 from hmqm.adversary import BUILTIN_STRATEGIES, builtin_strategy, forge_coins
 from hmqm.protocol import (
     CheckResult,
@@ -425,7 +425,7 @@ def test_run_honest_experiment_noiseless():
     exp = run_honest_experiment(4, 10_000, 10, 0.0, 20, rng)
     assert (exp.valid, exp.invalid, exp.aborted) == (20, 0, 0)
     assert exp.abort_bound is None
-    d = exp.to_dict()
+    d = dataclasses.asdict(exp)
     assert d["valid_rate"] == 1.0
     assert d["reject_bound"] == exp.reject_bound
 
@@ -789,6 +789,11 @@ def test_check_result_serialization():
         "l_prime": 10, "threshold": 8.0,
     }
     assert '"valid": true' in res.to_json()
+    # A coded verdict carries its code; each is the verdict a client reads back.
+    coded = CheckResult(valid=False, s=2, T=2, correct_count=0, l_prime=10, threshold=8.0, code="coin_exhausted")
+    assert coded.to_dict() == {**d, "valid": False, "s": 2, "correct_count": 0, "code": "coin_exhausted"}
+    for result in (res, coded):
+        assert service._check_result(result.to_dict()) == result
 
 
 def test_secret_bits_are_keyed_and_position_local():
@@ -1027,7 +1032,7 @@ def test_experiments_do_not_depend_on_the_batch_size(monkeypatch, rounds):
     assert protocol.ROUND_BATCH_POSITIONS >= 10 * 10
     monkeypatch.setattr(protocol, "ROUND_BATCH_POSITIONS", 10 * rounds)
     forge, honest = run()
-    assert forge.to_dict() == whole[0].to_dict() and honest.to_dict() == whole[1].to_dict()
+    assert forge.to_dict() == whole[0].to_dict() and honest == whole[1]
     for field in ("accept1", "accept2", "observed_error1", "observed_error2", "overall_error1", "overall_error2"):
         assert np.array_equal(getattr(forge, field), getattr(whole[0], field), equal_nan=True), field
 

@@ -30,6 +30,7 @@ from hmqm.protocol import (
     VerdictParameters,
     bank_mint,
     decode_outcomes,
+    encode_outcomes,
     holder_verify,
     matching_set,
     _finish_round,
@@ -659,6 +660,23 @@ def test_an_over_limit_round_is_refused_before_it_is_charged(service, monkeypatc
         send_message(sock, dict(request, positions=list(range(10)), alphas=[1] * 10, request_id="small"))
         resp = recv_message(sock)
         assert (resp["type"], resp["request_id"], resp["check"]["s"]) == ("round_ok", "small", 1)
+
+
+@pytest.mark.parametrize("n", [4, MAX_N])
+@pytest.mark.parametrize("k", [0, 1, 1000])
+@pytest.mark.parametrize("request_id", [None, "r" * 5000, 10**300,
+                                        {"a": [1, 2.5, None, {"b": "\u00e9" * 50}], "z": True}])
+def test_the_reply_bound_covers_every_measure_ok_and_round_ok(n, k, request_id):
+    # Every outcome present on the largest node index, and a coded check
+    # with 62-bit counters: the largest frames of k outcomes.
+    outcomes = encode_outcomes(np.full(k, n), np.full(k, n), np.ones(k, dtype=np.int8))
+    big = 2**62 - 1
+    check = CheckResult(valid=False, s=big, T=big, correct_count=big, l_prime=big,
+                        threshold=math.nextafter(2.0**62, 0.0), code="coin_exhausted")
+    bound = hmqm.service._reply_bound(request_id, n, k)
+    for reply in ({"type": "measure_ok", "request_id": request_id, "outcomes": outcomes},
+                  {"type": "round_ok", "request_id": request_id, "outcomes": outcomes, "check": check.to_dict()}):
+        assert len(json.dumps(reply, sort_keys=True).encode("utf-8")) <= bound, reply["type"]
 
 
 @pytest.fixture
