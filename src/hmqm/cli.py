@@ -11,6 +11,15 @@ invalid parameters or a request the bank refused, 3 for an infeasible plan,
 Config files (simulate, forge) are flat key=value lines; '#' starts a
 comment.  Each value is read with its flag's type, so a value the flag
 would refuse is refused (exit 2).  Command-line flags override config values.
+
+Each subcommand is one entry of COMMANDS: its function, its summary and its
+inputs, key -> (type, default[, help]).  A key is its flag with the dashes
+as underscores (--alpha-sq is alpha_sq), a default of REQUIRED makes the
+flag required, and CHOICES holds the values a flag allows.  build_parser
+adds every flag from the table; main reads each input once through
+`_gather` (default, then config value, then flag), runs the command, and
+emits the report and CSV columns it returns.  A config file may set any
+input but --config, --format and --out.
 """
 
 import argparse
@@ -22,13 +31,7 @@ import numpy as np
 
 from . import adversary, bounds, coherent, protocol, service
 
-# The inputs of an experiment, key -> type: each is a flag and a config key.
-SIMULATE_KEYS = {"n": int, "q": int, "l": int, "beta": float, "eta": float,
-                 "epsilon": float, "trials": int, "seed": int}
-FORGE_KEYS = {**SIMULATE_KEYS, "fraction": float, "strategy": str}
-# What a flag adds to its key's type.
-FLAG_OPTIONS = {"seed": {"help": "64-bit RNG seed"},
-                "strategy": {"choices": tuple(adversary.BUILTIN_STRATEGIES)}}
+REQUIRED = object()  # the default of a flag that must be given
 
 
 def parse_config(path: str) -> dict[str, str]:
@@ -71,7 +74,7 @@ def _parse_n_list(spec: str) -> list[int]:
     return list(values)
 
 
-def _report(data: dict | list[dict], fmt: str, out: str | None, columns: list[str] | None = None) -> None:
+def _report(data: dict | list[dict], columns: list[str] | None, fmt: str, out: str | None) -> None:
     """Emit one report: JSON of data as given, or CSV with one line per row
     (a dict is a single row; missing or None cells are empty).  The CSV's
     columns are `columns`, else the first row's keys."""
@@ -98,73 +101,41 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple[list[dict], list[str]]:
     rows = [dataclasses.asdict(bounds.CloneBound.compute(n)) for n in _parse_n_list(args.n)]
-    columns = [field.name for field in dataclasses.fields(bounds.CloneBound)]
-    _report(rows, args.format, args.out, columns)
-    return 0
+    return rows, [field.name for field in dataclasses.fields(bounds.CloneBound)]
 
 
-def _gather(args, keys: dict, defaults: dict) -> dict:
-    """The defaults, overridden by the config file's values, each read with
-    its key's type, then by the flags given."""
-    values = dict(defaults)
-    if args.config:
-        loaded = parse_config(args.config)
-        unknown = set(loaded) - set(keys)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, text in loaded.items():
-            try:
-                values[key] = keys[key](text)
-            except ValueError:
-                raise ValueError(f"config key {key!r} needs {keys[key].__name__}, got {text!r}") from None
-    for key in keys:
-        flag = getattr(args, key)
-        if flag is not None:
-            values[key] = flag
-    return values
-
-
-SIMULATE_DEFAULTS = {"n": 8, "q": None, "l": 2000, "beta": 0.0, "eta": 1.0,
-                     "epsilon": 0.0, "trials": 100, "seed": 0}
-
-
-def cmd_simulate(args) -> int:
-    cfg = _gather(args, SIMULATE_KEYS, SIMULATE_DEFAULTS)
-    if cfg["q"] is None:
-        cfg["q"] = bounds.COIN_BUDGET_DIVISOR * cfg["l"]
-    rng = np.random.default_rng(cfg.pop("seed"))
-    _report(dataclasses.asdict(protocol.run_honest_experiment(**cfg, rng=rng)), args.format, args.out)
-    return 0
-
-
-def cmd_forge(args) -> int:
-    cfg = _gather(args, FORGE_KEYS, {**SIMULATE_DEFAULTS, "n": 4, "trials": 50,
-                                     "beta": 0.1, "strategy": "symmetric_clone", "fraction": 0.0})
-    if cfg["q"] is None:
-        cfg["q"] = 2 * bounds.COIN_BUDGET_DIVISOR * cfg["l"]  # T = 2: both halves of a double-spend get judged
-    strategy = adversary.builtin_strategy(cfg["strategy"], beta=cfg["beta"], fraction=cfg["fraction"])
-    params = protocol.VerdictParameters.from_noise(cfg["n"], cfg["beta"], cfg["eta"], cfg["epsilon"])
-    rng = np.random.default_rng(cfg["seed"])
-    outcome = adversary.run_forging_experiment(
-        n=cfg["n"], q=cfg["q"], l=cfg["l"], strategy=strategy, trials=cfg["trials"],
-        params=params, rng=rng,
+def cmd_simulate(args) -> tuple[dict, None]:
+    q = bounds.COIN_BUDGET_DIVISOR * args.l if args.q is None else args.q
+    record = protocol.run_honest_experiment(
+        n=args.n, q=q, l=args.l, beta=args.beta, trials=args.trials,
+        rng=np.random.default_rng(args.seed), eta=args.eta, epsilon=args.epsilon,
     )
-    _report(outcome.to_dict(), args.format, args.out, outcome.CSV_HEADER.split(","))
-    return 0
+    return dataclasses.asdict(record), None
 
 
-def cmd_plan(args) -> int:
+def cmd_forge(args) -> tuple[dict, list[str]]:
+    # T = 2 by default: both halves of a double-spend get judged.
+    q = 2 * bounds.COIN_BUDGET_DIVISOR * args.l if args.q is None else args.q
+    strategy = adversary.builtin_strategy(args.strategy, beta=args.beta, fraction=args.fraction)
+    params = protocol.VerdictParameters.from_noise(args.n, args.beta, args.eta, args.epsilon)
+    outcome = adversary.run_forging_experiment(
+        n=args.n, q=q, l=args.l, strategy=strategy, trials=args.trials,
+        params=params, rng=np.random.default_rng(args.seed),
+    )
+    return outcome.to_dict(), outcome.CSV_HEADER.split(",")
+
+
+def cmd_plan(args) -> tuple[dict, None]:
     plan = protocol.plan_parameters(args.n, args.beta, args.security, args.eta, args.epsilon)
-    _report(dataclasses.asdict(plan), args.format, args.out)
-    return 0
+    return dataclasses.asdict(plan), None
 
 
 COHERENT_HEADER = ["alpha_sq", "p0", "p1", "p2plus", "effective_eta", "effective_adversary_error"]
 
 
-def cmd_coherent(args) -> int:
+def cmd_coherent(args) -> tuple[list[dict], list[str]]:
     rows = []
     for alpha_sq in _parse_sweep(args.alpha_sq):
         point = coherent.coherent_pipeline(float(alpha_sq), args.n, args.eta, args.epsilon)
@@ -173,8 +144,7 @@ def cmd_coherent(args) -> int:
             "p2plus": point.p2plus, "effective_eta": point.effective_eta,
             "effective_adversary_error": point.effective_error,
         })
-    _report(rows, args.format, args.out, COHERENT_HEADER)
-    return 0
+    return rows, COHERENT_HEADER
 
 
 def _parse_address(text: str) -> tuple[str, int]:
@@ -184,7 +154,7 @@ def _parse_address(text: str) -> tuple[str, int]:
     return host, service.check_port(int(port))
 
 
-def cmd_serve(args) -> int:
+def cmd_serve(args) -> None:
     host, port = _parse_address(args.listen)
     server = service.BankService(host=host, port=port, journal_path=args.data)
     actual = server.address
@@ -195,13 +165,12 @@ def cmd_serve(args) -> int:
         pass
     finally:
         server.stop()
-    return 0
 
 
 VERIFY_HEADER = ["verdict", "valid", "s", "T", "correct_count", "l_prime", "threshold"]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, list[str]]:
     address = _parse_address(args.connect)
     rng = np.random.default_rng(args.seed)
     params = protocol.VerdictParameters.from_noise(args.n, args.beta, args.eta, args.epsilon)
@@ -212,78 +181,82 @@ def cmd_verify(args) -> int:
     report = {"verdict": outcome.verdict.value}
     if outcome.check is not None:
         report.update(outcome.check.to_dict())
-    _report(report, args.format, args.out, VERIFY_HEADER)
-    return 0
+    return report, VERIFY_HEADER
+
+
+# The inputs of a Monte Carlo experiment; forge overrides some defaults.
+EXPERIMENT = {"n": (int, 8), "q": (int, None), "l": (int, 2000), "beta": (float, 0.0), "eta": (float, 1.0),
+              "epsilon": (float, 0.0), "trials": (int, 100), "seed": (int, 0, "64-bit RNG seed")}
+CONFIG = {"config": (str, None, "key=value config file")}
+JSON = {"format": (str, "json"), "out": (str, None, "write output to this file instead of stdout")}
+CSV = {**JSON, "format": (str, "csv")}
+COMMANDS = {
+    "bounds": (cmd_bounds, "cloning-bound table over a range of n",
+               {"n": (str, "4:14", "range 'lo:hi' or list '4,6,8' of even n"), **CSV}),
+    "simulate": (cmd_simulate, "honest coin lifecycles, Monte Carlo", {**CONFIG, **EXPERIMENT, **JSON}),
+    "forge": (cmd_forge, "double-spend experiment for a named strategy",
+              {**CONFIG, **EXPERIMENT, "n": (int, 4), "beta": (float, 0.1), "trials": (int, 50),
+               "fraction": (float, 0.0), "strategy": (str, "symmetric_clone"), **JSON}),
+    "plan": (cmd_plan, "smallest sample size meeting a security target",
+             {"n": (int, REQUIRED), "beta": (float, REQUIRED),
+              "security": (float, REQUIRED, "target failure probability"),
+              "eta": (float, 1.0), "epsilon": (float, 0.0), **JSON}),
+    "coherent": (cmd_coherent, "weak coherent-pulse trade-off table",
+                 {"alpha_sq": (str, "0.05:1.0:20", "sweep 'start:stop:count' or list '0.1,0.25'"),
+                  "n": (int, 8), "eta": (float, 0.6, "detector efficiency"),
+                  "epsilon": (float, 0.001), **CSV}),
+    "serve": (cmd_serve, "run the bank service",
+              {"listen": (str, "127.0.0.1:7700", "HOST:PORT to bind"),
+               "data": (str, None,
+                        f"journal path (default: ${service.DATA_ENV_VAR} or {service.DEFAULT_JOURNAL})")}),
+    "verify": (cmd_verify, "mint and verify one coin against a running service",
+               {"connect": (str, REQUIRED, "HOST:PORT of the service"),
+                "n": (int, 8), "q": (int, 10_000), "l": (int, 10), "beta": (float, 0.0), "eta": (float, 1.0),
+                "epsilon": (float, 0.0), "seed": (int, None, "64-bit RNG seed"), **JSON}),
+}
+CHOICES = {"format": ("csv", "json"), "strategy": tuple(adversary.BUILTIN_STRATEGIES)}
+
+
+def _gather(args, inputs: dict) -> argparse.Namespace:
+    """Each input's default, overridden by the config file's value, read
+    with its key's type, then by the flag given."""
+    values = {key: spec[1] for key, spec in inputs.items()}
+    if getattr(args, "config", None):
+        loaded = parse_config(args.config)
+        unknown = set(loaded) - (inputs.keys() - CONFIG.keys() - JSON.keys())
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, text in loaded.items():
+            kind = inputs[key][0]
+            try:
+                values[key] = kind(text)
+            except ValueError:
+                raise ValueError(f"config key {key!r} needs {kind.__name__}, got {text!r}") from None
+    for key in inputs:
+        if (flag := getattr(args, key)) is not None:
+            values[key] = flag
+    return argparse.Namespace(**values)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hmqm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, fmt_default="json"):
-        p.add_argument("--format", choices=("csv", "json"), default=fmt_default)
-        p.add_argument("--out", default=None, help="write output to this file instead of stdout")
-
-    p = sub.add_parser("bounds", help="cloning-bound table over a range of n")
-    p.add_argument("--n", default="4:14", help="range 'lo:hi' or list '4,6,8' of even n")
-    common(p, fmt_default="csv")
-    p.set_defaults(func=cmd_bounds)
-
-    for name, keys, func, summary in (
-        ("simulate", SIMULATE_KEYS, cmd_simulate, "honest coin lifecycles, Monte Carlo"),
-        ("forge", FORGE_KEYS, cmd_forge, "double-spend experiment for a named strategy"),
-    ):
+    for name, (_, summary, inputs) in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--config", default=None, help="key=value config file")
-        for key, kind in keys.items():
-            p.add_argument(f"--{key}", type=kind, **FLAG_OPTIONS.get(key, {}))
-        common(p)
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("plan", help="smallest sample size meeting a security target")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--security", type=float, required=True, help="target failure probability")
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=0.0)
-    common(p)
-    p.set_defaults(func=cmd_plan)
-
-    p = sub.add_parser("coherent", help="weak coherent-pulse trade-off table")
-    p.add_argument("--alpha-sq", dest="alpha_sq", default="0.05:1.0:20",
-                   help="sweep 'start:stop:count' or list '0.1,0.25'")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--eta", type=float, default=0.6, help="detector efficiency")
-    p.add_argument("--epsilon", type=float, default=0.001)
-    common(p, fmt_default="csv")
-    p.set_defaults(func=cmd_coherent)
-
-    p = sub.add_parser("serve", help="run the bank service")
-    p.add_argument("--listen", default="127.0.0.1:7700", help="HOST:PORT to bind")
-    p.add_argument("--data", default=None,
-                   help=f"journal path (default: ${service.DATA_ENV_VAR} or {service.DEFAULT_JOURNAL})")
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser("verify", help="mint and verify one coin against a running service")
-    p.add_argument("--connect", required=True, help="HOST:PORT of the service")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--q", type=int, default=10_000)
-    p.add_argument("--l", type=int, default=10)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
+        for key, (kind, default, *about) in inputs.items():
+            p.add_argument("--" + key.replace("_", "-"), type=kind, required=default is REQUIRED,
+                           choices=CHOICES.get(key), help=about[0] if about else None)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    func, _, inputs = COMMANDS[args.command]
     try:
-        return args.func(args)
+        args = _gather(args, inputs)
+        if (report := func(args)) is not None:
+            _report(*report, args.format, args.out)
+        return 0
     except protocol.InfeasiblePlanError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3

@@ -1,4 +1,5 @@
 import importlib.resources
+import inspect
 import json
 import os
 import pathlib
@@ -11,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from hmqm import adversary, bounds
+from hmqm import adversary, bounds, coherent, protocol, service
 from hmqm.cli import _parse_n_list, _parse_sweep, main, parse_config
 from hmqm.matchings import build_disjoint_set
 from hmqm.protocol import HonestChannel, VerdictParameters, bank_mint, holder_verify
@@ -97,6 +98,84 @@ def test_bounds_row_past_the_old_cap(capsys):
     assert abs(rows[0]["fidelity_bound"] - (0.5 + 1.0 / 16)) <= 1e-12
     assert rows[0]["fidelity_bound"] >= 0.5 + 1.0 / 16
     assert rows[0]["e_max"] == bounds.e_max(16)
+
+
+class Stop(Exception):
+    """Raised by a patched callee once it has recorded its arguments."""
+
+
+def recorder(monkeypatch, owner, name, then=None):
+    """Patch owner.name to record each call's arguments by the real callee's
+    parameter names, defaults applied, then return then(...) or raise Stop."""
+    signature = inspect.signature(getattr(owner, name))
+    calls = []
+
+    def callee(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(dict(bound.arguments))
+        if then is None:
+            raise Stop(name)
+        return then(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, callee)
+    return calls
+
+
+def test_every_subcommand_passes_its_defaults(monkeypatch, capsys):
+    # With no optional flag given, each subcommand hands its library callee
+    # the defaults its flags declare.
+    rows = recorder(monkeypatch, bounds.CloneBound, "compute",
+                    then=lambda n: bounds.CloneBound(n, 0.0, 0.0, 0.0, 0.0, 0.0))
+    assert main(["bounds"]) == 0
+    assert rows == [{"n": n} for n in (4, 6, 8, 10, 12, 14)]
+
+    plans = recorder(monkeypatch, protocol, "plan_parameters")
+    with pytest.raises(Stop):
+        main(["plan", "--n", "8", "--beta", "0.1", "--security", "1e-6"])
+    assert plans == [dict(n=8, beta=0.1, target_security=1e-6, eta=1.0, epsilon=0.0)]
+
+    points = recorder(monkeypatch, coherent, "coherent_pipeline", then=coherent.coherent_pipeline)
+    assert main(["coherent"]) == 0
+    assert points == [dict(alpha_sq=alpha_sq, n=8, eta_detector=0.6, epsilon=0.001)
+                      for alpha_sq in np.linspace(0.05, 1.0, 20)]
+
+    honest = recorder(monkeypatch, protocol, "run_honest_experiment")
+    with pytest.raises(Stop):
+        main(["simulate"])
+    rng = honest[0].pop("rng")
+    assert honest == [dict(n=8, q=2_000_000, l=2000, beta=0.0, eta=1.0, epsilon=0.0, trials=100)]
+    assert rng.random() == np.random.default_rng(0).random()
+
+    strategy = adversary.builtin_strategy("symmetric_clone", beta=0.1)
+    strategies = recorder(monkeypatch, adversary, "builtin_strategy", then=adversary.builtin_strategy)
+    forged = recorder(monkeypatch, adversary, "run_forging_experiment")
+    with pytest.raises(Stop):
+        main(["forge"])
+    assert strategies == [dict(name="symmetric_clone", beta=0.1, fraction=0.0)]
+    rng = forged[0].pop("rng")
+    assert forged == [dict(n=4, q=4_000_000, l=2000, strategy=strategy, trials=50,
+                           params=protocol.VerdictParameters.from_noise(4, 0.1, 1.0, 0.0))]
+    assert rng.random() == np.random.default_rng(0).random()
+
+    servers = recorder(monkeypatch, service, "BankService")
+    with pytest.raises(Stop):
+        main(["serve"])
+    assert servers == [dict(host="127.0.0.1", port=7700, journal_path=None)]
+
+    monkeypatch.setattr(service.BankClient, "__post_init__", lambda self: None)
+    monkeypatch.setattr(service.BankClient, "close", lambda self: None)
+    mints = recorder(monkeypatch, service.BankClient, "mint")
+    with pytest.raises(Stop):
+        main(["verify", "--connect", "127.0.0.1:7700"])
+    client = mints[0].pop("self")
+    assert (client.host, client.port) == ("127.0.0.1", 7700)
+    assert mints == [dict(n=8, q=10_000, l=10, seed=None, beta=0.0, eta=1.0, epsilon=0.0)]
+
+    for argv in (["plan", "--n", "8", "--beta", "0.1"], ["verify"]):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
 
 
 def test_parse_n_list():
