@@ -156,36 +156,12 @@ class Coin:
     def fresh(cls, coin_id: str, n: int, q: int, l: int, T: int) -> "Coin":
         return cls(coin_id=coin_id, n=n, q=q, l=l, T=T, segments=((q, PositionKind.GENUINE),))
 
-    def kind_of(self, positions: np.ndarray) -> np.ndarray:
-        """PositionKind of each position, as a uint8 array."""
-        stops, kinds = _segment_table((self.segments,))
-        return kinds[0][stops.searchsorted(positions, side="right")]
-
     def unused(self) -> int:
         """Positions a round may still sample."""
         return self.q - len(self.masked) - self.sampled
 
     def all_genuine(self) -> bool:
         return all(kind == PositionKind.GENUINE for _, kind in self.segments)
-
-
-@lru_cache(maxsize=64)
-def _segment_table(layouts: tuple[tuple[tuple[int, PositionKind], ...], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The stops of the segments of every layout (coins of one q), merged,
-    and each layout's kind between consecutive merged stops, shape
-    (layouts, stops), as read-only arrays: one search into the stops finds
-    a position's segment under every layout.  Built once per set of
-    layouts: every trial of a forge run repeats the same two."""
-    # A set, not np.unique: np.unique loads numpy.ma, 40 ms and 1 MB at a
-    # process's first round.
-    stops = np.array(sorted({stop for segments in layouts for stop, _ in segments}), dtype=np.int64)
-    # A merged segment ends at a stop; its kind is that of the layout's
-    # segment ending at the first stop not below it.
-    kinds = np.array([np.array([kind for _, kind in segments], dtype=np.uint8)[
-        np.searchsorted([stop for stop, _ in segments], stops)] for segments in layouts])
-    for table in (stops, kinds):
-        table.setflags(write=False)
-    return stops, kinds
 
 
 @dataclass
@@ -650,19 +626,30 @@ def _joined(arrays: list[np.ndarray]) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _profile_table(profiles: tuple, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The `_segment_table` of coins with these (segments, forged_error)
-    profiles, and beside its kinds the rate a measured position errs at,
-    read-only: genuine beta, replica 0, forged the profile's forged_error
-    (an absent position is never measured).  A profile with forged
+    """For coins of one q with these (segments, forged_error) profiles: the
+    stops of every profile's segments, merged; each profile's kind between
+    consecutive merged stops, shape (profiles, stops); and beside its kinds
+    the rate a measured position errs at: genuine beta, replica 0, forged
+    the profile's forged_error (an absent position is never measured).  All
+    three are read-only, and one search into the stops finds a position's
+    segment under every profile.  Built once per set of profiles: every
+    trial of a forge run repeats the same two.  A profile with forged
     positions and no forged_error raises ValueError."""
-    stops, kinds = _segment_table(tuple(segments for segments, _ in profiles))
+    # A set, not np.unique: np.unique loads numpy.ma, 40 ms and 1 MB at a
+    # process's first round.
+    stops = np.array(sorted({stop for segments, _ in profiles for stop, _ in segments}), dtype=np.int64)
+    # A merged segment ends at a stop; its kind is that of the profile's
+    # segment ending at the first stop not below it.
+    kinds = np.array([np.array([kind for _, kind in segments], dtype=np.uint8)[
+        np.searchsorted([stop for stop, _ in segments], stops)] for segments, _ in profiles])
     # None is NaN here; kinds compare as plain ints, as an IntEnum operand
     # costs numpy microseconds.
     forged = np.array([forged_error for _, forged_error in profiles], dtype=float)[:, None]
     rates = np.where(kinds == PositionKind.FORGED.value, forged, np.array([beta, 0.0, 0.0, 0.0]).take(kinds))
     if np.isnan(rates).any():
         raise ValueError("coin has forged positions but no forged_error")
-    rates.setflags(write=False)
+    for table in (stops, kinds, rates):
+        table.setflags(write=False)
     return stops, kinds, rates
 
 

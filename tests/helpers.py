@@ -90,6 +90,15 @@ def binomial_tail_below(k: int, trials: int, p: float) -> float:
     return min(total, 1.0)
 
 
+def kinds_of(segments, positions: np.ndarray) -> np.ndarray:
+    """The PositionKind of each position under a coin's segments, as a uint8
+    array: a position has the kind of the first segment whose stop is above
+    it."""
+    stops = np.array([stop for stop, _ in segments], dtype=np.int64)
+    kinds = np.array([kind for _, kind in segments], dtype=np.uint8)
+    return kinds[stops.searchsorted(positions, side="right")]
+
+
 def measure_positions_reference(key: bytes, coin, positions: np.ndarray, alphas: np.ndarray,
                                 beta: float, eta: float, rng: np.random.Generator):
     """`protocol.measure_positions` as a loop over positions: the same three

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reference
-from helpers import binomial_tail_below
+from helpers import binomial_tail_below, kinds_of
 from hmqm import bounds, protocol
 from hmqm.adversary import (
     BUILTIN_STRATEGIES,
@@ -177,7 +177,7 @@ def test_forge_register_split_layout():
     coin1, coin2 = forge_coins(coin, builtin_strategy("register_split"))
     assert coin1.coin_id == coin2.coin_id == coin.coin_id
     everywhere = np.arange(coin.q)
-    kinds1, kinds2 = coin1.kind_of(everywhere), coin2.kind_of(everywhere)
+    kinds1, kinds2 = kinds_of(coin1.segments, everywhere), kinds_of(coin2.segments, everywhere)
 
     side1 = np.array(coin1.masked)
     side2 = np.array(coin2.masked)
@@ -385,9 +385,9 @@ def test_forge_layout_holds_no_q_length_state():
     assert len(coin1.segments) == len(coin2.segments) == 5
     assert coin1.masked == range(0, 10**6) and coin2.masked == range(10**6, 2 * 10**6)
     hidden = np.array([2 * 10**6 + coin.T * coin.l, 2 * 10**6 + coin.T * coin.l + 25 * 10**7 - 1])
-    assert np.all(coin1.kind_of(hidden) == PositionKind.ABSENT)
-    assert np.all(coin2.kind_of(hidden) == PositionKind.ABSENT)
-    assert coin1.kind_of(np.array([10**9 - 1]))[0] == PositionKind.FORGED
+    assert np.all(kinds_of(coin1.segments, hidden) == PositionKind.ABSENT)
+    assert np.all(kinds_of(coin2.segments, hidden) == PositionKind.ABSENT)
+    assert kinds_of(coin1.segments, np.array([10**9 - 1]))[0] == PositionKind.FORGED
     params = VerdictParameters.from_noise(4, 0.0)
     holder_verify(coin1, db, params, HonestChannel(0.0), rng)
     assert coin1.sampled == 2000 and (coin2.sampler_key, coin2.cursor, coin2.sampled) == (None, 0, 0)

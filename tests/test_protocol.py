@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import AesBlockCounter, measure_positions_reference
+from helpers import AesBlockCounter, kinds_of, measure_positions_reference
 from hmqm import adversary, bounds, protocol, service
 from hmqm.adversary import BUILTIN_STRATEGIES, builtin_strategy, forge_coins
 from hmqm.protocol import (
@@ -518,7 +518,7 @@ def test_error_flags_agree_with_the_bank():
         assert not np.any(flags[~present])
         parity = pair_parities(db.key, db.n, positions[present], pi[present], pj[present])
         assert np.array_equal(flags[present], parity != ans[present])
-        kinds = coin.kind_of(positions)
+        kinds = kinds_of(coin.segments, positions)
         assert np.any(flags[kinds == PositionKind.GENUINE])
         assert not np.any(flags[kinds == PositionKind.REPLICA])
         assert np.any(flags[kinds == PositionKind.FORGED]) == forged_errs
@@ -541,7 +541,7 @@ def test_measure_positions_matches_the_reference_loop(n):
     ref = measure_positions_reference(db.key, coin, positions, alphas, 0.2, 0.7, np.random.default_rng(1))
     for name, a, b in zip(("pair_i", "pair_j", "answer", "errors"), got, ref):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    kinds = coin.kind_of(positions)
+    kinds = kinds_of(coin.segments, positions)
     lost = (got[2] < 0) & (kinds != PositionKind.ABSENT)
     assert lost.any() and np.all(got[2][kinds == PositionKind.ABSENT] == -1)
     assert got[3][kinds == PositionKind.GENUINE].any() and got[3][kinds == PositionKind.FORGED].any()
@@ -968,7 +968,7 @@ def test_each_row_of_a_batched_measurement_is_its_reference(eta):
         ref = measure_positions_reference(key, coin, sample, bases, 0.2, eta, np.random.default_rng(seed))
         for name, a, b in zip(("pair_i", "pair_j", "answer", "errors"), got, ref):
             assert a.dtype == b.dtype and np.array_equal(a[r], b), (name, r)
-        assert np.array_equal(got[4][r], coin.kind_of(sample))
+        assert np.array_equal(got[4][r], kinds_of(coin.segments, sample))
     # Some white and hidden segments are absent; without loss only they are.
     lost = got[2] < 0
     assert lost.any() and (eta < 1.0 or np.array_equal(lost, got[4] == PositionKind.ABSENT))
