@@ -45,11 +45,20 @@ class PhotonStats:
 
 
 def photon_statistics(source: BlockSource) -> PhotonStats:
-    """Vacuum, single-photon and multi-photon probabilities of a block."""
+    """Vacuum, single-photon and multi-photon probabilities of a block.
+
+    Below one photon per block p2plus is exp(-mu) mu^2 sum_j mu^j / (j+2)!,
+    summed term by term: 1 - p0 - p1 cancels to rounding noise as mu goes
+    to 0, and can come out negative."""
     mu = source.mean_photons
     p0 = math.exp(-mu)
     p1 = mu * p0
-    return PhotonStats(p0=p0, p1=p1, p2plus=1.0 - p0 - p1)
+    if mu < 1.0:
+        # The first term left out, mu^18 / 20!, is below 1e-18 of the sum.
+        p2plus = p0 * mu * mu * math.fsum(mu**j / math.factorial(j + 2) for j in range(18))
+    else:
+        p2plus = 1.0 - p0 - p1
+    return PhotonStats(p0=p0, p1=p1, p2plus=p2plus)
 
 
 def fold_source_loss(eta_detector: float, source: BlockSource) -> float:
@@ -105,9 +114,11 @@ def coherent_pipeline(
     means no feasible protocol at these parameters (epsilon too large for
     the effective loss); the point is still returned, flagged infeasible.
     Where 3 epsilon >= eta_eff the correction is undefined, and the point is
-    returned infeasible with both floors None.  A NaN or negative epsilon
-    raises ValueError.
+    returned infeasible with both floors None.  An alpha_sq that is not
+    finite and > 0, or a NaN or negative epsilon, raises ValueError.
     """
+    if not 0.0 < alpha_sq < math.inf:
+        raise ValueError(f"alpha_sq must be finite and > 0, got {alpha_sq}")
     if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     source = BlockSource(alpha=math.sqrt(alpha_sq), n=n)

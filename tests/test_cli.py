@@ -407,7 +407,7 @@ def test_coherent_single_point(capsys):
     assert float(fields[0]) == 0.25
     assert float(fields[1]) == 0.7788007830714049
     assert float(fields[2]) == 0.19470019576785122
-    assert float(fields[3]) == 0.026499021160743902
+    assert float(fields[3]) == 0.026499021160743916
     assert float(fields[4]) == 0.13271953015715707
     assert 0.0 < float(fields[5]) < 0.25
 
@@ -425,13 +425,16 @@ def test_coherent_undefined_point_is_an_empty_cell(capsys):
 
 
 @pytest.mark.parametrize("flags", [("--alpha-sq", "inf", "--format", "json"), ("--alpha-sq", "nan"),
-                                   ("--epsilon", "nan")])
+                                   ("--alpha-sq", "-1"), ("--epsilon", "nan")])
 def test_coherent_refuses_non_finite_inputs(capsys, flags):
-    # An infinite or NaN |alpha|^2 and a NaN epsilon are usage errors, not a
-    # row of Infinity or nan, nor a point reported merely infeasible.
+    # An infinite, NaN or negative |alpha|^2 and a NaN epsilon are usage
+    # errors, not a row of Infinity or nan, nor a point reported merely
+    # infeasible; a bad |alpha|^2 is named, not a math domain error.
     code, out, err = run_cli(capsys, "coherent", *flags)
     assert (code, out) == (2, "")
     assert "error:" in err
+    if flags[0] == "--alpha-sq":
+        assert "alpha_sq" in err
 
 
 def test_readme_command_examples_succeed():

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ def test_photon_statistics_anchor():
     stats = photon_statistics(source(0.25))
     assert stats.p0 == 0.7788007830714049
     assert stats.p1 == 0.19470019576785122
-    assert stats.p2plus == 0.026499021160743902
+    assert stats.p2plus == 0.026499021160743916
     assert round(stats.p0, 4) == 0.7788
     assert round(stats.p1, 4) == 0.1947
     assert round(stats.p2plus, 4) == 0.0265
@@ -40,6 +41,28 @@ def test_photon_statistics_poisson_law():
         assert abs(stats.p1 - alpha_sq * math.exp(-alpha_sq)) < 1e-15
         assert abs(stats.p0 + stats.p1 + stats.p2plus - 1.0) < 1e-12
         assert min(stats.p0, stats.p1, stats.p2plus) >= 0.0
+
+
+def p2plus_reference(mu: float) -> Decimal:
+    """1 - e^-mu (1 + mu) for the float mu, in 60-digit decimal arithmetic:
+    the cancellation at mu = 1e-12 leaves some 35 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = Decimal(mu)
+        return 1 - (-exact).exp() * (1 + exact)
+
+
+def test_multiphoton_probability_is_accurate_at_every_brightness():
+    # 1 - p0 - p1 cancels to rounding noise, often below zero, at small
+    # |alpha|^2, and a negative p2plus would raise the adversary's floor.
+    for alpha_sq in np.logspace(-12, 1, 2601):
+        block = source(alpha_sq)
+        p2plus = photon_statistics(block).p2plus
+        reference = p2plus_reference(block.mean_photons)
+        assert p2plus >= 0.0, alpha_sq
+        assert abs(Decimal(p2plus) - reference) <= Decimal("1e-14") * reference, alpha_sq
+        for base_error in (bounds.e_min(8), 0.5):
+            assert effective_adversary_error(base_error, block) <= base_error, alpha_sq
 
 
 def test_multiphoton_fraction_small_mu_limit():
