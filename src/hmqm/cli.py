@@ -187,24 +187,26 @@ def cmd_verify(args) -> tuple[dict, list[str]]:
 # The inputs of a Monte Carlo experiment; forge overrides some defaults.
 EXPERIMENT = {"n": (int, 8), "q": (int, None), "l": (int, 2000), "beta": (float, 0.0), "eta": (float, 1.0),
               "epsilon": (float, 0.0), "trials": (int, 100), "seed": (int, 0, "64-bit RNG seed")}
+# The run's own inputs, which no config file sets: where the config is, and
+# a reporting command's format (JSON unless CSV_REPORT) and output file.
 CONFIG = {"config": (str, None, "key=value config file")}
-JSON = {"format": (str, "json"), "out": (str, None, "write output to this file instead of stdout")}
-CSV = {**JSON, "format": (str, "csv")}
+REPORT = {"format": (str, "json"), "out": (str, None, "write output to this file instead of stdout")}
+CSV_REPORT = {**REPORT, "format": (str, "csv")}
 COMMANDS = {
     "bounds": (cmd_bounds, "cloning-bound table over a range of n",
-               {"n": (str, "4:14", "range 'lo:hi' or list '4,6,8' of even n"), **CSV}),
-    "simulate": (cmd_simulate, "honest coin lifecycles, Monte Carlo", {**CONFIG, **EXPERIMENT, **JSON}),
+               {"n": (str, "4:14", "range 'lo:hi' or list '4,6,8' of even n"), **CSV_REPORT}),
+    "simulate": (cmd_simulate, "honest coin lifecycles, Monte Carlo", {**CONFIG, **EXPERIMENT, **REPORT}),
     "forge": (cmd_forge, "double-spend experiment for a named strategy",
               {**CONFIG, **EXPERIMENT, "n": (int, 4), "beta": (float, 0.1), "trials": (int, 50),
-               "fraction": (float, 0.0), "strategy": (str, "symmetric_clone"), **JSON}),
+               "fraction": (float, 0.0), "strategy": (str, "symmetric_clone"), **REPORT}),
     "plan": (cmd_plan, "smallest sample size meeting a security target",
              {"n": (int, REQUIRED), "beta": (float, REQUIRED),
               "security": (float, REQUIRED, "target failure probability"),
-              "eta": (float, 1.0), "epsilon": (float, 0.0), **JSON}),
+              "eta": (float, 1.0), "epsilon": (float, 0.0), **REPORT}),
     "coherent": (cmd_coherent, "weak coherent-pulse trade-off table",
                  {"alpha_sq": (str, "0.05:1.0:20", "sweep 'start:stop:count' or list '0.1,0.25'"),
                   "n": (int, 8), "eta": (float, 0.6, "detector efficiency"),
-                  "epsilon": (float, 0.001), **CSV}),
+                  "epsilon": (float, 0.001), **CSV_REPORT}),
     "serve": (cmd_serve, "run the bank service",
               {"listen": (str, "127.0.0.1:7700", "HOST:PORT to bind"),
                "data": (str, None,
@@ -212,7 +214,7 @@ COMMANDS = {
     "verify": (cmd_verify, "mint and verify one coin against a running service",
                {"connect": (str, REQUIRED, "HOST:PORT of the service"),
                 "n": (int, 8), "q": (int, 10_000), "l": (int, 10), "beta": (float, 0.0), "eta": (float, 1.0),
-                "epsilon": (float, 0.0), "seed": (int, None, "64-bit RNG seed"), **JSON}),
+                "epsilon": (float, 0.0), "seed": (int, None, "64-bit RNG seed"), **REPORT}),
 }
 CHOICES = {"format": ("csv", "json"), "strategy": tuple(adversary.BUILTIN_STRATEGIES)}
 
@@ -223,7 +225,7 @@ def _gather(args, inputs: dict) -> argparse.Namespace:
     values = {key: spec[1] for key, spec in inputs.items()}
     if getattr(args, "config", None):
         loaded = parse_config(args.config)
-        unknown = set(loaded) - (inputs.keys() - CONFIG.keys() - JSON.keys())
+        unknown = set(loaded) - (inputs.keys() - CONFIG.keys() - REPORT.keys())
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, text in loaded.items():
