@@ -50,25 +50,33 @@ def parse_config(path: str) -> dict[str, str]:
 
 
 def _parse_sweep(spec: str) -> np.ndarray:
-    """'start:stop:count' linspace or a comma-separated list."""
+    """'start:stop:count' linspace or a comma-separated list, refused if it
+    holds no point."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"sweep must be start:stop:count, got {spec!r}")
-        return np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
-    return np.array([float(v) for v in spec.split(",")])
+        values = np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
+    else:
+        values = np.array([float(v) for v in spec.split(",")])
+    if not len(values):
+        raise ValueError(f"sweep {spec!r} holds no point")
+    return values
 
 
 def _parse_n_list(spec: str) -> list[int]:
     """'4:14' inclusive range of even n, or '4,6,8'.  Every n must pass
     bounds.check_bound_n; a range is checked at its ends before it is
-    built, so one that runs past MAX_BOUND_N is refused at once."""
+    built, so one that runs past MAX_BOUND_N is refused at once, and one
+    that holds no even n is refused."""
     if ":" in spec:
         lo, _, hi = spec.partition(":")
         values = range(int(lo) + int(lo) % 2, int(hi) + 1, 2)
         checked = [*values[:1], *values[-1:]]
     else:
         values = checked = [int(v) for v in spec.split(",")]
+    if not values:
+        raise ValueError(f"n range {spec!r} holds no even n")
     for n in checked:
         bounds.check_bound_n(n)
     return list(values)
@@ -101,9 +109,8 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def cmd_bounds(args) -> tuple[list[dict], list[str]]:
-    rows = [dataclasses.asdict(bounds.CloneBound.compute(n)) for n in _parse_n_list(args.n)]
-    return rows, [field.name for field in dataclasses.fields(bounds.CloneBound)]
+def cmd_bounds(args) -> tuple[list[dict], None]:
+    return [dataclasses.asdict(bounds.CloneBound.compute(n)) for n in _parse_n_list(args.n)], None
 
 
 def cmd_simulate(args) -> tuple[dict, None]:
@@ -132,10 +139,7 @@ def cmd_plan(args) -> tuple[dict, None]:
     return dataclasses.asdict(plan), None
 
 
-COHERENT_HEADER = ["alpha_sq", "p0", "p1", "p2plus", "effective_eta", "effective_adversary_error"]
-
-
-def cmd_coherent(args) -> tuple[list[dict], list[str]]:
+def cmd_coherent(args) -> tuple[list[dict], None]:
     rows = []
     for alpha_sq in _parse_sweep(args.alpha_sq):
         point = coherent.coherent_pipeline(float(alpha_sq), args.n, args.eta, args.epsilon)
@@ -144,7 +148,7 @@ def cmd_coherent(args) -> tuple[list[dict], list[str]]:
             "p2plus": point.p2plus, "effective_eta": point.effective_eta,
             "effective_adversary_error": point.effective_error,
         })
-    return rows, COHERENT_HEADER
+    return rows, None
 
 
 def _parse_address(text: str) -> tuple[str, int]:

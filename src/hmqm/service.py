@@ -185,11 +185,15 @@ def recv_message(sock: socket.socket) -> dict | None:
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
+    """count bytes, or None if the peer closed before sending any of them;
+    a close after some of them raises ServiceError."""
     chunks = []
     got = 0
     while got < count:
         chunk = sock.recv(count - got)
         if not chunk:
+            if got:
+                raise ServiceError("connection closed mid-frame")
             return None
         chunks.append(chunk)
         got += len(chunk)

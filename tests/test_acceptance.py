@@ -18,7 +18,7 @@ import reference
 from helpers import block_spectrum, brute_pair_average, brute_q_matrix, random_density
 from hmqm import bounds
 from hmqm.adversary import builtin_strategy, run_forging_experiment
-from hmqm.coherent import BlockSource, photon_statistics
+from hmqm.coherent import photon_statistics
 from hmqm.matchings import build_disjoint_set
 from hmqm.protocol import (
     HonestChannel,
@@ -184,7 +184,7 @@ def test_criterion_08_lossy_variant():
 def test_criterion_09_coherent_statistics():
     worst = 0.0
     for alpha_sq in np.logspace(-4, 1, 60):
-        stats = photon_statistics(BlockSource(alpha=math.sqrt(alpha_sq), n=8))
+        stats = photon_statistics(alpha_sq)
         mu = alpha_sq
         worst = max(worst, abs(stats.p0 - math.exp(-mu)))
         worst = max(worst, abs(stats.p1 - mu * math.exp(-mu)))

@@ -55,6 +55,9 @@ def test_bounds_rejects_bad_n(capsys):
     code, _, err = run_cli(capsys, "bounds", "--n", "2,4")
     assert code == 2
     assert "error:" in err
+    code, out, err = run_cli(capsys, "bounds", "--n", "14:4")
+    assert (code, out) == (2, "")
+    assert "'14:4' holds no even n" in err
 
 
 def test_bounds_refuses_n_past_the_certificate_limit(capsys):
@@ -185,6 +188,9 @@ def test_parse_n_list():
         _parse_n_list("3,4")
     with pytest.raises(ValueError):
         _parse_n_list("2:20")
+    for spec in ("14:4", "4:3"):
+        with pytest.raises(ValueError, match=spec):
+            _parse_n_list(spec)
 
 
 def test_parse_sweep():
@@ -193,6 +199,8 @@ def test_parse_sweep():
     assert list(grid) == [0.0, 0.25, 0.5, 0.75, 1.0]
     with pytest.raises(ValueError):
         _parse_sweep("1:2")
+    with pytest.raises(ValueError, match="0.1:0.5:0"):
+        _parse_sweep("0.1:0.5:0")
 
 
 def test_simulate_is_byte_deterministic(tmp_path, capsys):
@@ -425,16 +433,19 @@ def test_coherent_undefined_point_is_an_empty_cell(capsys):
 
 
 @pytest.mark.parametrize("flags", [("--alpha-sq", "inf", "--format", "json"), ("--alpha-sq", "nan"),
-                                   ("--alpha-sq", "-1"), ("--epsilon", "nan")])
+                                   ("--alpha-sq", "-1"), ("--epsilon", "nan"),
+                                   ("--n", "2", "--alpha-sq", "0.05", "--epsilon", "0.01"),
+                                   ("--n", str(bounds.MAX_BOUND_N + 2), "--alpha-sq", "0.05", "--epsilon", "0.01")])
 def test_coherent_refuses_non_finite_inputs(capsys, flags):
     # An infinite, NaN or negative |alpha|^2 and a NaN epsilon are usage
     # errors, not a row of Infinity or nan, nor a point reported merely
-    # infeasible; a bad |alpha|^2 is named, not a math domain error.
+    # infeasible; a bad |alpha|^2 is named, not a math domain error.  So is
+    # an n with no certified bound, also where the loss correction is
+    # undefined and the row would carry no floor.
     code, out, err = run_cli(capsys, "coherent", *flags)
     assert (code, out) == (2, "")
     assert "error:" in err
-    if flags[0] == "--alpha-sq":
-        assert "alpha_sq" in err
+    assert f"{flags[0][2:].replace('-', '_')} must be" in err
 
 
 def test_readme_command_examples_succeed():

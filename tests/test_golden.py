@@ -40,7 +40,6 @@ GOLDEN = {
     "plan.json": ("plan", "--n", "8", "--beta", "0.1", "--security", "1e-6"),
     "plan.csv": ("plan", "--n", "8", "--beta", "0.1", "--security", "1e-6", "--format", "csv"),
     "bounds.csv": ("bounds", "--n", "4:14"),
-    "bounds_empty.csv": ("bounds", "--n", "4:3"),
     "coherent.csv": ("coherent", "--alpha-sq", "0.2:1.0:5", "--eta", "0.6", "--epsilon", "0.01"),
 }
 
@@ -69,11 +68,6 @@ def test_report_matches_golden_bytes(tmp_path, name):
     out = tmp_path / name
     assert main([*golden_argv(name, tmp_path), "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
-
-
-def test_empty_bounds_table_keeps_its_header():
-    header = (GOLDEN_DIR / "bounds.csv").read_text().split("\n")[0]
-    assert (GOLDEN_DIR / "bounds_empty.csv").read_text() == header + "\n"
 
 
 if __name__ == "__main__":

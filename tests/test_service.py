@@ -1124,10 +1124,13 @@ def test_framing_round_trip():
         b.close()
 
 
-def test_framing_mid_frame_close():
+@pytest.mark.parametrize("torn", [struct.pack(">I", 10) + b"abc", b"\x00\x00"])
+def test_framing_mid_frame_close(torn):
+    # A close inside the payload or inside the 4-byte header is torn, not a
+    # clean end at a frame boundary.
     a, b = socket.socketpair()
     try:
-        a.sendall(struct.pack(">I", 10) + b"abc")
+        a.sendall(torn)
         a.close()
         with pytest.raises(ServiceError, match="mid-frame"):
             recv_message(b)
