@@ -51,12 +51,15 @@ def parse_config(path: str) -> dict[str, str]:
 
 def _parse_sweep(spec: str) -> np.ndarray:
     """'start:stop:count' linspace or a comma-separated list, refused if it
-    holds no point."""
+    holds no point (a count below 1) or more points than memory holds."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"sweep must be start:stop:count, got {spec!r}")
-        values = np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
+        try:
+            values = np.linspace(float(parts[0]), float(parts[1]), max(int(parts[2]), 0))
+        except MemoryError:
+            raise ValueError(f"sweep {spec!r} holds more points than memory holds") from None
     else:
         values = np.array([float(v) for v in spec.split(",")])
     if not len(values):

@@ -66,7 +66,7 @@ import numpy as np
 
 from . import bounds
 from .bounds import COIN_BUDGET_DIVISOR
-from .matchings import DisjointMatchingSet, build_disjoint_set
+from .matchings import matching_table, pair_to_alpha
 
 KEY_BYTES = 16
 # A coin's sampler key: one 64-bit word per round of `_permute`'s Feistel network.
@@ -334,10 +334,6 @@ class VerificationTranscript:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "VerificationTranscript":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
     def from_dict(cls, obj: dict) -> "VerificationTranscript":
         triplets = obj["triplets"]
         positions = wire_ints([t["i"] for t in triplets], "i")
@@ -372,9 +368,6 @@ class CheckResult:
             body["code"] = self.code
         return body
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 @dataclass
 class VerifyOutcome:
@@ -388,32 +381,6 @@ class VerifyOutcome:
     # as is each position's PositionKind.
     errors: np.ndarray | None
     kinds: np.ndarray | None = None
-
-
-@lru_cache(maxsize=None)
-def matching_set(n: int) -> DisjointMatchingSet:
-    return build_disjoint_set(n)
-
-
-@lru_cache(maxsize=None)
-def _pair_to_alpha(n: int) -> np.ndarray:
-    """Lookup (i, j) -> matching index, 0 where no matching contains the pair."""
-    table = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for alpha_idx, m in enumerate(matching_set(n).matchings, start=1):
-        for i, j in m.pairs:
-            table[i, j] = alpha_idx
-            table[j, i] = alpha_idx
-    return table
-
-
-@lru_cache(maxsize=None)
-def _pair_nodes(n: int) -> np.ndarray:
-    """The nodes (i, j) of pair p of matching alpha in column alpha * n/2 + p,
-    read-only, shape (2, n * n/2); the n/2 columns of alpha = 0 are zeros."""
-    nodes = np.zeros((2, n * (n // 2)), dtype=np.int64)
-    nodes[:, n // 2:] = matching_set(n).pairs_array.reshape(-1, 2).T
-    nodes.setflags(write=False)
-    return nodes
 
 
 # The EVP calls of AES-128-ECB: name -> (restype, argtypes).
@@ -600,21 +567,25 @@ def measure_positions(keys: Sequence[bytes], coins: Sequence[Coin], positions: n
     present = kinds != PositionKind.ABSENT.value
     if eta < 1.0:
         present &= _joined(u_loss) < eta
-    # Both nodes of every position's pair are read in one gather, and a lost
-    # one's are zeroed.  No mask is applied when none is lost.
-    pairs = _pair_nodes(n).take(alphas.ravel() * (n // 2) + _joined(pair_pick), axis=1)
+    # Both nodes of every position's pair are read in one gather: pair p of
+    # matching alpha sits at alpha * n/2 + p of the flat table, whose row 0
+    # is padding.  A lost one's are zeroed; no mask is applied when none is
+    # lost.
+    pick = alphas.ravel() * (n // 2) + _joined(pair_pick)
+    pair_i, pair_j = matching_table(n).reshape(-1, 2).take(pick, axis=0).T
     answer = np.empty(len(positions), dtype=np.int8)
     if lost := not present.all():
         errors &= present
-        pairs *= present
+        pair_i *= present
+        pair_j *= present
         answer.fill(-1)
     start = 0
     for key, run in groupby(keys):
         stop = start + k * len(list(run))
         got = start + present[start:stop].nonzero()[0] if lost else slice(start, stop)
-        answer[got] = errors[got] ^ pair_parities(key, n, positions[got], pairs[0, got], pairs[1, got])
+        answer[got] = errors[got] ^ pair_parities(key, n, positions[got], pair_i[got], pair_j[got])
         start = stop
-    measured = (pairs[0], pairs[1], answer, errors, kinds)
+    measured = (pair_i, pair_j, answer, errors, kinds)
     return measured if len(shape) == 1 else tuple(a.reshape(shape) for a in measured)
 
 
@@ -832,11 +803,13 @@ def _finish_round(coin: Coin, sample: np.ndarray, alphas: np.ndarray, outcomes: 
                   params: VerdictParameters, check: Callable[[VerificationTranscript], CheckResult],
                   errors: np.ndarray | None = None, kinds: np.ndarray | None = None) -> VerifyOutcome:
     """End a round, wherever its outcomes (pair_i, pair_j, answer) were
-    measured: build the transcript, abort when fewer than min_outcomes * l
-    outcomes arrived, else submit it through `check` and map the bank's
-    answer to a verdict."""
+    measured: build the transcript, abort when a sample of l positions
+    brought fewer than min_outcomes * l outcomes, else submit it through
+    `check` and map the bank's answer to a verdict.  A sample of any other
+    size is always submitted, so the check grades it `wrong_sample_size`
+    and charges it."""
     transcript = VerificationTranscript(coin.coin_id, coin.l, sample, alphas, *outcomes)
-    if transcript.l_prime < params.min_outcomes * coin.l:
+    if len(sample) == coin.l and transcript.l_prime < params.min_outcomes * coin.l:
         return VerifyOutcome(Verdict.ABORTED, transcript, None, errors, kinds)
     result = check(transcript)
     return VerifyOutcome(Verdict.VALID if result.valid else Verdict.INVALID, transcript, result, errors, kinds)
@@ -917,7 +890,7 @@ def _structural_violation(db: BankDatabase, transcript: VerificationTranscript, 
         return "answer_not_a_bit"
     if pi.size and (min(pi.min(), pj.min()) < 1 or max(pi.max(), pj.max()) > db.n or (pi == pj).any()):
         return "node_out_of_range"
-    if (_pair_to_alpha(db.n).take(pi * (db.n + 1) + pj) != transcript.alpha[present]).any():
+    if (pair_to_alpha(db.n).take(pi * (db.n + 1) + pj) != transcript.alpha[present]).any():
         return "pair_not_in_matching"
     return None
 

@@ -33,7 +33,9 @@ in-process, which makes remote runs bit-identical to local ones under the
 same seeds, ends the round with protocol's `_finish_round` and replies
 `round_ok` with the outcomes and, unless the abort rule fired, the
 verify_ok body as `check`.  It charges and journals exactly what a measure
-followed by a verify of the transcript built from it would.  A `verify`
+followed by a verify of the transcript built from it would: the abort rule
+judges only a sample of l positions, so a round of any other size is
+graded `wrong_sample_size` and charged.  A `verify`
 carries a whole transcript, for a holder who measures physical states.  A
 `measure` carries a round's fields and an eta in (0, 1] and replies with the
 outcomes alone: it stands in for the holder's device, and it is an

@@ -12,6 +12,7 @@ from itertools import product
 import numpy as np
 
 from hmqm import protocol
+from hmqm.matchings import matching_table
 from reference import BitString, DensityMatrix, secret_bits
 
 
@@ -35,10 +36,11 @@ def basis_vector(n: int, i: int, j: int, b: int) -> np.ndarray:
     return v / math.sqrt(2.0)
 
 
-def brute_error_probability(rho: DensityMatrix, x: BitString, matching) -> float:
-    """Wrong-parity probability summed projector by projector."""
+def brute_error_probability(rho: DensityMatrix, x: BitString, row: np.ndarray) -> float:
+    """Wrong-parity probability summed projector by projector, over a
+    matching's row of pairs."""
     total = 0.0
-    for i, j in matching.pairs:
+    for i, j in row.tolist():
         parity = x.bits[i - 1] ^ x.bits[j - 1]
         wrong = basis_vector(rho.dim, i, j, parity ^ 1)
         total += float(np.real(wrong.conj() @ rho.mat @ wrong))
@@ -111,7 +113,7 @@ def measure_positions_reference(key: bytes, coin, positions: np.ndarray, alphas:
     u_err = rng.random(k)
     error_rate = {protocol.PositionKind.GENUINE: beta, protocol.PositionKind.REPLICA: 0.0,
                   protocol.PositionKind.FORGED: coin.forged_error}
-    matchings = protocol.matching_set(n)
+    table = matching_table(n)
     pair_i, pair_j = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
     answer = np.full(k, -1, dtype=np.int8)
     errors = np.zeros(k, dtype=bool)
@@ -119,7 +121,7 @@ def measure_positions_reference(key: bytes, coin, positions: np.ndarray, alphas:
         kind = next(kind for stop, kind in coin.segments if position < stop)
         if kind == protocol.PositionKind.ABSENT or not u_loss[t] < eta:
             continue
-        i, j = matchings.matching(int(alphas[t])).pairs[pair_pick[t]]
+        i, j = table[alphas[t], pair_pick[t]].tolist()
         x = secret_bits(key, np.array([position]), n)[0]
         errors[t] = u_err[t] < error_rate[kind]
         pair_i[t], pair_j[t] = i, j

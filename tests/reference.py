@@ -19,12 +19,10 @@ definition of the coins' secrets (`secret_bits`).
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from hmqm import protocol
-from hmqm.matchings import DisjointMatchingSet, Matching
 
 HERMITIAN_TOL = 1e-9
 TRACE_TOL = 1e-9
@@ -121,18 +119,19 @@ def maximally_mixed(n: int) -> DensityMatrix:
     return DensityMatrix(np.eye(n, dtype=complex) / n)
 
 
-def outcome_distribution(rho: DensityMatrix, m: Matching) -> np.ndarray:
-    """Exact outcome probabilities for measuring rho in the basis of m.
+def outcome_distribution(rho: DensityMatrix, row: np.ndarray) -> np.ndarray:
+    """Exact outcome probabilities for measuring rho in the basis of a
+    matching, given as its row of `matching_table(n)`: n/2 pairs (i, j).
 
     Returns an array of shape (n/2, 2): entry (k, b) is the probability of
     pair k of the matching with bit b.  Probabilities within -1e-9 of [0, 1]
     are clamped; anything further out raises.
     """
-    if rho.dim != m.n:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, matching on {m.n}")
+    if rho.dim != 2 * len(row):
+        raise ValueError(f"dimension mismatch: state {rho.dim}, matching on {2 * len(row)}")
     a = rho.mat
-    probs = np.empty((len(m.pairs), 2))
-    for k, (i, j) in enumerate(m.pairs):
+    probs = np.empty((len(row), 2))
+    for k, (i, j) in enumerate(row.tolist()):
         ii, jj = i - 1, j - 1
         diag = (a[ii, ii] + a[jj, jj]).real
         cross = (a[ii, jj] + a[jj, ii]).real
@@ -154,19 +153,19 @@ def _clamp(p):
 
 
 def error_probability_given_matching(
-    rho: DensityMatrix, x: BitString, alpha: int, mset: DisjointMatchingSet
+    rho: DensityMatrix, x: BitString, alpha: int, table: np.ndarray
 ) -> float:
-    """Probability that the sampled bit disagrees with x_i xor x_j.
+    """Probability that the sampled bit disagrees with x_i xor x_j, measured
+    in matching alpha of table (a `matching_table(n)`).
 
     Closed form: 1/2 * (1 - sum over pairs of (-1)^(x_i xor x_j) *
     (rho_ij + rho_ji)).
     """
-    m = mset.matching(alpha)
-    if rho.dim != x.n or x.n != m.n:
+    if rho.dim != x.n or x.n != len(table):
         raise ValueError("dimension mismatch between state, secret and matching")
     a = rho.mat
     acc = 0.0
-    for i, j in m.pairs:
+    for i, j in table[alpha].tolist():
         sign = -1.0 if x.bits[i - 1] ^ x.bits[j - 1] else 1.0
         acc += sign * (a[i - 1, j - 1] + a[j - 1, i - 1]).real
     return float(_clamp(0.5 * (1.0 - acc)))
@@ -183,26 +182,27 @@ def fidelity(x: BitString, rho: DensityMatrix) -> float:
     return float(val.real)
 
 
-def averaged_error_probability(rho: DensityMatrix, x: BitString, mset: DisjointMatchingSet) -> float:
-    """Mean error probability over a uniformly random matching of the set.
+def averaged_error_probability(rho: DensityMatrix, x: BitString, table: np.ndarray) -> float:
+    """Mean error probability over a uniformly random matching of the set
+    `table` (a `matching_table(n)`).
 
     Equals n / (2(n-1)) * (1 - fidelity), independent of which maximal
     disjoint set is used.
     """
-    n = mset.n
+    n = len(table)
     if rho.dim != n or x.n != n:
         raise ValueError("dimension mismatch between state, secret and matching set")
     return float(_clamp(n / (2.0 * (n - 1)) * (1.0 - fidelity(x, rho))))
 
 
-def averaged_povm(x: BitString, mset: DisjointMatchingSet) -> AveragedPovm:
+def averaged_povm(x: BitString, table: np.ndarray) -> AveragedPovm:
     """Two-outcome POVM summarizing the averaged game for secret x.
 
     The incorrect element is n / (2(n-1)) * (1 - |phi_x><phi_x|); the correct
     element is its complement to the identity.  Tr[incorrect * rho] equals
-    averaged_error_probability(rho, x, mset) for every state rho.
+    averaged_error_probability(rho, x, table) for every state rho.
     """
-    n = mset.n
+    n = len(table)
     if x.n != n:
         raise ValueError("secret length does not match the matching set")
     proj = hidden_matching_state(x).to_density().mat
@@ -210,67 +210,65 @@ def averaged_povm(x: BitString, mset: DisjointMatchingSet) -> AveragedPovm:
     return AveragedPovm(incorrect=incorrect, correct=np.eye(n) - incorrect)
 
 
-# Matchings: the checks and the JSON form of a disjoint set.
+# Matchings: the checks and the JSON form of a disjoint set, in the form of
+# `hmqm.matchings.matching_table(n)`: an (n, n/2, 2) array whose row alpha
+# holds matching alpha's pairs (i, j), and whose row 0 is zeros.
 
-def partner(m: Matching, i: int) -> int:
-    """Return the node matched with i."""
-    for a, b in m.pairs:
+def partner(row: np.ndarray, i: int) -> int:
+    """Return the node matched with i in a matching's row of pairs."""
+    for a, b in row.tolist():
         if a == i:
             return b
         if b == i:
             return a
-    raise ValueError(f"node {i} outside 1..{m.n}")
+    raise ValueError(f"node {i} outside 1..{2 * len(row)}")
 
 
-def matching_set_to_json(mset: DisjointMatchingSet) -> str:
+def matching_set_to_json(table: np.ndarray) -> str:
     """The set as {"n", "matchings"}, each matching a list of [i, j] pairs
     (tests/matching_set.schema.json)."""
-    return json.dumps(
-        {"n": mset.n, "matchings": [[list(p) for p in m.pairs] for m in mset.matchings]},
-        sort_keys=True,
-    )
+    return json.dumps({"n": len(table), "matchings": table[1:].tolist()}, sort_keys=True)
 
 
-def matching_set_from_json(text: str) -> DisjointMatchingSet:
-    """The set matching_set_to_json wrote, each pair sorted to i < j."""
+def matching_set_from_json(text: str) -> np.ndarray:
+    """The table matching_set_to_json wrote, each pair sorted to i < j and
+    each matching's pairs sorted by i."""
     obj = json.loads(text)
-    n = obj["n"]
-    ms = tuple(
-        Matching(
-            n,
-            tuple(sorted((min(int(i), int(j)), max(int(i), int(j))) for i, j in pairs)),
-        )
-        for pairs in obj["matchings"]
-    )
-    return DisjointMatchingSet(n, ms)
+    rows = [sorted((min(i, j), max(i, j)) for i, j in pairs) for pairs in obj["matchings"]]
+    return np.array([[(0, 0)] * (obj["n"] // 2), *rows], dtype=np.int64)
 
 
-def diagnose(mset: DisjointMatchingSet) -> str | None:
-    """Explain why mset is not a maximal disjoint set, or None if it is.
+def diagnose(table: np.ndarray) -> str | None:
+    """Explain why table is not a maximal disjoint set, or None if it is.
 
-    Checks matching count, per-matching well-formedness (guaranteed by the
-    Matching type) and exact single coverage of every pair of K_n.
+    Checks the row count, that row 0 is zeros, that every other row is a
+    partition of {1, ..., n} into pairs with i < j, and that no pair lies
+    in two matchings.  n - 1 such matchings of n/2 distinct pairs cover
+    every pair of K_n exactly once.
     """
-    n = mset.n
-    if len(mset.matchings) != n - 1:
-        return f"expected {n - 1} matchings, got {len(mset.matchings)}"
+    n = 2 * table.shape[1]
+    if len(table) != n:
+        return f"expected {n - 1} matchings, got {len(table) - 1}"
+    if table[0].any():
+        return "row 0 is not zeros"
     seen: dict[tuple[int, int], int] = {}
-    for alpha, m in enumerate(mset.matchings, start=1):
-        if m.n != n:
-            return f"matching {alpha} is on {m.n} nodes, set is on {n}"
-        for p in m.pairs:
+    for alpha in range(1, n):
+        row = [tuple(p) for p in table[alpha].tolist()]
+        for i, j in row:
+            if not 1 <= i < j <= n:
+                return f"matching {alpha} has pair ({i}, {j}), not 1 <= i < j <= {n}"
+        if sorted(v for p in row for v in p) != list(range(1, n + 1)):
+            return f"matching {alpha} does not partition {{1, ..., {n}}}"
+        for p in row:
             if p in seen:
                 return f"pair {p} appears in matchings {seen[p]} and {alpha}"
             seen[p] = alpha
-    for p in combinations(range(1, n + 1), 2):
-        if p not in seen:
-            return f"pair {p} is covered by no matching"
     return None
 
 
-def validate(mset: DisjointMatchingSet) -> bool:
-    """True iff mset is a maximal pairwise-disjoint matching set."""
-    return diagnose(mset) is None
+def validate(table: np.ndarray) -> bool:
+    """True iff table is a maximal pairwise-disjoint matching set."""
+    return diagnose(table) is None
 
 
 # The symmetrized cloner, whose per-copy error is bounds.e_max.

@@ -19,7 +19,7 @@ from helpers import block_spectrum, brute_pair_average, brute_q_matrix, random_d
 from hmqm import bounds
 from hmqm.adversary import builtin_strategy, run_forging_experiment
 from hmqm.coherent import photon_statistics
-from hmqm.matchings import build_disjoint_set
+from hmqm.matchings import matching_table
 from hmqm.protocol import (
     HonestChannel,
     Verdict,
@@ -93,7 +93,7 @@ def test_criterion_04_cloner_ground_truth():
     worst_err = 0.0
     for n in range(4, 16, 2):
         v = reference.clone_shrink_factor(n)
-        mset = build_disjoint_set(n)
+        table = matching_table(n)
         eye = np.eye(n) / n
         for _ in range(50):
             x = BitString.random(n, rng)
@@ -104,7 +104,7 @@ def test_criterion_04_cloner_ground_truth():
             dev = max(dev, float(np.max(np.abs(pair.second.mat - expected))))
             worst_red = max(worst_red, dev)
             assert dev <= 1e-10, f"n={n}: reduction deviates by {dev}"
-            err = averaged_error_probability(pair.first, x, mset)
+            err = averaged_error_probability(pair.first, x, table)
             worst_err = max(worst_err, abs(err - bounds.e_max(n)))
             assert abs(err - bounds.e_max(n)) <= 1e-10
     report(4, f"300 cloned states match v*phi+(1-v)/n (worst {worst_red:.2e}), error = e_max (worst {worst_err:.2e})")
@@ -114,14 +114,14 @@ def test_criterion_05_povm_identity():
     rng = np.random.default_rng(0x9071)
     worst = 0.0
     for n in (4, 6, 8):
-        mset = build_disjoint_set(n)
+        table = matching_table(n)
         for _ in range(50):
             rho = random_density(n, rng)
             x = BitString.random(n, rng)
-            povm = averaged_povm(x, mset)
+            povm = averaged_povm(x, table)
             traced = float(np.trace(povm.incorrect @ rho.mat).real)
             mean_err = float(np.mean([
-                error_probability_given_matching(rho, x, alpha, mset) for alpha in range(1, n)
+                error_probability_given_matching(rho, x, alpha, table) for alpha in range(1, n)
             ]))
             worst = max(worst, abs(traced - mean_err))
             assert abs(traced - mean_err) <= 1e-12

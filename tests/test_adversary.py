@@ -17,6 +17,7 @@ from hmqm.adversary import (
     run_forging_experiment,
 )
 from hmqm.cli import main
+from hmqm.matchings import matching_table
 from hmqm.protocol import (
     Coin,
     HonestChannel,
@@ -114,11 +115,9 @@ def assert_grades_at(rho, x, coin, kind, beta):
     n = x.n
     every_kind = tuple((stop, kind) for stop, kind in enumerate(PositionKind, start=1))
     rate = protocol._profile_table(((every_kind, coin.forged_error or 0.0),), beta)[2][0, kind]
-    matchings = protocol.matching_set(n)
-    for alpha in range(1, n):
-        m = matchings.matching(alpha)
-        probs = outcome_distribution(rho, m)
-        wrong = [probs[k, x.bits[i - 1] ^ x.bits[j - 1] ^ 1] for k, (i, j) in enumerate(m.pairs)]
+    for row in matching_table(n)[1:]:
+        probs = outcome_distribution(rho, row)
+        wrong = [probs[k, x.bits[i - 1] ^ x.bits[j - 1] ^ 1] for k, (i, j) in enumerate(row.tolist())]
         assert np.max(np.abs(probs.sum(axis=1) - 2 / n)) < 1e-12
         assert np.max(np.abs(np.array(wrong) * n / 2 - rate)) < 1e-12
 

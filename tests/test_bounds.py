@@ -21,7 +21,7 @@ from hmqm.bounds import (
     pair_error_lower_bound,
 )
 from hmqm.cli import main
-from hmqm.matchings import build_disjoint_set
+from hmqm.matchings import matching_table
 from reference import (
     BitString,
     averaged_error_probability,
@@ -259,7 +259,7 @@ def test_clone_shrink_factor():
 def test_symmetric_clone_reductions(n):
     rng = np.random.default_rng(53)
     v = clone_shrink_factor(n)
-    mset = build_disjoint_set(n)
+    table = matching_table(n)
     for _ in range(3):
         x = BitString.random(n, rng)
         proj = hidden_matching_state(x).to_density()
@@ -267,7 +267,7 @@ def test_symmetric_clone_reductions(n):
         expected = v * proj.mat + (1.0 - v) * np.eye(n) / n
         assert np.max(np.abs(pair.first.mat - expected)) < 1e-10
         assert np.max(np.abs(pair.second.mat - pair.first.mat)) < 1e-12
-        err = averaged_error_probability(pair.first, x, mset)
+        err = averaged_error_probability(pair.first, x, table)
         assert abs(err - e_max(n)) < 1e-10
 
 
@@ -287,14 +287,14 @@ def test_symmetric_clone_arbitrary_input():
 
 def test_depolarization_for_error():
     x = BitString((0, 1, 1, 0, 1, 0, 0, 1))
-    mset = build_disjoint_set(8)
+    table = matching_table(8)
     proj = hidden_matching_state(x).to_density().mat
     assert np.max(np.abs(depolarization_for_error(x, 0.0).mat - proj)) < 1e-15
     assert np.max(np.abs(depolarization_for_error(x, 0.5).mat - np.eye(8) / 8)) < 1e-15
     noisy = depolarization_for_error(x, 0.1)
-    assert abs(averaged_error_probability(noisy, x, mset) - 0.1) < 1e-12
+    assert abs(averaged_error_probability(noisy, x, table) - 0.1) < 1e-12
     for alpha in range(1, 8):
-        assert abs(error_probability_given_matching(noisy, x, alpha, mset) - 0.1) < 1e-12
+        assert abs(error_probability_given_matching(noisy, x, alpha, table) - 0.1) < 1e-12
     with pytest.raises(ValueError):
         depolarization_for_error(x, -0.01)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import AesBlockCounter, kinds_of, measure_positions_reference
 from hmqm import adversary, bounds, protocol, service
 from hmqm.adversary import BUILTIN_STRATEGIES, builtin_strategy, forge_coins
+from hmqm.matchings import matching_table
 from hmqm.protocol import (
     CheckResult,
     Coin,
@@ -31,7 +33,6 @@ from hmqm.protocol import (
     _aes128_ecb,
     _permute,
     _plan_round,
-    matching_set,
     measure_positions,
     pair_parities,
     plan_parameters,
@@ -118,8 +119,7 @@ def test_insufficient_positions():
 
 def make_transcript(db, correct_count, l=1000, lost=0):
     """Transcript over positions 0..l-1, first matching, chosen correctness."""
-    m = matching_set(db.n).matching(1)
-    i, j = m.pairs[0]
+    i, j = matching_table(db.n)[1, 0].tolist()
     positions = np.arange(l, dtype=np.int64)
     bits = secret_bits(db.key, positions, db.n)
     parity = (bits[:, i - 1] ^ bits[:, j - 1]).astype(np.int8)
@@ -236,7 +236,7 @@ def test_structural_violations():
     check(bad_node, "node_out_of_range")
 
     def wrong_matching(t):
-        i, j = matching_set(db.n).matching(2).pairs[0]
+        i, j = matching_table(db.n)[2, 0].tolist()
         t.pair_i[0], t.pair_j[0] = i, j
 
     check(wrong_matching, "pair_not_in_matching")
@@ -258,7 +258,7 @@ def test_duplicate_positions_are_found_anywhere_in_the_sample():
 def test_bank_judges_the_sample_size_from_its_record():
     # One position with the right parity, claiming l = 1 on an l = 100 coin.
     _, db = bank_mint(4, 1_000_000, 100, np.random.default_rng(13))
-    i, j = matching_set(4).matching(1).pairs[0]
+    i, j = matching_table(4)[1, 0].tolist()
     bits = secret_bits(db.key, np.array([0]), 4)
     transcript = VerificationTranscript(
         coin_id=db.coin_id, l=1, positions=np.array([0]), alpha=np.array([1]),
@@ -282,7 +282,7 @@ def test_transcript_json_round_trip():
     t = outcome.transcript
     assert (t.answer == -1).any()  # detector loss at eta = 0.9 shows up
     text = t.to_json()
-    parsed = VerificationTranscript.from_json(text)
+    parsed = VerificationTranscript.from_dict(json.loads(text))
     assert parsed.to_json() == text
     assert np.array_equal(parsed.positions, t.positions)
     assert np.array_equal(parsed.alpha, t.alpha)
@@ -788,7 +788,7 @@ def test_check_result_serialization():
         "valid": True, "s": 1, "T": 2, "correct_count": 9,
         "l_prime": 10, "threshold": 8.0,
     }
-    assert '"valid": true' in res.to_json()
+    assert '"valid": true' in json.dumps(res.to_dict())
     # A coded verdict carries its code; each is the verdict a client reads back.
     coded = CheckResult(valid=False, s=2, T=2, correct_count=0, l_prime=10, threshold=8.0, code="coin_exhausted")
     assert coded.to_dict() == {**d, "valid": False, "s": 2, "correct_count": 0, "code": "coin_exhausted"}

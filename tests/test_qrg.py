@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import basis_vector, brute_error_probability, random_density, state_vector
-from hmqm.matchings import build_disjoint_set
+from hmqm.matchings import matching_table
 from reference import (
     BitString,
     DensityMatrix,
@@ -61,56 +61,56 @@ def test_density_matrix_rejects_invalid():
 @pytest.mark.parametrize("n", [4, 8])
 def test_ideal_state_answers_with_certainty(n):
     rng = np.random.default_rng(7)
-    mset = build_disjoint_set(n)
+    table = matching_table(n)
     x = BitString.random(n, rng)
     rho = hidden_matching_state(x).to_density()
     for alpha in range(1, n):
-        assert error_probability_given_matching(rho, x, alpha, mset) < 1e-14
+        assert error_probability_given_matching(rho, x, alpha, table) < 1e-14
 
 
 def test_maximally_mixed_uniform_outcomes():
     n = 6
-    mset = build_disjoint_set(n)
+    table = matching_table(n)
     rho = maximally_mixed(n)
     for alpha in range(1, n):
-        probs = outcome_distribution(rho, mset.matching(alpha))
+        probs = outcome_distribution(rho, table[alpha])
         assert np.allclose(probs, 1.0 / n, atol=1e-14)
-        assert abs(error_probability_given_matching(rho, BitString((0,) * n), alpha, mset) - 0.5) < 1e-14
+        assert abs(error_probability_given_matching(rho, BitString((0,) * n), alpha, table) - 0.5) < 1e-14
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_error_probability_matches_brute_force(n):
     rng = np.random.default_rng(23)
-    mset = build_disjoint_set(n)
+    table = matching_table(n)
     for _ in range(10):
         rho = random_density(n, rng)
         x = BitString.random(n, rng)
         for alpha in range(1, n):
-            fast = error_probability_given_matching(rho, x, alpha, mset)
-            brute = brute_error_probability(rho, x, mset.matching(alpha))
+            fast = error_probability_given_matching(rho, x, alpha, table)
+            brute = brute_error_probability(rho, x, table[alpha])
             assert abs(fast - brute) < 1e-12
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_averaged_error_equals_mean_over_matchings(n):
     rng = np.random.default_rng(29)
-    mset = build_disjoint_set(n)
+    table = matching_table(n)
     for _ in range(10):
         rho = random_density(n, rng)
         x = BitString.random(n, rng)
         mean = np.mean([
-            error_probability_given_matching(rho, x, alpha, mset) for alpha in range(1, n)
+            error_probability_given_matching(rho, x, alpha, table) for alpha in range(1, n)
         ])
-        assert abs(averaged_error_probability(rho, x, mset) - mean) < 1e-12
+        assert abs(averaged_error_probability(rho, x, table) - mean) < 1e-12
 
 
 def test_averaged_error_anchors():
     n = 8
-    mset = build_disjoint_set(n)
+    table = matching_table(n)
     x = BitString((0, 1, 1, 0, 1, 0, 0, 1))
     ideal = hidden_matching_state(x).to_density()
-    assert averaged_error_probability(ideal, x, mset) < 1e-14
-    assert abs(averaged_error_probability(maximally_mixed(n), x, mset) - 0.5) < 1e-14
+    assert averaged_error_probability(ideal, x, table) < 1e-14
+    assert abs(averaged_error_probability(maximally_mixed(n), x, table) - 0.5) < 1e-14
 
 
 def test_fidelity_values():
@@ -141,9 +141,9 @@ def test_global_phase_invariance():
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_povm_completeness_and_positivity(n):
     rng = np.random.default_rng(37)
-    mset = build_disjoint_set(n)
+    table = matching_table(n)
     x = BitString.random(n, rng)
-    povm = averaged_povm(x, mset)
+    povm = averaged_povm(x, table)
     assert np.max(np.abs(povm.correct + povm.incorrect - np.eye(n))) < 1e-12
     assert np.min(np.linalg.eigvalsh(povm.correct)) > -1e-12
     assert np.min(np.linalg.eigvalsh(povm.incorrect)) > -1e-12
@@ -152,41 +152,41 @@ def test_povm_completeness_and_positivity(n):
 def test_povm_trace_identity():
     rng = np.random.default_rng(41)
     n = 6
-    mset = build_disjoint_set(n)
+    table = matching_table(n)
     x = BitString.random(n, rng)
-    povm = averaged_povm(x, mset)
+    povm = averaged_povm(x, table)
     ideal = hidden_matching_state(x).to_density()
     assert abs(np.trace(povm.incorrect @ ideal.mat).real) < 1e-14
     assert abs(np.trace(povm.incorrect @ maximally_mixed(n).mat).real - 0.5) < 1e-14
     for _ in range(10):
         rho = random_density(n, rng)
         traced = float(np.trace(povm.incorrect @ rho.mat).real)
-        assert abs(traced - averaged_error_probability(rho, x, mset)) < 1e-12
+        assert abs(traced - averaged_error_probability(rho, x, table)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_outcome_distribution_matches_projectors_on_random_states(n):
     rng = np.random.default_rng(43)
-    mset = build_disjoint_set(n)
+    table = matching_table(n)
     for _ in range(10):
         rho = random_density(n, rng)
         for alpha in range(1, n):
-            m = mset.matching(alpha)
+            row = table[alpha]
             brute = [
                 [float(np.real(v.conj() @ rho.mat @ v)) for v in (basis_vector(n, i, j, 0), basis_vector(n, i, j, 1))]
-                for i, j in m.pairs
+                for i, j in row.tolist()
             ]
-            assert np.max(np.abs(outcome_distribution(rho, m) - brute)) < 1e-12
+            assert np.max(np.abs(outcome_distribution(rho, row) - brute)) < 1e-12
 
 
 def test_dimension_mismatches_raise():
-    mset4 = build_disjoint_set(4)
+    table4 = matching_table(4)
     rho6 = maximally_mixed(6)
     with pytest.raises(ValueError):
-        outcome_distribution(rho6, mset4.matching(1))
+        outcome_distribution(rho6, table4[1])
     with pytest.raises(ValueError):
-        error_probability_given_matching(rho6, BitString((0,) * 6), 1, mset4)
+        error_probability_given_matching(rho6, BitString((0,) * 6), 1, table4)
     with pytest.raises(ValueError):
-        averaged_error_probability(rho6, BitString((0,) * 4), mset4)
+        averaged_error_probability(rho6, BitString((0,) * 4), table4)
     with pytest.raises(ValueError):
         fidelity(BitString((0, 1)), rho6)

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmqm.service
+from hmqm.matchings import matching_table
 from hmqm.protocol import (
     MAX_N,
     CheckResult,
@@ -32,7 +33,6 @@ from hmqm.protocol import (
     decode_outcomes,
     encode_outcomes,
     holder_verify,
-    matching_set,
     _finish_round,
     _plan_round,
     adversary_error_floor,
@@ -469,7 +469,7 @@ def test_a_lax_policy_in_a_request_passes_no_made_up_transcript(service):
             alphas = rng.integers(1, 8, size=coin.l)
             triplets = []
             for i, alpha in zip(positions.tolist(), alphas.tolist()):
-                a, b = matching_set(8).matching(alpha).pairs[int(rng.integers(4))]
+                a, b = matching_table(8)[alpha, int(rng.integers(4))].tolist()
                 triplets.append({"i": i, "alpha": alpha, "outcome": {"i": a, "j": b, "b": int(rng.integers(2))}})
             send_message(sock, {"type": "verify", "request_id": k,
                                 "transcript": {"coin_id": coin.coin_id, "l": coin.l, "triplets": triplets},
@@ -624,6 +624,24 @@ def test_a_round_of_the_wrong_size_is_charged_as_verify_charges_it(service):
         assert [json.loads(line)["event"] for line in fh] == ["mint", "check"]
 
 
+def test_a_short_round_is_charged_not_aborted(service):
+    # One position is fewer than (eta - epsilon) * l outcomes, but the abort
+    # rule judges only a sample of l positions: this one is graded, charged
+    # and journaled as a measure and a verify of it would be.
+    with BankClient(*service.address) as client:
+        coin = client.mint(8, 100_000, 100, seed=34, beta=0.1)
+    assert coin.T == 1
+    resp = raw_call(service.address, {
+        "type": "round", "coin_id": coin.coin_id, "positions": [0], "alphas": [1],
+        "beta": 0.0, "seed": 1, "request_id": "s"})
+    assert (resp["type"], len(resp["outcomes"])) == ("round_ok", 1)
+    check = resp["check"]
+    assert (check["valid"], check["code"], check["s"], check["l_prime"]) == (False, "wrong_sample_size", 1, 1)
+    assert service.coins[coin.coin_id].s == 1
+    with open(service.journal.path) as fh:
+        assert [json.loads(line)["event"] for line in fh] == ["mint", "check"]
+
+
 def test_a_round_the_abort_rule_ends_charges_nothing(service):
     # `hmqm verify --n 8 --q 20000 --l 20 --seed 14 --eta 0.9 --epsilon 0.05`
     with BankClient(*service.address) as client:
@@ -762,7 +780,7 @@ def test_an_outcome_bit_outside_0_1_is_refused_not_graded_as_lost(service):
     with BankClient(*service.address) as client:
         coin = client.mint(8, 40_000, 20, seed=51)
     db = service.coins[coin.coin_id]
-    i, j = matching_set(8).matching(1).pairs[0]
+    i, j = matching_table(8)[1, 0].tolist()
     bits = secret_bits(db.key, np.arange(20), 8)
     triplets = [{"i": p, "alpha": 1, "outcome": {"i": i, "j": j, "b": int(bits[p, i - 1] ^ bits[p, j - 1])}}
                 for p in range(20)]
@@ -818,7 +836,7 @@ def test_bank_judges_the_sample_size_over_the_wire(service):
     # One position with the right parity, claiming l = 1 on an l = 100 coin.
     with BankClient(*service.address) as client:
         coin = client.mint(4, 1_000_000, 100, seed=61)
-    i, j = matching_set(4).matching(1).pairs[0]
+    i, j = matching_table(4)[1, 0].tolist()
     bits = secret_bits(service.coins[coin.coin_id].key, np.array([0]), 4)
     triplet = {"i": 0, "alpha": 1, "outcome": {"i": i, "j": j, "b": int(bits[0, i - 1] ^ bits[0, j - 1])}}
     resp = raw_call(service.address, {
@@ -1235,7 +1253,7 @@ def test_any_transcript_gets_one_reply_and_charges_at_most_one_check(service, mo
 
     def graded(position, alpha, pick):
         """A triplet whose outcome has the right parity."""
-        i, j = matching_set(4).matching(alpha).pairs[pick]
+        i, j = matching_table(4)[alpha, pick].tolist()
         bits = secret_bits(db.key, np.array([position]), 4)[0]
         return {"i": position, "alpha": alpha, "outcome": {"i": i, "j": j, "b": int(bits[i - 1] ^ bits[j - 1])}}
 
