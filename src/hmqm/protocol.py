@@ -27,10 +27,11 @@ Each rule is written once.  `VerdictParameters` is the acceptance policy:
 floor (and refuses a beta at or above the floor), `min_outcomes` is the
 abort rule and `tail_bounds` picks the ideal or the lossy tail bounds.
 A round is its draws (`_draw_round`), its sample (`_read_samples`), a
-measurement (`measure_positions`, in process or over the wire) and
-`_finish_round` (transcript, abort, verdict).  The kernels take a leading
-axis of rounds: `measure_rounds` draws, reads and measures rounds a batch
-at a time and `holder_verify` ends each one.  A single round is the batch
+measurement (`measure_positions`, in process or over the wire),
+`_end_round` (its transcript, and whether the holder aborts it) and,
+unless it aborts, the bank's check, whose answer is the round's verdict.
+The kernels take a leading axis of rounds: `measure_rounds` draws, reads
+and measures rounds a batch at a time and `holder_verify` ends each one.  A single round is the batch
 of one: `holder_verify` alone takes it from `measure_rounds`, and a wire
 round (`client_verify`) takes the same draws and read from `_plan_round`.
 `encode_outcomes` / `decode_outcomes` are the only codec of an outcome's
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 from enum import IntEnum, Enum
 from functools import lru_cache
 from itertools import groupby
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 import json
 
 import numpy as np
@@ -368,12 +369,23 @@ class CheckResult:
             body["code"] = self.code
         return body
 
+    @classmethod
+    def from_dict(cls, body: dict) -> "CheckResult":
+        """The verdict read back from its wire form, converting nothing:
+        valid must be a bool, code a string or absent, the counters integers
+        and threshold a number.  A missing field raises KeyError, a field of
+        another type TypeError."""
+        valid, code = body["valid"], body.get("code")
+        if type(valid) is not bool or type(body.get("code", "")) is not str:
+            raise TypeError(f"valid must be a bool and code a string or absent, got valid={valid!r}, code={code!r}")
+        counters = (wire_int(body[name], name) for name in ("s", "T", "correct_count", "l_prime"))
+        return cls(valid, *counters, wire_float(body["threshold"], "threshold"), code)
+
 
 @dataclass
 class VerifyOutcome:
     """Holder-side result of one verification round."""
 
-    verdict: Verdict
     transcript: VerificationTranscript
     check: CheckResult | None  # None when the holder aborted
     # Per position: did the measurement err?  False where the outcome was
@@ -381,6 +393,12 @@ class VerifyOutcome:
     # as is each position's PositionKind.
     errors: np.ndarray | None
     kinds: np.ndarray | None = None
+
+    @property
+    def verdict(self) -> Verdict:
+        """Aborted when the holder aborted, else the bank's check: Valid or
+        Invalid."""
+        return Verdict.ABORTED if self.check is None else Verdict.VALID if self.check.valid else Verdict.INVALID
 
 
 # The EVP calls of AES-128-ECB: name -> (restype, argtypes).
@@ -650,8 +668,8 @@ def holder_verify(
     if measured is None:
         _, _, measured = next(measure_rounds([(coin, db)], channel, params.eta, rng))
     sample, alphas, *outcomes, errors, kinds = measured
-    return _finish_round(coin, sample, alphas, outcomes, params,
-                         lambda t: bank_check(db, t, params, errors), errors, kinds)
+    transcript, aborts = _end_round(coin, sample, alphas, outcomes, params)
+    return VerifyOutcome(transcript, None if aborts else bank_check(db, transcript, params, errors), errors, kinds)
 
 
 # The most positions a batch of `measure_rounds` reads, measures and derives
@@ -799,20 +817,15 @@ def _permute(keys: bytes, idx: np.ndarray, bits: int) -> np.ndarray:
     return np.bitwise_or(*halves, halves[0])
 
 
-def _finish_round(coin: Coin, sample: np.ndarray, alphas: np.ndarray, outcomes: tuple,
-                  params: VerdictParameters, check: Callable[[VerificationTranscript], CheckResult],
-                  errors: np.ndarray | None = None, kinds: np.ndarray | None = None) -> VerifyOutcome:
+def _end_round(coin: Coin, sample: np.ndarray, alphas: np.ndarray, outcomes: tuple,
+               params: VerdictParameters) -> tuple[VerificationTranscript, bool]:
     """End a round, wherever its outcomes (pair_i, pair_j, answer) were
-    measured: build the transcript, abort when a sample of l positions
-    brought fewer than min_outcomes * l outcomes, else submit it through
-    `check` and map the bank's answer to a verdict.  A sample of any other
-    size is always submitted, so the check grades it `wrong_sample_size`
-    and charges it."""
+    measured: its transcript, and whether the holder aborts it, which it
+    does when a sample of l positions brought fewer than min_outcomes * l
+    outcomes.  A sample of any other size never aborts, so the bank's check
+    grades it `wrong_sample_size` and charges it."""
     transcript = VerificationTranscript(coin.coin_id, coin.l, sample, alphas, *outcomes)
-    if len(sample) == coin.l and transcript.l_prime < params.min_outcomes * coin.l:
-        return VerifyOutcome(Verdict.ABORTED, transcript, None, errors, kinds)
-    result = check(transcript)
-    return VerifyOutcome(Verdict.VALID if result.valid else Verdict.INVALID, transcript, result, errors, kinds)
+    return transcript, len(sample) == coin.l and transcript.l_prime < params.min_outcomes * coin.l
 
 
 def bank_check(db: BankDatabase, transcript: VerificationTranscript, params: VerdictParameters,

@@ -30,17 +30,19 @@ positions, bases, simulated channel noise beta (in [0, 1/2]) and a
 measurement seed, and is one exchange per verification round: the service
 measures at the coin's eta with the same exact sampling engine used
 in-process, which makes remote runs bit-identical to local ones under the
-same seeds, ends the round with protocol's `_finish_round` and replies
+same seeds, ends the round with protocol's `_end_round` and replies
 `round_ok` with the outcomes and, unless the abort rule fired, the
-verify_ok body as `check`.  It charges and journals exactly what a measure
-followed by a verify of the transcript built from it would: the abort rule
-judges only a sample of l positions, so a round of any other size is
-graded `wrong_sample_size` and charged.  A `verify`
-carries a whole transcript, for a holder who measures physical states.  A
-`measure` carries a round's fields and an eta in (0, 1] and replies with the
-outcomes alone: it stands in for the holder's device, and it is an
-unlimited oracle, since measuring one position in all n - 1 matchings
-reveals its secret up to a global flip.  The check grades the bank's own
+verify_ok body as `check`.  A `verify` carries a whole transcript, for a
+holder who measures physical states.  A `measure` carries a round's fields
+and replies with the outcomes alone: it stands in for the holder's device,
+and it is an unlimited oracle, since measuring one position in all n - 1
+matchings reveals its secret up to a global flip.  Every measurement of a
+coin runs at the coin's own eta, fixed at mint (a request's `eta` field is
+not read), so a `round` is exactly a `measure` followed, unless the abort
+rule fires, by a `verify` of the transcript built from it: the same
+outcomes, the same check, the same charge and the same journal.  The abort
+rule judges only a sample of l positions, so a round of any other size is
+graded `wrong_sample_size` and charged.  The check grades the bank's own
 measurement: its nodes, pairs and bits are the bank's, and positions and
 bases were range-checked before measuring, so only the holder's sample is
 judged (its size, then duplicates), and a present outcome's bit is its
@@ -49,8 +51,11 @@ thus derives each present position's AES blocks once; a measure and a
 verify derive them once each.  `client_verify` is the in-process round
 with one `round` request in place of the measurement and the check: the
 planning, the outcome codec, the abort rule and the verdict are protocol's
-own.  A request that races stop() and finds the journal closed gets an
-`unavailable` error, with no coin added and no check charged.
+own.  A reply the client cannot read (a check or coin field missing or of
+the wrong type, malformed outcomes, or a count of outcomes other than the
+sample's) is a ServiceError.  A request that races stop() and finds the
+journal closed gets an `unavailable` error, with no coin added and no
+check charged.
 
 State is durable: every mint and every check-counter increment is appended
 to a newline-delimited JSON journal and fsynced before the response is
@@ -109,7 +114,7 @@ from .protocol import (
     wire_float,
     wire_int,
     wire_ints,
-    _finish_round,
+    _end_round,
     _plan_round,
 )
 
@@ -453,12 +458,12 @@ class BankService:
                 raise UnknownCoinError(f"no coin {coin_id!r}")
             return self.coins[coin_id], self._coin_locks[coin_id]
 
-    def _measure(self, db: BankDatabase, request: dict,
-                 eta) -> tuple[Coin, np.ndarray, np.ndarray, tuple, np.ndarray]:
-        """Validate a measurement's fields and measure: the bank's view of
-        the coin, the positions, the bases, the outcomes (pair_i, pair_j,
-        answer) and their error flags.  A sample whose reply might not fit
-        a frame is refused before any secret is derived."""
+    def _measure(self, db: BankDatabase, request: dict) -> tuple[Coin, np.ndarray, np.ndarray, tuple, np.ndarray]:
+        """Validate a measurement's fields and measure at the coin's eta:
+        the bank's view of the coin, the positions, the bases, the outcomes
+        (pair_i, pair_j, answer) and their error flags.  A sample whose
+        reply might not fit a frame is refused before any secret is
+        derived."""
         positions, alphas = (wire_ints(request[name], name) for name in ("positions", "alphas"))
         if positions.shape != alphas.shape:
             raise ValueError("positions and alphas must be equal-length lists")
@@ -470,12 +475,9 @@ class BankService:
         if np.any(alphas < 1) or np.any(alphas > db.n - 1):
             raise ValueError("alpha out of range")
         beta = HonestChannel(wire_float(request["beta"], "beta")).beta
-        eta = wire_float(eta, "eta")
-        if not 0.0 < eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {eta}")
         view = Coin.fresh(db.coin_id, db.n, db.q, db.l, db.T)
         pair_i, pair_j, answer, errors, _ = measure_positions(
-            db.key, view, positions, alphas, beta, eta,
+            db.key, view, positions, alphas, beta, db.params.eta,
             np.random.default_rng(wire_int(request["seed"], "seed")),
         )
         return view, positions, alphas, (pair_i, pair_j, answer), errors
@@ -494,7 +496,7 @@ class BankService:
 
     def _handle_measure(self, request: dict) -> dict:
         db, _ = self._coin(request["coin_id"])
-        *_, outcomes, _ = self._measure(db, request, request["eta"])
+        *_, outcomes, _ = self._measure(db, request)
         return {"type": "measure_ok", "request_id": request.get("request_id"),
                 "outcomes": encode_outcomes(*outcomes)}
 
@@ -504,24 +506,14 @@ class BankService:
 
     def _handle_round(self, request: dict) -> dict:
         """A measure and the verify of the transcript built from it, unless
-        the coin's abort rule fires, measured at the coin's eta.  The check
-        grades the bank's own measurement from its error flags, deriving
-        nothing again."""
+        the coin's abort rule fires.  The check grades the bank's own
+        measurement from its error flags, deriving nothing again."""
         db, _ = self._coin(request["coin_id"])
-        view, positions, alphas, outcomes, errors = self._measure(db, request, db.params.eta)
-        outcome = _finish_round(view, positions, alphas, outcomes, db.params,
-                                lambda t: self._check(t, errors))
+        view, positions, alphas, outcomes, errors = self._measure(db, request)
+        transcript, aborts = _end_round(view, positions, alphas, outcomes, db.params)
         return {"type": "round_ok", "request_id": request.get("request_id"),
                 "outcomes": encode_outcomes(*outcomes),
-                "check": None if outcome.check is None else outcome.check.to_dict()}
-
-
-def _check_result(body: dict) -> CheckResult:
-    return CheckResult(
-        valid=bool(body["valid"]), s=int(body["s"]), T=int(body["T"]),
-        correct_count=int(body["correct_count"]), l_prime=int(body["l_prime"]),
-        threshold=float(body["threshold"]), code=body.get("code"),
-    )
+                "check": None if aborts else self._check(transcript, errors).to_dict()}
 
 
 def _reply_bound(request_id, n: int, k: int) -> int:
@@ -566,7 +558,10 @@ class BankClient:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _call(self, request: dict) -> dict:
+    def _call(self, request: dict, read):
+        """Send the request and read its reply's fields with read(reply).
+        A reply that does not parse is a ServiceError, an error reply an
+        ErrorReply."""
         self._next_id += 1
         request["request_id"] = f"r{self._next_id}"
         send_message(self._sock, request)
@@ -577,27 +572,31 @@ class BankClient:
             raise ServiceError("response does not match the request")
         if response.get("type") == "error":
             raise ErrorReply(f"{response.get('code')}: {response.get('message')}")
-        return response
+        try:
+            return read(response)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ServiceError(f"malformed {response.get('type')} reply: {exc!r}") from exc
 
     def mint(self, n: int, q: int, l: int, seed: int | None = None,
              beta: float = 0.0, eta: float = 1.0, epsilon: float = 0.0) -> Coin:
         """A fresh coin, which the bank grades under
         `VerdictParameters.from_noise(n, beta, eta, epsilon)`."""
-        resp = self._call({"type": "mint", "n": n, "q": q, "l": l, "seed": seed,
-                           "beta": beta, "eta": eta, "epsilon": epsilon})
-        return Coin.fresh(resp["coin_id"], resp["n"], resp["q"], resp["l"], resp["T"])
+        return self._call({"type": "mint", "n": n, "q": q, "l": l, "seed": seed,
+                           "beta": beta, "eta": eta, "epsilon": epsilon},
+                          lambda resp: Coin.fresh(resp["coin_id"], *(wire_int(resp[k], k) for k in ("n", "q", "l", "T"))))
 
     def measure(
         self, coin_id: str, positions: np.ndarray, alphas: np.ndarray,
-        beta: float, eta: float, seed: int,
+        beta: float, seed: int,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The outcomes (pair_i, pair_j, answer) of measuring the positions."""
-        resp = self._call({"type": "measure", **_round_fields(coin_id, positions, alphas, beta, seed), "eta": eta})
-        return decode_outcomes(resp["outcomes"])
+        """The outcomes (pair_i, pair_j, answer) of measuring the positions
+        at the coin's eta over a channel of noise beta."""
+        return self._call({"type": "measure", **_round_fields(coin_id, positions, alphas, beta, seed)},
+                          lambda resp: _outcomes(resp, positions))
 
     def verify(self, transcript: VerificationTranscript) -> CheckResult:
         """The bank's verdict on the transcript, under the coin's policy."""
-        return _check_result(self._call({"type": "verify", "transcript": transcript.to_dict()}))
+        return self._call({"type": "verify", "transcript": transcript.to_dict()}, CheckResult.from_dict)
 
     def round(
         self, coin_id: str, positions: np.ndarray, alphas: np.ndarray,
@@ -607,9 +606,17 @@ class BankClient:
         beta, and have the bank check the transcript under the coin's
         policy: the outcomes (pair_i, pair_j, answer) and the bank's
         verdict, None when the coin's abort rule fired."""
-        resp = self._call({"type": "round", **_round_fields(coin_id, positions, alphas, beta, seed)})
-        check = resp["check"]
-        return decode_outcomes(resp["outcomes"]), None if check is None else _check_result(check)
+        return self._call({"type": "round", **_round_fields(coin_id, positions, alphas, beta, seed)},
+                          lambda resp: (_outcomes(resp, positions),
+                                        None if resp["check"] is None else CheckResult.from_dict(resp["check"])))
+
+
+def _outcomes(reply: dict, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The decoded outcomes of a reply, one per position asked for."""
+    outcomes = decode_outcomes(reply["outcomes"])
+    if len(outcomes[0]) != len(positions):
+        raise ValueError(f"{len(outcomes[0])} outcomes for {len(positions)} positions")
+    return outcomes
 
 
 def _round_fields(coin_id: str, positions: np.ndarray, alphas: np.ndarray, beta: float, seed: int) -> dict:
@@ -632,7 +639,7 @@ def client_verify(
     at the coin's eta and, unless the round aborts, checks under the coin's
     policy.  params is the holder's copy of that policy, `from_noise` of the
     mint's inputs, for its own abort rule; the verdict is the bank's.  The
-    holder ends the round with the same `_finish_round` and raises
+    holder ends the round with the same `_end_round` and raises
     ServiceError if the bank's abort decision differs from its own.  Only
     honest coins are supported: forged positions would need the bank-side
     view to measure.
@@ -642,13 +649,8 @@ def client_verify(
     sample, alphas, measure_seed = _plan_round(coin, rng)
     with BankClient(*address) as client:
         outcomes, check = client.round(coin.coin_id, sample, alphas, channel.beta, measure_seed)
-
-    def bank_verdict(transcript: VerificationTranscript) -> CheckResult:
-        if check is None:
-            raise ServiceError("the bank aborted a round the holder submits")
-        return check
-
-    outcome = _finish_round(coin, sample, alphas, outcomes, params, bank_verdict)
-    if outcome.check is not check:
-        raise ServiceError("the bank checked a round the holder aborts")
-    return outcome
+    transcript, aborts = _end_round(coin, sample, alphas, outcomes, params)
+    if aborts != (check is None):
+        raise ServiceError("the bank checked a round the holder aborts" if aborts
+                           else "the bank aborted a round the holder submits")
+    return VerifyOutcome(transcript, check, None)

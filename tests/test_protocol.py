@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import AesBlockCounter, kinds_of, measure_positions_reference
-from hmqm import adversary, bounds, protocol, service
+from hmqm import adversary, bounds, protocol
 from hmqm.adversary import BUILTIN_STRATEGIES, builtin_strategy, forge_coins
 from hmqm.matchings import matching_table
 from hmqm.protocol import (
@@ -793,7 +793,7 @@ def test_check_result_serialization():
     coded = CheckResult(valid=False, s=2, T=2, correct_count=0, l_prime=10, threshold=8.0, code="coin_exhausted")
     assert coded.to_dict() == {**d, "valid": False, "s": 2, "correct_count": 0, "code": "coin_exhausted"}
     for result in (res, coded):
-        assert service._check_result(result.to_dict()) == result
+        assert CheckResult.from_dict(result.to_dict()) == result
 
 
 def test_secret_bits_are_keyed_and_position_local():

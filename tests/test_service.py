@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import itertools
 import json
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmqm.service
+from hmqm import cli
 from hmqm.matchings import matching_table
 from hmqm.protocol import (
     MAX_N,
@@ -29,11 +31,12 @@ from hmqm.protocol import (
     PositionKind,
     Verdict,
     VerdictParameters,
+    VerificationTranscript,
     bank_mint,
     decode_outcomes,
     encode_outcomes,
     holder_verify,
-    _finish_round,
+    _end_round,
     _plan_round,
     adversary_error_floor,
 )
@@ -136,6 +139,97 @@ def test_client_verify_refuses_a_bank_whose_abort_decision_differs(service, monk
     with pytest.raises(ServiceError, match="checked a round the holder aborts"):
         client_verify(service.address, lossy, VerdictParameters.from_noise(8, 0.0, 0.5), channel,
                       np.random.default_rng(3))  # 7 of 20 outcomes arrive: the holder aborts
+
+
+@contextlib.contextmanager
+def stub_bank(reply):
+    """A bank on a raw socket that answers each request with reply(request)
+    and the request's id; yields its address."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:  # the listener was shut down
+                return
+            with conn:
+                while (request := recv_message(conn)) is not None:
+                    send_message(conn, {**reply(request), "request_id": request["request_id"]})
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[:2]
+    finally:
+        listener.shutdown(socket.SHUT_RDWR)
+        listener.close()
+        thread.join(5)
+
+
+STUB_COIN = {"coin_id": "ab" * 16, "n": 8, "q": 20_000, "l": 20, "T": 1}
+STUB_CHECK = {"valid": True, "s": 1, "T": 1, "correct_count": 20, "l_prime": 20, "threshold": 17.0}
+STUB_OUTCOMES = [{"i": 1, "j": 2, "b": 0}] * 20
+MISSING = "a field the reply leaves out"
+
+
+@pytest.mark.parametrize("round_ok", [
+    {"check": dict(STUB_CHECK, valid="false")},
+    {"check": dict(STUB_CHECK, valid=0)},
+    {"check": dict(STUB_CHECK, s="1")},
+    {"check": dict(STUB_CHECK, T=2.9)},
+    {"check": dict(STUB_CHECK, correct_count=True)},
+    {"check": dict(STUB_CHECK, threshold="17")},
+    {"check": dict(STUB_CHECK, code=5)},
+    {"check": dict(STUB_CHECK, code=None)},
+    {"check": {k: v for k, v in STUB_CHECK.items() if k != "l_prime"}},
+    {"check": "valid"},
+    {"check": [True]},
+    {"outcomes": STUB_OUTCOMES[1:]},
+    {"outcomes": STUB_OUTCOMES + [None]},
+    {"outcomes": STUB_OUTCOMES[1:] + [{"i": 1, "j": 2, "b": 2}]},
+    {"outcomes": STUB_OUTCOMES[1:] + [{"i": 1, "j": 2}]},
+    {"outcomes": "x" * 20},
+    {"outcomes": None},
+    {"check": MISSING},
+    {"outcomes": MISSING},
+])
+def test_the_client_refuses_a_malformed_round_ok(round_ok, capsys):
+    # The client converts nothing a bank replies: a check field of the
+    # wrong type or missing, malformed outcomes, or outcomes that do not
+    # match the sample are a ServiceError, never a verdict or a traceback.
+    body = {"type": "round_ok", "check": STUB_CHECK, "outcomes": STUB_OUTCOMES, **round_ok}
+    body = {key: value for key, value in body.items() if value is not MISSING}
+
+    def reply(request):
+        return dict(STUB_COIN, type="mint_ok") if request["type"] == "mint" else body
+
+    with stub_bank(reply) as address:
+        with BankClient(*address) as client:
+            coin = client.mint(8, 20_000, 20)
+        with pytest.raises(ServiceError, match="malformed round_ok reply"):
+            client_verify(address, coin, VerdictParameters.from_noise(8, 0.0), HonestChannel(0.0),
+                          np.random.default_rng(1))
+        # `hmqm verify` reports it as an i/o error (exit 4).
+        assert cli.main(["verify", "--connect", f"{address[0]}:{address[1]}", "--n", "8", "--q", "20000",
+                         "--l", "20", "--seed", "3"]) == 4
+    assert "malformed round_ok reply" in capsys.readouterr().err
+
+
+def test_the_client_refuses_a_malformed_mint_ok_verify_ok_and_measure_ok():
+    bad = {"mint": dict(STUB_COIN, type="mint_ok", l="20"),
+           "verify": {"type": "verify_ok", **dict(STUB_CHECK, valid="false")},
+           "measure": {"type": "measure_ok", "outcomes": STUB_OUTCOMES[1:]}}
+    with stub_bank(lambda request: bad[request["type"]]) as address, BankClient(*address) as client:
+        with pytest.raises(ServiceError, match="malformed mint_ok reply"):
+            client.mint(8, 20_000, 20)
+        sample, bases = np.arange(20), np.ones(20, dtype=np.int64)
+        with pytest.raises(ServiceError, match="malformed measure_ok reply"):
+            client.measure(STUB_COIN["coin_id"], sample, bases, 0.0, 1)
+        transcript = VerificationTranscript(STUB_COIN["coin_id"], 20, sample, bases,
+                                            *decode_outcomes(STUB_OUTCOMES))
+        with pytest.raises(ServiceError, match="malformed verify_ok reply"):
+            client.verify(transcript)
 
 
 def test_client_verify_rejects_forged_coins(service):
@@ -510,7 +604,7 @@ def test_unknown_coin_code(service):
 def test_measure_request_validation(service):
     with BankClient(*service.address) as client:
         coin = client.mint(4, 10_000, 10, seed=31)
-    base = {"type": "measure", "coin_id": coin.coin_id, "beta": 0.0, "eta": 1.0, "seed": 1}
+    base = {"type": "measure", "coin_id": coin.coin_id, "beta": 0.0, "seed": 1}
     resp = raw_call(service.address, dict(base, positions=[0, 1], alphas=[1], request_id="e"))
     assert resp["code"] == "bad_request"
     resp = raw_call(service.address, dict(base, positions=[10_000], alphas=[1], request_id="f"))
@@ -519,19 +613,16 @@ def test_measure_request_validation(service):
     assert resp["code"] == "bad_request"
     resp = raw_call(service.address, dict(base, positions=[2**63], alphas=[1], request_id="h"))
     assert (resp["code"], resp["request_id"]) == ("bad_request", "h")
-    # beta must be in [0, 1/2] and eta in (0, 1]; NaN is neither.
-    for field, value in (("beta", 0.9), ("beta", -1.0), ("beta", math.nan),
-                         ("eta", 0.0), ("eta", 7.0), ("eta", math.nan)):
-        resp = raw_call(service.address, dict(base, positions=[0], alphas=[1], request_id="k",
-                                              **{field: value}))
-        assert (resp["type"], resp["code"]) == ("error", "bad_request"), (field, value)
+    # beta must be in [0, 1/2]; NaN is not.  A measure carries no eta: it
+    # runs at the coin's (test_a_measure_runs_at_the_coins_eta).
+    for value in (0.9, -1.0, math.nan):
+        resp = raw_call(service.address, dict(base, positions=[0], alphas=[1], request_id="k", beta=value))
+        assert (resp["type"], resp["code"]) == ("error", "bad_request"), value
     # Real-valued fields must be JSON numbers: "0.1", true and "1" are
     # refused, not converted, and no check is charged nor coin minted.
     for bad in ("0.1", True, "1"):
-        for field in ("beta", "eta"):
-            resp = raw_call(service.address, dict(base, positions=[0], alphas=[1], request_id="w",
-                                                  **{field: bad}))
-            assert (resp["type"], resp["code"]) == ("error", "bad_request"), (field, bad)
+        resp = raw_call(service.address, dict(base, positions=[0], alphas=[1], request_id="w", beta=bad))
+        assert (resp["type"], resp["code"]) == ("error", "bad_request"), bad
         for field in ("beta", "eta", "epsilon"):
             resp = raw_call(service.address, {"type": "mint", "n": 4, "q": 10_000, "l": 10, field: bad,
                                               "request_id": "x"})
@@ -713,10 +804,11 @@ def round_and_twin(service, twin, coin, sample, bases, params):
     with BankClient(*service.address) as client:
         reply = client.round(**fields)
     with BankClient(*twin.address) as client:
-        outcomes = client.measure(eta=params.eta, **fields)
-        outcome = _finish_round(coin, sample, bases, outcomes, params, client.verify)
+        outcomes = client.measure(**fields)
+        transcript, aborts = _end_round(coin, sample, bases, outcomes, params)
+        check = None if aborts else client.verify(transcript)
     assert all(map(np.array_equal, reply[0], outcomes))
-    assert reply[1] == outcome.check
+    assert reply[1] == check
     return reply
 
 
@@ -748,6 +840,26 @@ def test_a_round_on_an_exhausted_coin_journals_nothing(service, twin):
     assert (check.valid, check.code, check.s, check.correct_count) == (False, "coin_exhausted", 1, 0)
     assert service.coins[coin.coin_id].s == 1
     assert journal_bytes(service) == journal
+
+
+def test_a_measure_runs_at_the_coins_eta(service, twin):
+    # Every measurement of a coin runs at the eta it was minted with: on a
+    # lossy coin a measure gives the round's outcomes, the round's check is
+    # the verify of the measure's transcript, and a stray eta in a measure
+    # changes nothing.
+    for bank in (service, twin):
+        with BankClient(*bank.address) as client:
+            coin = client.mint(8, 80_000, 40, seed=36, eta=0.5, epsilon=0.05)
+    params = VerdictParameters.from_noise(8, 0.0, 0.5, 0.05)
+    sample, bases = np.arange(40), np.arange(40) % 7 + 1
+    outcomes, check = round_and_twin(service, twin, coin, sample, bases, params)
+    assert check.valid and check.s == 1
+    assert check.l_prime == 21  # 19 of 40 lost at eta = 0.5; 0.45 * 40 is 18, so no abort
+    fields = {"type": "measure", "coin_id": coin.coin_id, "positions": sample.tolist(),
+              "alphas": bases.tolist(), "beta": 0.0, "seed": 7, "request_id": "m"}
+    plain, stray = (raw_call(service.address, dict(fields, **extra)) for extra in ({}, {"eta": 0.9}))
+    assert plain == stray == {"type": "measure_ok", "request_id": "m", "outcomes": encode_outcomes(*outcomes)}
+    assert service.coins[coin.coin_id].s == 1  # a measure charges nothing
 
 
 @pytest.mark.parametrize("kind", ["mint", "round"])
@@ -1320,10 +1432,11 @@ def test_a_round_is_a_measure_then_a_verify(tmp_path):
             with BankClient(*banks[0].address) as client:
                 round_outcomes, round_check = client.round(coin.coin_id, sample, bases, beta, seed)
             with BankClient(*banks[1].address) as client:
-                outcomes = client.measure(coin.coin_id, sample, bases, beta, eta, seed)
-                outcome = _finish_round(coin, sample, bases, outcomes, params, client.verify)
+                outcomes = client.measure(coin.coin_id, sample, bases, beta, seed)
+                transcript, aborts = _end_round(coin, sample, bases, outcomes, params)
+                check = None if aborts else client.verify(transcript)
             assert all(map(np.array_equal, round_outcomes, outcomes))
-            assert round_check == outcome.check
+            assert round_check == check
             assert journal_bytes(banks[0]) == journal_bytes(banks[1])
 
         same()
