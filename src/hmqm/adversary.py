@@ -218,8 +218,9 @@ def _scored_mean(errors: np.ndarray) -> float | None:
 def _transcript_errors(outcome) -> tuple[float, float]:
     """White-position and overall error frequencies of one round, from the
     error flags and the kinds its simulated measurement returned (an error
-    flag is False where the outcome was lost)."""
-    present = outcome.transcript.answer >= 0
+    flag is False where the outcome was lost).  It reads which outcomes
+    arrived, not their bits, so it derives nothing."""
+    present = outcome.transcript.present
     if not (l_prime := np.count_nonzero(present)):
         return (math.nan, math.nan)
     # An absent position is never present, so the present white ones are

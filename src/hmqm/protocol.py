@@ -2,14 +2,18 @@
 
 A coin is q positions, each hiding an n-bit secret known only to the bank,
 which stores a 16-byte key per coin and derives secrets from it on demand
-with AES-128 in counter form, a pseudorandom function of the position.
-Deriving a batch of rounds' positions is one AES-128-ECB call per bank key,
-through the libcrypto that `hashlib` already loads.  A round derives its
-present positions once, in the simulated measurement, and the bank grades
-that measurement from its error flags; only a transcript the bank did not
-measure (a wire `verify`) is derived again by the check.  `pair_parities`
-defines the secrets, and the measurement and the check both call it: it
-reads each parity x_i XOR x_j straight from the packed AES output, in
+with AES-128 in counter form, a pseudorandom function of the position,
+through the libcrypto that `hashlib` already loads.  The bank derives
+secrets only where bits are read.  A measurement (`measure_positions`)
+derives nothing: it returns the pairs, which outcomes arrived and their
+error flags, and the bank grades its own measurement from those, in
+process and in a wire `round`, so the experiments derive no secret at all.
+`claimed_bits` turns a measurement into the bits a holder claims, one
+AES-128-ECB call for its present positions, where they are read: in a wire
+reply, or when a `MeasuredTranscript`'s `answer` is first read.  A
+transcript the bank did not measure (a wire `verify`) is derived by the
+check.  `pair_parities` defines the secrets, and both call it: it reads
+each parity x_i XOR x_j straight from the packed AES output, in
 `np.unpackbits` bit order, without unpacking any secret.
 The holder verifies by sampling l unused positions, measuring each in a
 random matching basis, and sending the claimed parities to the bank, which
@@ -27,9 +31,9 @@ Each rule is written once.  `VerdictParameters` is the acceptance policy:
 floor (and refuses a beta at or above the floor), `min_outcomes` is the
 abort rule and `tail_bounds` picks the ideal or the lossy tail bounds.
 A round is its draws (`_draw_round`), its sample (`_read_samples`), a
-measurement (`measure_positions`, in process or over the wire),
-`_end_round` (its transcript, and whether the holder aborts it) and,
-unless it aborts, the bank's check, whose answer is the round's verdict.
+measurement (`measure_positions`, in process or over the wire), its
+transcript, `_aborts` (whether the holder aborts it) and, unless it
+aborts, the bank's check, whose answer is the round's verdict.
 The kernels take a leading axis of rounds: `measure_rounds` draws, reads
 and measures rounds a batch at a time and `holder_verify` ends each one.  A single round is the batch
 of one: `holder_verify` alone takes it from `measure_rounds`, and a wire
@@ -58,8 +62,7 @@ import ctypes
 import math
 from dataclasses import dataclass
 from enum import IntEnum, Enum
-from functools import lru_cache
-from itertools import groupby
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 import json
 
@@ -322,12 +325,20 @@ class VerificationTranscript:
     answer: np.ndarray
 
     @property
+    def present(self) -> np.ndarray:
+        """Which outcomes arrived."""
+        return self.answer >= 0
+
+    @property
     def l_prime(self) -> int:
-        return int(np.count_nonzero(self.answer >= 0))
+        return int(np.count_nonzero(self.present))
+
+    def outcomes(self) -> list[dict | None]:
+        """The outcomes in their wire form (`encode_outcomes`)."""
+        return encode_outcomes(self.pair_i, self.pair_j, self.answer)
 
     def to_dict(self) -> dict:
-        outcomes = encode_outcomes(self.pair_i, self.pair_j, self.answer)
-        rows = zip(self.positions.tolist(), self.alpha.tolist(), outcomes)
+        rows = zip(self.positions.tolist(), self.alpha.tolist(), self.outcomes())
         triplets = [{"i": i, "alpha": a, "outcome": out} for i, a, out in rows]
         return {"coin_id": self.coin_id, "l": self.l, "triplets": triplets}
 
@@ -344,6 +355,29 @@ class VerificationTranscript:
             coin_id=obj["coin_id"], l=wire_int(obj["l"], "l"), positions=positions,
             alpha=alpha, pair_i=pair_i, pair_j=pair_j, answer=answer,
         )
+
+
+class MeasuredTranscript(VerificationTranscript):
+    """The transcript of the bank's own measurement of a sample under its
+    record `db` (in process, or in a wire `round`): the measurement's
+    presence and error flags stand in for the claimed bits.  `answer` is
+    derived from them (`claimed_bits`) the first time it is read, and kept;
+    `present` and `l_prime` read the measurement and derive nothing."""
+
+    def __init__(self, db: BankDatabase, positions: np.ndarray, alpha: np.ndarray, pair_i: np.ndarray,
+                 pair_j: np.ndarray, present: np.ndarray, errors: np.ndarray):
+        # Every field but answer, which the cached property derives.
+        self.coin_id, self.l, self.positions, self.alpha = db.coin_id, db.l, positions, alpha
+        self.pair_i, self.pair_j, self._present, self.errors, self._db = pair_i, pair_j, present, errors, db
+
+    @property
+    def present(self) -> np.ndarray:
+        return self._present
+
+    @cached_property
+    def answer(self) -> np.ndarray:
+        return claimed_bits(self._db.key, self._db.n, self.positions, self.pair_i, self.pair_j,
+                            self._present, self.errors)
 
 
 @dataclass(frozen=True)
@@ -501,6 +535,19 @@ def pair_parities(key: bytes, n: int, positions: np.ndarray, pair_i: np.ndarray,
     return parity >> 7
 
 
+def claimed_bits(key: bytes, n: int, positions: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray,
+                 present: np.ndarray, errors: np.ndarray) -> np.ndarray:
+    """The bits a holder claims for the bank's measurement (`measure_positions`)
+    of positions under `key`: each present outcome's parity x_i XOR x_j XOR
+    its error flag, and -1 where the outcome was lost, as int8.  One AES
+    call, for the present positions only.  The bank calls it only where the
+    bits are read: a wire `measure` or `round` reply, or a
+    `MeasuredTranscript` whose `answer` is read."""
+    answer = np.full(positions.shape, -1, dtype=np.int8)
+    answer[present] = errors[present] ^ pair_parities(key, n, positions[present], pair_i[present], pair_j[present])
+    return answer
+
+
 def coin_budget(n: int, q: int, l: int) -> int:
     """The check budget T = q // (1000 l) of a coin of this shape.
 
@@ -535,17 +582,20 @@ def bank_mint(n: int, q: int, l: int, rng: np.random.Generator) -> tuple[Coin, B
     return coin, db
 
 
-def measure_positions(keys: Sequence[bytes], coins: Sequence[Coin], positions: np.ndarray, alphas: np.ndarray,
-                      beta: float, eta: float, rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, ...]:
+def measure_positions(coins: Sequence[Coin], positions: np.ndarray, alphas: np.ndarray, beta: float, eta: float,
+                      rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, ...]:
     """Measure R rounds at once: row r of positions and alphas, shape
-    (R, k), on coins[r] (the coins share n) under the bank key keys[r],
-    drawing from rngs[r].  One round may be passed as a key, a coin, 1-D
-    arrays and a generator; its results then come back 1-D.
+    (R, k), on coins[r] (the coins share n), drawing from rngs[r].  One
+    round may be passed as a coin, 1-D arrays and a generator; its results
+    then come back 1-D.
 
-    Returns (pair_i, pair_j, answer, errors, kinds) with answer == -1 for
-    lost outcomes; errors flags the outcomes whose bit differs from the
-    secret's parity on the returned pair, and is False where the outcome
-    was lost; kinds is each position's PositionKind.
+    Returns (pair_i, pair_j, present, errors, kinds): each outcome's pair,
+    0 where it was lost; which outcomes arrived; the error flags, set where
+    an outcome's bit differs from the secret's parity on its pair and False
+    where it was lost; and each position's PositionKind.  It derives no
+    secret: the bank grades its own measurement from presence and error
+    flags, and the bits a holder claims are `claimed_bits` of it under the
+    bank key, derived where they are read.
     Exact sampling: every position kind yields a state of the form
     w * phi_x + (1 - w) * I/n, whose outcome distribution is a uniform pair
     of the matching plus an independent error bit (genuine: beta, replica: 0,
@@ -556,11 +606,10 @@ def measure_positions(keys: Sequence[bytes], coins: Sequence[Coin], positions: n
     eta = 1 nothing is lost, and the loss draw is skipped by advancing the
     generator k steps: the state that drawing them leaves whenever no
     32-bit half-word is buffered, as in the fresh `default_rng(seed)` every
-    caller measures with.  Each run of rows under one key is derived in one
-    AES-128-ECB call, present positions only.
+    caller measures with.
     """
     if positions.ndim == 1:
-        keys, coins, rngs = [keys], [coins], [rngs]
+        coins, rngs = [coins], [rngs]
     n, shape, k = coins[0].n, positions.shape, positions.shape[-1]
     u_loss, pair_pick, u_err = [], [], []
     for rng in rngs:
@@ -591,19 +640,11 @@ def measure_positions(keys: Sequence[bytes], coins: Sequence[Coin], positions: n
     # lost.
     pick = alphas.ravel() * (n // 2) + _joined(pair_pick)
     pair_i, pair_j = matching_table(n).reshape(-1, 2).take(pick, axis=0).T
-    answer = np.empty(len(positions), dtype=np.int8)
-    if lost := not present.all():
+    if not present.all():
         errors &= present
         pair_i *= present
         pair_j *= present
-        answer.fill(-1)
-    start = 0
-    for key, run in groupby(keys):
-        stop = start + k * len(list(run))
-        got = start + present[start:stop].nonzero()[0] if lost else slice(start, stop)
-        answer[got] = errors[got] ^ pair_parities(key, n, positions[got], pair_i[got], pair_j[got])
-        start = stop
-    measured = (pair_i, pair_j, answer, errors, kinds)
+    measured = (pair_i, pair_j, present, errors, kinds)
     return measured if len(shape) == 1 else tuple(a.reshape(shape) for a in measured)
 
 
@@ -655,25 +696,27 @@ def holder_verify(
     The sample is taken before anything is measured, so its positions are
     used up even when the round aborts.  With fewer than l unused
     positions the round cannot start at all (InsufficientPositionsError, not
-    a verdict).  The measurement is the bank's own, under its key, so the
-    bank grades it from the error flags `measure_positions` returned, as it
-    grades a wire `round`: each present position is derived once.
+    a verdict).  The measurement is the bank's own, so the bank grades it
+    from its presence and error flags, as it grades a wire `round`, and
+    derives no secret: the outcome's transcript is a `MeasuredTranscript`,
+    which derives its l' claimed bits the first time its `answer` is read.
 
     `measured` is the round's measurement when `measure_rounds` took it in
-    a batch: (sample, bases, pair_i, pair_j, answer, errors, kinds).  The
+    a batch: (sample, bases, pair_i, pair_j, present, errors, kinds).  The
     round is then only ended and graded, and draws nothing from rng.
     Without it the round is the batch of one: `measure_rounds` of this coin
     alone draws and measures it.
     """
     if measured is None:
         _, _, measured = next(measure_rounds([(coin, db)], channel, params.eta, rng))
-    sample, alphas, *outcomes, errors, kinds = measured
-    transcript, aborts = _end_round(coin, sample, alphas, outcomes, params)
-    return VerifyOutcome(transcript, None if aborts else bank_check(db, transcript, params, errors), errors, kinds)
+    *measurement, kinds = measured
+    transcript = MeasuredTranscript(db, *measurement)
+    check = None if _aborts(transcript, params) else bank_check(db, transcript, params, transcript.errors)
+    return VerifyOutcome(transcript, check, transcript.errors, kinds)
 
 
-# The most positions a batch of `measure_rounds` reads, measures and derives
-# at once.  A batch's arrays take about 100 bytes a position: a 200-trial
+# The most positions a batch of `measure_rounds` reads and measures at
+# once.  A batch's arrays take about 100 bytes a position: a 200-trial
 # forge run at l = 2000 peaked 4 MB above its imports in batches of 16
 # rounds, and 70 MB above as one batch of 400.  A perfbench `forge` or
 # `honest` call (4 or 5 rounds of 2000) is one batch.
@@ -710,7 +753,7 @@ def _measure_batch(batch: Iterable, channel: HonestChannel, eta: float) -> Itera
     (coin, db, measured)."""
     coins, dbs, alphas, seeds = zip(*batch)
     samples, alphas = _read_samples(coins), np.array(alphas)
-    measured = measure_positions([db.key for db in dbs], coins, samples, alphas, channel.beta, eta,
+    measured = measure_positions(coins, samples, alphas, channel.beta, eta,
                                  [np.random.default_rng(seed) for seed in seeds])
     return zip(coins, dbs, zip(samples, alphas, *measured))
 
@@ -817,15 +860,14 @@ def _permute(keys: bytes, idx: np.ndarray, bits: int) -> np.ndarray:
     return np.bitwise_or(*halves, halves[0])
 
 
-def _end_round(coin: Coin, sample: np.ndarray, alphas: np.ndarray, outcomes: tuple,
-               params: VerdictParameters) -> tuple[VerificationTranscript, bool]:
-    """End a round, wherever its outcomes (pair_i, pair_j, answer) were
-    measured: its transcript, and whether the holder aborts it, which it
-    does when a sample of l positions brought fewer than min_outcomes * l
-    outcomes.  A sample of any other size never aborts, so the bank's check
-    grades it `wrong_sample_size` and charges it."""
-    transcript = VerificationTranscript(coin.coin_id, coin.l, sample, alphas, *outcomes)
-    return transcript, len(sample) == coin.l and transcript.l_prime < params.min_outcomes * coin.l
+def _aborts(transcript: VerificationTranscript, params: VerdictParameters) -> bool:
+    """Whether the holder aborts a round, wherever its outcomes were
+    measured: when a sample of l positions brought fewer than
+    min_outcomes * l outcomes.  A sample of any other size never aborts, so
+    the bank's check grades it `wrong_sample_size` and charges it.  It reads
+    which outcomes arrived, not their bits."""
+    l = transcript.l
+    return len(transcript.positions) == l and transcript.l_prime < params.min_outcomes * l
 
 
 def bank_check(db: BankDatabase, transcript: VerificationTranscript, params: VerdictParameters,
@@ -840,13 +882,14 @@ def bank_check(db: BankDatabase, transcript: VerificationTranscript, params: Ver
     indices, a pair not in the claimed matching) consume a check and yield
     Invalid.
 
-    errors, when given, are the error flags `measure_positions` returned
-    when the bank itself measured the transcript's positions and bases
-    under its key: in process (`holder_verify`) or in a wire `round`, whose
-    positions and bases were range-checked first.  The nodes, pairs and
-    bits are then the bank's own, so only the sample is judged (its size,
-    then duplicates), and since a present outcome's bit is its parity XOR
-    its error, l' minus the errors are correct, with no second derivation.
+    errors, when given, are the error flags of the bank's own measurement
+    of the transcript's positions and bases (`measure_positions`): in
+    process (`holder_verify`) or in a wire `round`, whose positions and
+    bases were range-checked first.  The nodes, pairs and bits are then the
+    bank's own, so only the sample is judged (its size, then duplicates),
+    and since a present outcome's bit is its parity XOR its error, l' minus
+    the errors are correct: the check reads which outcomes arrived and
+    derives nothing, not even the claimed bits of a `MeasuredTranscript`.
     Without errors (a wire `verify`, whose outcomes the holder reports) the
     check derives the present positions and judges every range, node and
     pair.
@@ -854,20 +897,14 @@ def bank_check(db: BankDatabase, transcript: VerificationTranscript, params: Ver
     if transcript.coin_id != db.coin_id:
         raise UnknownCoinError(f"no coin {transcript.coin_id!r}")
     if db.s >= db.T:
-        return CheckResult(
-            valid=False, s=db.s, T=db.T, correct_count=0,
-            l_prime=transcript.l_prime, threshold=0.0, code="coin_exhausted",
-        )
+        return _refusal(db, "coin_exhausted", transcript.l_prime)
     db.s += 1
-    present = transcript.answer >= 0
+    present = transcript.present
     l_prime = int(np.count_nonzero(present))
     pairs = None if errors is not None else (transcript.pair_i[present], transcript.pair_j[present])
     code = _structural_violation(db, transcript, present, pairs)
     if code is not None:
-        return CheckResult(
-            valid=False, s=db.s, T=db.T, correct_count=0,
-            l_prime=l_prime, threshold=0.0, code=code,
-        )
+        return _refusal(db, code, l_prime)
     threshold = l_prime * (params.c - params.delta)
     if errors is None:
         parity = pair_parities(db.key, db.n, transcript.positions[present], *pairs)
@@ -877,6 +914,12 @@ def bank_check(db: BankDatabase, transcript: VerificationTranscript, params: Ver
         valid=correct > threshold, s=db.s, T=db.T,
         correct_count=correct, l_prime=l_prime, threshold=threshold,
     )
+
+
+def _refusal(db: BankDatabase, code: str, l_prime: int) -> CheckResult:
+    """An Invalid verdict the bank gives without counting correct parities,
+    at the record's counter as it stands."""
+    return CheckResult(valid=False, s=db.s, T=db.T, correct_count=0, l_prime=l_prime, threshold=0.0, code=code)
 
 
 def _structural_violation(db: BankDatabase, transcript: VerificationTranscript, present: np.ndarray,

@@ -9,7 +9,7 @@ bad_request error naming the limit instead, and the connection stays open.
 If that error does not fit either, because the request_id alone fills a
 frame, the bad_request goes out with a null request_id and the connection
 is closed, as for a malformed frame.  A measure or round whose reply might
-not fit the limit is refused before any secret is derived.
+not fit the limit is refused before anything is measured.
 
 A `mint` carries the coin's shape (n, q, l), an optional seed and the three
 inputs of the standard acceptance policy: channel noise beta, detector
@@ -30,7 +30,7 @@ positions, bases, simulated channel noise beta (in [0, 1/2]) and a
 measurement seed, and is one exchange per verification round: the service
 measures at the coin's eta with the same exact sampling engine used
 in-process, which makes remote runs bit-identical to local ones under the
-same seeds, ends the round with protocol's `_end_round` and replies
+same seeds, applies protocol's abort rule (`_aborts`) and replies
 `round_ok` with the outcomes and, unless the abort rule fired, the
 verify_ok body as `check`.  A `verify` carries a whole transcript, for a
 holder who measures physical states.  A `measure` carries a round's fields
@@ -38,20 +38,28 @@ and replies with the outcomes alone: it stands in for the holder's device,
 and it is an unlimited oracle, since measuring one position in all n - 1
 matchings reveals its secret up to a global flip.  Every measurement of a
 coin runs at the coin's own eta, fixed at mint (a request's `eta` field is
-not read), so a `round` is exactly a `measure` followed, unless the abort
-rule fires, by a `verify` of the transcript built from it: the same
-outcomes, the same check, the same charge and the same journal.  The abort
-rule judges only a sample of l positions, so a round of any other size is
-graded `wrong_sample_size` and charged.  The check grades the bank's own
+not read), so a `round` on a coin with checks left is exactly a `measure`
+followed, unless the abort rule fires, by a `verify` of the transcript
+built from it: the same outcomes, the same check, the same charge and the
+same journal.  A `round` on an exhausted coin (s = T) measures nothing:
+once its fields are validated the bank reads s under the coin's lock and
+replies `round_ok` with no outcomes and the `coin_exhausted` check, and
+journals nothing.  The lock is held from that read to the charge, so no
+round's outcomes go out uncharged because another round exhausted the
+coin meanwhile.  The abort rule judges only a sample of l positions, so a
+round of any other size is graded `wrong_sample_size` and charged.  The check grades the bank's own
 measurement: its nodes, pairs and bits are the bank's, and positions and
 bases were range-checked before measuring, so only the holder's sample is
 judged (its size, then duplicates), and a present outcome's bit is its
-parity XOR its error flag, so l' minus the errors are correct.  A round
-thus derives each present position's AES blocks once; a measure and a
-verify derive them once each.  `client_verify` is the in-process round
-with one `round` request in place of the measurement and the check: the
+parity XOR its error flag, so l' minus the errors are correct.  The bank
+derives where bits are read: the measurement and the check of a round
+derive nothing, and its reply's outcomes derive each present position's
+AES blocks once (`claimed_bits`), as a measure's do; a verify derives
+them once, in the check.  `client_verify` is the in-process round with
+one `round` request in place of the measurement and the check: the
 planning, the outcome codec, the abort rule and the verdict are protocol's
-own.  A reply the client cannot read (a check or coin field missing or of
+own, and the no-outcome `coin_exhausted` reply is an Invalid verdict.  Any
+other reply the client cannot read (a check or coin field missing or of
 the wrong type, malformed outcomes, or a count of outcomes other than the
 sample's) is a ServiceError.  A request that races stop() and finds the
 journal closed gets an `unavailable` error, with no coin added and no
@@ -101,6 +109,7 @@ from .protocol import (
     Coin,
     HonestChannel,
     InfeasiblePlanError,
+    MeasuredTranscript,
     UnknownCoinError,
     VerdictParameters,
     VerificationTranscript,
@@ -109,13 +118,13 @@ from .protocol import (
     bank_mint,
     coin_budget,
     decode_outcomes,
-    encode_outcomes,
     measure_positions,
     wire_float,
     wire_int,
     wire_ints,
-    _end_round,
+    _aborts,
     _plan_round,
+    _refusal,
 )
 
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
@@ -458,62 +467,73 @@ class BankService:
                 raise UnknownCoinError(f"no coin {coin_id!r}")
             return self.coins[coin_id], self._coin_locks[coin_id]
 
-    def _measure(self, db: BankDatabase, request: dict) -> tuple[Coin, np.ndarray, np.ndarray, tuple, np.ndarray]:
-        """Validate a measurement's fields and measure at the coin's eta:
-        the bank's view of the coin, the positions, the bases, the outcomes
-        (pair_i, pair_j, answer) and their error flags.  A sample whose
-        reply might not fit a frame is refused before any secret is
-        derived."""
-        positions, alphas = (wire_ints(request[name], name) for name in ("positions", "alphas"))
-        if positions.shape != alphas.shape:
-            raise ValueError("positions and alphas must be equal-length lists")
-        size = _reply_bound(request.get("request_id"), db.n, positions.size)
-        if size > MAX_MESSAGE_BYTES:
-            raise ValueError(f"a reply of up to {size} bytes exceeds the limit of {MAX_MESSAGE_BYTES}")
-        if np.any(positions < 0) or np.any(positions >= db.q):
-            raise ValueError("position out of range")
-        if np.any(alphas < 1) or np.any(alphas > db.n - 1):
-            raise ValueError("alpha out of range")
-        beta = HonestChannel(wire_float(request["beta"], "beta")).beta
-        view = Coin.fresh(db.coin_id, db.n, db.q, db.l, db.T)
-        pair_i, pair_j, answer, errors, _ = measure_positions(
-            db.key, view, positions, alphas, beta, db.params.eta,
-            np.random.default_rng(wire_int(request["seed"], "seed")),
-        )
-        return view, positions, alphas, (pair_i, pair_j, answer), errors
-
-    def _check(self, transcript: VerificationTranscript, errors: np.ndarray | None = None) -> CheckResult:
-        """Grade a transcript under its coin's lock and policy, charging one
-        check; errors are those of the bank's own measurement of it, if it
-        made one."""
-        db, lock = self._coin(transcript.coin_id)
-        with lock:
-            if db.s < db.T:
-                # Write-ahead: the counter increment must survive a crash
-                # that happens before the response is sent.
-                self.journal.append({"event": "check", "coin_id": db.coin_id, "s": db.s + 1})
-            return bank_check(db, transcript, db.params, errors)
+    def _charge(self, db: BankDatabase, transcript: VerificationTranscript,
+                errors: np.ndarray | None = None) -> CheckResult:
+        """Grade a transcript under its coin's policy, charging one check;
+        errors are those of the bank's own measurement of it, if it made
+        one.  The caller holds the coin's lock."""
+        if db.s < db.T:
+            # Write-ahead: the counter increment must survive a crash
+            # that happens before the response is sent.
+            self.journal.append({"event": "check", "coin_id": db.coin_id, "s": db.s + 1})
+        return bank_check(db, transcript, db.params, errors)
 
     def _handle_measure(self, request: dict) -> dict:
         db, _ = self._coin(request["coin_id"])
-        *_, outcomes, _ = self._measure(db, request)
+        transcript = _measure(db, *_measurement_fields(db, request))
         return {"type": "measure_ok", "request_id": request.get("request_id"),
-                "outcomes": encode_outcomes(*outcomes)}
+                "outcomes": transcript.outcomes()}
 
     def _handle_verify(self, request: dict) -> dict:
-        result = self._check(VerificationTranscript.from_dict(request["transcript"]))
+        transcript = VerificationTranscript.from_dict(request["transcript"])
+        db, lock = self._coin(transcript.coin_id)
+        with lock:
+            result = self._charge(db, transcript)
         return {"type": "verify_ok", "request_id": request.get("request_id"), **result.to_dict()}
 
     def _handle_round(self, request: dict) -> dict:
         """A measure and the verify of the transcript built from it, unless
-        the coin's abort rule fires.  The check grades the bank's own
-        measurement from its error flags, deriving nothing again."""
-        db, _ = self._coin(request["coin_id"])
-        view, positions, alphas, outcomes, errors = self._measure(db, request)
-        transcript, aborts = _end_round(view, positions, alphas, outcomes, db.params)
-        return {"type": "round_ok", "request_id": request.get("request_id"),
-                "outcomes": encode_outcomes(*outcomes),
-                "check": None if aborts else self._check(transcript, errors).to_dict()}
+        the coin's abort rule fires, or nothing on an exhausted coin.  The
+        check grades the bank's own measurement from its error flags, so
+        the reply's bits are the only ones derived.  The coin's lock is
+        held from reading s to charging it, so no round measures a coin
+        that another one exhausts."""
+        db, lock = self._coin(request["coin_id"])
+        fields = _measurement_fields(db, request)
+        reply = {"type": "round_ok", "request_id": request.get("request_id")}
+        with lock:
+            if db.s >= db.T:
+                return {**reply, "outcomes": [], "check": _refusal(db, "coin_exhausted", 0).to_dict()}
+            transcript = _measure(db, *fields)
+            check = None if _aborts(transcript, db.params) else self._charge(db, transcript, transcript.errors)
+        return {**reply, "outcomes": transcript.outcomes(), "check": None if check is None else check.to_dict()}
+
+
+def _measurement_fields(db: BankDatabase, request: dict) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """The validated fields of a measure or round on the coin: positions,
+    bases, channel noise and measurement seed.  A sample whose reply might
+    not fit a frame is refused before anything is measured."""
+    positions, alphas = (wire_ints(request[name], name) for name in ("positions", "alphas"))
+    if positions.shape != alphas.shape:
+        raise ValueError("positions and alphas must be equal-length lists")
+    size = _reply_bound(request.get("request_id"), db.n, positions.size)
+    if size > MAX_MESSAGE_BYTES:
+        raise ValueError(f"a reply of up to {size} bytes exceeds the limit of {MAX_MESSAGE_BYTES}")
+    if np.any(positions < 0) or np.any(positions >= db.q):
+        raise ValueError("position out of range")
+    if np.any(alphas < 1) or np.any(alphas > db.n - 1):
+        raise ValueError("alpha out of range")
+    beta = HonestChannel(wire_float(request["beta"], "beta")).beta
+    return positions, alphas, beta, wire_int(request["seed"], "seed")
+
+
+def _measure(db: BankDatabase, positions: np.ndarray, alphas: np.ndarray, beta: float,
+             seed: int) -> MeasuredTranscript:
+    """The bank's measurement of validated fields at the coin's eta, as a
+    transcript that derives its bits only when they are read."""
+    view = Coin.fresh(db.coin_id, db.n, db.q, db.l, db.T)
+    *measured, _ = measure_positions(view, positions, alphas, beta, db.params.eta, np.random.default_rng(seed))
+    return MeasuredTranscript(db, positions, alphas, *measured)
 
 
 def _reply_bound(request_id, n: int, k: int) -> int:
@@ -601,14 +621,25 @@ class BankClient:
     def round(
         self, coin_id: str, positions: np.ndarray, alphas: np.ndarray,
         beta: float, seed: int,
-    ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], CheckResult | None]:
+    ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray] | None, CheckResult | None]:
         """Measure the positions at the coin's eta over a channel of noise
         beta, and have the bank check the transcript under the coin's
-        policy: the outcomes (pair_i, pair_j, answer) and the bank's
+        policy: the outcomes (pair_i, pair_j, answer), None when the coin
+        was exhausted and the bank measured nothing, and the bank's
         verdict, None when the coin's abort rule fired."""
         return self._call({"type": "round", **_round_fields(coin_id, positions, alphas, beta, seed)},
-                          lambda resp: (_outcomes(resp, positions),
-                                        None if resp["check"] is None else CheckResult.from_dict(resp["check"])))
+                          lambda resp: _round_reply(resp, positions))
+
+
+def _round_reply(reply: dict, positions: np.ndarray) -> tuple:
+    """A round_ok's outcomes and check.  The outcomes are None only in the
+    bank's answer on an exhausted coin: no outcomes and an Invalid check
+    with code coin_exhausted.  Any other count of outcomes but one per
+    position raises ValueError."""
+    check = None if reply["check"] is None else CheckResult.from_dict(reply["check"])
+    if reply["outcomes"] == [] and check is not None and not check.valid and check.code == "coin_exhausted":
+        return None, check
+    return _outcomes(reply, positions), check
 
 
 def _outcomes(reply: dict, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -639,18 +670,21 @@ def client_verify(
     at the coin's eta and, unless the round aborts, checks under the coin's
     policy.  params is the holder's copy of that policy, `from_noise` of the
     mint's inputs, for its own abort rule; the verdict is the bank's.  The
-    holder ends the round with the same `_end_round` and raises
-    ServiceError if the bank's abort decision differs from its own.  Only
-    honest coins are supported: forged positions would need the bank-side
-    view to measure.
+    holder applies the same `_aborts` and raises ServiceError if the bank's
+    abort decision differs from its own.  On an exhausted coin the bank
+    measures nothing and answers coin_exhausted: the round is Invalid, and
+    its transcript has every outcome lost.  Only honest coins are
+    supported: forged positions would need the bank-side view to measure.
     """
     if not coin.all_genuine():
         raise ValueError("client_verify handles honest coins only")
     sample, alphas, measure_seed = _plan_round(coin, rng)
     with BankClient(*address) as client:
         outcomes, check = client.round(coin.coin_id, sample, alphas, channel.beta, measure_seed)
-    transcript, aborts = _end_round(coin, sample, alphas, outcomes, params)
-    if aborts != (check is None):
-        raise ServiceError("the bank checked a round the holder aborts" if aborts
+    unmeasured = outcomes is None
+    transcript = VerificationTranscript(coin.coin_id, coin.l, sample, alphas,
+                                        *(decode_outcomes([None] * len(sample)) if unmeasured else outcomes))
+    if not unmeasured and _aborts(transcript, params) != (check is None):
+        raise ServiceError("the bank checked a round the holder aborts" if check is not None
                            else "the bank aborted a round the holder submits")
     return VerifyOutcome(transcript, check, None)

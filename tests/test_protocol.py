@@ -33,6 +33,7 @@ from hmqm.protocol import (
     _aes128_ecb,
     _permute,
     _plan_round,
+    claimed_bits,
     measure_positions,
     pair_parities,
     plan_parameters,
@@ -440,11 +441,20 @@ def test_run_honest_experiment_lossy():
     assert exp.abort_bound == pytest.approx(math.exp(-2.0 * 10 * 0.05**2), rel=1e-12)
 
 
+def measure_with_bits(key, coin, positions, alphas, beta, eta, rng):
+    """One round's `measure_positions`, with the bits it claims under key
+    in place of its presence: (pair_i, pair_j, answer, errors, kinds)."""
+    pair_i, pair_j, present, errors, kinds = measure_positions(coin, positions, alphas, beta, eta, rng)
+    answer = claimed_bits(key, coin.n, positions, pair_i, pair_j, present, errors)
+    assert np.array_equal(answer >= 0, present)
+    return pair_i, pair_j, answer, errors, kinds
+
+
 def measured_error_rate(db, coin, k, beta, eta, seed):
     rng = np.random.default_rng(seed)
     positions = np.arange(k, dtype=np.int64)
     alphas = rng.integers(1, coin.n, size=k)
-    pi, pj, ans, flags, _ = measure_positions(db.key, coin, positions, alphas, beta, eta, rng)
+    pi, pj, ans, flags, _ = measure_with_bits(db.key, coin, positions, alphas, beta, eta, rng)
     present = ans >= 0
     bits = secret_bits(db.key, positions[present], db.n)
     rows = np.arange(len(bits))
@@ -511,7 +521,7 @@ def test_error_flags_agree_with_the_bank():
         coin.forged_error = forged_error
         positions = np.arange(0, 10_000, step, dtype=np.int64)
         alphas = rng.integers(1, coin.n, size=len(positions))
-        pi, pj, ans, flags, _ = measure_positions(
+        pi, pj, ans, flags, _ = measure_with_bits(
             db.key, coin, positions, alphas, 0.2, 0.7, np.random.default_rng(seed))
         present = ans >= 0
         assert 0 < present.sum() < len(positions)
@@ -537,7 +547,7 @@ def test_measure_positions_matches_the_reference_loop(n):
     coin.forged_error = 0.3
     positions = rng.integers(0, coin.q, size=600)
     alphas = rng.integers(1, n, size=len(positions))
-    got = measure_positions(db.key, coin, positions, alphas, 0.2, 0.7, np.random.default_rng(1))
+    got = measure_with_bits(db.key, coin, positions, alphas, 0.2, 0.7, np.random.default_rng(1))
     ref = measure_positions_reference(db.key, coin, positions, alphas, 0.2, 0.7, np.random.default_rng(1))
     for name, a, b in zip(("pair_i", "pair_j", "answer", "errors"), got, ref):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -552,7 +562,7 @@ def test_measure_positions_matches_the_reference_loop(n):
     for size in (600, 0):
         positions = rng.integers(0, coin.q, size=size)
         alphas = rng.integers(1, n, size=size)
-        got = measure_positions(db.key, coin, positions, alphas, 0.2, 1.0, np.random.default_rng(2))
+        got = measure_with_bits(db.key, coin, positions, alphas, 0.2, 1.0, np.random.default_rng(2))
         ref = measure_positions_reference(db.key, coin, positions, alphas, 0.2, 1.0, np.random.default_rng(2))
         for name, a, b in zip(("pair_i", "pair_j", "answer", "errors"), got, ref):
             assert a.dtype == b.dtype and a.shape == (size,) and np.array_equal(a, b), name
@@ -614,9 +624,13 @@ def test_round_kernels_leave_their_inputs_unchanged():
         alphas = rng.integers(1, coin.n, size=500)
         inputs = (positions, alphas)
         copies = [a.copy() for a in inputs]
-        pair_i, pair_j, _, _, _ = measure_positions(db.key, coin, positions, alphas, 0.1, eta, rng)
+        measured = measure_positions(coin, positions, alphas, 0.1, eta, rng)
         assert all(np.array_equal(a, b) for a, b in zip(inputs, copies))
-        present = pair_i > 0
+        inputs = (positions, *measured[:4])
+        copies = [a.copy() for a in inputs]
+        claimed_bits(db.key, coin.n, *inputs)
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, copies))
+        pair_i, pair_j, present = measured[:3]
         inputs = (positions[present], pair_i[present], pair_j[present])
         copies = [a.copy() for a in inputs]
         pair_parities(db.key, coin.n, *inputs)
@@ -720,31 +734,30 @@ def test_rounds_never_repeat_a_position_until_the_coin_runs_out(shape, n, seed):
     assert rng.bit_generator.state == state and coin.sampled == len(seen)
 
 
-def test_a_round_hashes_each_present_position_once(monkeypatch):
-    # Once, in the holder's simulated measurement: the bank grades its own
-    # measurement from the error flags and derives nothing again.
+def test_a_round_derives_its_claimed_bits_once_when_they_are_read(monkeypatch):
+    # The bank grades its own measurement from its presence and error
+    # flags: holder_verify derives nothing until its transcript's answer is
+    # read, then exactly l' blocks, once.  A wire verify of that transcript
+    # derives its blocks again.
     counter = AesBlockCounter(monkeypatch)
     rng = np.random.default_rng(29)
     coin, db = bank_mint(8, 2_000_000, 1000, rng)  # T = 2
-    outcome = holder_verify(coin, db, VerdictParameters.from_noise(8, 0.0), HonestChannel(0.0), rng)
-    assert outcome.verdict is Verdict.VALID
-    assert counter.count == 1000
-    counter.count = 0
-    params = VerdictParameters.from_noise(8, 0.0, 0.9, 0.05)
-    outcome = holder_verify(coin, db, params, HonestChannel(0.0), rng)
-    assert outcome.verdict is Verdict.VALID and outcome.check.l_prime < 1000
-    assert counter.count == outcome.check.l_prime
-    # Two rounds interleaved, as two clients of one server: measure both,
-    # then check both without the error flags, so the check derives again.
-    counter.count = 0
-    transcripts = []
-    for coin, db in (bank_mint(8, 1_000_000, 1000, rng) for _ in range(2)):
-        sample, alphas, seed = _plan_round(coin, rng)
-        *outcomes, _, _ = measure_positions(db.key, coin, sample, alphas, 0.0, 1.0, np.random.default_rng(seed))
-        transcripts.append((db, VerificationTranscript(coin.coin_id, coin.l, sample, alphas, *outcomes)))
-    for db, transcript in transcripts:
-        assert bank_check(db, transcript, VerdictParameters.from_noise(8, 0.0)).valid
-    assert counter.count == 2 * 2000
+    for params in (VerdictParameters.from_noise(8, 0.0), VerdictParameters.from_noise(8, 0.0, 0.9, 0.05)):
+        before = copy.deepcopy(db)
+        outcome = holder_verify(coin, db, params, HonestChannel(0.0), rng)
+        assert outcome.verdict is Verdict.VALID and counter.count == 0
+        l_prime = outcome.check.l_prime
+        assert l_prime == (1000 if params.eta == 1.0 else outcome.transcript.l_prime) and 0 < l_prime <= 1000
+        text = outcome.transcript.to_json()
+        assert counter.count == l_prime
+        assert outcome.transcript.to_json() == text and outcome.transcript.answer is outcome.transcript.answer
+        assert counter.count == l_prime
+        counter.count = 0
+        wire = VerificationTranscript.from_dict(json.loads(text))
+        assert bank_check(before, wire, params) == outcome.check
+        assert counter.count == l_prime
+        counter.count = 0
+    assert l_prime < 1000
 
 
 def _assert_check_matches_rederivation(coin, db, params, channel, rng):
@@ -961,16 +974,18 @@ def test_each_row_of_a_batched_measurement_is_its_reference(eta):
         coin, db = bank_mint(8, 200_000, 60, rng)
         rows.append((db.key, coin, *_plan_round(coin, rng)))
     keys, coins, samples, alphas, seeds = zip(*rows)
-    got = measure_positions(keys, coins, np.array(samples), np.array(alphas), 0.2, eta,
+    got = measure_positions(coins, np.array(samples), np.array(alphas), 0.2, eta,
                             [np.random.default_rng(seed) for seed in seeds])
     assert all(a.shape == (len(rows), 60) for a in got)
     for r, (key, coin, sample, bases, seed) in enumerate(rows):
         ref = measure_positions_reference(key, coin, sample, bases, 0.2, eta, np.random.default_rng(seed))
-        for name, a, b in zip(("pair_i", "pair_j", "answer", "errors"), got, ref):
-            assert a.dtype == b.dtype and np.array_equal(a[r], b), (name, r)
-        assert np.array_equal(got[4][r], kinds_of(coin.segments, sample))
+        pair_i, pair_j, present, errors, kinds = (a[r] for a in got)
+        answer = claimed_bits(key, coin.n, sample, pair_i, pair_j, present, errors)
+        for name, a, b in zip(("pair_i", "pair_j", "answer", "errors"), (pair_i, pair_j, answer, errors), ref):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (name, r)
+        assert np.array_equal(kinds, kinds_of(coin.segments, sample))
     # Some white and hidden segments are absent; without loss only they are.
-    lost = got[2] < 0
+    lost = ~got[2]
     assert lost.any() and (eta < 1.0 or np.array_equal(lost, got[4] == PositionKind.ABSENT))
 
 
@@ -1057,20 +1072,58 @@ def test_rounds_of_one_coin_are_the_rounds_holder_verify_gives():
     assert (coin.sampled, db.s) == (700, 5) and rng.bit_generator.state == twin.bit_generator.state
 
 
-def test_a_batch_derives_each_present_position_once_per_key(monkeypatch):
-    # Four forge trials, eight rounds in one batch under a lossy policy:
-    # one AES call per trial's bank key, and exactly sum(l') blocks.
+@pytest.mark.parametrize("eta, epsilon", [(1.0, 0.0), (0.6, 0.05)])
+def test_the_experiments_derive_no_secret(monkeypatch, eta, epsilon):
+    # Both experiments grade every round from its presence and error flags,
+    # lossless and at criterion 8's eta and epsilon: no AES block at all.
+    # Ended as they come, a batch's transcripts derive their l' blocks when
+    # they are read, one AES call each.
     counter = AesBlockCounter(monkeypatch)
-    keys = []
+    params = VerdictParameters.from_noise(8, 0.0, eta, epsilon)
+    for name in sorted(BUILTIN_STRATEGIES):
+        adversary.run_forging_experiment(8, 400_000, 200, builtin_strategy(name, fraction=0.05), 3, params,
+                                         np.random.default_rng(41))
+    run_honest_experiment(8, 400_000, 200, 0.1, 5, np.random.default_rng(42), eta=eta, epsilon=epsilon)
+    assert counter.count == 0
+    calls = []
     counted = protocol._aes128_ecb
-    monkeypatch.setattr(protocol, "_aes128_ecb", lambda key, blocks: keys.append(key) or counted(key, blocks))
-    rng = np.random.default_rng(41)
-    params = VerdictParameters.from_noise(8, 0.0, 0.8, 0.1)
+    monkeypatch.setattr(protocol, "_aes128_ecb", lambda key, blocks: calls.append(key) or counted(key, blocks))
+    rng = np.random.default_rng(43)
     minted = [bank_mint(8, 400_000, 200, rng) for _ in range(4)]
     clone = builtin_strategy("symmetric_clone")
     rounds = [(forged, db) for coin, db in minted for forged in forge_coins(coin, clone)]
     outcomes = [holder_verify(coin, db, params, HonestChannel(0.0), rng, measured)
                 for coin, db, measured in protocol.measure_rounds(rounds, HonestChannel(0.0), params.eta, rng)]
-    assert keys == [db.key for _, db in minted]
+    assert counter.count == 0
+    for out in outcomes:
+        out.transcript.answer
+    assert calls == [db.key for _, db in minted for _ in range(2)]
     assert counter.count == sum(out.transcript.l_prime for out in outcomes)
-    assert all(0 < out.transcript.l_prime < 200 for out in outcomes)
+    assert all(0 < out.transcript.l_prime <= 200 for out in outcomes)
+
+
+@pytest.mark.parametrize("eta, epsilon", [(1.0, 0.0), (0.6, 0.05)])
+def test_a_transcript_derives_the_reference_bits_on_read(eta, epsilon):
+    # Every built-in strategy's two rounds, and an honest coin's, lossless
+    # and lossy: the answer a transcript derives when it is read is the
+    # reference secrets' parity on each pair XOR the round's error flag,
+    # and -1 exactly where the pair is (0, 0).
+    rng = np.random.default_rng(int(10 * eta))
+    params = VerdictParameters.from_noise(8, 0.0, eta, epsilon)
+    rounds = []
+    for name in sorted(BUILTIN_STRATEGIES):
+        coin, db = bank_mint(8, 400_000, 100, rng)
+        rounds += [(forged, db) for forged in forge_coins(coin, builtin_strategy(name, beta=0.1, fraction=0.05))]
+    rounds.append(bank_mint(8, 400_000, 100, rng))
+    lost_any = False
+    for coin, db in rounds:
+        out = holder_verify(coin, db, params, HonestChannel(0.1), rng)
+        t = out.transcript
+        lost = (t.pair_i == 0) & (t.pair_j == 0)
+        assert np.array_equal(t.answer == -1, lost) and np.array_equal(t.answer >= 0, ~lost)
+        bits = secret_bits(db.key, t.positions[~lost], 8)
+        rows = np.arange(len(bits))
+        parity = bits[rows, t.pair_i[~lost] - 1] ^ bits[rows, t.pair_j[~lost] - 1]
+        assert np.array_equal(t.answer[~lost], parity ^ out.errors[~lost])
+        lost_any |= lost.any()
+    assert lost_any

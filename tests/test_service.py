@@ -36,7 +36,7 @@ from hmqm.protocol import (
     decode_outcomes,
     encode_outcomes,
     holder_verify,
-    _end_round,
+    _aborts,
     _plan_round,
     adversary_error_floor,
 )
@@ -193,6 +193,12 @@ MISSING = "a field the reply leaves out"
     {"outcomes": None},
     {"check": MISSING},
     {"outcomes": MISSING},
+    # No outcomes go with the bank's Invalid coin_exhausted check only.
+    {"outcomes": []},
+    {"outcomes": [], "check": dict(STUB_CHECK, code="coin_exhausted")},
+    {"outcomes": [], "check": dict(STUB_CHECK, valid=False, code="wrong_sample_size")},
+    {"outcomes": [], "check": None},
+    {"outcomes": STUB_OUTCOMES[1:], "check": dict(STUB_CHECK, valid=False, code="coin_exhausted")},
 ])
 def test_the_client_refuses_a_malformed_round_ok(round_ok, capsys):
     # The client converts nothing a bank replies: a check field of the
@@ -805,8 +811,8 @@ def round_and_twin(service, twin, coin, sample, bases, params):
         reply = client.round(**fields)
     with BankClient(*twin.address) as client:
         outcomes = client.measure(**fields)
-        transcript, aborts = _end_round(coin, sample, bases, outcomes, params)
-        check = None if aborts else client.verify(transcript)
+        transcript = VerificationTranscript(coin.coin_id, coin.l, sample, bases, *outcomes)
+        check = None if _aborts(transcript, params) else client.verify(transcript)
     assert all(map(np.array_equal, reply[0], outcomes))
     assert reply[1] == check
     return reply
@@ -836,10 +842,39 @@ def test_a_round_on_an_exhausted_coin_journals_nothing(service, twin):
     _, check = round_and_twin(service, twin, coin, sample, bases, params)
     assert (check.valid, check.s) == (True, 1)
     journal = journal_bytes(service)
-    _, check = round_and_twin(service, twin, coin, sample + 10, bases, params)
-    assert (check.valid, check.code, check.s, check.correct_count) == (False, "coin_exhausted", 1, 0)
+    # An exhausted coin is not measured: the round gets no outcomes.
+    with BankClient(*service.address) as client:
+        outcomes, check = client.round(coin.coin_id, sample + 10, bases, 0.0, 7)
+    assert outcomes is None
+    assert (check.valid, check.code, check.s, check.correct_count, check.l_prime) == (False, "coin_exhausted", 1, 0, 0)
     assert service.coins[coin.coin_id].s == 1
     assert journal_bytes(service) == journal
+
+
+def test_rounds_on_an_exhausted_coin_send_no_uncharged_outcome(service, monkeypatch):
+    # 200 full-size rounds on a T = 1 coin (n = 8, l = 100): the first is
+    # charged, and the other 199 get coin_exhausted with no outcomes, where
+    # they used to carry 19 900 uncharged ones.  Nothing is measured or
+    # derived for them, and the journal holds the mint and one check.
+    with BankClient(*service.address) as client:
+        coin = client.mint(8, 100_000, 100, seed=44)
+    assert coin.T == 1
+    counter = AesBlockCounter(monkeypatch)
+    uncharged, codes = 0, []
+    with socket.create_connection(service.address) as sock:
+        for r in range(200):
+            send_message(sock, {"type": "round", "coin_id": coin.coin_id, "positions": list(range(100 * r, 100 * r + 100)),
+                                "alphas": [1 + r % 7] * 100, "beta": 0.0, "seed": r, "request_id": r})
+            reply = recv_message(sock)
+            assert reply["type"] == "round_ok"
+            codes.append(reply["check"].get("code"))
+            if codes[-1] == "coin_exhausted":
+                uncharged += sum(outcome is not None for outcome in reply["outcomes"])
+    assert codes == [None] + ["coin_exhausted"] * 199
+    assert uncharged == 0
+    assert counter.count == 100  # the first round's reply
+    with open(service.journal.path) as fh:
+        assert [json.loads(line)["event"] for line in fh] == ["mint", "check"]
 
 
 def test_a_measure_runs_at_the_coins_eta(service, twin):
@@ -1433,8 +1468,8 @@ def test_a_round_is_a_measure_then_a_verify(tmp_path):
                 round_outcomes, round_check = client.round(coin.coin_id, sample, bases, beta, seed)
             with BankClient(*banks[1].address) as client:
                 outcomes = client.measure(coin.coin_id, sample, bases, beta, seed)
-                transcript, aborts = _end_round(coin, sample, bases, outcomes, params)
-                check = None if aborts else client.verify(transcript)
+                transcript = VerificationTranscript(coin.coin_id, coin.l, sample, bases, *outcomes)
+                check = None if _aborts(transcript, params) else client.verify(transcript)
             assert all(map(np.array_equal, round_outcomes, outcomes))
             assert round_check == check
             assert journal_bytes(banks[0]) == journal_bytes(banks[1])
