@@ -578,7 +578,8 @@ MOVED_NAMES = {
                     "depolarization_for_error"],
     "hmqm.coherent": ["single_photon_block_amplitudes", "single_photon_state_equivalence"],
     "hmqm.adversary": ["loss_hiding_weight_check"],
-    "hmqm.protocol": ["secret_bits", "matching_set", "_pair_nodes", "_pair_to_alpha", "_finish_round"],
+    "hmqm.protocol": ["secret_bits", "matching_set", "_pair_nodes", "_pair_to_alpha", "_finish_round",
+                      "_end_round"],
 }
 IMPORT_PROBE = """
 import importlib, importlib.resources, importlib.util, json, sys

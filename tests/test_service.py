@@ -863,7 +863,7 @@ def test_rounds_on_an_exhausted_coin_send_no_uncharged_outcome(service, monkeypa
     uncharged, codes = 0, []
     with socket.create_connection(service.address) as sock:
         for r in range(200):
-            send_message(sock, {"type": "round", "coin_id": coin.coin_id, "positions": list(range(100 * r, 100 * r + 100)),
+            send_message(sock, {"type": "round", "coin_id": coin.coin_id, "positions": list(range(100 * r, 100 * (r + 1))),
                                 "alphas": [1 + r % 7] * 100, "beta": 0.0, "seed": r, "request_id": r})
             reply = recv_message(sock)
             assert reply["type"] == "round_ok"
@@ -875,6 +875,44 @@ def test_rounds_on_an_exhausted_coin_send_no_uncharged_outcome(service, monkeypa
     assert counter.count == 100  # the first round's reply
     with open(service.journal.path) as fh:
         assert [json.loads(line)["event"] for line in fh] == ["mint", "check"]
+
+
+def test_racing_rounds_get_outcomes_only_when_they_are_charged(service):
+    # Eight clients race 24 rounds on a T = 3 coin, with thread switches
+    # forced often: exactly the three charged rounds carry outcomes.  The
+    # bank holds the coin's lock from reading s to charging it, so no round
+    # is measured and then finds the coin exhausted by another.
+    with BankClient(*service.address) as client:
+        coin = client.mint(4, 30_000, 10, seed=45)
+    assert coin.T == 3
+    replies = []
+
+    def rounds(k):
+        with socket.create_connection(service.address) as sock:
+            for r in range(3):
+                start = 30 * k + 10 * r
+                send_message(sock, {"type": "round", "coin_id": coin.coin_id, "positions": list(range(start, start + 10)),
+                                    "alphas": [1] * 10, "beta": 0.0, "seed": start, "request_id": start})
+                replies.append(recv_message(sock))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        clients = [threading.Thread(target=rounds, args=(k,)) for k in range(8)]
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in clients) and len(replies) == 24
+    charged = [reply for reply in replies if "code" not in reply["check"]]
+    assert sorted(reply["check"]["s"] for reply in charged) == [1, 2, 3]
+    assert all(len(reply["outcomes"]) == 10 for reply in charged)
+    assert all(reply["outcomes"] == [] and reply["check"]["code"] == "coin_exhausted"
+               for reply in replies if reply not in charged)
+    with open(service.journal.path) as fh:
+        assert [json.loads(line)["event"] for line in fh] == ["mint"] + ["check"] * 3
 
 
 def test_a_measure_runs_at_the_coins_eta(service, twin):
